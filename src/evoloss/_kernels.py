@@ -1,107 +1,106 @@
 """Inner integration loops for the replicator field.
 
-The field is dx/dt = x(1-x)(a - b y), dy/dt = y(1-y)(c - e x); kernels
-take the four precomputed coefficients so they stay independent of the
-dataclasses in the rest of the package.
-
-Each kernel exists twice: a plain interpreted version (``*_py``) and,
-when numba is importable and EVOLOSS_NO_JIT is not set, a compiled one
-under the bare name.  Both share one source function, so the numeric
-behaviour is identical by construction.
+The field is dx/dt = x(1-x)(a - b y), dy/dt = y(1-y)(c - e x); the
+functions take the four precomputed coefficients so they stay
+independent of the dataclasses in the rest of the package.  They are
+plain Python over floats; evobench/README.md describes how their cost
+is measured.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_NO_JIT_ENV = "EVOLOSS_NO_JIT"
+from .game import CORNERS
 
-# Terminal codes returned by the path kernels.
-TERM_NONE = -1  # horizon reached without entering a stopping ball
-TERM_CORNERS = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
+#: There is one interpreted backend; evobench/run.py reports this flag
+#: in its environment line.
+JIT_ENABLED = False
 
 
-def _rk4_path(a, b, c, e, x0, y0, dt, t_max, stop_tol, clamp_tol):
+def rk4_step(a, b, c, e, x, y, h, clamp_tol):
+    """One classical RK4 step of size h from (x, y).
+
+    An attempt whose result overshoots the unit square by more than
+    clamp_tol is rejected and retried at half the step.  Returns
+    (x, y, h): the result clamped onto the square and h as the loop
+    leaves it, which is the step taken, except that after 64 rejected
+    attempts the last one is kept and h has been halved once more.
+    """
+    for _ in range(64):
+        # x + 0.5 * h * f evaluates as x + (0.5 * h) * f, so taking the
+        # factors once per attempt changes no rounding
+        half = 0.5 * h
+        sixth = h / 6.0
+        f1x = x * (1.0 - x) * (a - b * y)
+        f1y = y * (1.0 - y) * (c - e * x)
+        x2 = x + half * f1x
+        y2 = y + half * f1y
+        f2x = x2 * (1.0 - x2) * (a - b * y2)
+        f2y = y2 * (1.0 - y2) * (c - e * x2)
+        x3 = x + half * f2x
+        y3 = y + half * f2y
+        f3x = x3 * (1.0 - x3) * (a - b * y3)
+        f3y = y3 * (1.0 - y3) * (c - e * x3)
+        x4 = x + h * f3x
+        y4 = y + h * f3y
+        f4x = x4 * (1.0 - x4) * (a - b * y4)
+        f4y = y4 * (1.0 - y4) * (c - e * x4)
+        xn = x + sixth * (f1x + 2.0 * f2x + 2.0 * f3x + f4x)
+        yn = y + sixth * (f1y + 2.0 * f2y + 2.0 * f3y + f4y)
+        if (
+            -clamp_tol <= xn <= 1.0 + clamp_tol
+            and -clamp_tol <= yn <= 1.0 + clamp_tol
+        ):
+            break
+        h *= 0.5
+    return min(max(xn, 0.0), 1.0), min(max(yn, 0.0), 1.0), h
+
+
+def rk4_path(a, b, c, e, x0, y0, dt, t_max, stop_tol, clamp_tol):
     """Integrate with fixed-step RK4, recording every accepted step.
 
     Stops once the state comes within stop_tol (Euclidean) of a unit
     square corner; pass a negative stop_tol to disable stopping.  Steps
-    whose result overshoots the square by more than clamp_tol are
-    rejected and retried at half the step size.
+    are taken by rk4_step; the last one is shortened to end at t_max.
 
-    Returns (times, xs, ys, terminal) with terminal in {-1, 0, 1, 2, 3}
-    indexing TERM_CORNERS.
+    Returns (times, xs, ys, terminal): views of the recorded samples,
+    and terminal, the index into CORNERS of the corner reached or -1
+    when the horizon (or the sample buffer) ran out first.
     """
     n_max = 2 * int(t_max / dt) + 16
     ts = np.empty(n_max)
     xs = np.empty(n_max)
     ys = np.empty(n_max)
+    tol2 = stop_tol * stop_tol
+    t_end = t_max - 1e-12
+    # (index, corner) pairs tested after every step; none when stopping is off
+    corners = tuple(enumerate(CORNERS)) if stop_tol >= 0.0 else ()
     t = 0.0
     x = x0
     y = y0
-    ts[0] = t
-    xs[0] = x
-    ys[0] = y
-    n = 1
+    n = 0
     terminal = -1
-    if stop_tol >= 0.0:
-        tol2 = stop_tol * stop_tol
-        for k in range(4):
-            cx = 1.0 if k >= 2 else 0.0
-            cy = 1.0 if k % 2 == 1 else 0.0
-            if (x - cx) ** 2 + (y - cy) ** 2 <= tol2:
-                terminal = k
-                break
-    while terminal == -1 and t < t_max - 1e-12 and n < n_max:
-        h = dt
-        if t + h > t_max:
-            h = t_max - t
-        xn = x
-        yn = y
-        for _ in range(64):
-            f1x = x * (1.0 - x) * (a - b * y)
-            f1y = y * (1.0 - y) * (c - e * x)
-            x2 = x + 0.5 * h * f1x
-            y2 = y + 0.5 * h * f1y
-            f2x = x2 * (1.0 - x2) * (a - b * y2)
-            f2y = y2 * (1.0 - y2) * (c - e * x2)
-            x3 = x + 0.5 * h * f2x
-            y3 = y + 0.5 * h * f2y
-            f3x = x3 * (1.0 - x3) * (a - b * y3)
-            f3y = y3 * (1.0 - y3) * (c - e * x3)
-            x4 = x + h * f3x
-            y4 = y + h * f3y
-            f4x = x4 * (1.0 - x4) * (a - b * y4)
-            f4y = y4 * (1.0 - y4) * (c - e * x4)
-            xn = x + (h / 6.0) * (f1x + 2.0 * f2x + 2.0 * f3x + f4x)
-            yn = y + (h / 6.0) * (f1y + 2.0 * f2y + 2.0 * f3y + f4y)
-            if (
-                -clamp_tol <= xn <= 1.0 + clamp_tol
-                and -clamp_tol <= yn <= 1.0 + clamp_tol
-            ):
-                break
-            h *= 0.5
-        x = min(max(xn, 0.0), 1.0)
-        y = min(max(yn, 0.0), 1.0)
-        t += h
+    while True:
         ts[n] = t
         xs[n] = x
         ys[n] = y
         n += 1
-        if stop_tol >= 0.0:
-            tol2 = stop_tol * stop_tol
-            for k in range(4):
-                cx = 1.0 if k >= 2 else 0.0
-                cy = 1.0 if k % 2 == 1 else 0.0
-                if (x - cx) ** 2 + (y - cy) ** 2 <= tol2:
-                    terminal = k
-                    break
+        for k, (cx, cy) in corners:
+            if (x - cx) ** 2 + (y - cy) ** 2 <= tol2:
+                terminal = k
+                break
+        if terminal != -1 or t >= t_end or n >= n_max:
+            break
+        h = dt
+        if t + h > t_max:
+            h = t_max - t
+        x, y, h = rk4_step(a, b, c, e, x, y, h, clamp_tol)
+        t += h
     return ts[:n], xs[:n], ys[:n], terminal
 
 
-def _euler_path(a, b, c, e, x0, y0, dt, n_steps, record_every):
+def euler_path(a, b, c, e, x0, y0, dt, n_steps, record_every):
     """Plain forward-Euler path, clamped to the unit square, recording
     the start and then every record_every-th step."""
     m = n_steps // record_every + 1
@@ -124,25 +123,3 @@ def _euler_path(a, b, c, e, x0, y0, dt, n_steps, record_every):
             ys[k] = y
             k += 1
     return xs[:k], ys[:k]
-
-
-rk4_path_py = _rk4_path
-euler_path_py = _euler_path
-
-JIT_ENABLED = os.environ.get(_NO_JIT_ENV, "").strip().lower() not in {
-    "1",
-    "true",
-    "yes",
-}
-if JIT_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:
-        JIT_ENABLED = False
-
-if JIT_ENABLED:
-    rk4_path = njit(cache=True)(_rk4_path)
-    euler_path = njit(cache=True)(_euler_path)
-else:
-    rk4_path = rk4_path_py
-    euler_path = euler_path_py

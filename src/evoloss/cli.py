@@ -7,6 +7,7 @@ degenerate game inputs (no usable interior fixed point).
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 
 import numpy as np
@@ -91,9 +92,10 @@ def run_metrics(args) -> int:
             continue
         rows.append(("N2", rec.method, rec.pretrain, rec.eval, gen_acc - rec.accuracy))
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        fh.write("metric,method,pretrain,eval,value\n")
-        for metric, method, pretrain, eval_ds, value in rows:
-            fh.write(f"{metric},{method},{pretrain},{eval_ds},{value!r}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["metric", "method", "pretrain", "eval", "value"])
+        for *fields, value in rows:
+            writer.writerow([*fields, repr(value)])
     print(f"wrote {len(rows)} metric rows to {args.output}")
     return 0
 
@@ -121,7 +123,7 @@ def _read_starts_file(path) -> list[PopulationState]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise EvolossError(f"cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -164,55 +166,31 @@ def run_simulate(args) -> int:
     return 0
 
 
-_LAB_KEYS = {
-    "steps": int,
-    "input_dim": int,
-    "feature_dim": int,
-    "batch_size": int,
-    "noise_scale": float,
-    "learning_rate": float,
-    "seed": int,
-}
-_SCHED_KEYS = {
-    "center": float,
-    "explore_weight": float,
-    "prev_loss_scale": float,
-    "target_x": float,
-    "target_y": float,
-    "update_period": int,
-    "reward_cap": float,
-    "denom_floor": float,
-}
-_LOSS_KEYS = {"temperature": float, "epsilon": float}
+_LAB_KEYS = ("steps", "input_dim", "feature_dim", "batch_size",
+             "noise_scale", "learning_rate", "seed")
+_SCHED_KEYS = ("center", "explore_weight", "prev_loss_scale", "update_period",
+               "reward_cap", "denom_floor")
+_LOSS_KEYS = ("temperature", "epsilon")
 
 
 def _parse_train_config(path):
     data = read_kv_file(path)
-    known = set(_LAB_KEYS) | set(_SCHED_KEYS) | set(_LOSS_KEYS)
-    unknown = set(data) - known
+    unknown = set(data) - {*_LAB_KEYS, *_SCHED_KEYS, "target_x", "target_y", *_LOSS_KEYS}
     if unknown:
         raise EvolossError(f"unknown config keys: {sorted(unknown)}")
     if "steps" not in data:
         raise EvolossError("config must set steps")
 
-    def convert(key, cast):
-        value = data[key]
-        if cast is int and int(value) != value:
-            raise EvolossError(f"{key} must be an integer, got {value}")
-        return cast(value)
+    def pick(keys):
+        return {k: data[k] for k in keys if k in data}
 
-    lab_kwargs = {k: convert(k, c) for k, c in _LAB_KEYS.items() if k in data}
-    sched_kwargs = {
-        k: convert(k, c)
-        for k, c in _SCHED_KEYS.items()
-        if k in data and not k.startswith("target_")
-    }
+    lab_kwargs = pick(_LAB_KEYS)
+    sched_kwargs = pick(_SCHED_KEYS)
     if ("target_x" in data) != ("target_y" in data):
         raise EvolossError("config must set both target_x and target_y or neither")
     if "target_x" in data:
         sched_kwargs["target"] = (data["target_x"], data["target_y"])
-    loss_kwargs = {k: convert(k, c) for k, c in _LOSS_KEYS.items() if k in data}
-    return lab_kwargs, sched_kwargs, loss_kwargs
+    return lab_kwargs, sched_kwargs, pick(_LOSS_KEYS)
 
 
 def run_train(args) -> int:

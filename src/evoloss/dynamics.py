@@ -10,12 +10,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .game import PopulationState, check_state, field_coefficients
+from .game import CORNERS, PopulationState, check_state, field_coefficients
 from .metrics import PayoffParams
-
-#: Corner states a trajectory can converge to (the interior fixed point
-#: is a watershed between basins, never a stopping target).
-CORNERS = tuple(PopulationState(cx, cy) for cx, cy in _kernels.TERM_CORNERS)
 
 
 @dataclass(frozen=True)
@@ -75,32 +71,8 @@ def step_rk4(p: PayoffParams, state, dt: float) -> PopulationState:
         raise ValidationError(f"dt must be positive, got {dt}")
     x, y = check_state(state)
     a, b, c, e = field_coefficients(p)
-    clamp_tol = IntegratorConfig().clamp_tol
-    h = dt
-    for _ in range(64):
-        f1x = x * (1.0 - x) * (a - b * y)
-        f1y = y * (1.0 - y) * (c - e * x)
-        x2 = x + 0.5 * h * f1x
-        y2 = y + 0.5 * h * f1y
-        f2x = x2 * (1.0 - x2) * (a - b * y2)
-        f2y = y2 * (1.0 - y2) * (c - e * x2)
-        x3 = x + 0.5 * h * f2x
-        y3 = y + 0.5 * h * f2y
-        f3x = x3 * (1.0 - x3) * (a - b * y3)
-        f3y = y3 * (1.0 - y3) * (c - e * x3)
-        x4 = x + h * f3x
-        y4 = y + h * f3y
-        f4x = x4 * (1.0 - x4) * (a - b * y4)
-        f4y = y4 * (1.0 - y4) * (c - e * x4)
-        xn = x + (h / 6.0) * (f1x + 2.0 * f2x + 2.0 * f3x + f4x)
-        yn = y + (h / 6.0) * (f1y + 2.0 * f2y + 2.0 * f3y + f4y)
-        if (
-            -clamp_tol <= xn <= 1.0 + clamp_tol
-            and -clamp_tol <= yn <= 1.0 + clamp_tol
-        ):
-            return PopulationState(min(max(xn, 0.0), 1.0), min(max(yn, 0.0), 1.0))
-        h *= 0.5
-    return PopulationState(min(max(xn, 0.0), 1.0), min(max(yn, 0.0), 1.0))
+    x, y, _ = _kernels.rk4_step(a, b, c, e, x, y, dt, IntegratorConfig.clamp_tol)
+    return PopulationState(x, y)
 
 
 def simulate(p: PayoffParams, start, cfg: IntegratorConfig | None = None) -> Trajectory:

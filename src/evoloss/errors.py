@@ -15,6 +15,17 @@ class ValidationError(EvolossError, ValueError):
     """Malformed input: bad values, shapes, files, or configuration."""
 
 
+def as_int(name: str, value) -> int:
+    """value as an int; ValidationError unless it is a finite whole number."""
+    try:
+        integral = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be an integer, got {value}") from None
+    if integral != value:
+        raise ValidationError(f"{name} must be an integer, got {value}")
+    return integral
+
+
 class BenchmarkParseError(ValidationError):
     """A benchmark CSV could not be parsed.
 

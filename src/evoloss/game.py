@@ -26,6 +26,18 @@ class PopulationState(NamedTuple):
     y: float
 
 
+#: The four pure-strategy corners of the unit square, the states a
+#: trajectory can converge to (the interior fixed point is a watershed
+#: between basins, never a stopping target).  The path kernel reports a
+#: stop by its index into this tuple.
+CORNERS = (
+    PopulationState(0.0, 0.0),
+    PopulationState(0.0, 1.0),
+    PopulationState(1.0, 0.0),
+    PopulationState(1.0, 1.0),
+)
+
+
 def check_state(state) -> PopulationState:
     """Validate that state is a finite point of the unit square."""
     x, y = state

@@ -39,7 +39,7 @@ def read_kv_file(path) -> dict[str, float]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     return parse_kv_text(text)
 

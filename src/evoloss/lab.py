@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_int
 from .losses import (
     DEFAULT_OFFDIAG_WEIGHT,
     DEFAULT_TEMPERATURE,
@@ -48,9 +48,7 @@ class LabConfig:
 
     def __post_init__(self):
         for name in ("steps", "input_dim", "feature_dim", "batch_size", "seed"):
-            value = getattr(self, name)
-            if int(value) != value:
-                raise ValidationError(f"{name} must be an integer, got {value}")
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.steps < 1:
             raise ValidationError(f"steps must be positive, got {self.steps}")
         if self.input_dim < 1:

@@ -125,7 +125,7 @@ def load_benchmark(path) -> BenchmarkTable:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             lines = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise BenchmarkParseError("empty file")

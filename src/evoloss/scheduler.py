@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_int
 from .losses import LossWeights
 
 #: Weights are clamped to [0, 2 * center] and floored here so LossWeights
@@ -66,7 +66,10 @@ class SchedulerConfig:
             raise ValidationError(f"center must be positive, got {self.center}")
         if self.explore_weight < 0.0 or self.prev_loss_scale < 0.0:
             raise ValidationError("explore_weight and prev_loss_scale must be nonnegative")
-        if int(self.update_period) != self.update_period or self.update_period < 1:
+        object.__setattr__(
+            self, "update_period", as_int("update_period", self.update_period)
+        )
+        if self.update_period < 1:
             raise ValidationError(
                 f"update_period must be a positive integer, got {self.update_period}"
             )
@@ -374,16 +377,21 @@ def load_policy(path) -> PolicyParams:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise ValidationError("empty checkpoint file")
     head = lines[0].split()
     if len(head) != 4 or head[0] != _POLICY_MAGIC:
         raise ValidationError(f"not a policy checkpoint: {lines[0]!r}")
-    if int(head[1]) != _POLICY_VERSION:
+    try:
+        version, state_dim, hidden = (int(v) for v in head[1:])
+    except ValueError:
+        raise ValidationError(
+            f"checkpoint header holds a non-integer: {lines[0]!r}"
+        ) from None
+    if version != _POLICY_VERSION:
         raise ValidationError(f"unsupported checkpoint version {head[1]}")
-    state_dim, hidden = int(head[2]), int(head[3])
     try:
         flat = np.array([float(v) for v in lines[1:] if v.strip()])
     except ValueError:

@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import DegenerateGameError, OutOfSimplexError, ValidationError
 from .game import (
+    CORNERS,
     ZERO_TOL,
     PopulationState,
     check_state,
@@ -96,14 +97,6 @@ def classify_by_eigen(p: PayoffParams, point) -> StabilityClass:
     if np.all(real_parts > 0.0):
         return StabilityClass.UNSTABLE_POINT
     return StabilityClass.SADDLE_POINT
-
-
-CORNERS = (
-    PopulationState(0.0, 0.0),
-    PopulationState(0.0, 1.0),
-    PopulationState(1.0, 0.0),
-    PopulationState(1.0, 1.0),
-)
 
 
 def enumerate_equilibria(p: PayoffParams) -> list[Equilibrium]:

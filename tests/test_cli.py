@@ -1,5 +1,6 @@
 """End-to-end command line flows, run in process through main(argv)."""
 
+import csv
 import shutil
 
 import pytest
@@ -108,6 +109,36 @@ def test_metrics_output_rows_exact(data_dir, tmp_path, capsys):
     assert out.read_text() == expected
 
 
+def test_metrics_comma_in_method_reads_back_as_five_fields(tmp_path, capsys):
+    table = tmp_path / "bench.csv"
+    table.write_text(
+        "method,pretrain,eval,accuracy\n"
+        "SL,C10,C10,99.0\n"
+        '"M,X",C10,C10,80.0\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "metrics.csv"
+    assert main(["metrics", "--input", str(table), "--output", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1:] == [["D", "M,X", "C10", "C10", repr(1.0 / (99.0 - 80.0))]]
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("metrics", "--input"), ("saddle", "--params"), ("train", "--config")],
+)
+def test_non_utf8_input_file_exits_2(tmp_path, capsys, command, flag):
+    bad = tmp_path / "input.txt"
+    bad.write_bytes(b"steps = 1\xff\n")
+    argv = [command, flag, str(bad)]
+    if command != "saddle":
+        argv += ["--output" if command == "metrics" else "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
 def test_metrics_bad_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("method,pretrain\n", encoding="utf-8")
@@ -152,15 +183,22 @@ def test_simulate_starts_file(params_file, tmp_path, capsys):
     assert "basin (1, 0): 1" in stdout
 
 
-@pytest.mark.parametrize("content", ["0.2;0.9\n", "0.2,banana\n", "", "1.5,0.5\n"])
+@pytest.mark.parametrize(
+    "content", ["0.2;0.9\n", "0.2,banana\n", "", "1.5,0.5\n", b"0.2,0.9\xff\n"]
+)
 def test_simulate_bad_starts_file_exits_2(params_file, tmp_path, content, capsys):
     starts = tmp_path / "starts.txt"
-    starts.write_text(content, encoding="utf-8")
+    if isinstance(content, bytes):  # not UTF-8
+        starts.write_bytes(content)
+    else:
+        starts.write_text(content, encoding="utf-8")
     out = tmp_path / "paths.csv"
     assert main(
         ["simulate", "--params", str(params_file),
          "--starts-file", str(starts), "--out", str(out)]
     ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_simulate_bad_dt_exits_2(params_file, tmp_path, capsys):
@@ -226,6 +264,8 @@ def test_train_accepts_target_pair(tmp_path, capsys):
         ({"steps": 2.5}, False),         # non-integer steps
         ({"target_x": 0.8}, False),      # target_y missing
         ({"update_period": 0}, False),   # invalid scheduler value
+        ({"steps": float("nan")}, False),  # non-finite steps
+        ({"steps": float("inf")}, False),
     ],
 )
 def test_train_config_errors_exit_2(tmp_path, capsys, overrides, missing_steps):

@@ -1,5 +1,5 @@
 """Integrators: single steps, full trajectories, basins, CSV export, and
-agreement between the compiled and interpreted kernels."""
+agreement between the path kernel and the public single-step function."""
 
 import csv
 
@@ -20,7 +20,7 @@ from evoloss import (
     step_rk4,
     write_trajectories_csv,
 )
-from evoloss import _kernels
+from evoloss import _kernels, game, stability
 from evoloss.dynamics import CORNERS
 
 from helpers import euler_flow, sample_gentle_pair
@@ -49,6 +49,7 @@ def test_corners_constant():
         PopulationState(1.0, 0.0),
         PopulationState(1.0, 1.0),
     )
+    assert CORNERS is game.CORNERS is stability.CORNERS
 
 
 def test_step_rk4_fixed_points_stay_exact(fixture_params):
@@ -92,6 +93,15 @@ def test_simulate_first_step_matches_step_rk4(fixture_params):
     traj = simulate(fixture_params, start, IntegratorConfig(t_max=1.0))
     manual = step_rk4(fixture_params, start, 0.01)
     assert traj.states[0].tolist() == [0.3, 0.7]
+    assert traj.states[1].tolist() == [manual.x, manual.y]
+
+    # a stiff game whose first step overshoots the square until halved
+    # six times: both sides take the same dt / 64 step
+    stiff = PayoffParams(g1=300, d1=200, g2=200, d2=300, n1=100, n2=100)
+    start = PopulationState(0.5, 0.01)
+    traj = simulate(stiff, start, IntegratorConfig(dt=0.5))
+    manual = step_rk4(stiff, start, 0.5)
+    assert traj.times[1] == 0.5 / 64
     assert traj.states[1].tolist() == [manual.x, manual.y]
 
 
@@ -200,28 +210,34 @@ def test_write_trajectories_csv(fixture_params, tmp_path):
 # ----------------------------------------------------------------- kernels
 
 
-def test_rk4_kernel_backends_agree(fixture_params):
+def test_rk4_path_matches_repeated_step_rk4(fixture_params):
+    """The whole recorded path is a walk of public single steps, bit for
+    bit: one run to a corner, and one unstopped run whose last step is
+    shortened to end at the horizon."""
     a, b, c, e = field_coefficients(fixture_params)
-    args = (a, b, c, e, 0.25, 0.8, 0.01, 20.0, 1e-3, 1e-9)
-    ts, xs, ys, term = _kernels.rk4_path(*args)
-    ts2, xs2, ys2, term2 = _kernels.rk4_path_py(*args)
-    assert term == term2
-    np.testing.assert_array_equal(ts, ts2)
-    np.testing.assert_array_equal(xs, xs2)
-    np.testing.assert_array_equal(ys, ys2)
-
-
-def test_euler_kernel_backends_agree(fixture_params):
-    a, b, c, e = field_coefficients(fixture_params)
-    args = (a, b, c, e, 0.25, 0.8, 1e-3, 5000, 1000)
-    xs, ys = _kernels.euler_path(*args)
-    xs2, ys2 = _kernels.euler_path_py(*args)
-    np.testing.assert_array_equal(xs, xs2)
-    np.testing.assert_array_equal(ys, ys2)
+    dt = 0.01
+    for start, t_max, stop_tol in (((0.25, 0.8), 20.0, 1e-3), ((0.3, 0.7), 1.005, -1.0)):
+        ts, xs, ys, term = _kernels.rk4_path(
+            a, b, c, e, start[0], start[1], dt, t_max, stop_tol, 1e-9
+        )
+        state = PopulationState(*start)
+        t = 0.0
+        for i in range(1, len(ts)):
+            h = dt
+            if t + h > t_max:
+                h = t_max - t
+            state = step_rk4(fixture_params, state, h)
+            t += h
+            assert (ts[i], xs[i], ys[i]) == (t, state.x, state.y)
+        if stop_tol < 0.0:
+            assert term == -1
+            assert t == pytest.approx(t_max, abs=1e-9)
+        else:
+            assert np.hypot(*(np.array(state) - CORNERS[term])) <= stop_tol
 
 
 def test_euler_kernel_matches_public_rhs_walk(fixture_params):
-    """The compiled Euler loop reproduces a plain loop over the public
+    """The Euler kernel reproduces a plain loop over the public
     right-hand side exactly."""
     a, b, c, e = field_coefficients(fixture_params)
     xs, ys = _kernels.euler_path(a, b, c, e, 0.3, 0.7, 1e-3, 5000, 5000)

@@ -50,11 +50,20 @@ def pinned_policy(state_dim, weights, hidden=4):
         {"steps": 10, "noise_scale": -0.1},
         {"steps": 10, "learning_rate": 0.0},
         {"steps": 2.5},
+        {"steps": math.nan},
+        {"steps": math.inf},
+        {"steps": 10, "seed": -math.inf},
     ],
 )
 def test_lab_config_validation(kwargs):
     with pytest.raises(ValidationError):
         LabConfig(**kwargs)
+
+
+def test_lab_config_stores_integer_fields_as_int():
+    cfg = LabConfig(steps=10.0, input_dim=4.0, feature_dim=2.0, batch_size=8.0, seed=3.0)
+    for name in ("steps", "input_dim", "feature_dim", "batch_size", "seed"):
+        assert type(getattr(cfg, name)) is int
 
 
 def test_gen_two_view_batch_zero_noise_gives_identical_views():

@@ -77,11 +77,17 @@ def test_scheduler_config_defaults():
         {"reward_cap": 0.0},
         {"denom_floor": 0.0},
         {"center": math.inf},
+        {"update_period": math.nan},
+        {"update_period": math.inf},
     ],
 )
 def test_scheduler_config_validation(kwargs):
     with pytest.raises(ValidationError):
         SchedulerConfig(**kwargs)
+
+
+def test_scheduler_config_stores_update_period_as_int():
+    assert type(SchedulerConfig(update_period=50.0).update_period) is int
 
 
 def test_transition_validation():
@@ -363,6 +369,14 @@ def test_load_policy_corruption(tmp_path):
 
     bad.write_text("evoloss-policy 9 3 2\n" + "\n".join(lines[1:]))
     with pytest.raises(ValidationError, match="version"):
+        load_policy(bad)
+
+    bad.write_text("evoloss-policy x 8 32\n" + "\n".join(lines[1:]))
+    with pytest.raises(ValidationError, match="non-integer"):
+        load_policy(bad)
+
+    bad.write_bytes(b"evoloss-policy 1 3 2\n\xff\n")
+    with pytest.raises(ValidationError, match="cannot read"):
         load_policy(bad)
 
     bad.write_text("\n".join(lines[:-3]))  # truncated
