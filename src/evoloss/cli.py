@@ -162,6 +162,9 @@ def run_simulate(args) -> int:
         if count:
             print(f"basin ({corner.x:g}, {corner.y:g}): {count}")
     print(f"unconverged: {unconverged}")
+    budget = sum(traj.reason == "budget" for traj in trajectories)
+    if budget:
+        print(f"stopped at step budget: {budget}")
     print(f"wrote {len(trajectories)} trajectories to {args.out}")
     return 0
 
@@ -244,6 +247,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

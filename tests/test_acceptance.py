@@ -2,7 +2,7 @@
 
 Every test prints a single ``[PASS]``/``[FAIL]`` line with the measured
 quantity before asserting, so ``pytest tests/test_acceptance.py -v -s``
-reads as a checklist.  Timed criteria warm the jitted kernels first.
+reads as a checklist.
 """
 
 import math
@@ -106,7 +106,7 @@ def test_criterion_2_fixture_saddle_location(fixture_params):
 
 def test_criterion_3_interior_starts_reach_pure_corners(fixture_params):
     starts = sample_starts(100, np.random.default_rng(7))
-    simulate(fixture_params, starts[0])  # compile before the timed region
+    simulate(fixture_params, starts[0])  # warm up outside the timed region
     t0 = time.perf_counter()
     trajectories = [simulate(fixture_params, s, IntegratorConfig()) for s in starts]
     elapsed = time.perf_counter() - t0

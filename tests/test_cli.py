@@ -159,6 +159,7 @@ def test_simulate_random_starts(params_file, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "wrote 12 trajectories" in stdout
     assert "unconverged: 0" in stdout
+    assert "stopped at step budget" not in stdout
     assert "basin (0, 1):" in stdout or "basin (1, 0):" in stdout
     first = out.read_bytes()
     # identical seed, identical bytes
@@ -199,6 +200,34 @@ def test_simulate_bad_starts_file_exits_2(params_file, tmp_path, content, capsys
     ) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_simulate_huge_t_max_writes_default_csv(params_file, tmp_path):
+    """Paths that reach a corner never touch the horizon, so a horizon of
+    1e12 writes the default horizon's bytes instead of trying to allocate
+    its whole sample budget up front."""
+    files = []
+    for extra in ([], ["--t-max", "1e12"]):
+        out = tmp_path / f"paths{len(files)}.csv"
+        assert main(
+            ["simulate", "--params", str(params_file), "--starts", "2",
+             "--out", str(out), *extra]
+        ) == 0
+        files.append(out.read_bytes())
+    assert files[0] == files[1]
+
+
+def test_simulate_reports_step_budget(tmp_path, capsys):
+    params = write_kv(tmp_path / "stiff.params", g1=300, d1=200, g2=200, d2=300,
+                      n1=100, n2=100)
+    starts = tmp_path / "starts.txt"
+    starts.write_text("0.5,0.01\n", encoding="utf-8")
+    assert main(
+        ["simulate", "--params", str(params), "--starts-file", str(starts),
+         "--out", str(tmp_path / "o.csv"), "--dt", "0.5", "--t-max", "50"]
+    ) == 0
+    stdout = capsys.readouterr().out
+    assert "unconverged: 1\nstopped at step budget: 1\n" in stdout
 
 
 def test_simulate_bad_dt_exits_2(params_file, tmp_path, capsys):
@@ -266,6 +295,7 @@ def test_train_accepts_target_pair(tmp_path, capsys):
         ({"update_period": 0}, False),   # invalid scheduler value
         ({"steps": float("nan")}, False),  # non-finite steps
         ({"steps": float("inf")}, False),
+        ({"steps": 1e12}, False),        # records too large to allocate
     ],
 )
 def test_train_config_errors_exit_2(tmp_path, capsys, overrides, missing_steps):

@@ -20,7 +20,7 @@ from evoloss import (
     step_rk4,
     write_trajectories_csv,
 )
-from evoloss import _kernels, game, stability
+from evoloss import _kernels, dynamics, game, stability
 from evoloss.dynamics import CORNERS
 
 from helpers import euler_flow, sample_gentle_pair
@@ -108,6 +108,7 @@ def test_simulate_first_step_matches_step_rk4(fixture_params):
 def test_simulate_corner_start_converges_immediately(fixture_params):
     traj = simulate(fixture_params, (1.0, 0.0))
     assert traj.converged_to == PopulationState(1.0, 0.0)
+    assert traj.reason == "corner"
     assert len(traj.times) == 1
     assert traj.final_state == (1.0, 0.0)
 
@@ -129,6 +130,7 @@ def test_simulate_saddle_start_never_converges(fixture_params):
     star = saddle_point(fixture_params)
     traj = simulate(fixture_params, star, IntegratorConfig(t_max=50.0))
     assert traj.converged_to is None
+    assert traj.reason == "horizon"
     assert traj.final_state == star  # the field is exactly zero there
     assert traj.times[-1] == pytest.approx(50.0, abs=1e-9)
 
@@ -164,6 +166,96 @@ def test_diagonal_is_the_watershed(fixture_params):
     assert np.hypot(*(np.array(traj.final_state) - star)) < 1e-6
 
 
+STIFF = PayoffParams(g1=300, d1=200, g2=200, d2=300, n1=100, n2=100)
+
+
+def test_step_budget_stop_is_reported(fixture_params):
+    """The stiff game halves its steps so often from (0.5, 0.01) that the
+    2 * int(t_max / dt) + 16 sample budget runs out long before t_max;
+    the trajectory says so instead of passing for a horizon stop."""
+    cfg = IntegratorConfig(dt=0.5, t_max=50.0)
+    traj = simulate(STIFF, (0.5, 0.01), cfg)
+    assert traj.reason == "budget"
+    assert traj.converged_to is None
+    assert len(traj.times) == 216
+    assert traj.times[-1] == 1.859375
+    batch = phase_portrait(STIFF, [(0.5, 0.01)] * dynamics.BATCH_MIN_STARTS, cfg)
+    assert all(t.reason == "budget" for t in batch)
+
+
+def _time_after(steps, dt):
+    t = 0.0
+    for _ in range(steps):
+        t += dt
+    return t
+
+
+T_199 = _time_after(199, 0.01)
+FIXTURE = PayoffParams(g1=1.5, d1=1.0, g2=1.0, d2=1.5, n1=0.5, n2=0.5)
+EDGE_STARTS = (*CORNERS, PopulationState(-0.0, 0.5), PopulationState(0.5, -0.0))
+
+# name: (params, extra starts, config, stop reasons of the whole batch)
+BATCH_CASES = {
+    # with corner starts and signed zeros
+    "default": (FIXTURE, EDGE_STARTS, IntegratorConfig(), {"corner"}),
+    # the horizon cuts the last step short; the saddle and the diagonal
+    # never reach a corner
+    "horizon_cut": (FIXTURE, ((5 / 6, 5 / 6), (0.3, 0.3), *CORNERS),
+                    IntegratorConfig(t_max=3.305), {"corner", "horizon"}),
+    # t + dt lands exactly on t_max after 199 steps, so the last step is
+    # a full dt, although t_max - t is not dt
+    "horizon_exact": (FIXTURE, (), IntegratorConfig(t_max=T_199 + 0.01), {"horizon"}),
+    # exact clamping: any overshoot at all is halved away
+    "clamp_tol_0": (FIXTURE, EDGE_STARTS, IntegratorConfig(clamp_tol=0.0), {"corner"}),
+    # the stop balls overlap: the first corner in CORNERS order wins
+    "overlap": (FIXTURE, ((0.5, 0.5),), IntegratorConfig(stop_tol=0.75), {"corner"}),
+    # halved steps on some lanes; (0.5, 0.01) and others run out of budget
+    "budget": (STIFF, ((0.5, 0.01),), IntegratorConfig(dt=0.5, t_max=50.0),
+               {"corner", "budget"}),
+}
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_phase_portrait_batch_matches_per_start_simulate(case):
+    """The batched sweep reproduces one simulate per start bit for bit:
+    tobytes() also tells -0.0 from 0.0, which array_equal does not."""
+    params, extra, cfg, reasons = BATCH_CASES[case]
+    rng = np.random.default_rng(5)
+    starts = [*extra, *sample_starts(dynamics.BATCH_MIN_STARTS, rng)]
+    batch = phase_portrait(params, starts, cfg)
+    assert len(batch) == len(starts)
+    for start, got in zip(starts, batch):
+        want = simulate(params, start, cfg)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+        assert (got.converged_to, got.reason) == (want.converged_to, want.reason)
+    assert {t.reason for t in batch} == reasons
+    if case == "horizon_cut":
+        assert np.diff(batch[0].times)[-1] < cfg.dt
+    if case == "horizon_exact":
+        assert cfg.t_max - T_199 != cfg.dt
+        assert all(t.times[-2:].tolist() == [T_199, cfg.t_max] for t in batch)
+
+
+def test_rk4_paths_matches_rk4_path_when_every_attempt_is_rejected(fixture_params):
+    """A negative clamp_tol rejects every attempt: each step keeps the
+    64th attempt and halves its step once more, until the budget ends
+    the path.  Stopping is off, so the corner start runs on too."""
+    a, b, c, e = field_coefficients(fixture_params)
+    starts = ((0.3, 0.7), (0.0, 0.0), (0.9, 0.2))
+    paths = _kernels.rk4_paths(
+        a, b, c, e, [s[0] for s in starts], [s[1] for s in starts], 0.01, 0.05, -1.0, -1.0
+    )
+    for start, (ts, states, term) in zip(starts, paths):
+        want_ts, xs, ys, want_term = _kernels.rk4_path(
+            a, b, c, e, *start, 0.01, 0.05, -1.0, -1.0
+        )
+        assert ts.tobytes() == want_ts.tobytes()
+        assert states.tobytes() == np.column_stack((xs, ys)).tobytes()
+        assert term == want_term == _kernels.TERM_BUDGET
+        assert ts[1] == 0.01 / 2**64
+
+
 def test_phase_portrait_validates_starts(fixture_params):
     with pytest.raises(ValidationError):
         phase_portrait(fixture_params, [])
@@ -182,7 +274,18 @@ def test_sample_starts_seeded():
 
 def test_trajectory_shape_validation():
     with pytest.raises(ValidationError):
-        Trajectory(np.zeros(3), np.zeros((2, 2)), None)
+        Trajectory(np.zeros(3), np.zeros((2, 2)), None, "horizon")
+
+
+def test_trajectory_reason_validation():
+    Trajectory(np.zeros(2), np.zeros((2, 2)), None, "budget")
+    for converged_to, reason in (
+        (None, "corner"),
+        (PopulationState(0.0, 0.0), "horizon"),
+        (None, "stalled"),
+    ):
+        with pytest.raises(ValidationError):
+            Trajectory(np.zeros(2), np.zeros((2, 2)), converged_to, reason)
 
 
 def test_write_trajectories_csv(fixture_params, tmp_path):

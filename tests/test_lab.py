@@ -213,13 +213,13 @@ def test_train_episode_time_scales_linearly():
     train_episode(LabConfig(steps=60, **base))  # warmup
 
     def timed(steps):
-        best = math.inf
-        for _ in range(2):
-            t0 = time.perf_counter()
-            train_episode(LabConfig(steps=steps, **base))
-            best = min(best, time.perf_counter() - t0)
-        return best
+        t0 = time.perf_counter()
+        train_episode(LabConfig(steps=steps, **base))
+        return time.perf_counter() - t0
 
-    t300 = timed(300)
-    t600 = timed(600)
+    # interleaved, so that a slow spell of the host hits both sizes alike
+    t300 = t600 = math.inf
+    for _ in range(5):
+        t300 = min(t300, timed(300))
+        t600 = min(t600, timed(600))
     assert 1.5 <= t600 / t300 <= 2.6
