@@ -15,9 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, as_int
+# train_episode fuses the public step functions imported here; they stay
+# lab attributes because evobench's traced cli_files run wraps them here.
 from .losses import (
     DEFAULT_OFFDIAG_WEIGHT,
     DEFAULT_TEMPERATURE,
+    _check_epsilon,
+    _check_temperature,
+    _ensemble,
     barlow_twins,
     info_nce,
 )
@@ -25,6 +30,10 @@ from .scheduler import (
     PolicyParams,
     SchedulerConfig,
     Transition,
+    _act,
+    _ppo_step,
+    _reward,
+    _weights,
     init_policy,
     map_action,
     observe_state,
@@ -76,6 +85,8 @@ class TrainingLog:
     records: np.ndarray
     final_weights: np.ndarray
     policy: PolicyParams
+    #: ppo_update's stats dict for each policy update, in order.
+    updates: tuple[dict, ...] = ()
 
     @property
     def alphas(self) -> np.ndarray:
@@ -133,7 +144,16 @@ def train_episode(
     gradient step on the weighted loss, score the reward against the
     previous loss, and store the transition; the policy updates every
     update_period steps.  Fully deterministic given cfg.seed.
+
+    Each step does the work of gen_two_view_batch, encoder_forward,
+    observe_state, policy_act, map_action, info_nce, barlow_twins,
+    reward and ppo_update without their per-call checks, with the same
+    arithmetic on the same random stream, so the result equals those
+    calls bit for bit.  The inputs are checked here, once; a non-finite
+    loss or policy output raises ValidationError at its step.
     """
+    _check_temperature(temperature)
+    _check_epsilon(epsilon)
     sched_cfg = sched_cfg or SchedulerConfig()
     rng = np.random.default_rng(cfg.seed)
     weights = init_encoder(rng, cfg)
@@ -143,29 +163,54 @@ def train_episode(
             f"policy expects state size {policy.state_dim}, lab produces {cfg.feature_dim}"
         )
     records = np.empty((cfg.steps, len(LOG_COLUMNS)))
-    buffer: list[Transition] = []
+    b, period = cfg.batch_size, sched_cfg.update_period
+    shape = (b, cfg.input_dim)
+    n = b * cfg.input_dim
+    # both views encoded into one array, so the state is its column mean
+    z = np.empty((2 * b, cfg.feature_dim))
+    z1, z2 = z[:b], z[b:]
+    states = np.empty((period, cfg.feature_dim))
+    actions = np.empty((period, 2))
+    rewards = np.empty(period)
+    log_probs = np.empty(period)
+    values = np.empty(period)
+    updates = []
+    target = np.asarray(sched_cfg.target, dtype=float)
+    target_norm = np.linalg.norm(target)
     loss_prev: float | None = None
     for step in range(cfg.steps):
-        x1, x2 = gen_two_view_batch(rng, cfg)
-        z1 = encoder_forward(weights, x1)
-        z2 = encoder_forward(weights, x2)
-        state = observe_state(np.vstack((z1, z2)))
-        action, log_prob, value = policy_act(policy, state, rng)
-        w = map_action(action, sched_cfg)
-        loss_gen, (gi1, gi2) = info_nce(z1, z2, temperature)
-        loss_dis, (gb1, gb2) = barlow_twins(z1, z2, epsilon)
-        loss = w.alpha * loss_gen + w.beta * loss_dis
-        g_z1 = w.alpha * gi1 + w.beta * gb1
-        g_z2 = w.alpha * gi2 + w.beta * gb2
+        # the draws of gen_two_view_batch, then policy_act's two normals
+        draw = rng.standard_normal(3 * n + 2)
+        latent = draw[:n].reshape(shape)
+        x1 = latent + cfg.noise_scale * draw[n : 2 * n].reshape(shape)
+        x2 = latent + cfg.noise_scale * draw[2 * n : 3 * n].reshape(shape)
+        np.matmul(x1, weights, out=z1)
+        np.matmul(x2, weights, out=z2)
+        k = step % period
+        state = states[k]
+        np.divide(np.add.reduce(z, axis=0), 2 * b, out=state)
+        action, log_prob, value = _act(policy, state, draw[3 * n :])
+        alpha, beta = _weights(*action.tolist(), sched_cfg)
+        loss, loss_gen, loss_dis, g_z1, g_z2 = _ensemble(
+            z1, z2, alpha, beta, temperature, epsilon
+        )
+        if not math.isfinite(loss + log_prob + value):
+            raise ValidationError(
+                f"training diverged at step {step}: loss {loss!r}, "
+                f"log_prob {log_prob!r}, value {value!r}"
+            )
         weights = weights - cfg.learning_rate * (x1.T @ g_z1 + x2.T @ g_z2)
-        r = reward(w, sched_cfg, loss, loss_prev)
+        r = _reward(alpha, beta, target, target_norm, sched_cfg, loss, loss_prev)
         loss_prev = loss
-        buffer.append(Transition(state, action, r, log_prob, value))
-        if len(buffer) == sched_cfg.update_period:
-            policy, _ = ppo_update(policy, buffer, sched_cfg)
-            buffer = []
-        records[step] = (step, w.alpha, w.beta, r, loss, loss_gen, loss_dis)
-    return TrainingLog(records, weights, policy)
+        actions[k] = action
+        rewards[k] = r
+        log_probs[k] = log_prob
+        values[k] = value
+        if k == period - 1:
+            policy, stats = _ppo_step(policy, states, actions, rewards, log_probs, values)
+            updates.append(stats)
+        records[step] = (step, alpha, beta, r, loss, loss_gen, loss_dis)
+    return TrainingLog(records, weights, policy, tuple(updates))
 
 
 def write_training_log(log: TrainingLog, path) -> None:

@@ -19,8 +19,6 @@ from .errors import DegenerateFeatureError, NormalizationError, ValidationError
 DEFAULT_TEMPERATURE = 0.07
 #: Weight of the off-diagonal (redundancy) terms in the decorrelation loss.
 DEFAULT_OFFDIAG_WEIGHT = 0.0051
-#: Keeps log(1 - cos^2) finite when a similarity saturates.
-_LOG_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -57,21 +55,115 @@ def _check_pair(z1, z2) -> tuple[np.ndarray, np.ndarray]:
     return z1, z2
 
 
-def _unit_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
+def _check_temperature(temperature: float) -> None:
+    if not (math.isfinite(temperature) and temperature > 0.0):
+        raise ValidationError(f"temperature must be positive, got {temperature}")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
+
+
+def _check_rows(z1: np.ndarray, z2: np.ndarray) -> None:
+    if (_row_norms(z1) == 0.0).any() or (_row_norms(z2) == 0.0).any():
         raise NormalizationError("a feature row has zero norm")
-    return z / norms, norms
 
 
-def _logsumexp_rows(s: np.ndarray) -> np.ndarray:
-    m = s.max(axis=1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(s - m), axis=1, keepdims=True)))[:, 0]
+def _check_columns(z1: np.ndarray, z2: np.ndarray) -> None:
+    if (_centered_columns(z1)[1] == 0.0).any() or (_centered_columns(z2)[1] == 0.0).any():
+        raise DegenerateFeatureError("a feature column has zero variance")
 
 
-def _softmax_rows(s: np.ndarray) -> np.ndarray:
-    p = np.exp(s - s.max(axis=1, keepdims=True))
-    return p / p.sum(axis=1, keepdims=True)
+# The kernels below assume checked input: 2-D finite views of one shape,
+# no zero-norm row, no constant column, and a valid temperature/epsilon.
+# The training loop calls them directly, once its inputs are checked.
+
+
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True))
+
+
+def _centered_columns(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    centered = z - np.add.reduce(z, axis=0) / z.shape[0]
+    return centered, np.sqrt(np.add.reduce(centered * centered, axis=0))
+
+
+def _exp_rows(s: np.ndarray):
+    """Row maxima m, exp(s - m) and its row sums: what the row-wise
+    logsumexp, m + log(sum), and the softmax, exp / sum, share."""
+    m = np.maximum.reduce(s, axis=1, keepdims=True)
+    e = np.exp(s - m)
+    return m, e, np.add.reduce(e, axis=1, keepdims=True)
+
+
+def _info_nce(z1: np.ndarray, z2: np.ndarray, temperature: float):
+    """InfoNCE on checked input; returns (loss, grad_z1, grad_z2)."""
+    nu = _row_norms(z1)
+    nv = _row_norms(z2)
+    u = z1 / nu
+    v = z2 / nv
+    s = (u @ v.T) / temperature
+    n = s.shape[0]
+    idx = np.arange(n)
+    diag = s.diagonal()
+    m1, e1, r1 = _exp_rows(s)
+    m2, e2, r2 = _exp_rows(s.T)
+    loss = 0.5 * (
+        np.add.reduce((m1 + np.log(r1))[:, 0] - diag) / n
+        + np.add.reduce((m2 + np.log(r2))[:, 0] - diag) / n
+    )
+    # softmax of each direction minus the one-hot positives
+    p1 = e1 / r1
+    p1[idx, idx] -= 1.0
+    p2 = e2 / r2
+    p2[idx, idx] -= 1.0
+    g_s = (p1 + p2.T) / (2.0 * n)
+    g_u = (g_s @ v) / temperature
+    g_v = (g_s.T @ u) / temperature
+    # undo the row normalization: project out the radial component
+    g1 = (g_u - u * np.add.reduce(g_u * u, axis=1, keepdims=True)) / nu
+    g2 = (g_v - v * np.add.reduce(g_v * v, axis=1, keepdims=True)) / nv
+    return float(loss), g1, g2
+
+
+def _barlow_twins(z1: np.ndarray, z2: np.ndarray, epsilon: float):
+    """Barlow Twins on checked input; returns (loss, grad_z1, grad_z2)."""
+    ca, na = _centered_columns(z1)
+    cb, nb = _centered_columns(z2)
+    a = ca / na
+    b = cb / nb
+    corr = a.T @ b
+    idx = np.arange(corr.shape[0])
+    diag = corr.diagonal()
+    off = corr.copy()
+    off[idx, idx] = 0.0
+    loss = float(np.add.reduce((1.0 - diag) ** 2) + epsilon * np.add.reduce(off**2, axis=None))
+    g_c = 2.0 * epsilon * corr
+    g_c[idx, idx] = -2.0 * (1.0 - diag)
+    g_a = b @ g_c.T
+    g_b = a @ g_c
+    # undo the column normalization, then the centering
+    g_za = (g_a - a * np.add.reduce(g_a * a, axis=0)) / na
+    g_zb = (g_b - b * np.add.reduce(g_b * b, axis=0)) / nb
+    n = g_za.shape[0]
+    g1 = g_za - np.add.reduce(g_za, axis=0) / n
+    g2 = g_zb - np.add.reduce(g_zb, axis=0) / n
+    return loss, g1, g2
+
+
+def _ensemble(z1, z2, alpha: float, beta: float, temperature: float, epsilon: float):
+    """Both losses on checked input and their weighted sum; returns
+    (loss, loss_gen, loss_dis, grad_z1, grad_z2)."""
+    loss_gen, gi1, gi2 = _info_nce(z1, z2, temperature)
+    loss_dis, gb1, gb2 = _barlow_twins(z1, z2, epsilon)
+    return (
+        alpha * loss_gen + beta * loss_dis,
+        loss_gen,
+        loss_dis,
+        alpha * gi1 + beta * gb1,
+        alpha * gi2 + beta * gb2,
+    )
 
 
 def info_nce(z1, z2, temperature: float = DEFAULT_TEMPERATURE):
@@ -83,33 +175,10 @@ def info_nce(z1, z2, temperature: float = DEFAULT_TEMPERATURE):
     averaged.  Returns (loss, (grad_z1, grad_z2)).
     """
     z1, z2 = _check_pair(z1, z2)
-    if not (math.isfinite(temperature) and temperature > 0.0):
-        raise ValidationError(f"temperature must be positive, got {temperature}")
-    u, nu = _unit_rows(z1)
-    v, nv = _unit_rows(z2)
-    s = (u @ v.T) / temperature
-    n = s.shape[0]
-    idx = np.arange(n)
-    diag = s[idx, idx]
-    loss = 0.5 * (
-        np.mean(_logsumexp_rows(s) - diag) + np.mean(_logsumexp_rows(s.T) - diag)
-    )
-    eye = np.eye(n)
-    g_s = ((_softmax_rows(s) - eye) + (_softmax_rows(s.T) - eye).T) / (2.0 * n)
-    g_u = (g_s @ v) / temperature
-    g_v = (g_s.T @ u) / temperature
-    # undo the row normalization: project out the radial component
-    g1 = (g_u - u * np.sum(g_u * u, axis=1, keepdims=True)) / nu
-    g2 = (g_v - v * np.sum(g_v * v, axis=1, keepdims=True)) / nv
-    return float(loss), (g1, g2)
-
-
-def _centered_unit_columns(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    centered = z - z.mean(axis=0)
-    norms = np.linalg.norm(centered, axis=0)
-    if np.any(norms == 0.0):
-        raise DegenerateFeatureError("a feature column has zero variance")
-    return centered / norms, norms
+    _check_temperature(temperature)
+    _check_rows(z1, z2)
+    loss, g1, g2 = _info_nce(z1, z2, temperature)
+    return loss, (g1, g2)
 
 
 def cross_correlation(z1, z2) -> np.ndarray:
@@ -119,9 +188,10 @@ def cross_correlation(z1, z2) -> np.ndarray:
     entry is a correlation coefficient in [-1, 1].
     """
     z1, z2 = _check_pair(z1, z2)
-    a, _ = _centered_unit_columns(z1)
-    b, _ = _centered_unit_columns(z2)
-    return a.T @ b
+    _check_columns(z1, z2)
+    ca, na = _centered_columns(z1)
+    cb, nb = _centered_columns(z2)
+    return (ca / na).T @ (cb / nb)
 
 
 def barlow_twins(z1, z2, epsilon: float = DEFAULT_OFFDIAG_WEIGHT):
@@ -131,26 +201,9 @@ def barlow_twins(z1, z2, epsilon: float = DEFAULT_OFFDIAG_WEIGHT):
     latter weighted by epsilon.  Returns (loss, (grad_z1, grad_z2)).
     """
     z1, z2 = _check_pair(z1, z2)
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
-    a, na = _centered_unit_columns(z1)
-    b, nb = _centered_unit_columns(z2)
-    corr = a.T @ b
-    d = corr.shape[0]
-    idx = np.arange(d)
-    diag = corr[idx, idx]
-    off = corr.copy()
-    off[idx, idx] = 0.0
-    loss = float(np.sum((1.0 - diag) ** 2) + epsilon * np.sum(off**2))
-    g_c = 2.0 * epsilon * corr
-    g_c[idx, idx] = -2.0 * (1.0 - diag)
-    g_a = b @ g_c.T
-    g_b = a @ g_c
-    # undo the column normalization, then the centering
-    g_za = (g_a - a * np.sum(g_a * a, axis=0)) / na
-    g_zb = (g_b - b * np.sum(g_b * b, axis=0)) / nb
-    g1 = g_za - g_za.mean(axis=0)
-    g2 = g_zb - g_zb.mean(axis=0)
+    _check_epsilon(epsilon)
+    _check_columns(z1, z2)
+    loss, g1, g2 = _barlow_twins(z1, z2, epsilon)
     return loss, (g1, g2)
 
 
@@ -168,9 +221,10 @@ def ensemble_loss(
     """
     if not isinstance(weights, LossWeights):
         weights = LossWeights(*weights)
-    loss_gen, (ga1, ga2) = info_nce(z1, z2, temperature)
-    loss_dis, (gb1, gb2) = barlow_twins(z1, z2, epsilon)
-    loss = weights.alpha * loss_gen + weights.beta * loss_dis
-    g1 = weights.alpha * ga1 + weights.beta * gb1
-    g2 = weights.alpha * ga2 + weights.beta * gb2
+    z1, z2 = _check_pair(z1, z2)
+    _check_temperature(temperature)
+    _check_rows(z1, z2)
+    _check_epsilon(epsilon)
+    _check_columns(z1, z2)
+    loss, _, _, g1, g2 = _ensemble(z1, z2, weights.alpha, weights.beta, temperature, epsilon)
     return float(loss), (g1, g2)

@@ -169,9 +169,16 @@ def map_action(action, cfg: SchedulerConfig) -> LossWeights:
         raise ValidationError(f"action must be a pair, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValidationError("action must be finite")
-    w = np.clip(cfg.center + a, 0.0, 2.0 * cfg.center)
-    w = np.maximum(w, WEIGHT_FLOOR)
-    return LossWeights(float(w[0]), float(w[1]))
+    return LossWeights(*_weights(*a.tolist(), cfg))
+
+
+def _weights(a0: float, a1: float, cfg: SchedulerConfig) -> tuple[float, float]:
+    """map_action on a checked action pair, as (alpha, beta) floats."""
+    top = 2.0 * cfg.center
+    return (
+        max(min(max(cfg.center + a0, 0.0), top), WEIGHT_FLOOR),
+        max(min(max(cfg.center + a1, 0.0), top), WEIGHT_FLOOR),
+    )
 
 
 def reward(
@@ -188,20 +195,25 @@ def reward(
     """
     if not math.isfinite(loss_t):
         raise ValidationError(f"loss_t must be finite, got {loss_t}")
-    w = np.array([weights.alpha, weights.beta])
+    if loss_prev is not None and not math.isfinite(loss_prev):
+        raise ValidationError(f"loss_prev must be finite, got {loss_prev}")
     t = np.asarray(cfg.target, dtype=float)
-    first = float(w @ t / (np.linalg.norm(w) * np.linalg.norm(t)))
+    return _reward(weights.alpha, weights.beta, t, np.linalg.norm(t), cfg, loss_t, loss_prev)
+
+
+def _reward(alpha, beta, target, target_norm, cfg, loss_t, loss_prev):
+    """reward() on checked input, with the target as an array and its norm."""
+    w = np.array([alpha, beta])
+    first = float(w @ target / (np.sqrt(w.dot(w)) * target_norm))
     if loss_prev is None:
         return first
-    if not math.isfinite(loss_prev):
-        raise ValidationError(f"loss_prev must be finite, got {loss_prev}")
     denom = max(abs(loss_t - cfg.prev_loss_scale * loss_prev), cfg.denom_floor)
     second = cfg.explore_weight * min(1.0 / denom, cfg.reward_cap)
     return first + second
 
 
 def _clipped_log_std(policy: PolicyParams) -> np.ndarray:
-    return np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX)
+    return policy.log_std.clip(LOG_STD_MIN, LOG_STD_MAX)
 
 
 def _policy_mean(policy: PolicyParams, states: np.ndarray):
@@ -216,8 +228,8 @@ def _value(policy: PolicyParams, states: np.ndarray):
 
 def _squashed_log_prob(raw, mu, log_std, action):
     z = (raw - mu) / np.exp(log_std)
-    gauss = np.sum(-0.5 * z**2 - log_std - 0.5 * _LOG_2PI, axis=-1)
-    correction = np.sum(np.log(1.0 - action**2 + _SQUASH_EPS), axis=-1)
+    gauss = np.add.reduce(-0.5 * z**2 - log_std - 0.5 * _LOG_2PI, axis=-1)
+    correction = np.add.reduce(np.log(1.0 - action**2 + _SQUASH_EPS), axis=-1)
     return gauss - correction
 
 
@@ -233,12 +245,17 @@ def policy_act(policy: PolicyParams, state, rng: np.random.Generator):
         )
     if not np.all(np.isfinite(s)):
         raise ValidationError("state must be finite")
-    mu, _ = _policy_mean(policy, s)
+    return _act(policy, s, rng.standard_normal(2))
+
+
+def _act(policy: PolicyParams, state: np.ndarray, noise: np.ndarray):
+    """policy_act on a checked state, with its two standard normals given."""
+    mu, _ = _policy_mean(policy, state)
     log_std = _clipped_log_std(policy)
-    raw = mu + np.exp(log_std) * rng.standard_normal(2)
+    raw = mu + np.exp(log_std) * noise
     action = np.tanh(raw)
     log_prob = float(_squashed_log_prob(raw, mu, log_std, action))
-    value, _ = _value(policy, s)
+    value, _ = _value(policy, state)
     return action, log_prob, float(value)
 
 
@@ -278,14 +295,21 @@ def ppo_update(policy: PolicyParams, buffer, cfg: SchedulerConfig):
             f"buffer holds {len(buffer)} transitions, expected update_period = {cfg.update_period}"
         )
     states = np.stack([tr.state for tr in buffer])
-    actions = np.stack([tr.action for tr in buffer])
-    rewards = np.array([tr.reward for tr in buffer])
-    old_logp = np.array([tr.log_prob for tr in buffer])
-    values = np.array([tr.value for tr in buffer])
     if states.shape[1] != policy.state_dim:
         raise ValidationError("buffer states do not match the policy's input size")
-    n = len(buffer)
+    return _ppo_step(
+        policy,
+        states,
+        np.stack([tr.action for tr in buffer]),
+        np.array([tr.reward for tr in buffer]),
+        np.array([tr.log_prob for tr in buffer]),
+        np.array([tr.value for tr in buffer]),
+    )
 
+
+def _ppo_step(policy: PolicyParams, states, actions, rewards, old_logp, values):
+    """ppo_update on a checked buffer held as arrays, one row per step."""
+    n = len(rewards)
     returns = discounted_returns(rewards)
     adv = returns - values
     adv = (adv - adv.mean()) / (adv.std() + _ADV_EPS)

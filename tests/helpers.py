@@ -11,7 +11,30 @@ import math
 
 import numpy as np
 
-from evoloss import PayoffParams, PopulationState, field_coefficients, replicator_rhs, saddle_point
+from evoloss import (
+    DEFAULT_OFFDIAG_WEIGHT,
+    DEFAULT_TEMPERATURE,
+    PayoffParams,
+    PopulationState,
+    SchedulerConfig,
+    Transition,
+    TrainingLog,
+    barlow_twins,
+    encoder_forward,
+    field_coefficients,
+    gen_two_view_batch,
+    info_nce,
+    init_encoder,
+    init_policy,
+    map_action,
+    observe_state,
+    policy_act,
+    ppo_update,
+    replicator_rhs,
+    reward,
+    saddle_point,
+)
+from evoloss.lab import LOG_COLUMNS
 
 
 def sample_saddle_params(rng: np.random.Generator, margin: float = 0.02) -> PayoffParams:
@@ -93,3 +116,44 @@ def rhs_norm(p: PayoffParams, state: PopulationState) -> float:
 def assert_coefficients_positive(p: PayoffParams) -> None:
     a, b, c, e = field_coefficients(p)
     assert min(a, b, c, e) > 0.0
+
+
+def replay_train_episode(
+    cfg,
+    sched_cfg=None,
+    temperature=DEFAULT_TEMPERATURE,
+    epsilon=DEFAULT_OFFDIAG_WEIGHT,
+    initial_policy=None,
+) -> TrainingLog:
+    """train_episode rebuilt step by step from the public, checked
+    functions, in the order its docstring gives; the reference for the
+    fused loop, which must equal it bit for bit."""
+    sched_cfg = sched_cfg or SchedulerConfig()
+    rng = np.random.default_rng(cfg.seed)
+    weights = init_encoder(rng, cfg)
+    policy = initial_policy or init_policy(cfg.feature_dim, rng)
+    records = np.empty((cfg.steps, len(LOG_COLUMNS)))
+    buffer, updates = [], []
+    loss_prev = None
+    for step in range(cfg.steps):
+        x1, x2 = gen_two_view_batch(rng, cfg)
+        z1 = encoder_forward(weights, x1)
+        z2 = encoder_forward(weights, x2)
+        state = observe_state(np.vstack((z1, z2)))
+        action, log_prob, value = policy_act(policy, state, rng)
+        w = map_action(action, sched_cfg)
+        loss_gen, (gi1, gi2) = info_nce(z1, z2, temperature)
+        loss_dis, (gb1, gb2) = barlow_twins(z1, z2, epsilon)
+        loss = w.alpha * loss_gen + w.beta * loss_dis
+        g_z1 = w.alpha * gi1 + w.beta * gb1
+        g_z2 = w.alpha * gi2 + w.beta * gb2
+        weights = weights - cfg.learning_rate * (x1.T @ g_z1 + x2.T @ g_z2)
+        r = reward(w, sched_cfg, loss, loss_prev)
+        loss_prev = loss
+        buffer.append(Transition(state, action, r, log_prob, value))
+        if len(buffer) == sched_cfg.update_period:
+            policy, stats = ppo_update(policy, buffer, sched_cfg)
+            updates.append(stats)
+            buffer = []
+        records[step] = (step, w.alpha, w.beta, r, loss, loss_gen, loss_dis)
+    return TrainingLog(records, weights, policy, tuple(updates))

@@ -308,6 +308,23 @@ def test_train_config_errors_exit_2(tmp_path, capsys, overrides, missing_steps):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "key,value,line",
+    [
+        ("temperature", 0, "error: temperature must be positive, got 0.0"),
+        ("temperature", "nan", "error: temperature must be positive, got nan"),
+        ("epsilon", -1, "error: epsilon must be nonnegative, got -1.0"),
+        ("epsilon", "nan", "error: epsilon must be nonnegative, got nan"),
+    ],
+)
+def test_train_loss_param_errors_exit_2(tmp_path, capsys, key, value, line):
+    cfg = write_kv(tmp_path / "train.cfg", **TRAIN_CONFIG, **{key: value})
+    out = tmp_path / "log.csv"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ shell
 
 

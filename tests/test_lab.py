@@ -1,7 +1,9 @@
 """Synthetic two-view training loop: data generation, encoder gradients,
 scheduler integration, determinism, and log output."""
 
+import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from evoloss import (
     LabConfig,
     SchedulerConfig,
+    TrainingLog,
     ValidationError,
     encoder_forward,
     ensemble_loss,
@@ -21,7 +24,7 @@ from evoloss import (
 from evoloss.lab import LOG_COLUMNS, init_encoder
 from evoloss.scheduler import PolicyParams
 
-from helpers import cosine
+from helpers import cosine, replay_train_episode
 
 
 def pinned_policy(state_dim, weights, hidden=4):
@@ -223,3 +226,100 @@ def test_train_episode_time_scales_linearly():
         t300 = min(t300, timed(300))
         t600 = min(t600, timed(600))
     assert 1.5 <= t600 / t300 <= 2.6
+
+
+def assert_same_log(log, ref):
+    """Records, final weights, every policy field and the update stats,
+    compared bit for bit."""
+    assert log.records.tobytes() == ref.records.tobytes()
+    assert log.final_weights.tobytes() == ref.final_weights.tobytes()
+    for field in dataclasses.fields(PolicyParams):
+        a = np.asarray(getattr(log.policy, field.name))
+        b = np.asarray(getattr(ref.policy, field.name))
+        assert a.tobytes() == b.tobytes(), field.name
+    assert log.updates == ref.updates
+
+
+CRITERION_8_SCHED = SchedulerConfig(target=(0.8333, 0.8333))
+
+
+@pytest.mark.parametrize(
+    "cfg,sched,kwargs",
+    [
+        *[(LabConfig(steps=5000, seed=s), CRITERION_8_SCHED, {}) for s in range(4)],
+        # criterion 9's CLI config
+        (
+            LabConfig(steps=400, input_dim=8, feature_dim=4, batch_size=16, seed=11),
+            SchedulerConfig(update_period=100),
+            {},
+        ),
+        (
+            LabConfig(steps=200, input_dim=1, feature_dim=2, batch_size=2, seed=3),
+            SchedulerConfig(update_period=1),
+            {},
+        ),
+        (LabConfig(steps=300, noise_scale=0.0, seed=5), SchedulerConfig(update_period=7), {}),
+        (
+            LabConfig(steps=60, input_dim=5, feature_dim=3, batch_size=4, seed=2),
+            SchedulerConfig(update_period=25, center=0.3),
+            {"temperature": 0.5, "epsilon": 0.0, "initial_policy": pinned_policy(3, (0.2, 0.5))},
+        ),
+    ],
+    ids=[
+        *[f"criterion8-seed{s}" for s in range(4)],
+        "criterion9",
+        "period1-tiny",
+        "noiseless-period7",
+        "pinned-knobs",
+    ],
+)
+def test_train_episode_equals_public_function_replay(cfg, sched, kwargs):
+    """The fused loop makes the same floating-point operations on the same
+    random stream as the public, checked functions called one by one."""
+    assert_same_log(train_episode(cfg, sched, **kwargs), replay_train_episode(cfg, sched, **kwargs))
+
+
+def test_train_episode_keeps_each_ppo_update_stats():
+    cfg = LabConfig(steps=130, input_dim=6, feature_dim=3, batch_size=8, seed=5)
+    sched = SchedulerConfig(update_period=40)
+    log = train_episode(cfg, sched)
+    ref = replay_train_episode(cfg, sched)
+    # updates after steps 40, 80 and 120; the last 10 steps fill no buffer
+    assert len(log.updates) == 3
+    assert log.updates == ref.updates
+    for stats in log.updates:
+        assert set(stats) == {"policy_loss", "value_loss", "clip_fraction", "mean_ratio"}
+
+
+def test_training_log_updates_default_to_empty():
+    policy = init_policy(2, np.random.default_rng(0))
+    log = TrainingLog(np.empty((0, len(LOG_COLUMNS))), np.zeros((3, 2)), policy)
+    assert log.updates == ()
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"temperature": 0.0}, "temperature must be positive, got 0.0"),
+        ({"temperature": math.nan}, "temperature must be positive, got nan"),
+        ({"epsilon": -1.0}, "epsilon must be nonnegative, got -1.0"),
+        ({"epsilon": math.nan}, "epsilon must be nonnegative, got nan"),
+    ],
+)
+def test_train_episode_rejects_loss_params_before_first_step(monkeypatch, kwargs, message):
+    def no_generator(*args, **kw):
+        raise AssertionError("a random generator was made before the check")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    cfg = LabConfig(steps=5, input_dim=4, feature_dim=2, batch_size=4)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        train_episode(cfg, **kwargs)
+
+
+@pytest.mark.parametrize("field,value", [("b2", np.array([math.nan, 0.1])), ("vb2", math.nan)])
+def test_train_episode_rejects_non_finite_policy_output(field, value):
+    """A NaN action mean or value estimate stops the run at its step."""
+    policy = dataclasses.replace(pinned_policy(3, (0.4, 0.6)), **{field: value})
+    cfg = LabConfig(steps=5, input_dim=4, feature_dim=3, batch_size=8)
+    with pytest.raises(ValidationError, match="diverged at step 0"):
+        train_episode(cfg, initial_policy=policy)

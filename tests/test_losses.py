@@ -193,15 +193,42 @@ def test_barlow_twins_validation(rng):
 
 
 def test_ensemble_loss_is_exact_linear_combination(rng):
-    z1 = rng.standard_normal((6, 4))
-    z2 = rng.standard_normal((6, 4))
-    gen, (gi1, gi2) = info_nce(z1, z2)
-    dis, (gb1, gb2) = barlow_twins(z1, z2)
-    w = LossWeights(0.35, 0.37)
-    loss, (g1, g2) = ensemble_loss(z1, z2, w)
-    assert loss == w.alpha * gen + w.beta * dis
-    np.testing.assert_array_equal(g1, w.alpha * gi1 + w.beta * gb1)
-    np.testing.assert_array_equal(g2, w.alpha * gi2 + w.beta * gb2)
+    """Bit for bit alpha * info_nce + beta * barlow_twins, losses and gradients."""
+    cases = [
+        ((6, 4), (0.35, 0.37), {}),
+        ((2, 2), (1e-3, 1.0), {"temperature": 0.5, "epsilon": 0.0}),
+        ((32, 8), (0.9, 0.2), {"temperature": DEFAULT_TEMPERATURE, "epsilon": DEFAULT_OFFDIAG_WEIGHT}),
+        ((3, 5), (1.0, 0.0), {"temperature": 2.0, "epsilon": 0.3}),
+    ]
+    for shape, weights, knobs in cases:
+        z1 = rng.standard_normal(shape)
+        z2 = rng.standard_normal(shape)
+        gen, (gi1, gi2) = info_nce(z1, z2, knobs.get("temperature", DEFAULT_TEMPERATURE))
+        dis, (gb1, gb2) = barlow_twins(z1, z2, knobs.get("epsilon", DEFAULT_OFFDIAG_WEIGHT))
+        w = LossWeights(*weights)
+        loss, (g1, g2) = ensemble_loss(z1, z2, w, **knobs)
+        assert loss == w.alpha * gen + w.beta * dis
+        assert g1.tobytes() == (w.alpha * gi1 + w.beta * gb1).tobytes()
+        assert g2.tobytes() == (w.alpha * gi2 + w.beta * gb2).tobytes()
+
+
+def test_ensemble_loss_checks_like_its_components(rng):
+    z = rng.standard_normal((4, 3))
+    zero_row = z.copy()
+    zero_row[1] = 0.0
+    constant_column = z.copy()
+    constant_column[:, 2] = 1.5
+    cases = [
+        (zero_row, z, {}, NormalizationError),
+        (z, constant_column, {}, DegenerateFeatureError),
+        (z, z, {"temperature": 0.0}, ValidationError),
+        (z, z, {"epsilon": -1.0}, ValidationError),
+        (z, z[:3], {}, ValidationError),
+        (np.full_like(z, math.inf), z, {}, ValidationError),
+    ]
+    for z1, z2, knobs, error in cases:
+        with pytest.raises(error):
+            ensemble_loss(z1, z2, LossWeights(0.5, 0.5), **knobs)
 
 
 def test_ensemble_loss_extreme_weights_reduce_to_components(rng):
