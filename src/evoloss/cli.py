@@ -242,10 +242,7 @@ def main(argv=None) -> int:
     except (DegenerateGameError, OutOfSimplexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except EvolossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (EvolossError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

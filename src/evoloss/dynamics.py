@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -144,10 +143,9 @@ def sample_starts(n: int, rng: np.random.Generator) -> list[PopulationState]:
 
 
 def write_trajectories_csv(trajectories: list[Trajectory], path) -> None:
-    """Long-format CSV: one row per recorded sample."""
+    """Long-format CSV, one row per sample and one write per path; reprs need no quoting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["trajectory_id", "t", "x", "y"])
+        fh.write("trajectory_id,t,x,y\n")
         for tid, traj in enumerate(trajectories):
-            for t, (x, y) in zip(traj.times, traj.states):
-                writer.writerow([tid, repr(float(t)), repr(float(x)), repr(float(y))])
+            rows = zip(traj.times.tolist(), traj.states.tolist())
+            fh.write("".join([f"{tid},{t!r},{x!r},{y!r}\n" for t, (x, y) in rows]))

@@ -8,7 +8,6 @@ picks the weights step by step.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -178,52 +177,57 @@ def train_episode(
     target = np.asarray(sched_cfg.target, dtype=float)
     target_norm = np.linalg.norm(target)
     loss_prev: float | None = None
-    for step in range(cfg.steps):
-        # the draws of gen_two_view_batch, then policy_act's two normals
-        draw = rng.standard_normal(3 * n + 2)
-        latent = draw[:n].reshape(shape)
-        x1 = latent + cfg.noise_scale * draw[n : 2 * n].reshape(shape)
-        x2 = latent + cfg.noise_scale * draw[2 * n : 3 * n].reshape(shape)
-        np.matmul(x1, weights, out=z1)
-        np.matmul(x2, weights, out=z2)
-        k = step % period
-        state = states[k]
-        np.divide(np.add.reduce(z, axis=0), 2 * b, out=state)
-        action, log_prob, value = _act(policy, state, draw[3 * n :])
-        alpha, beta = _weights(*action.tolist(), sched_cfg)
-        loss, loss_gen, loss_dis, g_z1, g_z2 = _ensemble(
-            z1, z2, alpha, beta, temperature, epsilon
-        )
-        if not math.isfinite(loss + log_prob + value):
-            raise ValidationError(
-                f"training diverged at step {step}: loss {loss!r}, "
-                f"log_prob {log_prob!r}, value {value!r}"
-            )
-        weights = weights - cfg.learning_rate * (x1.T @ g_z1 + x2.T @ g_z2)
-        r = _reward(alpha, beta, target, target_norm, sched_cfg, loss, loss_prev)
-        loss_prev = loss
-        actions[k] = action
-        rewards[k] = r
-        log_probs[k] = log_prob
-        values[k] = value
-        if k == period - 1:
-            policy, stats = _ppo_step(policy, states, actions, rewards, log_probs, values)
-            updates.append(stats)
-        records[step] = (step, alpha, beta, r, loss, loss_gen, loss_dis)
+    try:
+        # an overflow would freeze both losses at zero gradient; stop there
+        with np.errstate(over="raise"):
+            for step in range(cfg.steps):
+                # the draws of gen_two_view_batch, then policy_act's two normals
+                draw = rng.standard_normal(3 * n + 2)
+                latent = draw[:n].reshape(shape)
+                x1 = latent + cfg.noise_scale * draw[n : 2 * n].reshape(shape)
+                x2 = latent + cfg.noise_scale * draw[2 * n : 3 * n].reshape(shape)
+                np.matmul(x1, weights, out=z1)
+                np.matmul(x2, weights, out=z2)
+                k = step % period
+                state = states[k]
+                np.divide(np.add.reduce(z, axis=0), 2 * b, out=state)
+                action, log_prob, value = _act(policy, state, draw[3 * n :])
+                alpha, beta = _weights(*action.tolist(), sched_cfg)
+                loss, loss_gen, loss_dis, g_z1, g_z2 = _ensemble(
+                    z1, z2, alpha, beta, temperature, epsilon
+                )
+                if not math.isfinite(loss + log_prob + value):
+                    raise ValidationError(
+                        f"training diverged at step {step}: loss {loss!r}, "
+                        f"log_prob {log_prob!r}, value {value!r}"
+                    )
+                weights = weights - cfg.learning_rate * (x1.T @ g_z1 + x2.T @ g_z2)
+                r = _reward(alpha, beta, target, target_norm, sched_cfg, loss, loss_prev)
+                loss_prev = loss
+                actions[k] = action
+                rewards[k] = r
+                log_probs[k] = log_prob
+                values[k] = value
+                if k == period - 1:
+                    policy, stats = _ppo_step(policy, states, actions, rewards, log_probs, values)
+                    updates.append(stats)
+                records[step] = (step, alpha, beta, r, loss, loss_gen, loss_dis)
+    except FloatingPointError as exc:
+        raise ValidationError(f"training diverged at step {step}: {exc}") from None
     return TrainingLog(records, weights, policy, tuple(updates))
 
 
 def write_training_log(log: TrainingLog, path) -> None:
-    """Per-step CSV in LOG_COLUMNS order (the step column is integral)."""
+    """Per-step CSV in LOG_COLUMNS order, written like write_trajectories_csv."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LOG_COLUMNS)
-        for row in log.records:
-            writer.writerow([int(row[0])] + [repr(float(v)) for v in row[1:]])
+        fh.write(",".join(LOG_COLUMNS) + "\n")
+        for first in range(0, len(log.records), 4096):  # bounds the text held at once
+            rows = log.records[first : first + 4096].tolist()
+            fh.write("".join([f"{int(k)},{a!r},{b!r},{r!r},{loss!r},{gen!r},{dis!r}\n"
+                              for k, a, b, r, loss, gen, dis in rows]))
 
 
 def save_encoder_weights(weights: np.ndarray, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# encoder weights {weights.shape[0]} {weights.shape[1]}\n")
-        for value in weights.ravel():
-            fh.write(f"{float(value)!r}\n")
+        fh.write(f"# encoder weights {weights.shape[0]} {weights.shape[1]}\n"
+                 + "".join([f"{v!r}\n" for v in weights.ravel().tolist()]))

@@ -7,6 +7,7 @@ the arithmetic from scratch, so they can catch bugs in the fast paths.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -157,3 +158,35 @@ def replay_train_episode(
             buffer = []
         records[step] = (step, w.alpha, w.beta, r, loss, loss_gen, loss_dis)
     return TrainingLog(records, weights, policy, tuple(updates))
+
+
+#: Floats whose repr is easy to get wrong: signed zero, the smallest
+#: subnormal, exponent forms on both sides, a rounding tail, inf and nan.
+AWKWARD_FLOATS = (-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, math.inf, -math.inf, math.nan)
+
+# The output files as the csv module writes them: the byte-for-byte
+# reference for the package writers, which format repr fields directly.
+
+
+def reference_write_trajectories_csv(trajectories, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["trajectory_id", "t", "x", "y"])
+        for tid, traj in enumerate(trajectories):
+            for t, (x, y) in zip(traj.times, traj.states):
+                writer.writerow([tid, repr(float(t)), repr(float(x)), repr(float(y))])
+
+
+def reference_write_training_log(log, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(LOG_COLUMNS)
+        for row in log.records:
+            writer.writerow([int(row[0])] + [repr(float(v)) for v in row[1:]])
+
+
+def reference_save_encoder_weights(weights, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# encoder weights {weights.shape[0]} {weights.shape[1]}\n")
+        for value in weights.ravel():
+            fh.write(f"{float(value)!r}\n")

@@ -1,6 +1,7 @@
 """End-to-end command line flows, run in process through main(argv)."""
 
 import csv
+import hashlib
 import shutil
 
 import pytest
@@ -170,6 +171,20 @@ def test_simulate_random_starts(params_file, tmp_path, capsys):
     assert out.read_bytes() == first
 
 
+def test_simulate_csv_digest_is_pinned(params_file, tmp_path):
+    """The 100-start file, batched integration included, keeps its bytes.
+    The integrator does its arithmetic on Python floats, so the digest does
+    not depend on the BLAS build."""
+    out = tmp_path / "paths.csv"
+    assert main(
+        ["simulate", "--params", str(params_file), "--starts", "100",
+         "--seed", "7", "--out", str(out)]
+    ) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f969836e1b3e93bb2277bf3d73c4eb95f7571ce0961c631d2bff61d182ef47f0"
+    )
+
+
 def test_simulate_starts_file(params_file, tmp_path, capsys):
     starts = tmp_path / "starts.txt"
     starts.write_text("# two starts\n0.2,0.9\n0.9,0.2\n", encoding="utf-8")
@@ -322,6 +337,19 @@ def test_train_loss_param_errors_exit_2(tmp_path, capsys, key, value, line):
     out = tmp_path / "log.csv"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
+def test_train_overflow_exits_2(tmp_path, capsys):
+    """A learning rate so large that the features overflow stops the run
+    with one error line; it used to exit 0 with frozen losses."""
+    cfg = write_kv(tmp_path / "train.cfg", steps=50, input_dim=4, feature_dim=3,
+                   batch_size=8, learning_rate=1e300)
+    out = tmp_path / "log.csv"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged at step 1: overflow")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

@@ -23,7 +23,12 @@ from evoloss import (
 from evoloss import _kernels, dynamics, game, stability
 from evoloss.dynamics import CORNERS
 
-from helpers import euler_flow, sample_gentle_pair
+from helpers import (
+    AWKWARD_FLOATS,
+    euler_flow,
+    reference_write_trajectories_csv,
+    sample_gentle_pair,
+)
 
 
 def test_integrator_config_validation():
@@ -308,6 +313,31 @@ def test_write_trajectories_csv(fixture_params, tmp_path):
     last = rows[-1]
     assert int(last[0]) == 1
     assert float(last[3]) == trajs[1].states[-1, 1]
+
+
+def assert_same_csv_bytes(trajs, tmp_path):
+    path, ref = tmp_path / "paths.csv", tmp_path / "reference.csv"
+    write_trajectories_csv(trajs, path)
+    reference_write_trajectories_csv(trajs, ref)
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_write_trajectories_csv_bytes_on_awkward_floats(tmp_path):
+    values = np.array(AWKWARD_FLOATS)
+    trajs = [
+        Trajectory(np.roll(values, k), np.column_stack((values, values[::-1])), None, "horizon")
+        for k in range(11)
+    ]
+    trajs.append(Trajectory(np.array([1e-05]), np.array([[5e-324, -0.0]]), None, "budget"))
+    assert_same_csv_bytes(trajs, tmp_path)
+
+
+@pytest.mark.parametrize("n_starts", [5, dynamics.BATCH_MIN_STARTS + 6])
+def test_write_trajectories_csv_bytes_on_phase_portrait(fixture_params, tmp_path, n_starts):
+    """Both phase_portrait paths: a simulate per start, and the batch."""
+    starts = sample_starts(n_starts, np.random.default_rng(3))
+    trajs = phase_portrait(fixture_params, starts, IntegratorConfig(t_max=20.0))
+    assert_same_csv_bytes(trajs, tmp_path)
 
 
 # ----------------------------------------------------------------- kernels

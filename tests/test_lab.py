@@ -21,10 +21,16 @@ from evoloss import (
     train_episode,
     write_training_log,
 )
-from evoloss.lab import LOG_COLUMNS, init_encoder
+from evoloss.lab import LOG_COLUMNS, init_encoder, save_encoder_weights
 from evoloss.scheduler import PolicyParams
 
-from helpers import cosine, replay_train_episode
+from helpers import (
+    AWKWARD_FLOATS,
+    cosine,
+    reference_save_encoder_weights,
+    reference_write_training_log,
+    replay_train_episode,
+)
 
 
 def pinned_policy(state_dim, weights, hidden=4):
@@ -207,6 +213,43 @@ def test_write_training_log_format(tmp_path):
     again = tmp_path / "log2.csv"
     write_training_log(log, again)
     assert path.read_bytes() == again.read_bytes()
+
+
+def assert_same_file_bytes(log, tmp_path):
+    """The log and weights files equal what the csv-module writers write."""
+    write_training_log(log, tmp_path / "log.csv")
+    reference_write_training_log(log, tmp_path / "reference.csv")
+    assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    save_encoder_weights(log.final_weights, tmp_path / "weights.txt")
+    reference_save_encoder_weights(log.final_weights, tmp_path / "reference.txt")
+    assert (tmp_path / "weights.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+
+
+def test_writers_bytes_on_awkward_floats(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 10_000  # spans several of write_training_log's writes
+    records = np.empty((n, len(LOG_COLUMNS)))
+    records[:, 0] = np.arange(n)
+    records[:, 1:] = rng.standard_normal((n, 6)) * 10.0 ** rng.integers(-300, 300, (n, 6))
+    records[: len(AWKWARD_FLOATS), 1:] = np.array(AWKWARD_FLOATS)[:, None]
+    weights = np.array(AWKWARD_FLOATS).reshape(4, 2)
+    policy = init_policy(3, rng)
+    assert_same_file_bytes(TrainingLog(records, weights, policy), tmp_path)
+    one_row = TrainingLog(records[[10]], np.array([[5e-324]]), policy)
+    assert_same_file_bytes(one_row, tmp_path)
+
+
+def test_writers_bytes_on_train_episode(tmp_path):
+    cfg = LabConfig(steps=300, input_dim=6, feature_dim=3, batch_size=8, seed=4)
+    assert_same_file_bytes(train_episode(cfg), tmp_path)
+
+
+def test_train_episode_huge_learning_rate_raises_at_the_overflow():
+    """The first update scales the weights to about 1e300, and z * z then
+    overflows; the run used to go on with the losses frozen at ln 8 and 3."""
+    cfg = LabConfig(steps=50, input_dim=4, feature_dim=3, batch_size=8, learning_rate=1e300)
+    with pytest.raises(ValidationError, match="training diverged at step 1: overflow"):
+        train_episode(cfg)
 
 
 def test_train_episode_time_scales_linearly():
