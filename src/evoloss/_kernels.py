@@ -83,14 +83,70 @@ def rk4_step(a, b, c, e, x, y, h, clamp_tol):
     return min(max(xn, 0.0), 1.0), min(max(yn, 0.0), 1.0), h
 
 
+#: Fewest lanes for which a batched step of rk4_paths beats one rk4_path
+#: step per lane: on the fixture game a batched step costs 60-95 us from
+#: 8 to 400 lanes, a scalar step 2.3-2.6 us.  phase_portrait runs fewer
+#: starts one simulate at a time, and rk4_paths hands its last lanes to
+#: the scalar loop once fewer than this are left.  Batched over
+#: per-start time (uniform starts, seeds 1-3, best of 9, interleaved):
+#:
+#:   starts               16       24       32       40       48       64       96
+#:   batched throughout   2.2-2.9  1.4-1.6  1.2-1.6  1.0-1.2  0.8-1.0  0.6-0.8  0.5-0.6
+#:   hand-off below 32    -        -        0.9-1.0  0.7      0.5-0.7  0.5      0.4
+BATCH_MIN_LANES = 32
+
+
+def _stop_test(stop_tol):
+    """(corners, tol2, box) for the corner stop test of both kernels.
+
+    A point stops at the first of the (index, corner) pairs with
+    (x - cx) ** 2 + (y - cy) ** 2 <= tol2, as _corner_hit computes it;
+    none when stopping is off.  Any such point has min(x, 1 - x) <= box
+    and min(y, 1 - y) <= box, so only points in that box are tested:
+    1 - x is exact for x >= 0.5 (Sterbenz), a sum of nonnegative floats
+    is at least each term, and box allows for an ulp of pow() rounding,
+    relative, or absolute where the squares underflow: a distance below
+    about 1.6e-162 squares to 0, which is within any stop_tol.
+    """
+    corners = tuple(enumerate(CORNERS)) if stop_tol >= 0.0 else ()
+    return corners, stop_tol * stop_tol, stop_tol * (1.0 + 1e-9) + 1e-150
+
+
 def _corner_hit(x, y, corners, tol2):
     """Index of the first of the (index, corner) pairs within sqrt(tol2)
-    of the float point (x, y), or TERM_HORIZON when there is none: the
-    stop test of rk4_path, which inlines it."""
+    of the float point (x, y), or TERM_HORIZON when there is none."""
     for k, (cx, cy) in corners:
         if (x - cx) ** 2 + (y - cy) ** 2 <= tol2:
             return k
     return TERM_HORIZON
+
+
+def _rk4_run(a, b, c, e, t, x, y, n, dt, t_max, stop_tol, clamp_tol, ts, xs, ys):
+    """The loop of rk4_path, from a path's n-th sample (t, x, y), which
+    the caller has recorded: tests it for a stop, then steps and appends
+    each further sample to the buffers ts, xs, ys.  Returns the terminal
+    code."""
+    n_max = 2 * int(t_max / dt) + 16
+    corners, tol2, box = _stop_test(stop_tol)
+    t_end = t_max - 1e-12
+    while True:
+        if (x <= box or 1.0 - x <= box) and (y <= box or 1.0 - y <= box):
+            terminal = _corner_hit(x, y, corners, tol2)
+            if terminal != TERM_HORIZON:
+                return terminal
+        if t >= t_end:
+            return TERM_HORIZON
+        if n >= n_max:
+            return TERM_BUDGET
+        h = dt
+        if t + h > t_max:
+            h = t_max - t
+        x, y, h = rk4_step(a, b, c, e, x, y, h, clamp_tol)
+        t += h
+        ts.append(t)
+        xs.append(x)
+        ys.append(y)
+        n += 1
 
 
 def rk4_path(a, b, c, e, x0, y0, dt, t_max, stop_tol, clamp_tol):
@@ -107,40 +163,13 @@ def rk4_path(a, b, c, e, x0, y0, dt, t_max, stop_tol, clamp_tol):
     when t_max was reached first, or TERM_BUDGET when the sample budget
     ran out first.
     """
-    n_max = 2 * int(t_max / dt) + 16
     # growable buffers of C doubles, 8 bytes a sample
-    ts = array("d")
-    xs = array("d")
-    ys = array("d")
-    tol2 = stop_tol * stop_tol
-    t_end = t_max - 1e-12
-    # (index, corner) pairs tested after every step; none when stopping is off
-    corners = tuple(enumerate(CORNERS)) if stop_tol >= 0.0 else ()
-    t = 0.0
-    x = x0
-    y = y0
-    n = 0
-    while True:
-        ts.append(t)
-        xs.append(x)
-        ys.append(y)
-        n += 1
-        # _corner_hit inlined: a call per step costs about 5 % here
-        terminal = TERM_HORIZON
-        for k, (cx, cy) in corners:
-            if (x - cx) ** 2 + (y - cy) ** 2 <= tol2:
-                terminal = k
-                break
-        if terminal != TERM_HORIZON or t >= t_end:
-            break
-        if n >= n_max:
-            terminal = TERM_BUDGET
-            break
-        h = dt
-        if t + h > t_max:
-            h = t_max - t
-        x, y, h = rk4_step(a, b, c, e, x, y, h, clamp_tol)
-        t += h
+    ts = array("d", (0.0,))
+    xs = array("d", (x0,))
+    ys = array("d", (y0,))
+    terminal = _rk4_run(
+        a, b, c, e, 0.0, x0, y0, 1, dt, t_max, stop_tol, clamp_tol, ts, xs, ys
+    )
     return np.array(ts), np.array(xs), np.array(ys), terminal
 
 
@@ -160,18 +189,19 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol, clamp_tol):
     (only rejected lanes are retried), the first corner in CORNERS order
     within stop_tol, and the same horizon and budget stops.  With the
     same elementwise arithmetic (rk4_attempt) every lane is bit-identical
-    to rk4_path.  Finished lanes leave the working arrays.
+    to rk4_path.  Finished lanes leave the working arrays, and once fewer
+    than BATCH_MIN_LANES are left, each runs on in the loop of rk4_path.
 
     Returns one (times, states, terminal) per start, in start order,
     states being the (n, 2) array of recorded (x, y) samples.
     """
     lanes = len(x0s)
     n_max = 2 * int(t_max / dt) + 16
-    tol2 = stop_tol * stop_tol
+    corners, tol2, box = _stop_test(stop_tol)
     t_end = t_max - 1e-12
-    # wide enough for an ulp of rounding, relative or subnormal
-    near_tol2 = tol2 * (1.0 + 1e-9) + 1e-300
-    corners = tuple(enumerate(CORNERS)) if stop_tol >= 0.0 else ()
+    # every attempt inside [lo, hi] is accepted and needs no clamping
+    lo = max(0.0, -clamp_tol)
+    hi = min(1.0, 1.0 + clamp_tol)
     # the start index of each working lane, also its row in buf
     lane = np.arange(lanes)
     t = np.zeros(lanes)
@@ -187,50 +217,77 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol, clamp_tol):
         buf[1, lane, col] = x
         buf[2, lane, col] = y
         n += 1
-        # Python's float ** 2 calls pow(), which can differ from numpy's
-        # x * x by an ulp: numpy only picks the lanes that may be within
-        # stop_tol, and _corner_hit decides them on floats as rk4_path does
-        near = np.zeros(len(lane), dtype=bool)
-        for _, (cx, cy) in corners:
-            near |= (x - cx) ** 2 + (y - cy) ** 2 <= near_tol2
-        term = np.full(len(lane), TERM_HORIZON)
-        for i in np.flatnonzero(near):
-            term[i] = _corner_hit(float(x[i]), float(y[i]), corners, tol2)
-        done = (term != TERM_HORIZON) | (t >= t_end)
+        if len(lane) < BATCH_MIN_LANES:
+            for i, r in enumerate(lane.tolist()):
+                pieces[r].append(buf[:, r, : col + 1].copy())
+                ts, xs, ys = array("d"), array("d"), array("d")
+                terminal[r] = _rk4_run(
+                    a, b, c, e, float(t[i]), float(x[i]), float(y[i]), n,
+                    dt, t_max, stop_tol, clamp_tol, ts, xs, ys,
+                )
+                pieces[r].append(np.array((ts, xs, ys)))
+            break
+        # working lane -> terminal code, for the lanes that stop here
+        stops = {}
+        near = (np.minimum(x, 1.0 - x) <= box) & (np.minimum(y, 1.0 - y) <= box)
+        for i in np.flatnonzero(near).tolist():
+            k = _corner_hit(float(x[i]), float(y[i]), corners, tol2)
+            if k != TERM_HORIZON:
+                stops[i] = k
+        t_last = float(t.max())
+        if t_last >= t_end:
+            for i in np.flatnonzero(t >= t_end).tolist():
+                stops.setdefault(i, TERM_HORIZON)
         if n >= n_max:
-            term[~done] = TERM_BUDGET
-            done[:] = True
-        if done.any():
-            for i in np.flatnonzero(done):
+            for i in range(len(lane)):
+                stops.setdefault(i, TERM_BUDGET)
+        if stops:
+            for i, k in stops.items():
                 r = lane[i]
                 pieces[r].append(buf[:, r, : col + 1].copy())
-                terminal[r] = int(term[i])
-            keep = ~done
+                terminal[r] = k
+            keep = np.ones(len(lane), dtype=bool)
+            keep[list(stops)] = False
             lane, t, x, y = lane[keep], t[keep], x[keep], y[keep]
             if not len(lane):
                 break
         if col == _CHUNK - 1:
             for r in lane:
                 pieces[r].append(buf[:, r].copy())
-        h = np.where(t + dt > t_max, t_max - t, dt)
+        # float addition is monotone, so no lane's step is cut at the
+        # horizon; t_last, taken before stopped lanes left, bounds them all
+        if t_last + dt <= t_max:
+            h = dt
+        else:
+            h = np.where(t + dt > t_max, t_max - t, dt)
         xn, yn = rk4_attempt(a, b, c, e, x, y, h)
-        rejected = np.flatnonzero(~_inside(xn, yn, clamp_tol))
-        for _ in range(63):
-            if not len(rejected):
-                break
-            h[rejected] *= 0.5
-            xr, yr = rk4_attempt(a, b, c, e, x[rejected], y[rejected], h[rejected])
-            xn[rejected] = xr
-            yn[rejected] = yr
-            rejected = rejected[~_inside(xr, yr, clamp_tol)]
-        # after 64 rejected attempts the last is kept, its step halved once more
-        h[rejected] *= 0.5
-        # min(max(v, 0.0), 1.0) as Python evaluates it: max(-0.0, 0.0) is
-        # -0.0, where np.maximum and np.clip give 0.0
-        xn = np.where(0.0 > xn, 0.0, xn)
-        yn = np.where(0.0 > yn, 0.0, yn)
-        x = np.where(1.0 < xn, 1.0, xn)
-        y = np.where(1.0 < yn, 1.0, yn)
+        # NaN fails both tests and takes the checked path
+        if np.minimum(xn, yn).min() >= lo and np.maximum(xn, yn).max() <= hi:
+            x, y = xn, yn
+        else:
+            rejected = np.flatnonzero(~_inside(xn, yn, clamp_tol))
+            if len(rejected):
+                if not isinstance(h, np.ndarray):
+                    h = np.full(len(lane), h)
+                for _ in range(63):
+                    h[rejected] *= 0.5
+                    xr, yr = rk4_attempt(
+                        a, b, c, e, x[rejected], y[rejected], h[rejected]
+                    )
+                    xn[rejected] = xr
+                    yn[rejected] = yr
+                    rejected = rejected[~_inside(xr, yr, clamp_tol)]
+                    if not len(rejected):
+                        break
+                # after 64 rejected attempts the last is kept, its step
+                # halved once more
+                h[rejected] *= 0.5
+            # min(max(v, 0.0), 1.0) as Python evaluates it: max(-0.0, 0.0)
+            # is -0.0, where np.maximum and np.clip give 0.0
+            xn = np.where(0.0 > xn, 0.0, xn)
+            yn = np.where(0.0 > yn, 0.0, yn)
+            x = np.where(1.0 < xn, 1.0, xn)
+            y = np.where(1.0 < yn, 1.0, yn)
         t = t + h
     del buf  # returned to the OS before the pieces are joined
     paths = []

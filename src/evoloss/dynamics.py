@@ -105,13 +105,6 @@ def _trajectory(times, states, terminal) -> Trajectory:
     return Trajectory(times, states, None, reason)
 
 
-#: Start count from which phase_portrait integrates all starts as one
-#: batch (_kernels.rk4_paths).  Each batched step carries a fixed numpy
-#: cost of about 100 us, so fewer starts run faster one simulate at a
-#: time; on the fixture game the two break even at 40 to 64 starts.
-BATCH_MIN_STARTS = 64
-
-
 def phase_portrait(
     p: PayoffParams, starts, cfg: IntegratorConfig | None = None
 ) -> list[Trajectory]:
@@ -123,7 +116,7 @@ def phase_portrait(
     starts = [check_state(s) for s in starts]
     if not starts:
         raise ValidationError("phase_portrait needs at least one start state")
-    if len(starts) < BATCH_MIN_STARTS:
+    if len(starts) < _kernels.BATCH_MIN_LANES:
         return [simulate(p, s, cfg) for s in starts]
     cfg = cfg or IntegratorConfig()
     a, b, c, e = field_coefficients(p)

@@ -65,6 +65,8 @@ class LabConfig:
             raise ValidationError(
                 f"feature_dim must be at least 2, got {self.feature_dim}"
             )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if self.batch_size < 2:
             raise ValidationError(
                 f"batch_size must be at least 2, got {self.batch_size}"
@@ -178,8 +180,10 @@ def train_episode(
     target_norm = np.linalg.norm(target)
     loss_prev: float | None = None
     try:
-        # an overflow would freeze both losses at zero gradient; stop there
-        with np.errstate(over="raise"):
+        # an overflow would freeze both losses at zero gradient, and an
+        # invalid operation or a division by zero leaves NaN or inf behind;
+        # stop there
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             for step in range(cfg.steps):
                 # the draws of gen_two_view_batch, then policy_act's two normals
                 draw = rng.standard_normal(3 * n + 2)

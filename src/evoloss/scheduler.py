@@ -76,8 +76,13 @@ class SchedulerConfig:
         tx, ty = self.target
         if not (math.isfinite(tx) and math.isfinite(ty)):
             raise ValidationError("target must be finite")
-        if tx < 0.0 or ty < 0.0 or (tx == 0.0 and ty == 0.0):
-            raise ValidationError(f"target must be nonnegative and nonzero, got {self.target}")
+        if tx < 0.0 or ty < 0.0:
+            raise ValidationError(f"target must be nonnegative, got {self.target}")
+        # the reward divides by the target's norm, sqrt(tx * tx + ty * ty)
+        if not 1e-300 <= tx * tx + ty * ty <= 1e300:
+            raise ValidationError(
+                f"target must have a squared norm in [1e-300, 1e300], got {self.target}"
+            )
         if self.reward_cap <= 0.0 or self.denom_floor <= 0.0:
             raise ValidationError("reward_cap and denom_floor must be positive")
 

@@ -5,6 +5,7 @@ import hashlib
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from evoloss.cli import main
 
@@ -311,6 +312,9 @@ def test_train_accepts_target_pair(tmp_path, capsys):
         ({"steps": float("nan")}, False),  # non-finite steps
         ({"steps": float("inf")}, False),
         ({"steps": 1e12}, False),        # records too large to allocate
+        ({"seed": -1}, False),           # numpy's generator raised ValueError
+        ({"target_x": 1e300, "target_y": 1e300}, False),  # its norm overflowed
+        ({"explore_weight": 1.7e308}, False),  # NaN in the first update
     ],
 )
 def test_train_config_errors_exit_2(tmp_path, capsys, overrides, missing_steps):
@@ -351,6 +355,102 @@ def test_train_overflow_exits_2(tmp_path, capsys):
     assert err.startswith("error: training diverged at step 1: overflow")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+# ---------------------------------------------------------------- fuzzing
+
+FUZZ = settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.integers(min_value=-(10**30), max_value=10**30).map(str),
+    st.sampled_from(["", " ", "nan", "-inf", "1e999", "-0", "0x1p-2", "1_0", "+.5", "\u0663", "0.5 0.5"]),
+)
+
+
+def lines_of(line):
+    """Text of a few lines drawn from line, or any text at all."""
+    return st.one_of(st.lists(line, max_size=8).map("\n".join), st.text(max_size=80))
+
+
+def kv_lines(keys):
+    """Mostly `key = value` lines with known keys, so that many files
+    get past the parser, and sometimes anything else."""
+    known = st.builds(lambda k, v: f"{k} = {v}", st.sampled_from(keys), NUMBERS)
+    return st.one_of(
+        known, known, known,
+        st.builds(lambda k, v: f"{k} = {v}", st.text(max_size=8), NUMBERS),
+        st.text(max_size=30),
+        st.sampled_from(["#", "=", " = 1", "steps"]),
+    )
+
+
+def run_fuzzed(capsys, argv):
+    """main(argv) exits 0, 2 or 3, and with one error line when not 0."""
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    if code:
+        assert err.startswith("error: ") and err.endswith("\n")
+        assert len(err.splitlines()) == 1
+
+
+@FUZZ
+@given(text=lines_of(st.one_of(
+    st.builds(lambda x, y: f"{x},{y}", NUMBERS, NUMBERS),
+    st.text(max_size=20),
+    st.sampled_from(["#", "# 0.5,0.5", ",", "0.5,0.5,0.5", "0.5,0.5"]),
+)))
+def test_simulate_starts_file_fuzz(params_file, tmp_path, capsys, text):
+    starts = tmp_path / "starts.txt"
+    starts.write_text(text, encoding="utf-8")
+    run_fuzzed(capsys, ["simulate", "--params", str(params_file), "--starts-file", str(starts),
+                        "--out", str(tmp_path / "paths.csv"), "--t-max", "1"])
+
+
+@FUZZ
+@given(text=lines_of(kv_lines(["g1", "d1", "g2", "d2", "n1", "n2", "w1", "w2"])))
+def test_saddle_params_fuzz(tmp_path, capsys, text):
+    params = tmp_path / "game.params"
+    params.write_text(text, encoding="utf-8")
+    run_fuzzed(capsys, ["saddle", "--params", str(params)])
+
+
+TRAIN_KEYS = [*TRAIN_CONFIG, "noise_scale", "learning_rate", "center", "explore_weight",
+              "prev_loss_scale", "reward_cap", "denom_floor", "target_x", "target_y",
+              "temperature", "epsilon"]
+SIZE_KEYS = {"steps", "input_dim", "feature_dim", "batch_size", "update_period"}
+
+
+def short_run(text):
+    """text without the lines that would set a size key above 16, and
+    with steps = 3 when no line sets steps, so that most configs train
+    and every run stays short."""
+    kept, keys = [], set()
+    for line in text.splitlines():
+        key, _, value = line.partition("=")
+        key = key.strip()
+        try:
+            too_big = key in SIZE_KEYS and float(value) > 16
+        except ValueError:
+            too_big = False
+        if not too_big:
+            kept.append(line)
+            keys.add(key)
+    if "steps" not in keys:
+        kept.append("steps = 3")
+    return "\n".join(kept)
+
+
+@FUZZ
+@given(text=lines_of(kv_lines(TRAIN_KEYS)).map(short_run))
+def test_train_config_fuzz(tmp_path, capsys, text):
+    config = tmp_path / "train.cfg"
+    config.write_text(text, encoding="utf-8")
+    run_fuzzed(capsys, ["train", "--config", str(config), "--out", str(tmp_path / "log.csv")])
 
 
 # ------------------------------------------------------------------ shell

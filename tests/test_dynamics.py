@@ -2,9 +2,11 @@
 agreement between the path kernel and the public single-step function."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from evoloss import (
     IntegratorConfig,
@@ -20,7 +22,7 @@ from evoloss import (
     step_rk4,
     write_trajectories_csv,
 )
-from evoloss import _kernels, dynamics, game, stability
+from evoloss import _kernels, game, stability
 from evoloss.dynamics import CORNERS
 
 from helpers import (
@@ -184,7 +186,7 @@ def test_step_budget_stop_is_reported(fixture_params):
     assert traj.converged_to is None
     assert len(traj.times) == 216
     assert traj.times[-1] == 1.859375
-    batch = phase_portrait(STIFF, [(0.5, 0.01)] * dynamics.BATCH_MIN_STARTS, cfg)
+    batch = phase_portrait(STIFF, [(0.5, 0.01)] * _kernels.BATCH_MIN_LANES, cfg)
     assert all(t.reason == "budget" for t in batch)
 
 
@@ -198,25 +200,99 @@ def _time_after(steps, dt):
 T_199 = _time_after(199, 0.01)
 FIXTURE = PayoffParams(g1=1.5, d1=1.0, g2=1.0, d2=1.5, n1=0.5, n2=0.5)
 EDGE_STARTS = (*CORNERS, PopulationState(-0.0, 0.5), PopulationState(0.5, -0.0))
+LANES = _kernels.BATCH_MIN_LANES
+# four times the crossover, so that every case runs batched for a while
+RANDOM_STARTS = tuple(sample_starts(4 * LANES, np.random.default_rng(5)))
 
-# name: (params, extra starts, config, stop reasons of the whole batch)
+
+def starts_stopping_after(params, start, cfg, lengths):
+    """Points of the path from start whose own paths reach its corner
+    after exactly the given numbers of samples: a step depends only on
+    the state it starts from, far from the horizon."""
+    traj = simulate(params, start, cfg)
+    assert traj.reason == "corner"
+    return [tuple(traj.states[len(traj.times) - n].tolist()) for n in lengths]
+
+
+def handoff_lengths(n):
+    """Path lengths for which fewer than BATCH_MIN_LANES lanes are left
+    first when the n-th sample is recorded: LANES - 1 longer paths, one
+    of n - 1 samples and 3 * LANES shorter ones."""
+    return [
+        *(n + 1 + 7 * i for i in range(LANES - 1)),
+        n - 1,
+        *(1 + i * (n - 2) // (3 * LANES) for i in range(3 * LANES)),
+    ]
+
+
+def handoff_sample(lengths):
+    """Samples per lane recorded when rk4_paths hands the lanes left to
+    the scalar loop, or None when the last ones stop while batched."""
+    for n in range(1, max(lengths) + 1):
+        left = sum(length >= n for length in lengths)
+        if left < LANES:
+            return n if left else None
+    return None
+
+
+# name: (params, starts, config, stop reasons of the whole batch)
 BATCH_CASES = {
     # with corner starts and signed zeros
-    "default": (FIXTURE, EDGE_STARTS, IntegratorConfig(), {"corner"}),
-    # the horizon cuts the last step short; the saddle and the diagonal
-    # never reach a corner
-    "horizon_cut": (FIXTURE, ((5 / 6, 5 / 6), (0.3, 0.3), *CORNERS),
+    "default": (FIXTURE, (*EDGE_STARTS, *RANDOM_STARTS), IntegratorConfig(), {"corner"}),
+    # the horizon cuts the last step short while batched; the saddle and
+    # the diagonal never reach a corner
+    "horizon_cut": (FIXTURE, ((5 / 6, 5 / 6), (0.3, 0.3), *CORNERS, *RANDOM_STARTS),
                     IntegratorConfig(t_max=3.305), {"corner", "horizon"}),
+    # the time reaches 3.2999999999999736, within the 1e-12 stop margin
+    # below t_max, so the horizon stops the lanes without a last short step
+    "horizon_margin": (FIXTURE, RANDOM_STARTS, IntegratorConfig(t_max=3.3),
+                       {"corner", "horizon"}),
     # t + dt lands exactly on t_max after 199 steps, so the last step is
     # a full dt, although t_max - t is not dt
-    "horizon_exact": (FIXTURE, (), IntegratorConfig(t_max=T_199 + 0.01), {"horizon"}),
+    "horizon_exact": (FIXTURE, RANDOM_STARTS, IntegratorConfig(t_max=T_199 + 0.01),
+                      {"horizon"}),
+    # lanes at different times meet the horizon: (0.1, 0.05), a halving
+    # behind, lands on t_max with a full step, although t_max - t is not
+    # dt; the saddle's step is cut
+    "horizon_mixed": (STIFF, ((0.1, 0.05), (5 / 6, 5 / 6), *RANDOM_STARTS),
+                      IntegratorConfig(t_max=0.055), {"corner", "horizon"}),
     # exact clamping: any overshoot at all is halved away
-    "clamp_tol_0": (FIXTURE, EDGE_STARTS, IntegratorConfig(clamp_tol=0.0), {"corner"}),
+    "clamp_tol_0": (FIXTURE, (*EDGE_STARTS, *RANDOM_STARTS), IntegratorConfig(clamp_tol=0.0),
+                    {"corner"}),
+    # an overshoot of up to 0.5 is accepted and clamped onto the square,
+    # on a step that takes some lanes above 1 and none below 0
+    "clamp_wide": (FIXTURE, RANDOM_STARTS, IntegratorConfig(dt=2.0, t_max=50.0, clamp_tol=0.5),
+                   {"corner", "horizon"}),
     # the stop balls overlap: the first corner in CORNERS order wins
-    "overlap": (FIXTURE, ((0.5, 0.5),), IntegratorConfig(stop_tol=0.75), {"corner"}),
-    # halved steps on some lanes; (0.5, 0.01) and others run out of budget
-    "budget": (STIFF, ((0.5, 0.01),), IntegratorConfig(dt=0.5, t_max=50.0),
+    "overlap": (FIXTURE, ((0.5, 0.5), *RANDOM_STARTS), IntegratorConfig(stop_tol=0.75),
+                {"corner"}),
+    # retries from the full step dt on some lanes; (0.5, 0.01) and others
+    # run out of budget
+    "budget": (STIFF, ((0.5, 0.01), *RANDOM_STARTS), IntegratorConfig(dt=0.5, t_max=50.0),
                {"corner", "budget"}),
+    # the lanes left go to the scalar loop in mid-chunk, after a full chunk
+    "handoff_mid_chunk": (
+        FIXTURE,
+        starts_stopping_after(FIXTURE, (0.45, 0.5), IntegratorConfig(),
+                              handoff_lengths(_kernels._CHUNK + 50)),
+        IntegratorConfig(), {"corner"},
+    ),
+    # ... on the step that fills the chunk
+    "handoff_chunk_end": (
+        FIXTURE,
+        starts_stopping_after(FIXTURE, (0.45, 0.5), IntegratorConfig(),
+                              handoff_lengths(_kernels._CHUNK)),
+        IntegratorConfig(), {"corner"},
+    ),
+    # ... and two of them run on to the step budget
+    "handoff_budget": (
+        STIFF,
+        ((0.5, 0.01), (0.5, 0.01), *starts_stopping_after(
+            STIFF, (0.4, 0.4), IntegratorConfig(dt=0.5, t_max=50.0),
+            [1 + i * 145 // (4 * LANES - 2) for i in range(4 * LANES - 2)],
+        )),
+        IntegratorConfig(dt=0.5, t_max=50.0), {"corner", "budget"},
+    ),
 }
 
 
@@ -224,9 +300,7 @@ BATCH_CASES = {
 def test_phase_portrait_batch_matches_per_start_simulate(case):
     """The batched sweep reproduces one simulate per start bit for bit:
     tobytes() also tells -0.0 from 0.0, which array_equal does not."""
-    params, extra, cfg, reasons = BATCH_CASES[case]
-    rng = np.random.default_rng(5)
-    starts = [*extra, *sample_starts(dynamics.BATCH_MIN_STARTS, rng)]
+    params, starts, cfg, reasons = BATCH_CASES[case]
     batch = phase_portrait(params, starts, cfg)
     assert len(batch) == len(starts)
     for start, got in zip(starts, batch):
@@ -235,11 +309,35 @@ def test_phase_portrait_batch_matches_per_start_simulate(case):
         assert got.states.tobytes() == want.states.tobytes()
         assert (got.converged_to, got.reason) == (want.converged_to, want.reason)
     assert {t.reason for t in batch} == reasons
+    # the branch of rk4_paths each case is there for
+    lengths = [len(t.times) for t in batch]
+    handoff = handoff_sample(lengths)
+    still_batched = handoff or max(lengths) + 1
     if case == "horizon_cut":
         assert np.diff(batch[0].times)[-1] < cfg.dt
+        assert lengths[0] < still_batched
+    if case == "horizon_margin":
+        assert 0.0 < cfg.t_max - batch[0].times[-1] <= 1e-12 and lengths[0] < still_batched
+    if case == "clamp_wide":
+        # interior starts land on the edges only by clamping
+        assert any((t.states[1:] == 1.0).any() and (t.states[1:] == 0.0).any() for t in batch)
     if case == "horizon_exact":
         assert cfg.t_max - T_199 != cfg.dt
         assert all(t.times[-2:].tolist() == [T_199, cfg.t_max] for t in batch)
+    if case == "horizon_mixed":
+        behind, cut = batch[0].times, batch[1].times
+        assert behind[-2:].tolist() == [0.045, cfg.t_max] and cfg.t_max - 0.045 != cfg.dt
+        assert cut[-2] + cfg.dt > cfg.t_max and cut[-2] > behind[-2]
+        assert lengths[0] < still_batched
+    if case == "budget":
+        assert batch[0].times[1] == cfg.dt / 64 and still_batched > 1
+    if case == "handoff_mid_chunk":
+        assert handoff > _kernels._CHUNK
+        assert 0 < (handoff - 1) % _kernels._CHUNK < _kernels._CHUNK - 1
+    if case == "handoff_chunk_end":
+        assert handoff == _kernels._CHUNK
+    if case == "handoff_budget":
+        assert batch[0].reason == "budget" and lengths[0] > handoff
 
 
 def test_rk4_paths_matches_rk4_path_when_every_attempt_is_rejected(fixture_params):
@@ -247,7 +345,7 @@ def test_rk4_paths_matches_rk4_path_when_every_attempt_is_rejected(fixture_param
     64th attempt and halves its step once more, until the budget ends
     the path.  Stopping is off, so the corner start runs on too."""
     a, b, c, e = field_coefficients(fixture_params)
-    starts = ((0.3, 0.7), (0.0, 0.0), (0.9, 0.2))
+    starts = ((0.3, 0.7), (0.0, 0.0), (0.9, 0.2), *RANDOM_STARTS)
     paths = _kernels.rk4_paths(
         a, b, c, e, [s[0] for s in starts], [s[1] for s in starts], 0.01, 0.05, -1.0, -1.0
     )
@@ -332,9 +430,10 @@ def test_write_trajectories_csv_bytes_on_awkward_floats(tmp_path):
     assert_same_csv_bytes(trajs, tmp_path)
 
 
-@pytest.mark.parametrize("n_starts", [5, dynamics.BATCH_MIN_STARTS + 6])
+@pytest.mark.parametrize("n_starts", [5, 2 * _kernels.BATCH_MIN_LANES + 6])
 def test_write_trajectories_csv_bytes_on_phase_portrait(fixture_params, tmp_path, n_starts):
-    """Both phase_portrait paths: a simulate per start, and the batch."""
+    """Both phase_portrait paths: a simulate per start, and the batch with
+    its scalar hand-off."""
     starts = sample_starts(n_starts, np.random.default_rng(3))
     trajs = phase_portrait(fixture_params, starts, IntegratorConfig(t_max=20.0))
     assert_same_csv_bytes(trajs, tmp_path)
@@ -367,6 +466,44 @@ def test_rk4_path_matches_repeated_step_rk4(fixture_params):
             assert t == pytest.approx(t_max, abs=1e-9)
         else:
             assert np.hypot(*(np.array(state) - CORNERS[term])) <= stop_tol
+
+
+# sqrt of half the least subnormal: a point closer than this to a corner
+# has a squared distance of 0 there, inside any stop ball
+UNDERFLOW_DISTANCE = math.sqrt(5e-324) / math.sqrt(2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stop_tol=st.one_of(
+        st.floats(min_value=1e-320, max_value=1e-150),
+        st.floats(min_value=1e-150, max_value=0.5),
+        st.floats(min_value=0.5, max_value=2.0),
+    ),
+    corner=st.sampled_from(CORNERS),
+    axis=st.sampled_from(((1.0, 0.0), (0.0, 1.0), (math.sqrt(0.5), math.sqrt(0.5)))),
+    scale=st.sampled_from(("stop_tol", "underflow")),
+    ulps=st.integers(min_value=-8, max_value=8),
+)
+@example(stop_tol=1e-170, corner=CORNERS[0], axis=(1.0, 0.0), scale="underflow", ulps=-1)
+@example(stop_tol=0.1, corner=CORNERS[3], axis=(0.0, 1.0), scale="stop_tol", ulps=0)
+def test_box_pretest_keeps_every_corner_stop(stop_tol, corner, axis, scale, ulps):
+    """Both kernels stop at the first sample exactly when _corner_hit
+    says the start is in a stop ball, and at the same corner: the box
+    test in front of it drops no start, at the ball's edge or where the
+    squared distance underflows."""
+    distance = (stop_tol if scale == "stop_tol" else UNDERFLOW_DISTANCE) * (1.0 + ulps * 2.0**-52)
+    x, y = (min(max(abs(c - distance * u), 0.0), 1.0) for c, u in zip(corner, axis))
+    want = _kernels._corner_hit(x, y, tuple(enumerate(CORNERS)), stop_tol * stop_tol)
+    a, b, c, e = field_coefficients(FIXTURE)
+    ts, _, _, term = _kernels.rk4_path(a, b, c, e, x, y, 0.01, 0.01, stop_tol, 1e-9)
+    [(batch_ts, _, batch_term), *_] = _kernels.rk4_paths(
+        a, b, c, e, [x] * LANES, [y] * LANES, 0.01, 0.01, stop_tol, 1e-9
+    )
+    for n, got in ((len(ts), term), (len(batch_ts), batch_term)):
+        assert (n == 1 and got >= 0) == (want >= 0)
+        if want >= 0:
+            assert got == want
 
 
 def test_euler_kernel_matches_public_rhs_walk(fixture_params):

@@ -74,6 +74,9 @@ def test_scheduler_config_defaults():
         {"target": (0.0, 0.0)},
         {"target": (-0.1, 1.0)},
         {"target": (math.nan, 1.0)},
+        # the norm overflowed or the reward divided by zero
+        {"target": (1e300, 1e300)},
+        {"target": (0.0, 5e-324)},
         {"reward_cap": 0.0},
         {"denom_floor": 0.0},
         {"center": math.inf},
