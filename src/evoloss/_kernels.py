@@ -85,14 +85,14 @@ def rk4_step(a, b, c, e, x, y, h, clamp_tol):
 
 #: Fewest lanes for which a batched step of rk4_paths beats one rk4_path
 #: step per lane: on the fixture game a batched step costs 60-95 us from
-#: 8 to 400 lanes, a scalar step 2.3-2.6 us.  phase_portrait runs fewer
-#: starts one simulate at a time, and rk4_paths hands its last lanes to
-#: the scalar loop once fewer than this are left.  Batched over
-#: per-start time (uniform starts, seeds 1-3, best of 9, interleaved):
+#: 8 to 400 lanes, a scalar step 2.3-2.6 us.  rk4_paths hands its lanes
+#: to the scalar loop once fewer than this are left, so fewer starts run
+#: in that loop from their first sample.  Batched over per-start time
+#: (uniform starts, seeds 1-3, best of 9, interleaved):
 #:
 #:   starts               16       24       32       40       48       64       96
 #:   batched throughout   2.2-2.9  1.4-1.6  1.2-1.6  1.0-1.2  0.8-1.0  0.6-0.8  0.5-0.6
-#:   hand-off below 32    -        -        0.9-1.0  0.7      0.5-0.7  0.5      0.4
+#:   hand-off below 32    0.8-1.0  0.9-1.1  0.9-1.0  0.7      0.5-0.7  0.5      0.4
 BATCH_MIN_LANES = 32
 
 
@@ -234,10 +234,8 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol, clamp_tol):
             k = _corner_hit(float(x[i]), float(y[i]), corners, tol2)
             if k != TERM_HORIZON:
                 stops[i] = k
-        t_last = float(t.max())
-        if t_last >= t_end:
-            for i in np.flatnonzero(t >= t_end).tolist():
-                stops.setdefault(i, TERM_HORIZON)
+        for i in np.flatnonzero(t >= t_end).tolist():
+            stops.setdefault(i, TERM_HORIZON)
         if n >= n_max:
             for i in range(len(lane)):
                 stops.setdefault(i, TERM_BUDGET)
@@ -254,12 +252,7 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol, clamp_tol):
         if col == _CHUNK - 1:
             for r in lane:
                 pieces[r].append(buf[:, r].copy())
-        # float addition is monotone, so no lane's step is cut at the
-        # horizon; t_last, taken before stopped lanes left, bounds them all
-        if t_last + dt <= t_max:
-            h = dt
-        else:
-            h = np.where(t + dt > t_max, t_max - t, dt)
+        h = np.where(t + dt > t_max, t_max - t, dt)
         xn, yn = rk4_attempt(a, b, c, e, x, y, h)
         # NaN fails both tests and takes the checked path
         if np.minimum(xn, yn).min() >= lo and np.maximum(xn, yn).max() <= hi:
@@ -267,8 +260,6 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol, clamp_tol):
         else:
             rejected = np.flatnonzero(~_inside(xn, yn, clamp_tol))
             if len(rejected):
-                if not isinstance(h, np.ndarray):
-                    h = np.full(len(lane), h)
                 for _ in range(63):
                     h[rejected] *= 0.5
                     xr, yr = rk4_attempt(

@@ -116,8 +116,6 @@ def phase_portrait(
     starts = [check_state(s) for s in starts]
     if not starts:
         raise ValidationError("phase_portrait needs at least one start state")
-    if len(starts) < _kernels.BATCH_MIN_LANES:
-        return [simulate(p, s, cfg) for s in starts]
     cfg = cfg or IntegratorConfig()
     a, b, c, e = field_coefficients(p)
     paths = _kernels.rk4_paths(

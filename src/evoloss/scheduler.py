@@ -85,6 +85,12 @@ class SchedulerConfig:
             )
         if self.reward_cap <= 0.0 or self.denom_floor <= 0.0:
             raise ValidationError("reward_cap and denom_floor must be positive")
+        # the largest stability bonus; a Python float product that
+        # overflows gives inf without a signal
+        if self.explore_weight * min(self.reward_cap, 1.0 / self.denom_floor) > 1e300:
+            raise ValidationError(
+                "explore_weight * min(reward_cap, 1 / denom_floor) must be at most 1e300"
+            )
 
 
 @dataclass(frozen=True)

@@ -314,7 +314,8 @@ def test_train_accepts_target_pair(tmp_path, capsys):
         ({"steps": 1e12}, False),        # records too large to allocate
         ({"seed": -1}, False),           # numpy's generator raised ValueError
         ({"target_x": 1e300, "target_y": 1e300}, False),  # its norm overflowed
-        ({"explore_weight": 1.7e308}, False),  # NaN in the first update
+        ({"explore_weight": 1.7e308}, False),  # its bonus overflowed: NaN in the update
+        ({"explore_weight": 1.7e308, "steps": 5}, False),  # the same: inf rewards, no update
     ],
 )
 def test_train_config_errors_exit_2(tmp_path, capsys, overrides, missing_steps):

@@ -270,6 +270,10 @@ BATCH_CASES = {
     # run out of budget
     "budget": (STIFF, ((0.5, 0.01), *RANDOM_STARTS), IntegratorConfig(dt=0.5, t_max=50.0),
                {"corner", "budget"}),
+    # fewer starts than BATCH_MIN_LANES go to the scalar loop at once,
+    # the corners stopping on the sample the batch recorded
+    "handoff_first": (FIXTURE, (*EDGE_STARTS, *RANDOM_STARTS[:8]), IntegratorConfig(),
+                      {"corner"}),
     # the lanes left go to the scalar loop in mid-chunk, after a full chunk
     "handoff_mid_chunk": (
         FIXTURE,
@@ -331,6 +335,8 @@ def test_phase_portrait_batch_matches_per_start_simulate(case):
         assert lengths[0] < still_batched
     if case == "budget":
         assert batch[0].times[1] == cfg.dt / 64 and still_batched > 1
+    if case == "handoff_first":
+        assert handoff == 1 and min(lengths) == 1
     if case == "handoff_mid_chunk":
         assert handoff > _kernels._CHUNK
         assert 0 < (handoff - 1) % _kernels._CHUNK < _kernels._CHUNK - 1
@@ -432,8 +438,8 @@ def test_write_trajectories_csv_bytes_on_awkward_floats(tmp_path):
 
 @pytest.mark.parametrize("n_starts", [5, 2 * _kernels.BATCH_MIN_LANES + 6])
 def test_write_trajectories_csv_bytes_on_phase_portrait(fixture_params, tmp_path, n_starts):
-    """Both phase_portrait paths: a simulate per start, and the batch with
-    its scalar hand-off."""
+    """Starts handed to the scalar loop at once, and a batch that hands
+    its last lanes over later."""
     starts = sample_starts(n_starts, np.random.default_rng(3))
     trajs = phase_portrait(fixture_params, starts, IntegratorConfig(t_max=20.0))
     assert_same_csv_bytes(trajs, tmp_path)

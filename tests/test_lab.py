@@ -253,22 +253,15 @@ def test_train_episode_huge_learning_rate_raises_at_the_overflow():
         train_episode(cfg)
 
 
-@pytest.mark.parametrize(
-    "lab,sched,epsilon,message",
-    [
-        # inf * 0 in the Barlow Twins gradient
-        (dict(steps=12, input_dim=4, feature_dim=3, batch_size=4, noise_scale=1.0), {},
-         1.7e308, "step 0: invalid value encountered in matmul"),
-        # an infinite stability bonus, then inf - inf in the update
-        (dict(steps=150, input_dim=8, feature_dim=4, batch_size=8, seed=11),
-         {"explore_weight": 1.7e308}, 0.005, "step 49: invalid value encountered in subtract"),
-    ],
-)
-def test_train_episode_raises_at_an_invalid_value(lab, sched, epsilon, message):
-    """NaN from an invalid operation stops the run like an overflow; it
-    used to go on under a RuntimeWarning."""
-    with pytest.raises(ValidationError, match=f"training diverged at {message}"):
-        train_episode(LabConfig(**lab), SchedulerConfig(update_period=50, **sched), epsilon=epsilon)
+def test_train_episode_raises_at_an_invalid_value():
+    """NaN from an invalid operation (inf * 0 in the Barlow Twins
+    gradient) stops the run like an overflow; it used to go on under a
+    RuntimeWarning."""
+    cfg = LabConfig(steps=12, input_dim=4, feature_dim=3, batch_size=4, noise_scale=1.0)
+    with pytest.raises(
+        ValidationError, match="training diverged at step 0: invalid value encountered in matmul"
+    ):
+        train_episode(cfg, SchedulerConfig(update_period=50), epsilon=1.7e308)
 
 
 def test_train_episode_time_scales_linearly():

@@ -82,6 +82,9 @@ def test_scheduler_config_defaults():
         {"center": math.inf},
         {"update_period": math.nan},
         {"update_period": math.inf},
+        # the stability bonus overflowed to inf
+        {"explore_weight": 1.7e308},
+        {"explore_weight": 1e299, "reward_cap": 1e10},
     ],
 )
 def test_scheduler_config_validation(kwargs):
