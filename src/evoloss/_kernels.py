@@ -5,7 +5,8 @@ functions take the four precomputed coefficients so they stay
 independent of the dataclasses in the rest of the package.  They are
 plain Python over floats, except rk4_paths, which steps many starts at
 once over numpy arrays with the same arithmetic; evobench/README.md
-describes how their cost is measured.
+describes how their cost is measured.  The forward-Euler reference the
+tests compare against lives with them, in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -112,6 +113,13 @@ def _stop_test(stop_tol):
     return corners, stop_tol * stop_tol, stop_tol * (1.0 + 1e-9) + 1e-150
 
 
+def _unclamped(clamp_tol):
+    """(lo, hi): rk4_step accepts an attempt with both coordinates in
+    [lo, hi] at once, and its clamps leave them as they are, -0.0
+    included, so a caller may take such an attempt without rk4_step."""
+    return max(0.0, -clamp_tol), min(1.0, 1.0 + clamp_tol)
+
+
 def _corner_hit(x, y, corners, tol2):
     """Index of the first of the (index, corner) pairs within sqrt(tol2)
     of the float point (x, y), or TERM_HORIZON when there is none."""
@@ -129,6 +137,7 @@ def _rk4_run(a, b, c, e, t, x, y, n, dt, t_max, stop_tol, clamp_tol, ts, xs, ys)
     n_max = 2 * int(t_max / dt) + 16
     corners, tol2, box = _stop_test(stop_tol)
     t_end = t_max - 1e-12
+    lo, hi = _unclamped(clamp_tol)
     while True:
         if (x <= box or 1.0 - x <= box) and (y <= box or 1.0 - y <= box):
             terminal = _corner_hit(x, y, corners, tol2)
@@ -141,7 +150,13 @@ def _rk4_run(a, b, c, e, t, x, y, n, dt, t_max, stop_tol, clamp_tol, ts, xs, ys)
         h = dt
         if t + h > t_max:
             h = t_max - t
-        x, y, h = rk4_step(a, b, c, e, x, y, h, clamp_tol)
+        xn, yn = rk4_attempt(a, b, c, e, x, y, h)
+        # NaN fails both tests and takes the checked path, which
+        # recomputes this attempt
+        if lo <= xn <= hi and lo <= yn <= hi:
+            x, y = xn, yn
+        else:
+            x, y, h = rk4_step(a, b, c, e, x, y, h, clamp_tol)
         t += h
         ts.append(t)
         xs.append(x)
@@ -199,9 +214,7 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol, clamp_tol):
     n_max = 2 * int(t_max / dt) + 16
     corners, tol2, box = _stop_test(stop_tol)
     t_end = t_max - 1e-12
-    # every attempt inside [lo, hi] is accepted and needs no clamping
-    lo = max(0.0, -clamp_tol)
-    hi = min(1.0, 1.0 + clamp_tol)
+    lo, hi = _unclamped(clamp_tol)
     # the start index of each working lane, also its row in buf
     lane = np.arange(lanes)
     t = np.zeros(lanes)
@@ -291,28 +304,3 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol, clamp_tol):
             terminal[r],
         ))
     return paths
-
-
-def euler_path(a, b, c, e, x0, y0, dt, n_steps, record_every):
-    """Plain forward-Euler path, clamped to the unit square, recording
-    the start and then every record_every-th step."""
-    m = n_steps // record_every + 1
-    xs = np.empty(m)
-    ys = np.empty(m)
-    x = x0
-    y = y0
-    xs[0] = x
-    ys[0] = y
-    k = 1
-    for i in range(1, n_steps + 1):
-        fx = x * (1.0 - x) * (a - b * y)
-        fy = y * (1.0 - y) * (c - e * x)
-        x += dt * fx
-        y += dt * fy
-        x = min(max(x, 0.0), 1.0)
-        y = min(max(y, 0.0), 1.0)
-        if i % record_every == 0:
-            xs[k] = x
-            ys[k] = y
-            k += 1
-    return xs[:k], ys[:k]

@@ -134,9 +134,23 @@ def sample_starts(n: int, rng: np.random.Generator) -> list[PopulationState]:
 
 
 def write_trajectories_csv(trajectories: list[Trajectory], path) -> None:
-    """Long-format CSV, one row per sample and one write per path; reprs need no quoting."""
+    """Long-format CSV, one row per sample and one write per path; reprs need no quoting.
+
+    Paths that took the same steps share their times, so the longest
+    path's times are formatted once and a path whose times are a prefix
+    of them, byte for byte (0.0 == -0.0 but their reprs differ), reuses
+    those strings.
+    """
+    longest = max((traj.times for traj in trajectories), key=len, default=np.empty(0))
+    shared_bytes = longest.tobytes()
+    shared = list(map(repr, longest.tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("trajectory_id,t,x,y\n")
         for tid, traj in enumerate(trajectories):
-            rows = zip(traj.times.tolist(), traj.states.tolist())
-            fh.write("".join([f"{tid},{t!r},{x!r},{y!r}\n" for t, (x, y) in rows]))
+            times = traj.times
+            if times.dtype == longest.dtype and shared_bytes.startswith(times.tobytes()):
+                ts = shared[: len(times)]
+            else:
+                ts = map(repr, times.tolist())
+            rows = zip(ts, traj.states.tolist())
+            fh.write("".join([f"{tid},{t},{x!r},{y!r}\n" for t, (x, y) in rows]))

@@ -168,8 +168,10 @@ def train_episode(
     shape = (b, cfg.input_dim)
     n = b * cfg.input_dim
     # both views encoded into one array, so the state is its column mean
+    # and the loss kernels take it stacked as (2, b, feature_dim)
     z = np.empty((2 * b, cfg.feature_dim))
     z1, z2 = z[:b], z[b:]
+    views = z.reshape(2, b, cfg.feature_dim)
     states = np.empty((period, cfg.feature_dim))
     actions = np.empty((period, 2))
     rewards = np.empty(period)
@@ -197,15 +199,15 @@ def train_episode(
                 np.divide(np.add.reduce(z, axis=0), 2 * b, out=state)
                 action, log_prob, value = _act(policy, state, draw[3 * n :])
                 alpha, beta = _weights(*action.tolist(), sched_cfg)
-                loss, loss_gen, loss_dis, g_z1, g_z2 = _ensemble(
-                    z1, z2, alpha, beta, temperature, epsilon
+                loss, loss_gen, loss_dis, g_z = _ensemble(
+                    views, alpha, beta, temperature, epsilon
                 )
                 if not math.isfinite(loss + log_prob + value):
                     raise ValidationError(
                         f"training diverged at step {step}: loss {loss!r}, "
                         f"log_prob {log_prob!r}, value {value!r}"
                     )
-                weights = weights - cfg.learning_rate * (x1.T @ g_z1 + x2.T @ g_z2)
+                weights = weights - cfg.learning_rate * (x1.T @ g_z[0] + x2.T @ g_z[1])
                 r = _reward(alpha, beta, target, target_norm, sched_cfg, loss, loss_prev)
                 loss_prev = loss
                 actions[k] = action

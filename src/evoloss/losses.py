@@ -39,7 +39,8 @@ class LossWeights:
             raise ValidationError("loss weights must not both be zero")
 
 
-def _check_pair(z1, z2) -> tuple[np.ndarray, np.ndarray]:
+def _check_pair(z1, z2) -> np.ndarray:
+    """The two views, checked, stacked into one (2, batch, dim) array."""
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
     if z1.ndim != 2 or z2.ndim != 2:
@@ -50,9 +51,10 @@ def _check_pair(z1, z2) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"need a batch of at least 2, got {z1.shape[0]}")
     if z1.shape[1] < 1:
         raise ValidationError("feature dimension must be at least 1")
-    if not (np.all(np.isfinite(z1)) and np.all(np.isfinite(z2))):
+    z = np.stack((z1, z2))
+    if not np.all(np.isfinite(z)):
         raise ValidationError("feature batches must be finite")
-    return z1, z2
+    return z
 
 
 def _check_temperature(temperature: float) -> None:
@@ -65,28 +67,37 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
 
 
-def _check_rows(z1: np.ndarray, z2: np.ndarray) -> None:
-    if (_row_norms(z1) == 0.0).any() or (_row_norms(z2) == 0.0).any():
+def _check_rows(z: np.ndarray) -> None:
+    if (_row_norms(z) == 0.0).any():
         raise NormalizationError("a feature row has zero norm")
 
 
-def _check_columns(z1: np.ndarray, z2: np.ndarray) -> None:
-    if (_centered_columns(z1)[1] == 0.0).any() or (_centered_columns(z2)[1] == 0.0).any():
+def _check_columns(z: np.ndarray) -> None:
+    if (_centered_columns(z)[1] == 0.0).any():
         raise DegenerateFeatureError("a feature column has zero variance")
 
 
-# The kernels below assume checked input: 2-D finite views of one shape,
-# no zero-norm row, no constant column, and a valid temperature/epsilon.
-# The training loop calls them directly, once its inputs are checked.
+# The kernels below take both views stacked into one (2, batch, dim)
+# array z, so that each per-view operation is one numpy call, and they
+# assume checked input: finite, no zero-norm row, no constant column,
+# and a valid temperature/epsilon.  The training loop calls them
+# directly, once its inputs are checked.  A stacked elementwise
+# operation or reduction rounds each view exactly as the same call on
+# that view alone.
 
 
 def _row_norms(z: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True))
+    return np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True))
+
+
+def _center(z: np.ndarray) -> np.ndarray:
+    """Each column minus its mean over the batch."""
+    return z - np.add.reduce(z, axis=-2, keepdims=True) / z.shape[-2]
 
 
 def _centered_columns(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    centered = z - np.add.reduce(z, axis=0) / z.shape[0]
-    return centered, np.sqrt(np.add.reduce(centered * centered, axis=0))
+    centered = _center(z)
+    return centered, np.sqrt(np.add.reduce(centered * centered, axis=-2, keepdims=True))
 
 
 def _exp_rows(s: np.ndarray):
@@ -97,12 +108,12 @@ def _exp_rows(s: np.ndarray):
     return m, e, np.add.reduce(e, axis=1, keepdims=True)
 
 
-def _info_nce(z1: np.ndarray, z2: np.ndarray, temperature: float):
-    """InfoNCE on checked input; returns (loss, grad_z1, grad_z2)."""
-    nu = _row_norms(z1)
-    nv = _row_norms(z2)
-    u = z1 / nu
-    v = z2 / nv
+def _info_nce(z: np.ndarray, temperature: float):
+    """InfoNCE on checked stacked views; returns (loss, grad), grad
+    stacked like z."""
+    norms = _row_norms(z)
+    w = z / norms
+    u, v = w
     s = (u @ v.T) / temperature
     n = s.shape[0]
     idx = np.arange(n)
@@ -119,20 +130,20 @@ def _info_nce(z1: np.ndarray, z2: np.ndarray, temperature: float):
     p2 = e2 / r2
     p2[idx, idx] -= 1.0
     g_s = (p1 + p2.T) / (2.0 * n)
-    g_u = (g_s @ v) / temperature
-    g_v = (g_s.T @ u) / temperature
+    g_w = np.empty_like(z)
+    np.matmul(g_s, v, out=g_w[0])
+    np.matmul(g_s.T, u, out=g_w[1])
+    g_w /= temperature
     # undo the row normalization: project out the radial component
-    g1 = (g_u - u * np.add.reduce(g_u * u, axis=1, keepdims=True)) / nu
-    g2 = (g_v - v * np.add.reduce(g_v * v, axis=1, keepdims=True)) / nv
-    return float(loss), g1, g2
+    return float(loss), (g_w - w * np.add.reduce(g_w * w, axis=-1, keepdims=True)) / norms
 
 
-def _barlow_twins(z1: np.ndarray, z2: np.ndarray, epsilon: float):
-    """Barlow Twins on checked input; returns (loss, grad_z1, grad_z2)."""
-    ca, na = _centered_columns(z1)
-    cb, nb = _centered_columns(z2)
-    a = ca / na
-    b = cb / nb
+def _barlow_twins(z: np.ndarray, epsilon: float):
+    """Barlow Twins on checked stacked views; returns (loss, grad), grad
+    stacked like z."""
+    centered, norms = _centered_columns(z)
+    w = centered / norms
+    a, b = w
     corr = a.T @ b
     idx = np.arange(corr.shape[0])
     diag = corr.diagonal()
@@ -141,29 +152,19 @@ def _barlow_twins(z1: np.ndarray, z2: np.ndarray, epsilon: float):
     loss = float(np.add.reduce((1.0 - diag) ** 2) + epsilon * np.add.reduce(off**2, axis=None))
     g_c = 2.0 * epsilon * corr
     g_c[idx, idx] = -2.0 * (1.0 - diag)
-    g_a = b @ g_c.T
-    g_b = a @ g_c
+    g_w = np.empty_like(z)
+    np.matmul(b, g_c.T, out=g_w[0])
+    np.matmul(a, g_c, out=g_w[1])
     # undo the column normalization, then the centering
-    g_za = (g_a - a * np.add.reduce(g_a * a, axis=0)) / na
-    g_zb = (g_b - b * np.add.reduce(g_b * b, axis=0)) / nb
-    n = g_za.shape[0]
-    g1 = g_za - np.add.reduce(g_za, axis=0) / n
-    g2 = g_zb - np.add.reduce(g_zb, axis=0) / n
-    return loss, g1, g2
+    return loss, _center((g_w - w * np.add.reduce(g_w * w, axis=-2, keepdims=True)) / norms)
 
 
-def _ensemble(z1, z2, alpha: float, beta: float, temperature: float, epsilon: float):
-    """Both losses on checked input and their weighted sum; returns
-    (loss, loss_gen, loss_dis, grad_z1, grad_z2)."""
-    loss_gen, gi1, gi2 = _info_nce(z1, z2, temperature)
-    loss_dis, gb1, gb2 = _barlow_twins(z1, z2, epsilon)
-    return (
-        alpha * loss_gen + beta * loss_dis,
-        loss_gen,
-        loss_dis,
-        alpha * gi1 + beta * gb1,
-        alpha * gi2 + beta * gb2,
-    )
+def _ensemble(z, alpha: float, beta: float, temperature: float, epsilon: float):
+    """Both losses on checked stacked views and their weighted sum;
+    returns (loss, loss_gen, loss_dis, grad), grad stacked like z."""
+    loss_gen, g_gen = _info_nce(z, temperature)
+    loss_dis, g_dis = _barlow_twins(z, epsilon)
+    return alpha * loss_gen + beta * loss_dis, loss_gen, loss_dis, alpha * g_gen + beta * g_dis
 
 
 def info_nce(z1, z2, temperature: float = DEFAULT_TEMPERATURE):
@@ -174,11 +175,11 @@ def info_nce(z1, z2, temperature: float = DEFAULT_TEMPERATURE):
     temperature-scaled cosine softmax, and the two directions are
     averaged.  Returns (loss, (grad_z1, grad_z2)).
     """
-    z1, z2 = _check_pair(z1, z2)
+    z = _check_pair(z1, z2)
     _check_temperature(temperature)
-    _check_rows(z1, z2)
-    loss, g1, g2 = _info_nce(z1, z2, temperature)
-    return loss, (g1, g2)
+    _check_rows(z)
+    loss, g = _info_nce(z, temperature)
+    return loss, (g[0], g[1])
 
 
 def cross_correlation(z1, z2) -> np.ndarray:
@@ -187,11 +188,11 @@ def cross_correlation(z1, z2) -> np.ndarray:
     Columns are centered over the batch and unit-normalized, so every
     entry is a correlation coefficient in [-1, 1].
     """
-    z1, z2 = _check_pair(z1, z2)
-    _check_columns(z1, z2)
-    ca, na = _centered_columns(z1)
-    cb, nb = _centered_columns(z2)
-    return (ca / na).T @ (cb / nb)
+    z = _check_pair(z1, z2)
+    _check_columns(z)
+    centered, norms = _centered_columns(z)
+    a, b = centered / norms
+    return a.T @ b
 
 
 def barlow_twins(z1, z2, epsilon: float = DEFAULT_OFFDIAG_WEIGHT):
@@ -200,11 +201,11 @@ def barlow_twins(z1, z2, epsilon: float = DEFAULT_OFFDIAG_WEIGHT):
     Pulls the diagonal toward 1 and the off-diagonal toward 0, the
     latter weighted by epsilon.  Returns (loss, (grad_z1, grad_z2)).
     """
-    z1, z2 = _check_pair(z1, z2)
+    z = _check_pair(z1, z2)
     _check_epsilon(epsilon)
-    _check_columns(z1, z2)
-    loss, g1, g2 = _barlow_twins(z1, z2, epsilon)
-    return loss, (g1, g2)
+    _check_columns(z)
+    loss, g = _barlow_twins(z, epsilon)
+    return loss, (g[0], g[1])
 
 
 def ensemble_loss(
@@ -221,10 +222,10 @@ def ensemble_loss(
     """
     if not isinstance(weights, LossWeights):
         weights = LossWeights(*weights)
-    z1, z2 = _check_pair(z1, z2)
+    z = _check_pair(z1, z2)
     _check_temperature(temperature)
-    _check_rows(z1, z2)
+    _check_rows(z)
     _check_epsilon(epsilon)
-    _check_columns(z1, z2)
-    loss, _, _, g1, g2 = _ensemble(z1, z2, weights.alpha, weights.beta, temperature, epsilon)
-    return float(loss), (g1, g2)
+    _check_columns(z)
+    loss, _, _, g = _ensemble(z, weights.alpha, weights.beta, temperature, epsilon)
+    return float(loss), (g[0], g[1])

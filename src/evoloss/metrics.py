@@ -124,7 +124,11 @@ def load_benchmark(path) -> BenchmarkTable:
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            try:
+                lines = list(reader)
+            except csv.Error as exc:  # a field over csv's size limit
+                raise BenchmarkParseError(str(exc), line=reader.line_num) from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     if not lines:

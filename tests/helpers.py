@@ -92,6 +92,32 @@ def euler_flow(p: PayoffParams, start: PopulationState, dt: float, t_max: float)
     return PopulationState(x, y)
 
 
+def euler_path(a, b, c, e, x0, y0, dt, n_steps, record_every):
+    """Plain forward-Euler path over the field coefficients, clamped to
+    the unit square, recording the start and then every record_every-th
+    step."""
+    m = n_steps // record_every + 1
+    xs = np.empty(m)
+    ys = np.empty(m)
+    x = x0
+    y = y0
+    xs[0] = x
+    ys[0] = y
+    k = 1
+    for i in range(1, n_steps + 1):
+        fx = x * (1.0 - x) * (a - b * y)
+        fy = y * (1.0 - y) * (c - e * x)
+        x += dt * fx
+        y += dt * fy
+        x = min(max(x, 0.0), 1.0)
+        y = min(max(y, 0.0), 1.0)
+        if i % record_every == 0:
+            xs[k] = x
+            ys[k] = y
+            k += 1
+    return xs[:k], ys[:k]
+
+
 def fd_jacobian(p: PayoffParams, state: PopulationState, h: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of the replicator field."""
     out = np.empty((2, 2))
@@ -158,6 +184,77 @@ def replay_train_episode(
             buffer = []
         records[step] = (step, w.alpha, w.beta, r, loss, loss_gen, loss_dis)
     return TrainingLog(records, weights, policy, tuple(updates))
+
+
+# The two losses one view at a time, as separate arrays: the reference
+# for the package kernels, which run both views as one stacked array.
+
+
+def _reference_row_norms(z):
+    return np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True))
+
+
+def _reference_centered_columns(z):
+    centered = z - np.add.reduce(z, axis=0) / z.shape[0]
+    return centered, np.sqrt(np.add.reduce(centered * centered, axis=0))
+
+
+def _reference_exp_rows(s):
+    m = np.maximum.reduce(s, axis=1, keepdims=True)
+    e = np.exp(s - m)
+    return m, e, np.add.reduce(e, axis=1, keepdims=True)
+
+
+def reference_info_nce(z1, z2, temperature):
+    """InfoNCE on checked input; returns (loss, grad_z1, grad_z2)."""
+    nu = _reference_row_norms(z1)
+    nv = _reference_row_norms(z2)
+    u = z1 / nu
+    v = z2 / nv
+    s = (u @ v.T) / temperature
+    n = s.shape[0]
+    idx = np.arange(n)
+    diag = s.diagonal()
+    m1, e1, r1 = _reference_exp_rows(s)
+    m2, e2, r2 = _reference_exp_rows(s.T)
+    loss = 0.5 * (
+        np.add.reduce((m1 + np.log(r1))[:, 0] - diag) / n
+        + np.add.reduce((m2 + np.log(r2))[:, 0] - diag) / n
+    )
+    p1 = e1 / r1
+    p1[idx, idx] -= 1.0
+    p2 = e2 / r2
+    p2[idx, idx] -= 1.0
+    g_s = (p1 + p2.T) / (2.0 * n)
+    g_u = (g_s @ v) / temperature
+    g_v = (g_s.T @ u) / temperature
+    g1 = (g_u - u * np.add.reduce(g_u * u, axis=1, keepdims=True)) / nu
+    g2 = (g_v - v * np.add.reduce(g_v * v, axis=1, keepdims=True)) / nv
+    return float(loss), g1, g2
+
+
+def reference_barlow_twins(z1, z2, epsilon):
+    """Barlow Twins on checked input; returns (loss, grad_z1, grad_z2)."""
+    ca, na = _reference_centered_columns(z1)
+    cb, nb = _reference_centered_columns(z2)
+    a = ca / na
+    b = cb / nb
+    corr = a.T @ b
+    idx = np.arange(corr.shape[0])
+    diag = corr.diagonal()
+    off = corr.copy()
+    off[idx, idx] = 0.0
+    loss = float(np.add.reduce((1.0 - diag) ** 2) + epsilon * np.add.reduce(off**2, axis=None))
+    g_c = 2.0 * epsilon * corr
+    g_c[idx, idx] = -2.0 * (1.0 - diag)
+    g_a = b @ g_c.T
+    g_b = a @ g_c
+    g_za = (g_a - a * np.add.reduce(g_a * a, axis=0)) / na
+    g_zb = (g_b - b * np.add.reduce(g_b * b, axis=0)) / nb
+    n = g_za.shape[0]
+    g1 = g_za - np.add.reduce(g_za, axis=0) / n
+    g2 = g_zb - np.add.reduce(g_zb, axis=0) / n
+    return loss, g1, g2
 
 
 #: Floats whose repr is easy to get wrong: signed zero, the smallest

@@ -33,7 +33,7 @@ from evoloss import _kernels
 from evoloss.cli import main as cli_main
 from evoloss.scheduler import reward
 
-from helpers import cosine, sample_gentle_pair, sample_saddle_params
+from helpers import cosine, euler_path, sample_gentle_pair, sample_saddle_params
 
 FIVE_POINT_PATTERN = (
     StabilityClass.UNSTABLE_POINT,
@@ -148,7 +148,7 @@ def test_criterion_4_rk4_matches_fine_euler_reference():
         _, xs, ys, _ = _kernels.rk4_path(
             a, b, c, e, start.x, start.y, 0.01, 10.0, -1.0, 1e-9
         )
-        ex, ey = _kernels.euler_path(
+        ex, ey = euler_path(
             a, b, c, e, start.x, start.y, 1e-5, 1_000_000, 1_000_000
         )
         worst = max(worst, abs(xs[-1] - ex[-1]), abs(ys[-1] - ey[-1]))

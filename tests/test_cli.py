@@ -148,6 +148,17 @@ def test_metrics_bad_input_exits_2(tmp_path, capsys):
     assert "header" in capsys.readouterr().err
 
 
+def test_metrics_oversized_field_exits_2(tmp_path, capsys):
+    """A field over the csv module's size limit is a parse error with its
+    line number; it used to escape as a csv.Error traceback."""
+    bad = tmp_path / "bench.csv"
+    bad.write_text("method,pretrain,eval,accuracy\nSL,C10,C10,99.0\n"
+                   f"BT,{'C' * 131073},C10,80.0\n", encoding="utf-8")
+    assert main(["metrics", "--input", str(bad), "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 3: field larger than field limit (131072)\n"
+
+
 # --------------------------------------------------------------- simulate
 
 
@@ -418,6 +429,42 @@ def test_saddle_params_fuzz(tmp_path, capsys, text):
     params = tmp_path / "game.params"
     params.write_text(text, encoding="utf-8")
     run_fuzzed(capsys, ["saddle", "--params", str(params)])
+
+
+WELL_FORMED_ROW = st.builds(
+    lambda *fields: ",".join(fields),
+    st.sampled_from(["BT", "SIM", "SIM+BT", "+BT", "SL+BT", '"M,X"', " BT "]),
+    st.sampled_from(["C10", "S10"]),
+    st.sampled_from(["C10", "S10"]),
+    st.floats(min_value=0.0, max_value=100.0).map(repr),
+)
+BENCHMARK_ROWS = st.one_of(
+    WELL_FORMED_ROW, WELL_FORMED_ROW, WELL_FORMED_ROW,
+    st.builds(lambda *fields: ",".join(fields), st.text(max_size=6), st.text(max_size=4),
+              st.text(max_size=4), NUMBERS),
+    st.text(max_size=30),
+    st.sampled_from(["SL,C10,S10,99.0", '"', '"a\nb"', "a,b,c,d,e", "C" * 131073]),
+)
+#: The header and a supervised reference for each dataset, so that many
+#: files get past the parser.
+BENCHMARK_HEAD = "method,pretrain,eval,accuracy\nSL,C10,C10,99.0\nSL,S10,S10,99.5\n"
+
+
+@FUZZ
+@given(text=st.one_of(
+    st.lists(WELL_FORMED_ROW, max_size=8, unique_by=lambda row: row.rsplit(",", 1)[0])
+    .map(lambda rows: BENCHMARK_HEAD + "\n".join(rows)),
+    lines_of(BENCHMARK_ROWS).map(lambda rows: BENCHMARK_HEAD + rows),
+    lines_of(BENCHMARK_ROWS),
+))
+# a gap below metrics.GAP_FLOOR is clamped with this warning and exits 0
+@pytest.mark.filterwarnings("ignore:.*clamping:RuntimeWarning")
+def test_metrics_benchmark_csv_fuzz(tmp_path, capsys, text):
+    """Benchmark CSVs that parse, and ones broken anywhere from the
+    header to an unclosed quote or an oversized field."""
+    table = tmp_path / "bench.csv"
+    table.write_text(text, encoding="utf-8")
+    run_fuzzed(capsys, ["metrics", "--input", str(table), "--output", str(tmp_path / "m.csv")])
 
 
 TRAIN_KEYS = [*TRAIN_CONFIG, "noise_scale", "learning_rate", "center", "explore_weight",

@@ -28,6 +28,7 @@ from evoloss.dynamics import CORNERS
 from helpers import (
     AWKWARD_FLOATS,
     euler_flow,
+    euler_path,
     reference_write_trajectories_csv,
     sample_gentle_pair,
 )
@@ -436,6 +437,34 @@ def test_write_trajectories_csv_bytes_on_awkward_floats(tmp_path):
     assert_same_csv_bytes(trajs, tmp_path)
 
 
+def test_write_trajectories_csv_bytes_on_shared_times(tmp_path):
+    """Times formatted once for the longest path are reused only by
+    paths whose times are a byte-for-byte prefix of its times: not by
+    one that starts at -0.0 (== 0.0), one whose step was halved, or one
+    with another NaN."""
+    times = [0.0]
+    for _ in range(39):
+        times.append(times[-1] + 0.01)
+    base = np.array(times + [math.nan])
+    halved = base.copy()
+    halved[11:] = halved[10] + 0.005 * np.arange(1, 31)
+    negative_zero = base[:30].copy()
+    negative_zero[0] = -0.0
+    other_nan = base[:6].copy()
+    other_nan[5] = -math.nan
+    rng = np.random.default_rng(7)
+
+    def path(ts):
+        return Trajectory(ts, rng.uniform(0.0, 1.0, (len(ts), 2)), None, "horizon")
+
+    trajs = [path(t) for t in (
+        base[:20], negative_zero, base, halved, base.copy(), other_nan, base[:1],
+        np.array([-0.0]), base[:40],
+    )]
+    assert_same_csv_bytes(trajs, tmp_path)
+    assert_same_csv_bytes([], tmp_path)
+
+
 @pytest.mark.parametrize("n_starts", [5, 2 * _kernels.BATCH_MIN_LANES + 6])
 def test_write_trajectories_csv_bytes_on_phase_portrait(fixture_params, tmp_path, n_starts):
     """Starts handed to the scalar loop at once, and a batch that hands
@@ -448,30 +477,83 @@ def test_write_trajectories_csv_bytes_on_phase_portrait(fixture_params, tmp_path
 # ----------------------------------------------------------------- kernels
 
 
-def test_rk4_path_matches_repeated_step_rk4(fixture_params):
-    """The whole recorded path is a walk of public single steps, bit for
-    bit: one run to a corner, and one unstopped run whose last step is
-    shortened to end at the horizon."""
-    a, b, c, e = field_coefficients(fixture_params)
-    dt = 0.01
-    for start, t_max, stop_tol in (((0.25, 0.8), 20.0, 1e-3), ((0.3, 0.7), 1.005, -1.0)):
-        ts, xs, ys, term = _kernels.rk4_path(
-            a, b, c, e, start[0], start[1], dt, t_max, stop_tol, 1e-9
-        )
-        state = PopulationState(*start)
-        t = 0.0
-        for i in range(1, len(ts)):
-            h = dt
-            if t + h > t_max:
-                h = t_max - t
-            state = step_rk4(fixture_params, state, h)
-            t += h
-            assert (ts[i], xs[i], ys[i]) == (t, state.x, state.y)
-        if stop_tol < 0.0:
-            assert term == -1
-            assert t == pytest.approx(t_max, abs=1e-9)
-        else:
-            assert np.hypot(*(np.array(state) - CORNERS[term])) <= stop_tol
+def rk4_step_walk(a, b, c, e, x, y, dt, t_max, stop_tol, clamp_tol):
+    """rk4_path's samples, as an (n, 3) array of (t, x, y), and its
+    terminal code, rebuilt from public rk4_step calls and the stopping
+    rules its docstring gives."""
+    n_max = 2 * int(t_max / dt) + 16
+    t = 0.0
+    samples = [(t, x, y)]
+    while True:
+        if stop_tol >= 0.0:
+            for k, (cx, cy) in enumerate(CORNERS):
+                if (x - cx) ** 2 + (y - cy) ** 2 <= stop_tol * stop_tol:
+                    return np.array(samples), k
+        if t >= t_max - 1e-12:
+            return np.array(samples), _kernels.TERM_HORIZON
+        if len(samples) >= n_max:
+            return np.array(samples), _kernels.TERM_BUDGET
+        h = dt if t + dt <= t_max else t_max - t
+        x, y, h = _kernels.rk4_step(a, b, c, e, x, y, h, clamp_tol)
+        t += h
+        samples.append((t, x, y))
+
+
+#: Field coefficients from the fixture's scale to ones whose products
+#: overflow to inf and then NaN within a step.
+COEFFICIENTS = st.one_of(
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.floats(min_value=-1.7e308, max_value=1.7e308),
+    st.sampled_from([1e300, -1e300, 1.7e308]),
+)
+#: Starts on the square's edges, signed zero and the least subnormal
+#: included, and anywhere inside it.
+EDGE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+FIXTURE_COEFFICIENTS = field_coefficients(FIXTURE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coefficients=st.tuples(COEFFICIENTS, COEFFICIENTS, COEFFICIENTS, COEFFICIENTS),
+    start=st.tuples(EDGE, EDGE),
+    dt=st.floats(min_value=1e-3, max_value=2.0),
+    steps=st.floats(min_value=1.0, max_value=40.0),
+    stop_tol=st.sampled_from([-1.0, 1e-3, 0.3]),
+    clamp_tol=st.sampled_from([-1e-3, 0.0, 1e-9, 0.5]),
+)
+# the fixture game to a corner, and unstopped to a shortened last step
+@example(coefficients=FIXTURE_COEFFICIENTS, start=(0.25, 0.8), dt=0.01, steps=2000.0,
+         stop_tol=1e-3, clamp_tol=1e-9)
+@example(coefficients=FIXTURE_COEFFICIENTS, start=(0.3, 0.7), dt=0.01, steps=100.5,
+         stop_tol=-1.0, clamp_tol=1e-9)
+# a first attempt that lands just above 1 or just below 0, inside
+# clamp_tol, and is clamped
+@example(coefficients=(1.181705378839979, 5.100122408660855, -3.3883647570507383,
+                       0.837332118762542),
+         start=(0.9999999972085007, 0.44516323996800733), dt=1.0, steps=3.0,
+         stop_tol=-1.0, clamp_tol=1e-9)
+@example(coefficients=(-1.1514045608258971, -1.3462458154956867, -2.443308684517121,
+                       4.326847791646987),
+         start=(1.4401446737901234e-07, 0.7009350561732821), dt=2.0, steps=3.0,
+         stop_tol=-1.0, clamp_tol=1e-9)
+# rejected attempts retried at half the step; overflow to NaN
+@example(coefficients=(5.0, 0.0, -5.0, 0.0), start=(0.5, 0.5), dt=2.0, steps=3.0,
+         stop_tol=-1.0, clamp_tol=-1e-3)
+@example(coefficients=(1.7e308, -1.7e308, 1e300, 1.7e308), start=(0.5, -0.0), dt=2.0,
+         steps=5.0, stop_tol=1e-3, clamp_tol=0.5)
+def test_rk4_path_matches_repeated_step_rk4(coefficients, start, dt, steps, stop_tol, clamp_tol):
+    """The whole recorded path is a walk of public rk4_step calls, bit
+    for bit: each step its first attempt takes without rk4_step, each
+    halved or clamped one, and the corner, horizon and budget stops,
+    NaN samples included."""
+    t_max = dt * steps
+    ts, xs, ys, term = _kernels.rk4_path(*coefficients, *start, dt, t_max, stop_tol, clamp_tol)
+    want, want_term = rk4_step_walk(*coefficients, *start, dt, t_max, stop_tol, clamp_tol)
+    assert np.column_stack((ts, xs, ys)).tobytes() == want.tobytes()
+    assert term == want_term
 
 
 # sqrt of half the least subnormal: a point closer than this to a corner
@@ -513,10 +595,10 @@ def test_box_pretest_keeps_every_corner_stop(stop_tol, corner, axis, scale, ulps
 
 
 def test_euler_kernel_matches_public_rhs_walk(fixture_params):
-    """The Euler kernel reproduces a plain loop over the public
+    """The Euler reference path reproduces a plain loop over the public
     right-hand side exactly."""
     a, b, c, e = field_coefficients(fixture_params)
-    xs, ys = _kernels.euler_path(a, b, c, e, 0.3, 0.7, 1e-3, 5000, 5000)
+    xs, ys = euler_path(a, b, c, e, 0.3, 0.7, 1e-3, 5000, 5000)
     ref = euler_flow(fixture_params, PopulationState(0.3, 0.7), 1e-3, 5.0)
     assert (xs[-1], ys[-1]) == (ref.x, ref.y)
 
@@ -539,7 +621,7 @@ def test_rk4_vs_euler_fixture_scale(fixture_params):
         ts, xs, ys, _ = _kernels.rk4_path(
             a, b, c, e, start[0], start[1], 0.01, 10.0, -1.0, 1e-9
         )
-        ex, ey = _kernels.euler_path(
+        ex, ey = euler_path(
             a, b, c, e, start[0], start[1], 1e-5, 1_000_000, 1_000_000
         )
         assert abs(xs[-1] - ex[-1]) < 1e-4
@@ -553,7 +635,7 @@ def test_rk4_vs_euler_weak_field(rng):
         ts, xs, ys, _ = _kernels.rk4_path(
             a, b, c, e, start.x, start.y, 0.01, 10.0, -1.0, 1e-9
         )
-        ex, ey = _kernels.euler_path(
+        ex, ey = euler_path(
             a, b, c, e, start.x, start.y, 1e-5, 1_000_000, 1_000_000
         )
         assert abs(xs[-1] - ex[-1]) < 1e-6

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from evoloss import (
     DegenerateFeatureError,
@@ -16,7 +17,9 @@ from evoloss import (
     ensemble_loss,
     info_nce,
 )
-from evoloss.losses import DEFAULT_OFFDIAG_WEIGHT, DEFAULT_TEMPERATURE
+from evoloss.losses import DEFAULT_OFFDIAG_WEIGHT, DEFAULT_TEMPERATURE, _ensemble
+
+from helpers import reference_barlow_twins, reference_info_nce
 
 
 def fd_grad(fn, z, h=1e-6):
@@ -259,3 +262,53 @@ def test_ensemble_loss_custom_knobs_forwarded(rng):
     dis, _ = barlow_twins(z1, z2, epsilon=0.1)
     assert loss == gen + dis
     assert DEFAULT_TEMPERATURE == 0.07 and DEFAULT_OFFDIAG_WEIGHT == 0.0051
+
+
+# ------------------------------------------------------- stacked kernels
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    batch=st.integers(min_value=2, max_value=40),
+    dim=st.integers(min_value=1, max_value=20),
+    log_scale=st.floats(min_value=-3.0, max_value=3.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    temperature=st.sampled_from([DEFAULT_TEMPERATURE, 0.5, 2.0]),
+    epsilon=st.sampled_from([DEFAULT_OFFDIAG_WEIGHT, 0.0, 0.3]),
+    weights=st.sampled_from([(0.5, 0.5), (0.9, 0.2), (1.0, 0.0), (1e-3, 1.0)]),
+)
+@example(batch=2, dim=1, log_scale=0.0, seed=0, temperature=DEFAULT_TEMPERATURE,
+         epsilon=DEFAULT_OFFDIAG_WEIGHT, weights=(0.5, 0.5))
+@example(batch=2, dim=8, log_scale=-3.0, seed=1, temperature=DEFAULT_TEMPERATURE,
+         epsilon=DEFAULT_OFFDIAG_WEIGHT, weights=(0.5, 0.5))
+@example(batch=32, dim=1, log_scale=3.0, seed=2, temperature=DEFAULT_TEMPERATURE,
+         epsilon=DEFAULT_OFFDIAG_WEIGHT, weights=(0.5, 0.5))
+def test_stacked_kernels_match_per_view_reference(
+    batch, dim, log_scale, seed, temperature, epsilon, weights
+):
+    """The losses run both views as one stacked array; each loss and
+    gradient equals, byte for byte, the same arithmetic on the two views
+    as separate arrays.  Checked through the public functions and
+    through the training loop's stacked buffer."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2 * batch, dim)) * 10.0**log_scale
+    z1, z2 = z[:batch], z[batch:]
+    gen, gi1, gi2 = reference_info_nce(z1, z2, temperature)
+    dis, gb1, gb2 = reference_barlow_twins(z1, z2, epsilon)
+    got_gen, (g1, g2) = info_nce(z1, z2, temperature)
+    assert (got_gen, g1.tobytes(), g2.tobytes()) == (gen, gi1.tobytes(), gi2.tobytes())
+    got_dis, (g1, g2) = barlow_twins(z1, z2, epsilon)
+    assert (got_dis, g1.tobytes(), g2.tobytes()) == (dis, gb1.tobytes(), gb2.tobytes())
+    ca = z1 - np.add.reduce(z1, axis=0) / batch
+    cb = z2 - np.add.reduce(z2, axis=0) / batch
+    corr = (ca / np.sqrt(np.add.reduce(ca * ca, axis=0))).T @ (
+        cb / np.sqrt(np.add.reduce(cb * cb, axis=0))
+    )
+    assert cross_correlation(z1, z2).tobytes() == corr.tobytes()
+    alpha, beta = weights
+    loss, loss_gen, loss_dis, g = _ensemble(
+        z.reshape(2, batch, dim), alpha, beta, temperature, epsilon
+    )
+    assert (loss, loss_gen, loss_dis) == (alpha * gen + beta * dis, gen, dis)
+    assert g[0].tobytes() == (alpha * gi1 + beta * gb1).tobytes()
+    assert g[1].tobytes() == (alpha * gi2 + beta * gb2).tobytes()
