@@ -188,22 +188,16 @@ def rk4_path(a, b, c, e, x0, y0, dt, t_max, stop_tol, clamp_tol):
     return np.array(ts), np.array(xs), np.array(ys), terminal
 
 
-def _inside(xn, yn, clamp_tol):
-    """Lanes whose attempt rk4_step would accept."""
-    return (
-        (-clamp_tol <= xn) & (xn <= 1.0 + clamp_tol)
-        & (-clamp_tol <= yn) & (yn <= 1.0 + clamp_tol)
-    )
-
-
 def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol, clamp_tol):
     """rk4_path from many starts at once, one numpy lane per start.
 
     Each lane makes the decisions rk4_path makes from its start: the
-    shortened horizon step, up to 64 halvings of a rejected attempt
-    (only rejected lanes are retried), the first corner in CORNERS order
-    within stop_tol, and the same horizon and budget stops.  With the
-    same elementwise arithmetic (rk4_attempt) every lane is bit-identical
+    shortened horizon step, the first corner in CORNERS order within
+    stop_tol, and the same horizon and budget stops.  A step's attempts
+    are computed for all lanes at once (rk4_attempt, the same elementwise
+    arithmetic); a lane whose attempt cannot be taken as it is, because
+    it leaves [lo, hi] of _unclamped or is NaN, goes alone through
+    rk4_step, which halves and clamps it.  So every lane is bit-identical
     to rk4_path.  Finished lanes leave the working arrays, and once fewer
     than BATCH_MIN_LANES are left, each runs on in the loop of rk4_path.
 
@@ -267,31 +261,15 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol, clamp_tol):
                 pieces[r].append(buf[:, r].copy())
         h = np.where(t + dt > t_max, t_max - t, dt)
         xn, yn = rk4_attempt(a, b, c, e, x, y, h)
-        # NaN fails both tests and takes the checked path
-        if np.minimum(xn, yn).min() >= lo and np.maximum(xn, yn).max() <= hi:
-            x, y = xn, yn
-        else:
-            rejected = np.flatnonzero(~_inside(xn, yn, clamp_tol))
-            if len(rejected):
-                for _ in range(63):
-                    h[rejected] *= 0.5
-                    xr, yr = rk4_attempt(
-                        a, b, c, e, x[rejected], y[rejected], h[rejected]
-                    )
-                    xn[rejected] = xr
-                    yn[rejected] = yr
-                    rejected = rejected[~_inside(xr, yr, clamp_tol)]
-                    if not len(rejected):
-                        break
-                # after 64 rejected attempts the last is kept, its step
-                # halved once more
-                h[rejected] *= 0.5
-            # min(max(v, 0.0), 1.0) as Python evaluates it: max(-0.0, 0.0)
-            # is -0.0, where np.maximum and np.clip give 0.0
-            xn = np.where(0.0 > xn, 0.0, xn)
-            yn = np.where(0.0 > yn, 0.0, yn)
-            x = np.where(1.0 < xn, 1.0, xn)
-            y = np.where(1.0 < yn, 1.0, yn)
+        # NaN fails both tests; the lanes that cannot be taken as they
+        # are go one by one through rk4_step, which recomputes their attempt
+        if not (np.minimum(xn, yn).min() >= lo and np.maximum(xn, yn).max() <= hi):
+            ok = (xn >= lo) & (xn <= hi) & (yn >= lo) & (yn <= hi)
+            for i in np.flatnonzero(~ok).tolist():
+                xn[i], yn[i], h[i] = rk4_step(
+                    a, b, c, e, float(x[i]), float(y[i]), float(h[i]), clamp_tol
+                )
+        x, y = xn, yn
         t = t + h
     del buf  # returned to the OS before the pieces are joined
     paths = []

@@ -30,7 +30,7 @@ from .metrics import (
     load_benchmark,
     load_payoff_params,
 )
-from .scheduler import SchedulerConfig
+from .scheduler import SchedulerConfig, _cosine
 from .stability import enumerate_equilibria, equilibria_table, write_equilibria_csv
 
 
@@ -214,9 +214,8 @@ def run_train(args) -> int:
     window = min(1000, cfg.steps)
     mean_alpha = float(log.alphas[-window:].mean())
     mean_beta = float(log.betas[-window:].mean())
-    target = np.asarray(sched_cfg.target)
-    pair = np.array([mean_alpha, mean_beta])
-    cosine = float(pair @ target / (np.linalg.norm(pair) * np.linalg.norm(target)))
+    target = np.asarray(sched_cfg.target, dtype=float)
+    cosine = _cosine(np.array([mean_alpha, mean_beta]), target, np.linalg.norm(target))
     print(f"steps = {cfg.steps}")
     print(f"trailing_mean_alpha = {mean_alpha!r}")
     print(f"trailing_mean_beta = {mean_beta!r}")

@@ -56,6 +56,10 @@ class Trajectory:
     reason: str
 
     def __post_init__(self):
+        # float64 throughout, so integer times are written as floats;
+        # no copy is made of float64 arrays
+        for name in ("times", "states"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if self.times.ndim != 1 or self.states.shape != (len(self.times), 2):
             raise ValidationError("trajectory arrays have inconsistent shapes")
         if self.reason not in STOP_REASONS or (
@@ -148,7 +152,7 @@ def write_trajectories_csv(trajectories: list[Trajectory], path) -> None:
         fh.write("trajectory_id,t,x,y\n")
         for tid, traj in enumerate(trajectories):
             times = traj.times
-            if times.dtype == longest.dtype and shared_bytes.startswith(times.tobytes()):
+            if shared_bytes.startswith(times.tobytes()):
                 ts = shared[: len(times)]
             else:
                 ts = map(repr, times.tolist())

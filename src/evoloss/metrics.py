@@ -77,7 +77,7 @@ class BenchmarkTable:
         if method == SL_METHOD:
             if pretrain != eval:
                 raise MissingRecordError(
-                    f"supervised rows are homogeneous; no ({method}, {pretrain}, {eval})"
+                    f"supervised rows are homogeneous; no {(method, pretrain, eval)!r}"
                 )
             return self.sl_accuracy(eval)
         for rec in self.ssl_accuracies + self.ensemble_accuracies:
@@ -110,7 +110,7 @@ def _build_table(rows: list[AccuracyRecord]) -> BenchmarkTable:
     for rec in ssl + ens:
         if rec.eval not in sl:
             raise ValidationError(
-                f"record ({rec.method}, {rec.pretrain}, {rec.eval}) has no "
+                f"record {(rec.method, rec.pretrain, rec.eval)!r} has no "
                 f"supervised reference accuracy for {rec.eval!r}"
             )
     return BenchmarkTable(sl, tuple(ssl), tuple(ens))

@@ -212,10 +212,15 @@ def reward(
     return _reward(weights.alpha, weights.beta, t, np.linalg.norm(t), cfg, loss_t, loss_prev)
 
 
+def _cosine(pair, target, target_norm):
+    """Cosine between a weight pair and the target, both float arrays,
+    given the target's norm."""
+    return float(pair @ target / (np.sqrt(pair.dot(pair)) * target_norm))
+
+
 def _reward(alpha, beta, target, target_norm, cfg, loss_t, loss_prev):
     """reward() on checked input, with the target as an array and its norm."""
-    w = np.array([alpha, beta])
-    first = float(w @ target / (np.sqrt(w.dot(w)) * target_norm))
+    first = _cosine(np.array([alpha, beta]), target, target_norm)
     if loss_prev is None:
         return first
     denom = max(abs(loss_t - cfg.prev_loss_scale * loss_prev), cfg.denom_floor)
@@ -332,12 +337,11 @@ def _ppo_step(policy: PolicyParams, states, actions, rewards, old_logp, values):
     new_logp = _squashed_log_prob(raw, mu, log_std, actions)
     ratio = np.exp(new_logp - old_logp)
 
-    unclipped = ratio * adv
-    clipped = np.clip(ratio, 1.0 - CLIP_EPS, 1.0 + CLIP_EPS) * adv
-    objective = np.minimum(unclipped, clipped)
+    objective = clipped_objective(ratio, adv)
     policy_loss = -float(objective.mean())
     # gradient flows only through samples where the unclipped branch wins
-    active = unclipped <= clipped
+    unclipped = ratio * adv
+    active = unclipped <= objective
     dl_dlogp = -(active * ratio * adv) / n
 
     z = (raw - mu) / std
@@ -375,7 +379,7 @@ def _ppo_step(policy: PolicyParams, states, actions, rewards, old_logp, values):
     stats = {
         "policy_loss": policy_loss,
         "value_loss": value_loss,
-        "clip_fraction": float(np.mean(unclipped > clipped)),
+        "clip_fraction": float(np.mean(~active)),
         "mean_ratio": float(ratio.mean()),
     }
     return new_policy, stats
@@ -427,6 +431,8 @@ def load_policy(path) -> PolicyParams:
         ) from None
     if version != _POLICY_VERSION:
         raise ValidationError(f"unsupported checkpoint version {head[1]}")
+    if state_dim < 1 or hidden < 1:
+        raise ValidationError(f"checkpoint header has a size below 1: {lines[0]!r}")
     try:
         flat = np.array([float(v) for v in lines[1:] if v.strip()])
     except ValueError:
@@ -442,7 +448,7 @@ def load_policy(path) -> PolicyParams:
         (1,),
         (2,),
     )
-    expected = sum(int(np.prod(s)) for s in shapes)
+    expected = sum(math.prod(s) for s in shapes)
     if len(flat) != expected:
         raise ValidationError(
             f"checkpoint holds {len(flat)} values, expected {expected}"
@@ -450,7 +456,7 @@ def load_policy(path) -> PolicyParams:
     parts = []
     offset = 0
     for shape in shapes:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         parts.append(flat[offset : offset + size].reshape(shape))
         offset += size
     return PolicyParams(

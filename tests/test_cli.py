@@ -5,7 +5,7 @@ import hashlib
 import shutil
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from evoloss.cli import main
 
@@ -457,6 +457,8 @@ BENCHMARK_HEAD = "method,pretrain,eval,accuracy\nSL,C10,C10,99.0\nSL,S10,S10,99.
     lines_of(BENCHMARK_ROWS).map(lambda rows: BENCHMARK_HEAD + rows),
     lines_of(BENCHMARK_ROWS),
 ))
+# an eval name with a form feed, which once split the error message in two
+@example(text=BENCHMARK_HEAD + "0,0,0\x0c0,0.0")
 # a gap below metrics.GAP_FLOOR is clamped with this warning and exits 0
 @pytest.mark.filterwarnings("ignore:.*clamping:RuntimeWarning")
 def test_metrics_benchmark_csv_fuzz(tmp_path, capsys, text):

@@ -465,6 +465,17 @@ def test_write_trajectories_csv_bytes_on_shared_times(tmp_path):
     assert_same_csv_bytes([], tmp_path)
 
 
+def test_trajectory_integer_arrays_are_written_as_floats(tmp_path):
+    """Integer times and states become float64, so the writer prints
+    0.0 where it printed 0 and agrees with the csv-module reference."""
+    traj = Trajectory(np.array([0, 1]), np.array([[0, 1], [1, 0]]), None, "horizon")
+    assert traj.times.dtype == traj.states.dtype == np.float64
+    assert_same_csv_bytes([traj], tmp_path)
+    assert (tmp_path / "paths.csv").read_text().splitlines()[1] == "0,0.0,0.0,1.0"
+    times = np.linspace(0.0, 1.0, 3)
+    assert Trajectory(times, np.zeros((3, 2)), None, "horizon").times is times
+
+
 @pytest.mark.parametrize("n_starts", [5, 2 * _kernels.BATCH_MIN_LANES + 6])
 def test_write_trajectories_csv_bytes_on_phase_portrait(fixture_params, tmp_path, n_starts):
     """Starts handed to the scalar loop at once, and a batch that hands
@@ -554,6 +565,44 @@ def test_rk4_path_matches_repeated_step_rk4(coefficients, start, dt, steps, stop
     want, want_term = rk4_step_walk(*coefficients, *start, dt, t_max, stop_tol, clamp_tol)
     assert np.column_stack((ts, xs, ys)).tobytes() == want.tobytes()
     assert term == want_term
+
+
+# a lane whose every attempt is NaN makes 64 of them per step, in
+# rk4_paths and in rk4_path alike, so the paths are kept short
+@settings(max_examples=40, deadline=None)
+@given(
+    coefficients=st.tuples(COEFFICIENTS, COEFFICIENTS, COEFFICIENTS, COEFFICIENTS),
+    starts=st.lists(st.tuples(EDGE, EDGE), min_size=2 * LANES, max_size=2 * LANES + 8),
+    dt=st.floats(min_value=1e-3, max_value=2.0),
+    steps=st.floats(min_value=1.0, max_value=8.0),
+    stop_tol=st.sampled_from([-1.0, 1e-3, 0.3]),
+    clamp_tol=st.sampled_from([-1e-3, 0.0, 1e-9, 0.5]),
+)
+# lanes overflow to NaN while the sweep is batched
+@example(coefficients=(1.7e308, -1.7e308, 1e300, 1.7e308), starts=list(RANDOM_STARTS[:2 * LANES]),
+         dt=2.0, steps=5.0, stop_tol=1e-3, clamp_tol=0.5)
+# one batched step takes some lanes as they are, halves others and
+# clamps others onto the square
+@example(coefficients=FIXTURE_COEFFICIENTS, starts=list(RANDOM_STARTS[:2 * LANES]), dt=2.0,
+         steps=8.0, stop_tol=-1.0, clamp_tol=1e-9)
+def test_rk4_paths_matches_rk4_path_per_start(coefficients, starts, dt, steps, stop_tol,
+                                              clamp_tol):
+    """Every lane of the batched sweep is bit for bit rk4_path from its
+    start, whichever lanes of a batched step go through rk4_step."""
+    t_max = dt * steps
+    # huge coefficients overflow to inf and NaN on purpose
+    with np.errstate(over="ignore", invalid="ignore"):
+        paths = _kernels.rk4_paths(
+            *coefficients, [s[0] for s in starts], [s[1] for s in starts],
+            dt, t_max, stop_tol, clamp_tol,
+        )
+    for start, (ts, states, term) in zip(starts, paths):
+        want_ts, xs, ys, want_term = _kernels.rk4_path(
+            *coefficients, *start, dt, t_max, stop_tol, clamp_tol
+        )
+        assert ts.tobytes() == want_ts.tobytes()
+        assert states.tobytes() == np.column_stack((xs, ys)).tobytes()
+        assert term == want_term
 
 
 # sqrt of half the least subnormal: a point closer than this to a corner

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from evoloss import (
     LossWeights,
@@ -402,6 +402,63 @@ def test_load_policy_corruption(tmp_path):
     empty.write_text("")
     with pytest.raises(ValidationError, match="empty"):
         load_policy(empty)
+
+
+def assert_loads_or_rejects(path):
+    """load_policy returns a policy init_policy could have made, or
+    raises ValidationError; nothing else escapes."""
+    try:
+        policy = load_policy(path)
+    except ValidationError:
+        return
+    assert isinstance(policy, PolicyParams)
+    assert policy.state_dim >= 1 and policy.hidden >= 1
+
+
+CHECKPOINT_FUZZ = settings(
+    max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@CHECKPOINT_FUZZ
+@given(text=st.one_of(
+    st.text(max_size=120),
+    st.builds(lambda head, body: f"evoloss-policy {head}\n{body}",
+              st.text(max_size=20), st.text(max_size=100)),
+))
+def test_load_policy_fuzz_text(tmp_path, text):
+    path = tmp_path / "policy.txt"
+    path.write_text(text, encoding="utf-8")
+    assert_loads_or_rejects(path)
+
+
+HEADER_FIELD = st.one_of(
+    st.integers(min_value=-3, max_value=4).map(str),
+    st.sampled_from(["", "1.0", "+1", "0x1", "1e3", "\u0663", str(10**20)]),
+)
+
+
+@CHECKPOINT_FUZZ
+@given(
+    state_dim=st.integers(min_value=1, max_value=3),
+    hidden=st.integers(min_value=1, max_value=3),
+    header=st.lists(HEADER_FIELD, min_size=3, max_size=3),
+    kept=st.integers(min_value=0, max_value=60),
+)
+# a -1 size reached reshape as one unknown dimension too many
+@example(state_dim=1, hidden=1, header=["1", "-1", "-1"], kept=2)
+# zero sizes loaded a policy init_policy rejects
+@example(state_dim=1, hidden=1, header=["1", "0", "0"], kept=5)
+def test_load_policy_fuzz_header(tmp_path, state_dim, hidden, header, kept):
+    """A real checkpoint with its header's version and sizes replaced and
+    its values cut short or repeated to `kept` lines."""
+    path = tmp_path / "policy.txt"
+    save_policy(init_policy(state_dim, np.random.default_rng(0), hidden=hidden), path)
+    values = path.read_text().splitlines()[1:]
+    values = (values * (kept // len(values) + 1))[:kept]
+    path.write_text("\n".join([f"evoloss-policy {' '.join(header)}", *values]) + "\n")
+    assert_loads_or_rejects(path)
 
 
 def test_cosine_helper_sanity():
