@@ -3,10 +3,10 @@
 The field is dx/dt = x(1-x)(a - b y), dy/dt = y(1-y)(c - e x); the
 functions take the four precomputed coefficients so they stay
 independent of the dataclasses in the rest of the package.  They are
-plain Python over floats, except rk4_paths, which steps many starts at
-once over numpy arrays with the same arithmetic; evobench/README.md
-describes how their cost is measured.  The forward-Euler reference the
-tests compare against lives with them, in tests/helpers.py.
+plain Python over floats, except rk4_paths, which takes the ordinary
+steps of many starts at once over numpy arrays and hands any other step
+to the scalar loop; evobench/README.md describes how their cost is
+measured.  The tests' forward-Euler reference is in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ JIT_ENABLED = False
 
 
 #: Terminal codes besides a corner index: the horizon t_max was reached,
-#: or the sample budget ran out first.
+#: the sample budget ran out first, or a step's result was NaN.
 TERM_HORIZON = -1
 TERM_BUDGET = -2
+TERM_DIVERGED = -3
 
 #: Samples per lane that rk4_paths holds before flushing them into the
 #: lane's pieces.  A buffer for every step of every lane would cost more
@@ -98,7 +99,7 @@ BATCH_MIN_LANES = 32
 
 
 def _stop_test(stop_tol):
-    """(corners, tol2, box) for the corner stop test of both kernels.
+    """(corners, tol2, box) of the corner stop test; rk4_paths uses box.
 
     A point stops at the first of the (index, corner) pairs with
     (x - cx) ** 2 + (y - cy) ** 2 <= tol2, as _corner_hit computes it;
@@ -152,11 +153,13 @@ def _rk4_run(a, b, c, e, t, x, y, n, dt, t_max, stop_tol, clamp_tol, ts, xs, ys)
             h = t_max - t
         xn, yn = rk4_attempt(a, b, c, e, x, y, h)
         # NaN fails both tests and takes the checked path, which
-        # recomputes this attempt
+        # recomputes this attempt and ends the path if it stays NaN
         if lo <= xn <= hi and lo <= yn <= hi:
             x, y = xn, yn
         else:
             x, y, h = rk4_step(a, b, c, e, x, y, h, clamp_tol)
+            if x != x or y != y:
+                return TERM_DIVERGED
         t += h
         ts.append(t)
         xs.append(x)
@@ -175,8 +178,9 @@ def rk4_path(a, b, c, e, x0, y0, dt, t_max, stop_tol, clamp_tol):
 
     Returns (times, xs, ys, terminal): the recorded samples, and
     terminal, the index into CORNERS of the corner reached, TERM_HORIZON
-    when t_max was reached first, or TERM_BUDGET when the sample budget
-    ran out first.
+    when t_max was reached first, TERM_BUDGET when the sample budget
+    ran out first, or TERM_DIVERGED when a step's result was NaN, which
+    is not recorded.
     """
     # growable buffers of C doubles, 8 bytes a sample
     ts = array("d", (0.0,))
@@ -188,25 +192,26 @@ def rk4_path(a, b, c, e, x0, y0, dt, t_max, stop_tol, clamp_tol):
     return np.array(ts), np.array(xs), np.array(ys), terminal
 
 
+# a lane whose attempt overflows leaves the batch, so numpy need not warn
+@np.errstate(over="ignore", invalid="ignore")
 def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol, clamp_tol):
     """rk4_path from many starts at once, one numpy lane per start.
 
-    Each lane makes the decisions rk4_path makes from its start: the
-    shortened horizon step, the first corner in CORNERS order within
-    stop_tol, and the same horizon and budget stops.  A step's attempts
-    are computed for all lanes at once (rk4_attempt, the same elementwise
-    arithmetic); a lane whose attempt cannot be taken as it is, because
-    it leaves [lo, hi] of _unclamped or is NaN, goes alone through
-    rk4_step, which halves and clamps it.  So every lane is bit-identical
-    to rk4_path.  Finished lanes leave the working arrays, and once fewer
-    than BATCH_MIN_LANES are left, each runs on in the loop of rk4_path.
+    The lanes take ordinary steps together, with the same elementwise
+    arithmetic (rk4_attempt).  A lane leaves the batch at a recorded
+    sample in the box of _stop_test, at the horizon, or when its next
+    attempt leaves [lo, hi] of _unclamped or is NaN; every lane leaves
+    once the budget is spent or fewer than BATCH_MIN_LANES are left.  A
+    lane that leaves runs on from that sample in the loop of rk4_path,
+    which alone decides its stop and alone halves or clamps a step, so
+    every lane is bit-identical to rk4_path.
 
     Returns one (times, states, terminal) per start, in start order,
     states being the (n, 2) array of recorded (x, y) samples.
     """
     lanes = len(x0s)
     n_max = 2 * int(t_max / dt) + 16
-    corners, tol2, box = _stop_test(stop_tol)
+    box = _stop_test(stop_tol)[2]
     t_end = t_max - 1e-12
     lo, hi = _unclamped(clamp_tol)
     # the start index of each working lane, also its row in buf
@@ -216,7 +221,7 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol, clamp_tol):
     y = np.array(y0s, dtype=np.float64)
     buf = np.empty((3, lanes, _CHUNK))
     pieces = [[] for _ in range(lanes)]
-    terminal = [TERM_HORIZON] * lanes
+    terminal = [None] * lanes
     n = 0
     while True:
         col = n % _CHUNK
@@ -224,53 +229,35 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol, clamp_tol):
         buf[1, lane, col] = x
         buf[2, lane, col] = y
         n += 1
-        if len(lane) < BATCH_MIN_LANES:
-            for i, r in enumerate(lane.tolist()):
-                pieces[r].append(buf[:, r, : col + 1].copy())
-                ts, xs, ys = array("d"), array("d"), array("d")
-                terminal[r] = _rk4_run(
-                    a, b, c, e, float(t[i]), float(x[i]), float(y[i]), n,
-                    dt, t_max, stop_tol, clamp_tol, ts, xs, ys,
-                )
+        leave = range(len(lane))  # all of them, unless the batch steps on
+        if n < n_max and len(lane) >= BATCH_MIN_LANES:
+            h = np.where(t + dt > t_max, t_max - t, dt)
+            xn, yn = rk4_attempt(a, b, c, e, x, y, h)
+            # NaN fails the last two tests
+            stay = (
+                ((np.minimum(x, 1.0 - x) > box) | (np.minimum(y, 1.0 - y) > box))
+                & (t < t_end) & (np.minimum(xn, yn) >= lo) & (np.maximum(xn, yn) <= hi)
+            )
+            leave = np.flatnonzero(~stay).tolist()
+        for i in leave:
+            r = lane[i]
+            pieces[r].append(buf[:, r, : col + 1].copy())
+            ts, xs, ys = array("d"), array("d"), array("d")
+            terminal[r] = _rk4_run(
+                a, b, c, e, float(t[i]), float(x[i]), float(y[i]), n,
+                dt, t_max, stop_tol, clamp_tol, ts, xs, ys,
+            )
+            if ts:
                 pieces[r].append(np.array((ts, xs, ys)))
+        if len(leave) == len(lane):
             break
-        # working lane -> terminal code, for the lanes that stop here
-        stops = {}
-        near = (np.minimum(x, 1.0 - x) <= box) & (np.minimum(y, 1.0 - y) <= box)
-        for i in np.flatnonzero(near).tolist():
-            k = _corner_hit(float(x[i]), float(y[i]), corners, tol2)
-            if k != TERM_HORIZON:
-                stops[i] = k
-        for i in np.flatnonzero(t >= t_end).tolist():
-            stops.setdefault(i, TERM_HORIZON)
-        if n >= n_max:
-            for i in range(len(lane)):
-                stops.setdefault(i, TERM_BUDGET)
-        if stops:
-            for i, k in stops.items():
-                r = lane[i]
-                pieces[r].append(buf[:, r, : col + 1].copy())
-                terminal[r] = k
-            keep = np.ones(len(lane), dtype=bool)
-            keep[list(stops)] = False
-            lane, t, x, y = lane[keep], t[keep], x[keep], y[keep]
-            if not len(lane):
-                break
+        t = t + h
+        x, y = xn, yn
+        if leave:
+            lane, t, x, y = lane[stay], t[stay], x[stay], y[stay]
         if col == _CHUNK - 1:
             for r in lane:
                 pieces[r].append(buf[:, r].copy())
-        h = np.where(t + dt > t_max, t_max - t, dt)
-        xn, yn = rk4_attempt(a, b, c, e, x, y, h)
-        # NaN fails both tests; the lanes that cannot be taken as they
-        # are go one by one through rk4_step, which recomputes their attempt
-        if not (np.minimum(xn, yn).min() >= lo and np.maximum(xn, yn).max() <= hi):
-            ok = (xn >= lo) & (xn <= hi) & (yn >= lo) & (yn <= hi)
-            for i in np.flatnonzero(~ok).tolist():
-                xn[i], yn[i], h[i] = rk4_step(
-                    a, b, c, e, float(x[i]), float(y[i]), float(h[i]), clamp_tol
-                )
-        x, y = xn, yn
-        t = t + h
     del buf  # returned to the OS before the pieces are joined
     paths = []
     for r in range(lanes):

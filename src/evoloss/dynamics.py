@@ -92,7 +92,8 @@ def step_rk4(p: PayoffParams, state, dt: float) -> PopulationState:
 
 def simulate(p: PayoffParams, start, cfg: IntegratorConfig | None = None) -> Trajectory:
     """Integrate from start until the path enters the stop_tol-ball of a
-    corner or t_max is reached, recording every accepted step."""
+    corner or t_max is reached, recording every accepted step; raises
+    ValidationError when a step's result is NaN."""
     cfg = cfg or IntegratorConfig()
     x0, y0 = check_state(start)
     a, b, c, e = field_coefficients(p)
@@ -103,6 +104,9 @@ def simulate(p: PayoffParams, start, cfg: IntegratorConfig | None = None) -> Tra
 
 
 def _trajectory(times, states, terminal) -> Trajectory:
+    if terminal == _kernels.TERM_DIVERGED:
+        x0, y0 = states[0].tolist()
+        raise ValidationError(f"integration from ({x0!r}, {y0!r}) diverged at t = {times[-1]}")
     if terminal >= 0:
         return Trajectory(times, states, CORNERS[terminal], "corner")
     reason = "budget" if terminal == _kernels.TERM_BUDGET else "horizon"

@@ -87,11 +87,16 @@ def field_coefficients(p: PayoffParams) -> tuple[float, float, float, float]:
     """Constants (a, b, c, e) of the replicator field.
 
     dx/dt = x (1 - x) (a - b y)      dy/dt = y (1 - y) (c - e x)
+
+    Raises ValidationError when one of them overflows.
     """
     a = p.g2 + p.w2 * p.d2
     b = p.w2 * p.d1 + p.g2 + p.n2 + p.w2 * p.n1
     c = p.w1 * p.g1 + p.d1
     e = p.d1 + p.w1 * p.g2 + p.w1 * p.n2 + p.n1
+    for name, value in zip("abce", (a, b, c, e)):
+        if not math.isfinite(value):
+            raise ValidationError(f"field coefficient {name} is not finite: {value}")
     return a, b, c, e
 
 

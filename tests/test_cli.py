@@ -257,6 +257,42 @@ def test_simulate_reports_step_budget(tmp_path, capsys):
     assert "unconverged: 1\nstopped at step budget: 1\n" in stdout
 
 
+@pytest.mark.parametrize("starts", ["2", "64"])
+def test_simulate_nan_state_exits_2(tmp_path, capsys, starts):
+    """A path whose state turns NaN ends with one error line and no CSV;
+    it used to exit 0, writing NaN rows, after running to its budget.
+    The field coefficients are finite, but the RK4 stages overflow to
+    NaN on the first step from any interior start, batched or not."""
+    params = write_kv(tmp_path / "nan.params", g1=1e300, d1=0, g2=1.7e308, d2=0,
+                      n1=-1.7e308, n2=-1.7e308)
+    out = tmp_path / "o.csv"
+    assert main(
+        ["simulate", "--params", str(params), "--starts", starts, "--t-max", "5",
+         "--out", str(out)]
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: integration from (") and " diverged at t = 0.0\n" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+#: g2 = d2 = 1.7e308 make field coefficient a = g2 + w2 * d2 overflow.
+@pytest.mark.parametrize("command, extra", [
+    ("saddle", []),
+    ("equilibria", []),
+    ("simulate", ["--starts", "2", "--t-max", "5"]),
+])
+def test_overflowing_field_coefficient_exits_2(tmp_path, capsys, command, extra):
+    params = write_kv(tmp_path / "inf.params", g1=1.5, d1=1.0, g2=1.7e308, d2=1.7e308,
+                      n1=0.5, n2=0.5)
+    out = tmp_path / "o.csv"
+    if command == "simulate":
+        extra = [*extra, "--out", str(out)]
+    assert main([command, "--params", str(params), *extra]) == 2
+    assert capsys.readouterr().err == "error: field coefficient a is not finite: inf\n"
+    assert not out.exists()
+
+
 def test_simulate_bad_dt_exits_2(params_file, tmp_path, capsys):
     assert main(
         ["simulate", "--params", str(params_file), "--starts", "2",

@@ -236,16 +236,27 @@ def handoff_sample(lengths):
     return None
 
 
-# name: (params, starts, config, stop reasons of the whole batch)
+def in_box(state, box):
+    """Whether the point state lies in the box of _kernels._stop_test."""
+    return all(min(v, 1.0 - v) <= box for v in state.tolist())
+
+
+# name: (params, starts, config, stop reasons of the whole batch); a
+# lane leaves the batch at a sample in the box of _kernels._stop_test,
+# at the horizon, on an attempt outside the square or NaN, and every
+# lane leaves at the budget or once fewer than BATCH_MIN_LANES are left
 BATCH_CASES = {
-    # with corner starts and signed zeros
+    # corner starts leave at their first sample, in the box, and stop
+    # there; the edge starts have signed zeros
     "default": (FIXTURE, (*EDGE_STARTS, *RANDOM_STARTS), IntegratorConfig(), {"corner"}),
-    # the horizon cuts the last step short while batched; the saddle and
-    # the diagonal never reach a corner
+    # the horizon cuts the last step short while batched, and the lanes
+    # leave at the sample it ends on; the saddle and the diagonal never
+    # reach a corner
     "horizon_cut": (FIXTURE, ((5 / 6, 5 / 6), (0.3, 0.3), *CORNERS, *RANDOM_STARTS),
                     IntegratorConfig(t_max=3.305), {"corner", "horizon"}),
     # the time reaches 3.2999999999999736, within the 1e-12 stop margin
-    # below t_max, so the horizon stops the lanes without a last short step
+    # below t_max, so the lanes leave at the horizon without a last
+    # short step
     "horizon_margin": (FIXTURE, RANDOM_STARTS, IntegratorConfig(t_max=3.3),
                        {"corner", "horizon"}),
     # t + dt lands exactly on t_max after 199 steps, so the last step is
@@ -257,25 +268,29 @@ BATCH_CASES = {
     # dt; the saddle's step is cut
     "horizon_mixed": (STIFF, ((0.1, 0.05), (5 / 6, 5 / 6), *RANDOM_STARTS),
                       IntegratorConfig(t_max=0.055), {"corner", "horizon"}),
-    # exact clamping: any overshoot at all is halved away
+    # exact clamping: a lane leaves on any overshoot at all, which the
+    # scalar loop halves away
     "clamp_tol_0": (FIXTURE, (*EDGE_STARTS, *RANDOM_STARTS), IntegratorConfig(clamp_tol=0.0),
                     {"corner"}),
-    # an overshoot of up to 0.5 is accepted and clamped onto the square,
-    # on a step that takes some lanes above 1 and none below 0
+    # lanes whose attempt lands outside the square leave, and the scalar
+    # loop accepts an overshoot of up to 0.5 and clamps it onto the square
     "clamp_wide": (FIXTURE, RANDOM_STARTS, IntegratorConfig(dt=2.0, t_max=50.0, clamp_tol=0.5),
                    {"corner", "horizon"}),
-    # the stop balls overlap: the first corner in CORNERS order wins
+    # the stop balls overlap and the box is the whole square, so every
+    # lane leaves at its start: the first corner in CORNERS order wins
     "overlap": (FIXTURE, ((0.5, 0.5), *RANDOM_STARTS), IntegratorConfig(stop_tol=0.75),
                 {"corner"}),
-    # retries from the full step dt on some lanes; (0.5, 0.01) and others
+    # lanes whose first attempt overshoots leave at their start, and the
+    # scalar loop retries from the full step dt; (0.5, 0.01) and others
     # run out of budget
     "budget": (STIFF, ((0.5, 0.01), *RANDOM_STARTS), IntegratorConfig(dt=0.5, t_max=50.0),
                {"corner", "budget"}),
-    # fewer starts than BATCH_MIN_LANES go to the scalar loop at once,
-    # the corners stopping on the sample the batch recorded
+    # fewer starts than BATCH_MIN_LANES leave at the first sample, the
+    # corners stopping on the sample the batch recorded
     "handoff_first": (FIXTURE, (*EDGE_STARTS, *RANDOM_STARTS[:8]), IntegratorConfig(),
                       {"corner"}),
-    # the lanes left go to the scalar loop in mid-chunk, after a full chunk
+    # the lanes left leave for the scalar loop in mid-chunk, after a full
+    # chunk
     "handoff_mid_chunk": (
         FIXTURE,
         starts_stopping_after(FIXTURE, (0.45, 0.5), IntegratorConfig(),
@@ -298,6 +313,11 @@ BATCH_CASES = {
         )),
         IntegratorConfig(dt=0.5, t_max=50.0), {"corner", "budget"},
     ),
+    # (0.25, 0.25) is in the box but outside every stop ball, so it
+    # leaves at its start while the others stay batched, and runs on
+    # from the source (0, 0) to a corner in the scalar loop
+    "box_not_ball": (FIXTURE, ((0.25, 0.25), *RANDOM_STARTS), IntegratorConfig(stop_tol=0.3),
+                     {"corner"}),
 }
 
 
@@ -314,7 +334,7 @@ def test_phase_portrait_batch_matches_per_start_simulate(case):
         assert got.states.tobytes() == want.states.tobytes()
         assert (got.converged_to, got.reason) == (want.converged_to, want.reason)
     assert {t.reason for t in batch} == reasons
-    # the branch of rk4_paths each case is there for
+    # why the lanes of each case leave the batch of rk4_paths
     lengths = [len(t.times) for t in batch]
     handoff = handoff_sample(lengths)
     still_batched = handoff or max(lengths) + 1
@@ -345,6 +365,19 @@ def test_phase_portrait_batch_matches_per_start_simulate(case):
         assert handoff == _kernels._CHUNK
     if case == "handoff_budget":
         assert batch[0].reason == "budget" and lengths[0] > handoff
+    if case == "box_not_ball":
+        box = _kernels._stop_test(cfg.stop_tol)[2]
+        start = batch[0].states[0]
+        assert in_box(start, box) and lengths[0] > 1
+        assert min(math.dist(start, corner) for corner in CORNERS) > cfg.stop_tol
+        # the lanes that stay batched after the first sample: outside the
+        # box, with a full first step that lands inside the square
+        batched = [
+            t for t in batch[1:]
+            if not in_box(t.states[0], box) and len(t.times) > 1 and t.times[1] == cfg.dt
+            and ((0.0 < t.states[1]) & (t.states[1] < 1.0)).all()
+        ]
+        assert len(batched) >= LANES
 
 
 def test_rk4_paths_matches_rk4_path_when_every_attempt_is_rejected(fixture_params):
@@ -491,7 +524,7 @@ def test_write_trajectories_csv_bytes_on_phase_portrait(fixture_params, tmp_path
 def rk4_step_walk(a, b, c, e, x, y, dt, t_max, stop_tol, clamp_tol):
     """rk4_path's samples, as an (n, 3) array of (t, x, y), and its
     terminal code, rebuilt from public rk4_step calls and the stopping
-    rules its docstring gives."""
+    rules its docstring gives, which end the path before a NaN sample."""
     n_max = 2 * int(t_max / dt) + 16
     t = 0.0
     samples = [(t, x, y)]
@@ -506,6 +539,8 @@ def rk4_step_walk(a, b, c, e, x, y, dt, t_max, stop_tol, clamp_tol):
             return np.array(samples), _kernels.TERM_BUDGET
         h = dt if t + dt <= t_max else t_max - t
         x, y, h = _kernels.rk4_step(a, b, c, e, x, y, h, clamp_tol)
+        if math.isnan(x) or math.isnan(y):
+            return np.array(samples), _kernels.TERM_DIVERGED
         t += h
         samples.append((t, x, y))
 
@@ -558,8 +593,8 @@ FIXTURE_COEFFICIENTS = field_coefficients(FIXTURE)
 def test_rk4_path_matches_repeated_step_rk4(coefficients, start, dt, steps, stop_tol, clamp_tol):
     """The whole recorded path is a walk of public rk4_step calls, bit
     for bit: each step its first attempt takes without rk4_step, each
-    halved or clamped one, and the corner, horizon and budget stops,
-    NaN samples included."""
+    halved or clamped one, and the corner, horizon, budget and NaN
+    stops."""
     t_max = dt * steps
     ts, xs, ys, term = _kernels.rk4_path(*coefficients, *start, dt, t_max, stop_tol, clamp_tol)
     want, want_term = rk4_step_walk(*coefficients, *start, dt, t_max, stop_tol, clamp_tol)
@@ -567,7 +602,7 @@ def test_rk4_path_matches_repeated_step_rk4(coefficients, start, dt, steps, stop
     assert term == want_term
 
 
-# a lane whose every attempt is NaN makes 64 of them per step, in
+# a lane whose every attempt is rejected makes 64 of them per step, in
 # rk4_paths and in rk4_path alike, so the paths are kept short
 @settings(max_examples=40, deadline=None)
 @given(
@@ -581,14 +616,14 @@ def test_rk4_path_matches_repeated_step_rk4(coefficients, start, dt, steps, stop
 # lanes overflow to NaN while the sweep is batched
 @example(coefficients=(1.7e308, -1.7e308, 1e300, 1.7e308), starts=list(RANDOM_STARTS[:2 * LANES]),
          dt=2.0, steps=5.0, stop_tol=1e-3, clamp_tol=0.5)
-# one batched step takes some lanes as they are, halves others and
-# clamps others onto the square
+# at one batched step some lanes stay and others leave, to be halved
+# or clamped onto the square
 @example(coefficients=FIXTURE_COEFFICIENTS, starts=list(RANDOM_STARTS[:2 * LANES]), dt=2.0,
          steps=8.0, stop_tol=-1.0, clamp_tol=1e-9)
 def test_rk4_paths_matches_rk4_path_per_start(coefficients, starts, dt, steps, stop_tol,
                                               clamp_tol):
     """Every lane of the batched sweep is bit for bit rk4_path from its
-    start, whichever lanes of a batched step go through rk4_step."""
+    start, whichever lanes leave the batch, and at whichever sample."""
     t_max = dt * steps
     # huge coefficients overflow to inf and NaN on purpose
     with np.errstate(over="ignore", invalid="ignore"):
