@@ -4,9 +4,10 @@ The field is dx/dt = x(1-x)(a - b y), dy/dt = y(1-y)(c - e x); the
 functions take the four precomputed coefficients so they stay
 independent of the dataclasses in the rest of the package.  They are
 plain Python over floats, except rk4_paths, which takes the ordinary
-steps of many starts at once over numpy arrays and hands any other step
-to the scalar loop; evobench/README.md describes how their cost is
-measured.  The tests' forward-Euler reference is in tests/helpers.py.
+steps of many starts at once over numpy arrays, on one shared clock, and
+hands any other step to the scalar loop; evobench/README.md describes
+how their cost is measured.  The tests' forward-Euler reference is in
+tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -28,10 +29,16 @@ TERM_HORIZON = -1
 TERM_BUDGET = -2
 TERM_DIVERGED = -3
 
-#: Samples per lane that rk4_paths holds before flushing them into the
+#: How far an RK4 attempt may overshoot the unit square and still be
+#: taken, clamped onto it; a larger overshoot halves the step.
+CLAMP_TOL = 1e-9
+
+#: States per lane that rk4_paths holds before flushing them into the
 #: lane's pieces.  A buffer for every step of every lane would cost more
-#: memory than the finished trajectories; on 400 fixture starts 128 adds
-#: 1.0-1.2 MB to peak RSS, 256 adds 1.8 MB, at the same speed.
+#: memory than the finished trajectories.  On the 400 grid starts of
+#: evobench's basin_sweep (seeds 1, 5, 51), the sweep's peak RSS stays
+#: within 0.1 MB of its finished trajectories with 64, 128 or 256; 64
+#: leaves 0.5 MB more in small pieces, and the three run at one speed.
 _CHUNK = 128
 
 
@@ -65,21 +72,18 @@ def rk4_attempt(a, b, c, e, x, y, h):
     return xn, yn
 
 
-def rk4_step(a, b, c, e, x, y, h, clamp_tol):
+def rk4_step(a, b, c, e, x, y, h):
     """One classical RK4 step of size h from (x, y).
 
     An attempt whose result overshoots the unit square by more than
-    clamp_tol is rejected and retried at half the step.  Returns
+    CLAMP_TOL is rejected and retried at half the step.  Returns
     (x, y, h): the result clamped onto the square and h as the loop
     leaves it, which is the step taken, except that after 64 rejected
     attempts the last one is kept and h has been halved once more.
     """
     for _ in range(64):
         xn, yn = rk4_attempt(a, b, c, e, x, y, h)
-        if (
-            -clamp_tol <= xn <= 1.0 + clamp_tol
-            and -clamp_tol <= yn <= 1.0 + clamp_tol
-        ):
+        if -CLAMP_TOL <= xn <= 1.0 + CLAMP_TOL and -CLAMP_TOL <= yn <= 1.0 + CLAMP_TOL:
             break
         h *= 0.5
     return min(max(xn, 0.0), 1.0), min(max(yn, 0.0), 1.0), h
@@ -114,13 +118,6 @@ def _stop_test(stop_tol):
     return corners, stop_tol * stop_tol, stop_tol * (1.0 + 1e-9) + 1e-150
 
 
-def _unclamped(clamp_tol):
-    """(lo, hi): rk4_step accepts an attempt with both coordinates in
-    [lo, hi] at once, and its clamps leave them as they are, -0.0
-    included, so a caller may take such an attempt without rk4_step."""
-    return max(0.0, -clamp_tol), min(1.0, 1.0 + clamp_tol)
-
-
 def _corner_hit(x, y, corners, tol2):
     """Index of the first of the (index, corner) pairs within sqrt(tol2)
     of the float point (x, y), or TERM_HORIZON when there is none."""
@@ -130,7 +127,7 @@ def _corner_hit(x, y, corners, tol2):
     return TERM_HORIZON
 
 
-def _rk4_run(a, b, c, e, t, x, y, n, dt, t_max, stop_tol, clamp_tol, ts, xs, ys):
+def _rk4_run(a, b, c, e, t, x, y, n, dt, t_max, stop_tol, ts, xs, ys):
     """The loop of rk4_path, from a path's n-th sample (t, x, y), which
     the caller has recorded: tests it for a stop, then steps and appends
     each further sample to the buffers ts, xs, ys.  Returns the terminal
@@ -138,7 +135,6 @@ def _rk4_run(a, b, c, e, t, x, y, n, dt, t_max, stop_tol, clamp_tol, ts, xs, ys)
     n_max = 2 * int(t_max / dt) + 16
     corners, tol2, box = _stop_test(stop_tol)
     t_end = t_max - 1e-12
-    lo, hi = _unclamped(clamp_tol)
     while True:
         if (x <= box or 1.0 - x <= box) and (y <= box or 1.0 - y <= box):
             terminal = _corner_hit(x, y, corners, tol2)
@@ -152,12 +148,13 @@ def _rk4_run(a, b, c, e, t, x, y, n, dt, t_max, stop_tol, clamp_tol, ts, xs, ys)
         if t + h > t_max:
             h = t_max - t
         xn, yn = rk4_attempt(a, b, c, e, x, y, h)
-        # NaN fails both tests and takes the checked path, which
+        # rk4_step would take an attempt inside the square as it is, -0.0
+        # included; NaN fails both tests and takes the checked path, which
         # recomputes this attempt and ends the path if it stays NaN
-        if lo <= xn <= hi and lo <= yn <= hi:
+        if 0.0 <= xn <= 1.0 and 0.0 <= yn <= 1.0:
             x, y = xn, yn
         else:
-            x, y, h = rk4_step(a, b, c, e, x, y, h, clamp_tol)
+            x, y, h = rk4_step(a, b, c, e, x, y, h)
             if x != x or y != y:
                 return TERM_DIVERGED
         t += h
@@ -167,7 +164,7 @@ def _rk4_run(a, b, c, e, t, x, y, n, dt, t_max, stop_tol, clamp_tol, ts, xs, ys)
         n += 1
 
 
-def rk4_path(a, b, c, e, x0, y0, dt, t_max, stop_tol, clamp_tol):
+def rk4_path(a, b, c, e, x0, y0, dt, t_max, stop_tol):
     """Integrate with fixed-step RK4, recording every accepted step.
 
     Stops once the state comes within stop_tol (Euclidean) of a unit
@@ -186,25 +183,24 @@ def rk4_path(a, b, c, e, x0, y0, dt, t_max, stop_tol, clamp_tol):
     ts = array("d", (0.0,))
     xs = array("d", (x0,))
     ys = array("d", (y0,))
-    terminal = _rk4_run(
-        a, b, c, e, 0.0, x0, y0, 1, dt, t_max, stop_tol, clamp_tol, ts, xs, ys
-    )
+    terminal = _rk4_run(a, b, c, e, 0.0, x0, y0, 1, dt, t_max, stop_tol, ts, xs, ys)
     return np.array(ts), np.array(xs), np.array(ys), terminal
 
 
 # a lane whose attempt overflows leaves the batch, so numpy need not warn
 @np.errstate(over="ignore", invalid="ignore")
-def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol, clamp_tol):
+def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     """rk4_path from many starts at once, one numpy lane per start.
 
     The lanes take ordinary steps together, with the same elementwise
-    arithmetic (rk4_attempt).  A lane leaves the batch at a recorded
-    sample in the box of _stop_test, at the horizon, or when its next
-    attempt leaves [lo, hi] of _unclamped or is NaN; every lane leaves
-    once the budget is spent or fewer than BATCH_MIN_LANES are left.  A
-    lane that leaves runs on from that sample in the loop of rk4_path,
-    which alone decides its stop and alone halves or clamps a step, so
-    every lane is bit-identical to rk4_path.
+    arithmetic (rk4_attempt), so they share one clock.  A lane leaves
+    the batch at a recorded sample in the box of _stop_test, or when its
+    next attempt leaves the unit square or is NaN; every lane leaves at
+    the horizon, once the budget is spent or once fewer than
+    BATCH_MIN_LANES are left.  A lane that leaves runs on from that
+    sample in the loop of rk4_path, which alone decides its stop and
+    alone halves or clamps a step, so every lane is bit-identical to
+    rk4_path.
 
     Returns one (times, states, terminal) per start, in start order,
     states being the (n, 2) array of recorded (x, y) samples.
@@ -213,30 +209,32 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol, clamp_tol):
     n_max = 2 * int(t_max / dt) + 16
     box = _stop_test(stop_tol)[2]
     t_end = t_max - 1e-12
-    lo, hi = _unclamped(clamp_tol)
     # the start index of each working lane, also its row in buf
     lane = np.arange(lanes)
-    t = np.zeros(lanes)
+    t = 0.0
+    clock = array("d")
     x = np.array(x0s, dtype=np.float64)
     y = np.array(y0s, dtype=np.float64)
-    buf = np.empty((3, lanes, _CHUNK))
+    buf = np.empty((2, lanes, _CHUNK))
     pieces = [[] for _ in range(lanes)]
+    # per start: the samples it recorded on the clock, and its later times
+    tails = [None] * lanes
     terminal = [None] * lanes
     n = 0
     while True:
         col = n % _CHUNK
-        buf[0, lane, col] = t
-        buf[1, lane, col] = x
-        buf[2, lane, col] = y
+        clock.append(t)
+        buf[0, lane, col] = x
+        buf[1, lane, col] = y
         n += 1
         leave = range(len(lane))  # all of them, unless the batch steps on
-        if n < n_max and len(lane) >= BATCH_MIN_LANES:
-            h = np.where(t + dt > t_max, t_max - t, dt)
+        if n < n_max and t < t_end and len(lane) >= BATCH_MIN_LANES:
+            h = t_max - t if t + dt > t_max else dt  # as in _rk4_run
             xn, yn = rk4_attempt(a, b, c, e, x, y, h)
             # NaN fails the last two tests
             stay = (
                 ((np.minimum(x, 1.0 - x) > box) | (np.minimum(y, 1.0 - y) > box))
-                & (t < t_end) & (np.minimum(xn, yn) >= lo) & (np.maximum(xn, yn) <= hi)
+                & (np.minimum(xn, yn) >= 0.0) & (np.maximum(xn, yn) <= 1.0)
             )
             leave = np.flatnonzero(~stay).tolist()
         for i in leave:
@@ -244,28 +242,27 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol, clamp_tol):
             pieces[r].append(buf[:, r, : col + 1].copy())
             ts, xs, ys = array("d"), array("d"), array("d")
             terminal[r] = _rk4_run(
-                a, b, c, e, float(t[i]), float(x[i]), float(y[i]), n,
-                dt, t_max, stop_tol, clamp_tol, ts, xs, ys,
+                a, b, c, e, t, float(x[i]), float(y[i]), n, dt, t_max, stop_tol, ts, xs, ys
             )
-            if ts:
-                pieces[r].append(np.array((ts, xs, ys)))
+            tails[r] = (n, ts)
+            if xs:
+                pieces[r].append(np.array((xs, ys)))
         if len(leave) == len(lane):
             break
-        t = t + h
+        t += h
         x, y = xn, yn
         if leave:
-            lane, t, x, y = lane[stay], t[stay], x[stay], y[stay]
+            lane, x, y = lane[stay], x[stay], y[stay]
         if col == _CHUNK - 1:
             for r in lane:
                 pieces[r].append(buf[:, r].copy())
     del buf  # returned to the OS before the pieces are joined
+    clock = np.array(clock)
     paths = []
     for r in range(lanes):
-        chunks = pieces[r]
-        pieces[r] = None
+        (n, ts), chunks = tails[r], pieces[r]
+        tails[r] = pieces[r] = None
         paths.append((
-            np.concatenate([p[0] for p in chunks]),
-            np.concatenate([p[1:].T for p in chunks]),
-            terminal[r],
+            np.concatenate((clock[:n], ts)), np.concatenate([p.T for p in chunks]), terminal[r]
         ))
     return paths

@@ -19,9 +19,9 @@ from .dynamics import (
     sample_starts,
     write_trajectories_csv,
 )
-from .errors import DegenerateGameError, EvolossError, OutOfSimplexError
+from .errors import DegenerateGameError, EvolossError, OutOfSimplexError, ValidationError
 from .game import PopulationState, check_state, saddle_point
-from .kvfile import read_kv_file
+from .kvfile import read_kv_file, read_text
 from .lab import LabConfig, save_encoder_weights, train_episode, write_training_log
 from .losses import DEFAULT_OFFDIAG_WEIGHT, DEFAULT_TEMPERATURE
 from .metrics import (
@@ -120,12 +120,7 @@ def run_equilibria(args) -> int:
 
 def _read_starts_file(path) -> list[PopulationState]:
     starts = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise EvolossError(f"cannot read {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -145,6 +140,8 @@ def _read_starts_file(path) -> list[PopulationState]:
 def run_simulate(args) -> int:
     params = load_payoff_params(args.params)
     cfg = IntegratorConfig(dt=args.dt, t_max=args.t_max, stop_tol=args.stop_tol)
+    if args.seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {args.seed}")
     if args.starts_file:
         starts = _read_starts_file(args.starts_file)
     else:

@@ -18,10 +18,9 @@ class IntegratorConfig:
     dt: float = 0.01
     t_max: float = 500.0
     stop_tol: float = 1e-3
-    clamp_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("dt", "t_max", "stop_tol", "clamp_tol"):
+        for name in ("dt", "t_max", "stop_tol"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
@@ -31,10 +30,10 @@ class IntegratorConfig:
             raise ValidationError(
                 f"t_max ({self.t_max}) must be at least dt ({self.dt})"
             )
+        if not math.isfinite(self.t_max / self.dt):
+            raise ValidationError(f"t_max / dt must be finite, got {self.t_max} / {self.dt}")
         if self.stop_tol <= 0.0:
             raise ValidationError(f"stop_tol must be positive, got {self.stop_tol}")
-        if self.clamp_tol < 0.0:
-            raise ValidationError(f"clamp_tol must be nonnegative, got {self.clamp_tol}")
 
 
 #: Why a trajectory stopped: it entered a corner's stop_tol-ball, it
@@ -78,7 +77,7 @@ def step_rk4(p: PayoffParams, state, dt: float) -> PopulationState:
     """One classical RK4 step.
 
     The result is clamped onto the unit square when it overshoots by
-    less than the default clamp tolerance; a larger overshoot rejects
+    less than _kernels.CLAMP_TOL; a larger overshoot rejects
     the attempt and retries at half the step, so the time actually
     advanced may be dt / 2**k.
     """
@@ -86,7 +85,7 @@ def step_rk4(p: PayoffParams, state, dt: float) -> PopulationState:
         raise ValidationError(f"dt must be positive, got {dt}")
     x, y = check_state(state)
     a, b, c, e = field_coefficients(p)
-    x, y, _ = _kernels.rk4_step(a, b, c, e, x, y, dt, IntegratorConfig.clamp_tol)
+    x, y, _ = _kernels.rk4_step(a, b, c, e, x, y, dt)
     return PopulationState(x, y)
 
 
@@ -97,9 +96,7 @@ def simulate(p: PayoffParams, start, cfg: IntegratorConfig | None = None) -> Tra
     cfg = cfg or IntegratorConfig()
     x0, y0 = check_state(start)
     a, b, c, e = field_coefficients(p)
-    ts, xs, ys, terminal = _kernels.rk4_path(
-        a, b, c, e, x0, y0, cfg.dt, cfg.t_max, cfg.stop_tol, cfg.clamp_tol
-    )
+    ts, xs, ys, terminal = _kernels.rk4_path(a, b, c, e, x0, y0, cfg.dt, cfg.t_max, cfg.stop_tol)
     return _trajectory(ts, np.column_stack((xs, ys)), terminal)
 
 
@@ -128,7 +125,7 @@ def phase_portrait(
     a, b, c, e = field_coefficients(p)
     paths = _kernels.rk4_paths(
         a, b, c, e, [s.x for s in starts], [s.y for s in starts],
-        cfg.dt, cfg.t_max, cfg.stop_tol, cfg.clamp_tol,
+        cfg.dt, cfg.t_max, cfg.stop_tol,
     )
     return [_trajectory(*path) for path in paths]
 

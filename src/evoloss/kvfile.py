@@ -35,13 +35,17 @@ def parse_kv_text(text: str) -> dict[str, float]:
     return out
 
 
-def read_kv_file(path) -> dict[str, float]:
+def read_text(path) -> str:
+    """The text of a UTF-8 file; ValidationError when it cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    return parse_kv_text(text)
+
+
+def read_kv_file(path) -> dict[str, float]:
+    return parse_kv_text(read_text(path))
 
 
 def write_kv_file(path, items: dict[str, float]) -> None:

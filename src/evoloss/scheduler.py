@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, as_int
+from .kvfile import read_text
 from .losses import LossWeights
 
 #: Weights are clamped to [0, 2 * center] and floored here so LossWeights
@@ -413,11 +414,7 @@ def save_policy(policy: PolicyParams, path) -> None:
 
 
 def load_policy(path) -> PolicyParams:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    lines = read_text(path).splitlines()
     if not lines:
         raise ValidationError("empty checkpoint file")
     head = lines[0].split()

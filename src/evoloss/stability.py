@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,12 +65,16 @@ def classify(p: PayoffParams, point) -> Equilibrium:
 
     det < 0 is a saddle regardless of trace; det > 0 splits into stable
     (negative trace) and unstable (positive trace); anything within
-    ZERO_TOL of the sign boundaries is reported as degenerate.
+    ZERO_TOL of the sign boundaries is reported as degenerate.  Raises
+    ValidationError when det or trace overflows.
     """
     point = _require_fixed_point(p, point)
     j = jacobian(p, point)
-    det = float(np.linalg.det(j))
-    trace = float(np.trace(j))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = float(np.linalg.det(j))
+        trace = float(np.trace(j))
+    if not (math.isfinite(det) and math.isfinite(trace)):
+        raise ValidationError(f"Jacobian at {tuple(point)} overflows: det {det}, trace {trace}")
     if det < -ZERO_TOL:
         cls = StabilityClass.SADDLE_POINT
     elif det > ZERO_TOL and trace > ZERO_TOL:

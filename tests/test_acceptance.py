@@ -146,7 +146,7 @@ def test_criterion_4_rk4_matches_fine_euler_reference():
         p, start = sample_gentle_pair(rng)
         a, b, c, e = field_coefficients(p)
         _, xs, ys, _ = _kernels.rk4_path(
-            a, b, c, e, start.x, start.y, 0.01, 10.0, -1.0, 1e-9
+            a, b, c, e, start.x, start.y, 0.01, 10.0, -1.0
         )
         ex, ey = euler_path(
             a, b, c, e, start.x, start.y, 1e-5, 1_000_000, 1_000_000

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import math
 import shutil
 
 import pytest
@@ -81,6 +82,21 @@ def test_equilibria_writes_csv(params_file, tmp_path, capsys):
     assert len(lines) == 6
     assert lines[0] == "x,y,det,trace,class"
     assert "wrote 5 equilibria" in capsys.readouterr().out
+
+
+def test_equilibria_overflowing_jacobian_exits_2(tmp_path, capsys):
+    """A Jacobian whose determinant overflows exits 2 with one error
+    line; it used to exit 0 with a RuntimeWarning and an inf det."""
+    params = write_kv(tmp_path / "big.params", g1=1e300, d1=0, g2=1.7e308, d2=0,
+                      n1=-1.7e308, n2=-1.7e308)
+    out = tmp_path / "eq.csv"
+    assert main(["equilibria", "--params", str(params), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: Jacobian at (0.0, 0.0) overflows: det inf, trace 1.70000001e+308\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- metrics
@@ -301,6 +317,25 @@ def test_simulate_bad_dt_exits_2(params_file, tmp_path, capsys):
     assert "dt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, line",
+    [
+        # t_max / dt overflows to inf; sizing the sample budget from it
+        # used to crash with an OverflowError
+        (["--dt", "1e-300", "--t-max", "1e10"],
+         "error: t_max / dt must be finite, got 10000000000.0 / 1e-300"),
+        # numpy refuses a negative seed; it used to crash with a traceback
+        (["--seed", "-1"], "error: seed must be nonnegative, got -1"),
+    ],
+)
+def test_simulate_bad_flag_exits_2(params_file, tmp_path, capsys, flags, line):
+    out = tmp_path / "o.csv"
+    argv = ["simulate", "--params", str(params_file), "--starts", "3", "--out", str(out)]
+    assert main([*argv, *flags]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ train
 
 
@@ -461,10 +496,44 @@ def test_simulate_starts_file_fuzz(params_file, tmp_path, capsys, text):
 
 @FUZZ
 @given(text=lines_of(kv_lines(["g1", "d1", "g2", "d2", "n1", "n2", "w1", "w2"])))
+# finite coefficients whose Jacobian determinant at (0, 0) overflows
+@example(text="g1 = 1e300\nd1 = 0\ng2 = 1.7e308\nd2 = 0\nn1 = -1.7e308\nn2 = -1.7e308")
 def test_saddle_params_fuzz(tmp_path, capsys, text):
     params = tmp_path / "game.params"
     params.write_text(text, encoding="utf-8")
     run_fuzzed(capsys, ["saddle", "--params", str(params)])
+    run_fuzzed(capsys, ["equilibria", "--params", str(params)])
+
+
+#: Float flag values: any float, written as its repr, and the values
+#: that need a check of their own.
+FLAG_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, 0.0]))
+
+
+def short_run(steps):
+    """Whether a (dt, t_max) pair makes at most 1e3 steps a path, or so
+    many that t_max / dt overflows, which the config refuses."""
+    dt, t_max = steps
+    return not (dt > 0.0 and 1e3 < t_max / dt < math.inf)
+
+
+@FUZZ
+@given(
+    seed=st.integers(min_value=-(2**70), max_value=2**70),
+    starts=st.integers(min_value=-1, max_value=4),
+    steps=st.one_of(
+        st.just((1e-300, 1e10)), st.tuples(FLAG_FLOATS, FLAG_FLOATS).filter(short_run)
+    ),
+    stop_tol=FLAG_FLOATS,
+)
+def test_simulate_flags_fuzz(params_file, tmp_path, capsys, seed, starts, steps, stop_tol):
+    # --flag=value, so that a value such as -1e-3 is not taken for a flag
+    dt, t_max = steps
+    run_fuzzed(capsys, [
+        "simulate", f"--params={params_file}", f"--starts={starts}", f"--seed={seed}",
+        f"--dt={dt!r}", f"--t-max={t_max!r}", f"--stop-tol={stop_tol!r}",
+        f"--out={tmp_path / 'paths.csv'}",
+    ])
 
 
 WELL_FORMED_ROW = st.builds(

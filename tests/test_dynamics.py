@@ -45,9 +45,10 @@ def test_integrator_config_validation():
     with pytest.raises(ValidationError):
         IntegratorConfig(stop_tol=0.0)
     with pytest.raises(ValidationError):
-        IntegratorConfig(clamp_tol=-1e-9)
-    with pytest.raises(ValidationError):
         IntegratorConfig(t_max=float("inf"))
+    # t_max / dt overflows, which would size the sample budget as inf
+    with pytest.raises(ValidationError, match="t_max / dt must be finite"):
+        IntegratorConfig(dt=1e-300, t_max=1e10)
 
 
 def test_corners_constant():
@@ -241,10 +242,25 @@ def in_box(state, box):
     return all(min(v, 1.0 - v) <= box for v in state.tolist())
 
 
+def batched_samples(traj, box, dt):
+    """Samples a lane records before it leaves the batch of rk4_paths of
+    its own accord: up to the first in the box, or up to the first step
+    that is not a full dt landing strictly inside the square, such as a
+    halved, shortened or clamped one."""
+    times, states = traj.times, traj.states
+    for n in range(1, len(times)):
+        if (
+            in_box(states[n - 1], box) or times[n] != times[n - 1] + dt
+            or not ((0.0 < states[n]) & (states[n] < 1.0)).all()
+        ):
+            return n
+    return len(times)
+
+
 # name: (params, starts, config, stop reasons of the whole batch); a
-# lane leaves the batch at a sample in the box of _kernels._stop_test,
-# at the horizon, on an attempt outside the square or NaN, and every
-# lane leaves at the budget or once fewer than BATCH_MIN_LANES are left
+# lane leaves the batch at a sample in the box of _kernels._stop_test or
+# on an attempt outside the square or NaN, and every lane leaves at the
+# horizon, at the budget or once fewer than BATCH_MIN_LANES are left
 BATCH_CASES = {
     # corner starts leave at their first sample, in the box, and stop
     # there; the edge starts have signed zeros
@@ -263,19 +279,17 @@ BATCH_CASES = {
     # a full dt, although t_max - t is not dt
     "horizon_exact": (FIXTURE, RANDOM_STARTS, IntegratorConfig(t_max=T_199 + 0.01),
                       {"horizon"}),
-    # lanes at different times meet the horizon: (0.1, 0.05), a halving
-    # behind, lands on t_max with a full step, although t_max - t is not
-    # dt; the saddle's step is cut
+    # (0.1, 0.05) leaves the batch at a halved step and meets the horizon
+    # in the scalar loop, off the batch's clock: it lands on t_max with a
+    # full step, although t_max - t is not dt; the saddle stays batched
+    # and its last step is cut
     "horizon_mixed": (STIFF, ((0.1, 0.05), (5 / 6, 5 / 6), *RANDOM_STARTS),
                       IntegratorConfig(t_max=0.055), {"corner", "horizon"}),
-    # exact clamping: a lane leaves on any overshoot at all, which the
-    # scalar loop halves away
-    "clamp_tol_0": (FIXTURE, (*EDGE_STARTS, *RANDOM_STARTS), IntegratorConfig(clamp_tol=0.0),
-                    {"corner"}),
-    # lanes whose attempt lands outside the square leave, and the scalar
-    # loop accepts an overshoot of up to 0.5 and clamps it onto the square
-    "clamp_wide": (FIXTURE, RANDOM_STARTS, IntegratorConfig(dt=2.0, t_max=50.0, clamp_tol=0.5),
-                   {"corner", "horizon"}),
+    # after some batched steps, a lane leaves when its attempt lands just
+    # outside the square, within CLAMP_TOL, and the scalar loop takes that
+    # attempt at the full step, clamped onto the edge, while at least
+    # LANES others stay batched
+    "clamp": (FIXTURE, RANDOM_STARTS, IntegratorConfig(dt=1.5, t_max=50.0), {"horizon"}),
     # the stop balls overlap and the box is the whole square, so every
     # lane leaves at its start: the first corner in CORNERS order wins
     "overlap": (FIXTURE, ((0.5, 0.5), *RANDOM_STARTS), IntegratorConfig(stop_tol=0.75),
@@ -343,9 +357,26 @@ def test_phase_portrait_batch_matches_per_start_simulate(case):
         assert lengths[0] < still_batched
     if case == "horizon_margin":
         assert 0.0 < cfg.t_max - batch[0].times[-1] <= 1e-12 and lengths[0] < still_batched
-    if case == "clamp_wide":
-        # interior starts land on the edges only by clamping
-        assert any((t.states[1:] == 1.0).any() and (t.states[1:] == 0.0).any() for t in batch)
+    if case == "clamp":
+        box = _kernels._stop_test(cfg.stop_tol)[2]
+        counts = [batched_samples(t, box, cfg.dt) for t in batch]
+
+        def clamped(traj, n):
+            """Whether the lane leaves on an attempt within CLAMP_TOL
+            outside the square, taken at the full step, with at least
+            LANES lanes left in the batch."""
+            xn, yn = _kernels.rk4_attempt(
+                *field_coefficients(params), *traj.states[n - 1], cfg.dt
+            )
+            tol = _kernels.CLAMP_TOL
+            return (
+                not (0.0 <= xn <= 1.0 and 0.0 <= yn <= 1.0)
+                and -tol <= min(xn, yn) and max(xn, yn) <= 1.0 + tol
+                and traj.times[n] == traj.times[n - 1] + cfg.dt
+                and sum(m > n for m in counts) >= LANES
+            )
+
+        assert any(clamped(t, n) for t, n in zip(batch, counts) if 1 < n < len(t.times))
     if case == "horizon_exact":
         assert cfg.t_max - T_199 != cfg.dt
         assert all(t.times[-2:].tolist() == [T_199, cfg.t_max] for t in batch)
@@ -370,33 +401,27 @@ def test_phase_portrait_batch_matches_per_start_simulate(case):
         start = batch[0].states[0]
         assert in_box(start, box) and lengths[0] > 1
         assert min(math.dist(start, corner) for corner in CORNERS) > cfg.stop_tol
-        # the lanes that stay batched after the first sample: outside the
-        # box, with a full first step that lands inside the square
-        batched = [
-            t for t in batch[1:]
-            if not in_box(t.states[0], box) and len(t.times) > 1 and t.times[1] == cfg.dt
-            and ((0.0 < t.states[1]) & (t.states[1] < 1.0)).all()
-        ]
-        assert len(batched) >= LANES
+        # the lanes that stay batched after the first sample
+        assert sum(batched_samples(t, box, cfg.dt) > 1 for t in batch[1:]) >= LANES
 
 
-def test_rk4_paths_matches_rk4_path_when_every_attempt_is_rejected(fixture_params):
-    """A negative clamp_tol rejects every attempt: each step keeps the
-    64th attempt and halves its step once more, until the budget ends
-    the path.  Stopping is off, so the corner start runs on too."""
-    a, b, c, e = field_coefficients(fixture_params)
+def test_rk4_paths_matches_rk4_path_when_every_attempt_is_rejected():
+    """A field so stiff that every attempt of the first step from an
+    interior start overshoots: the step keeps the 64th attempt, clamped,
+    and halves its step once more.  Stopping is off, so the corner start
+    runs on too."""
+    a = c = 1e30
+    b = e = 0.0
     starts = ((0.3, 0.7), (0.0, 0.0), (0.9, 0.2), *RANDOM_STARTS)
     paths = _kernels.rk4_paths(
-        a, b, c, e, [s[0] for s in starts], [s[1] for s in starts], 0.01, 0.05, -1.0, -1.0
+        a, b, c, e, [s[0] for s in starts], [s[1] for s in starts], 0.01, 0.05, -1.0
     )
     for start, (ts, states, term) in zip(starts, paths):
-        want_ts, xs, ys, want_term = _kernels.rk4_path(
-            a, b, c, e, *start, 0.01, 0.05, -1.0, -1.0
-        )
+        want_ts, xs, ys, want_term = _kernels.rk4_path(a, b, c, e, *start, 0.01, 0.05, -1.0)
         assert ts.tobytes() == want_ts.tobytes()
         assert states.tobytes() == np.column_stack((xs, ys)).tobytes()
-        assert term == want_term == _kernels.TERM_BUDGET
-        assert ts[1] == 0.01 / 2**64
+        assert term == want_term
+    assert paths[0][0][1] == 0.01 / 2**64
 
 
 def test_phase_portrait_validates_starts(fixture_params):
@@ -521,7 +546,7 @@ def test_write_trajectories_csv_bytes_on_phase_portrait(fixture_params, tmp_path
 # ----------------------------------------------------------------- kernels
 
 
-def rk4_step_walk(a, b, c, e, x, y, dt, t_max, stop_tol, clamp_tol):
+def rk4_step_walk(a, b, c, e, x, y, dt, t_max, stop_tol):
     """rk4_path's samples, as an (n, 3) array of (t, x, y), and its
     terminal code, rebuilt from public rk4_step calls and the stopping
     rules its docstring gives, which end the path before a NaN sample."""
@@ -538,7 +563,7 @@ def rk4_step_walk(a, b, c, e, x, y, dt, t_max, stop_tol, clamp_tol):
         if len(samples) >= n_max:
             return np.array(samples), _kernels.TERM_BUDGET
         h = dt if t + dt <= t_max else t_max - t
-        x, y, h = _kernels.rk4_step(a, b, c, e, x, y, h, clamp_tol)
+        x, y, h = _kernels.rk4_step(a, b, c, e, x, y, h)
         if math.isnan(x) or math.isnan(y):
             return np.array(samples), _kernels.TERM_DIVERGED
         t += h
@@ -568,36 +593,35 @@ FIXTURE_COEFFICIENTS = field_coefficients(FIXTURE)
     dt=st.floats(min_value=1e-3, max_value=2.0),
     steps=st.floats(min_value=1.0, max_value=40.0),
     stop_tol=st.sampled_from([-1.0, 1e-3, 0.3]),
-    clamp_tol=st.sampled_from([-1e-3, 0.0, 1e-9, 0.5]),
 )
 # the fixture game to a corner, and unstopped to a shortened last step
 @example(coefficients=FIXTURE_COEFFICIENTS, start=(0.25, 0.8), dt=0.01, steps=2000.0,
-         stop_tol=1e-3, clamp_tol=1e-9)
+         stop_tol=1e-3)
 @example(coefficients=FIXTURE_COEFFICIENTS, start=(0.3, 0.7), dt=0.01, steps=100.5,
-         stop_tol=-1.0, clamp_tol=1e-9)
+         stop_tol=-1.0)
 # a first attempt that lands just above 1 or just below 0, inside
-# clamp_tol, and is clamped
+# CLAMP_TOL, and is clamped
 @example(coefficients=(1.181705378839979, 5.100122408660855, -3.3883647570507383,
                        0.837332118762542),
          start=(0.9999999972085007, 0.44516323996800733), dt=1.0, steps=3.0,
-         stop_tol=-1.0, clamp_tol=1e-9)
+         stop_tol=-1.0)
 @example(coefficients=(-1.1514045608258971, -1.3462458154956867, -2.443308684517121,
                        4.326847791646987),
          start=(1.4401446737901234e-07, 0.7009350561732821), dt=2.0, steps=3.0,
-         stop_tol=-1.0, clamp_tol=1e-9)
+         stop_tol=-1.0)
 # rejected attempts retried at half the step; overflow to NaN
 @example(coefficients=(5.0, 0.0, -5.0, 0.0), start=(0.5, 0.5), dt=2.0, steps=3.0,
-         stop_tol=-1.0, clamp_tol=-1e-3)
+         stop_tol=-1.0)
 @example(coefficients=(1.7e308, -1.7e308, 1e300, 1.7e308), start=(0.5, -0.0), dt=2.0,
-         steps=5.0, stop_tol=1e-3, clamp_tol=0.5)
-def test_rk4_path_matches_repeated_step_rk4(coefficients, start, dt, steps, stop_tol, clamp_tol):
+         steps=5.0, stop_tol=1e-3)
+def test_rk4_path_matches_repeated_step_rk4(coefficients, start, dt, steps, stop_tol):
     """The whole recorded path is a walk of public rk4_step calls, bit
     for bit: each step its first attempt takes without rk4_step, each
     halved or clamped one, and the corner, horizon, budget and NaN
     stops."""
     t_max = dt * steps
-    ts, xs, ys, term = _kernels.rk4_path(*coefficients, *start, dt, t_max, stop_tol, clamp_tol)
-    want, want_term = rk4_step_walk(*coefficients, *start, dt, t_max, stop_tol, clamp_tol)
+    ts, xs, ys, term = _kernels.rk4_path(*coefficients, *start, dt, t_max, stop_tol)
+    want, want_term = rk4_step_walk(*coefficients, *start, dt, t_max, stop_tol)
     assert np.column_stack((ts, xs, ys)).tobytes() == want.tobytes()
     assert term == want_term
 
@@ -611,17 +635,15 @@ def test_rk4_path_matches_repeated_step_rk4(coefficients, start, dt, steps, stop
     dt=st.floats(min_value=1e-3, max_value=2.0),
     steps=st.floats(min_value=1.0, max_value=8.0),
     stop_tol=st.sampled_from([-1.0, 1e-3, 0.3]),
-    clamp_tol=st.sampled_from([-1e-3, 0.0, 1e-9, 0.5]),
 )
 # lanes overflow to NaN while the sweep is batched
 @example(coefficients=(1.7e308, -1.7e308, 1e300, 1.7e308), starts=list(RANDOM_STARTS[:2 * LANES]),
-         dt=2.0, steps=5.0, stop_tol=1e-3, clamp_tol=0.5)
+         dt=2.0, steps=5.0, stop_tol=1e-3)
 # at one batched step some lanes stay and others leave, to be halved
 # or clamped onto the square
 @example(coefficients=FIXTURE_COEFFICIENTS, starts=list(RANDOM_STARTS[:2 * LANES]), dt=2.0,
-         steps=8.0, stop_tol=-1.0, clamp_tol=1e-9)
-def test_rk4_paths_matches_rk4_path_per_start(coefficients, starts, dt, steps, stop_tol,
-                                              clamp_tol):
+         steps=8.0, stop_tol=-1.0)
+def test_rk4_paths_matches_rk4_path_per_start(coefficients, starts, dt, steps, stop_tol):
     """Every lane of the batched sweep is bit for bit rk4_path from its
     start, whichever lanes leave the batch, and at whichever sample."""
     t_max = dt * steps
@@ -629,11 +651,11 @@ def test_rk4_paths_matches_rk4_path_per_start(coefficients, starts, dt, steps, s
     with np.errstate(over="ignore", invalid="ignore"):
         paths = _kernels.rk4_paths(
             *coefficients, [s[0] for s in starts], [s[1] for s in starts],
-            dt, t_max, stop_tol, clamp_tol,
+            dt, t_max, stop_tol,
         )
     for start, (ts, states, term) in zip(starts, paths):
         want_ts, xs, ys, want_term = _kernels.rk4_path(
-            *coefficients, *start, dt, t_max, stop_tol, clamp_tol
+            *coefficients, *start, dt, t_max, stop_tol
         )
         assert ts.tobytes() == want_ts.tobytes()
         assert states.tobytes() == np.column_stack((xs, ys)).tobytes()
@@ -668,9 +690,9 @@ def test_box_pretest_keeps_every_corner_stop(stop_tol, corner, axis, scale, ulps
     x, y = (min(max(abs(c - distance * u), 0.0), 1.0) for c, u in zip(corner, axis))
     want = _kernels._corner_hit(x, y, tuple(enumerate(CORNERS)), stop_tol * stop_tol)
     a, b, c, e = field_coefficients(FIXTURE)
-    ts, _, _, term = _kernels.rk4_path(a, b, c, e, x, y, 0.01, 0.01, stop_tol, 1e-9)
+    ts, _, _, term = _kernels.rk4_path(a, b, c, e, x, y, 0.01, 0.01, stop_tol)
     [(batch_ts, _, batch_term), *_] = _kernels.rk4_paths(
-        a, b, c, e, [x] * LANES, [y] * LANES, 0.01, 0.01, stop_tol, 1e-9
+        a, b, c, e, [x] * LANES, [y] * LANES, 0.01, 0.01, stop_tol
     )
     for n, got in ((len(ts), term), (len(batch_ts), batch_term)):
         assert (n == 1 and got >= 0) == (want >= 0)
@@ -690,7 +712,7 @@ def test_euler_kernel_matches_public_rhs_walk(fixture_params):
 def test_rk4_negative_stop_tol_disables_stopping(fixture_params):
     a, b, c, e = field_coefficients(fixture_params)
     # starting on a corner would normally terminate at step 0
-    ts, xs, ys, term = _kernels.rk4_path(a, b, c, e, 0.0, 0.0, 0.01, 1.0, -1.0, 1e-9)
+    ts, xs, ys, term = _kernels.rk4_path(a, b, c, e, 0.0, 0.0, 0.01, 1.0, -1.0)
     assert term == -1
     assert len(ts) == 101
 
@@ -703,7 +725,7 @@ def test_rk4_vs_euler_fixture_scale(fixture_params):
     a, b, c, e = field_coefficients(fixture_params)
     for start in ((0.3, 0.7), (0.55, 0.45)):
         ts, xs, ys, _ = _kernels.rk4_path(
-            a, b, c, e, start[0], start[1], 0.01, 10.0, -1.0, 1e-9
+            a, b, c, e, start[0], start[1], 0.01, 10.0, -1.0
         )
         ex, ey = euler_path(
             a, b, c, e, start[0], start[1], 1e-5, 1_000_000, 1_000_000
@@ -717,7 +739,7 @@ def test_rk4_vs_euler_weak_field(rng):
         p, start = sample_gentle_pair(rng)
         a, b, c, e = field_coefficients(p)
         ts, xs, ys, _ = _kernels.rk4_path(
-            a, b, c, e, start.x, start.y, 0.01, 10.0, -1.0, 1e-9
+            a, b, c, e, start.x, start.y, 0.01, 10.0, -1.0
         )
         ex, ey = euler_path(
             a, b, c, e, start.x, start.y, 1e-5, 1_000_000, 1_000_000
