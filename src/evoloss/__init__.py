@@ -9,7 +9,6 @@ from .dynamics import (
     phase_portrait,
     sample_starts,
     simulate,
-    step_rk4,
     write_trajectories_csv,
 )
 from .errors import (

@@ -4,10 +4,11 @@ The field is dx/dt = x(1-x)(a - b y), dy/dt = y(1-y)(c - e x); the
 functions take the four precomputed coefficients so they stay
 independent of the dataclasses in the rest of the package.  They are
 plain Python over floats, except rk4_paths, which takes the ordinary
-steps of many starts at once over numpy arrays, on one shared clock, and
-hands any other step to the scalar loop; evobench/README.md describes
-how their cost is measured.  The tests' forward-Euler reference is in
-tests/helpers.py.
+steps of many starts at once as one stacked (2, starts) numpy state, on
+one shared clock; once per chunk of steps it finds the sample at which
+each start leaves the batch and hands it from there to the scalar loop.
+evobench/README.md describes how their cost is measured.  The tests'
+forward-Euler reference is in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -33,22 +34,22 @@ TERM_DIVERGED = -3
 #: taken, clamped onto it; a larger overshoot halves the step.
 CLAMP_TOL = 1e-9
 
-#: States per lane that rk4_paths holds before flushing them into the
-#: lane's pieces.  A buffer for every step of every lane would cost more
-#: memory than the finished trajectories.  On the 400 grid starts of
-#: evobench's basin_sweep (seeds 1, 5, 51), the sweep's peak RSS stays
-#: within 0.1 MB of its finished trajectories with 64, 128 or 256; 64
-#: leaves 0.5 MB more in small pieces, and the three run at one speed.
+#: Steps that rk4_paths takes between two leave tests, and so the states
+#: per lane it holds before copying them into the lane's pieces.  Holding
+#: every step of every lane would cost more memory than the finished
+#: trajectories.  On the 400 grid starts of evobench's basin_sweep (seeds
+#: 1, 5, 51), the sweep's peak RSS stays within 0.2 MB of its finished
+#: trajectories with 64, 128 or 256; 64 leaves 1.2 MB and 128 0.4 MB more
+#: than 256 in small pieces.  A sweep took 164, 155 and 150 ms (medians of
+#: 21, interleaved): a shorter chunk tests and copies more often, and a
+#: longer one computes more discarded steps of the lanes that left.
 _CHUNK = 128
 
 
 def rk4_attempt(a, b, c, e, x, y, h):
-    """The four RK4 stages of one attempt of size h from (x, y), unclamped.
-
-    Works alike on floats and on numpy arrays: every operation is an
-    elementwise IEEE one, so an array lane rounds exactly as the float
-    computation from the same inputs.
-    """
+    """The four RK4 stages of one attempt of size h from the float state
+    (x, y), unclamped; rk4_attempt_stacked is the same arithmetic on
+    many states at once."""
     # x + 0.5 * h * f evaluates as x + (0.5 * h) * f, so taking the
     # factors once changes no rounding
     half = 0.5 * h
@@ -72,6 +73,27 @@ def rk4_attempt(a, b, c, e, x, y, h):
     return xn, yn
 
 
+def rk4_attempt_stacked(p, q, s, h):
+    """rk4_attempt's arithmetic with x and y stacked: s is the (2, m)
+    array of m states, x over y, p = [[a], [c]] and q = [[b], [e]].
+
+    Row 0 of each stage is x's term and row 1 y's, with the same
+    elementwise IEEE operations in the same order, so every state rounds
+    exactly as rk4_attempt on its floats;
+    test_stacked_attempt_matches_rk4_attempt pins that bit for bit.
+    """
+    half = 0.5 * h
+    sixth = h / 6.0
+    f1 = s * (1.0 - s) * (p - q * s[::-1])
+    s2 = s + half * f1
+    f2 = s2 * (1.0 - s2) * (p - q * s2[::-1])
+    s3 = s + half * f2
+    f3 = s3 * (1.0 - s3) * (p - q * s3[::-1])
+    s4 = s + h * f3
+    f4 = s4 * (1.0 - s4) * (p - q * s4[::-1])
+    return s + sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+
+
 def rk4_step(a, b, c, e, x, y, h):
     """One classical RK4 step of size h from (x, y).
 
@@ -90,15 +112,16 @@ def rk4_step(a, b, c, e, x, y, h):
 
 
 #: Fewest lanes for which a batched step of rk4_paths beats one rk4_path
-#: step per lane: on the fixture game a batched step costs 60-95 us from
-#: 8 to 400 lanes, a scalar step 2.3-2.6 us.  rk4_paths hands its lanes
-#: to the scalar loop once fewer than this are left, so fewer starts run
-#: in that loop from their first sample.  Batched over per-start time
-#: (uniform starts, seeds 1-3, best of 9, interleaved):
+#: step per lane: on the fixture game a batched step costs 25-50 us from
+#: 8 to 128 lanes and 75-100 us at 400, a scalar step 1.7-2.0 us.
+#: rk4_paths hands its lanes to the scalar loop at the first chunk end
+#: with fewer than this left, so fewer starts run in that loop from their
+#: first sample.  Batched over per-start time (uniform starts, seeds 1-3,
+#: best of 9, interleaved):
 #:
 #:   starts               16       24       32       40       48       64       96
-#:   batched throughout   2.2-2.9  1.4-1.6  1.2-1.6  1.0-1.2  0.8-1.0  0.6-0.8  0.5-0.6
-#:   hand-off below 32    0.8-1.0  0.9-1.1  0.9-1.0  0.7      0.5-0.7  0.5      0.4
+#:   batched throughout   1.7-2.5  1.0-1.3  1.1-1.2  0.8-1.0  0.7-0.9  0.6-0.7  0.4-0.5
+#:   hand-off below 32    1.0-1.1  0.9-1.0  0.8-0.9  0.6      0.5-0.6  0.4-0.5  0.4
 BATCH_MIN_LANES = 32
 
 
@@ -187,82 +210,94 @@ def rk4_path(a, b, c, e, x0, y0, dt, t_max, stop_tol):
     return np.array(ts), np.array(xs), np.array(ys), terminal
 
 
-# a lane whose attempt overflows leaves the batch, so numpy need not warn
+# a lane that leaves the batch may compute on past its leave sample, to
+# inf or NaN, until the chunk ends; those values are thrown away
 @np.errstate(over="ignore", invalid="ignore")
 def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     """rk4_path from many starts at once, one numpy lane per start.
 
-    The lanes take ordinary steps together, with the same elementwise
-    arithmetic (rk4_attempt), so they share one clock.  A lane leaves
-    the batch at a recorded sample in the box of _stop_test, or when its
-    next attempt leaves the unit square or is NaN; every lane leaves at
-    the horizon, once the budget is spent or once fewer than
-    BATCH_MIN_LANES are left.  A lane that leaves runs on from that
-    sample in the loop of rk4_path, which alone decides its stop and
-    alone halves or clamps a step, so every lane is bit-identical to
-    rk4_path.
+    The batch is one (2, lanes) state, x over y, which takes ordinary
+    steps with rk4_attempt_stacked on one shared clock.  Once per chunk
+    of _CHUNK steps, and when the batch stops, the chunk's samples are
+    tested: a lane leaves at its first sample in the box of _stop_test,
+    or whose next state lies outside the unit square or is NaN, and the
+    states it computed after that sample are thrown away.  Every lane
+    leaves when the batch stops, at the horizon or once the budget is
+    spent, and at a chunk end once fewer than BATCH_MIN_LANES are left;
+    fewer than that take no batched step.  A lane that leaves runs on
+    from its leave sample in the loop of rk4_path, which alone decides
+    its stop and alone halves or clamps a step, so every lane is
+    bit-identical to rk4_path.
 
     Returns one (times, states, terminal) per start, in start order,
     states being the (n, 2) array of recorded (x, y) samples.
     """
-    lanes = len(x0s)
     n_max = 2 * int(t_max / dt) + 16
     box = _stop_test(stop_tol)[2]
     t_end = t_max - 1e-12
-    # the start index of each working lane, also its row in buf
-    lane = np.arange(lanes)
+    p = np.array(((a,), (c,)))
+    q = np.array(((b,), (e,)))
+    # the start index of each lane in the batch, also its column in s
+    lane = np.arange(len(x0s))
+    s = np.array((x0s, y0s), dtype=np.float64)
     t = 0.0
-    clock = array("d")
-    x = np.array(x0s, dtype=np.float64)
-    y = np.array(y0s, dtype=np.float64)
-    buf = np.empty((2, lanes, _CHUNK))
-    pieces = [[] for _ in range(lanes)]
+    clock = array("d", (t,))
+    n = 1  # samples on the clock
+    pieces = [[] for _ in lane]
     # per start: the samples it recorded on the clock, and its later times
-    tails = [None] * lanes
-    terminal = [None] * lanes
-    n = 0
+    tails = [None] * len(lane)
+    terminal = [None] * len(lane)
+    # the leave test writes into one buffer: a fresh array of a chunk's
+    # size per test costs more than the test itself
+    scratch = np.empty((_CHUNK + 1, 2, len(lane)))
     while True:
-        col = n % _CHUNK
-        clock.append(t)
-        buf[0, lane, col] = x
-        buf[1, lane, col] = y
-        n += 1
-        leave = range(len(lane))  # all of them, unless the batch steps on
-        if n < n_max and t < t_end and len(lane) >= BATCH_MIN_LANES:
-            h = t_max - t if t + dt > t_max else dt  # as in _rk4_run
-            xn, yn = rk4_attempt(a, b, c, e, x, y, h)
-            # NaN fails the last two tests
-            stay = (
-                ((np.minimum(x, 1.0 - x) > box) | (np.minimum(y, 1.0 - y) > box))
-                & (np.minimum(xn, yn) >= 0.0) & (np.maximum(xn, yn) <= 1.0)
-            )
-            leave = np.flatnonzero(~stay).tolist()
-        for i in leave:
-            r = lane[i]
-            pieces[r].append(buf[:, r, : col + 1].copy())
+        n0 = n - 1  # the clock index of the chunk's first sample
+        chunk = [s]
+        if len(lane) >= BATCH_MIN_LANES:
+            while len(chunk) <= _CHUNK and n < n_max and t < t_end:
+                h = t_max - t if t + dt > t_max else dt  # as in _rk4_run
+                s = rk4_attempt_stacked(p, q, s, h)
+                chunk.append(s)
+                t += h
+                clock.append(t)
+                n += 1
+        k = len(chunk) - 1
+        states = np.array(chunk)
+        # min(v, 1 - v) is below 0, or NaN, exactly when v is outside
+        # [0, 1] or NaN; the state after the chunk's last sample is not
+        # computed yet, so every lane leaves there or before
+        near = np.subtract(1.0, states, out=scratch[: k + 1, :, : len(lane)])
+        np.minimum(states, near, out=near)
+        leave = near.max(axis=1) <= box
+        leave[:-1] |= ~(near[1:].min(axis=1) >= 0.0)
+        leave[-1] = True
+        first = leave.argmax(axis=0)
+        stay = first == k
+        done = k < _CHUNK or np.count_nonzero(stay) < BATCH_MIN_LANES
+        for i, (r, j) in enumerate(zip(lane.tolist(), first.tolist())):
+            if j == k and not done:
+                pieces[r].append(states[:k, :, i].copy())
+                continue
+            piece = states[: j + 1, :, i].copy()
+            pieces[r].append(piece)
+            x, y = piece[-1].tolist()
             ts, xs, ys = array("d"), array("d"), array("d")
             terminal[r] = _rk4_run(
-                a, b, c, e, t, float(x[i]), float(y[i]), n, dt, t_max, stop_tol, ts, xs, ys
+                a, b, c, e, clock[n0 + j], x, y, n0 + j + 1, dt, t_max, stop_tol, ts, xs, ys
             )
-            tails[r] = (n, ts)
+            tails[r] = (n0 + j + 1, ts)
             if xs:
-                pieces[r].append(np.array((xs, ys)))
-        if len(leave) == len(lane):
+                pieces[r].append(np.column_stack((xs, ys)))
+        if done:
             break
-        t += h
-        x, y = xn, yn
-        if leave:
-            lane, x, y = lane[stay], x[stay], y[stay]
-        if col == _CHUNK - 1:
-            for r in lane:
-                pieces[r].append(buf[:, r].copy())
-    del buf  # returned to the OS before the pieces are joined
+        # compress keeps s C-ordered; s[:, stay] would not, and every
+        # later ufunc call would iterate it strided
+        lane, s = lane[stay], s.compress(stay, axis=1)
+    del chunk, states, near, scratch  # returned to the OS before the pieces are joined
     clock = np.array(clock)
     paths = []
-    for r in range(lanes):
-        (n, ts), chunks = tails[r], pieces[r]
+    for r, chunks in enumerate(pieces):
+        n, ts = tails[r]
         tails[r] = pieces[r] = None
-        paths.append((
-            np.concatenate((clock[:n], ts)), np.concatenate([p.T for p in chunks]), terminal[r]
-        ))
+        paths.append((np.concatenate((clock[:n], ts)), np.concatenate(chunks), terminal[r]))
     return paths

@@ -73,22 +73,6 @@ class Trajectory:
         return PopulationState(float(self.states[-1, 0]), float(self.states[-1, 1]))
 
 
-def step_rk4(p: PayoffParams, state, dt: float) -> PopulationState:
-    """One classical RK4 step.
-
-    The result is clamped onto the unit square when it overshoots by
-    less than _kernels.CLAMP_TOL; a larger overshoot rejects
-    the attempt and retries at half the step, so the time actually
-    advanced may be dt / 2**k.
-    """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValidationError(f"dt must be positive, got {dt}")
-    x, y = check_state(state)
-    a, b, c, e = field_coefficients(p)
-    x, y, _ = _kernels.rk4_step(a, b, c, e, x, y, dt)
-    return PopulationState(x, y)
-
-
 def simulate(p: PayoffParams, start, cfg: IntegratorConfig | None = None) -> Trajectory:
     """Integrate from start until the path enters the stop_tol-ball of a
     corner or t_max is reached, recording every accepted step; raises

@@ -3,6 +3,8 @@
 Everything in here is deliberately independent of the package internals —
 oracles go through the public API only (``replicator_rhs``) or reimplement
 the arithmetic from scratch, so they can catch bugs in the fast paths.
+The exception is ``step_rk4``, the checked form of the kernels' one RK4
+step, which the tests walk to rebuild paths step by step.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from evoloss import (
     SchedulerConfig,
     Transition,
     TrainingLog,
+    ValidationError,
     barlow_twins,
+    check_state,
     encoder_forward,
     field_coefficients,
     gen_two_view_batch,
@@ -35,6 +39,7 @@ from evoloss import (
     reward,
     saddle_point,
 )
+from evoloss import _kernels
 from evoloss.lab import LOG_COLUMNS
 
 
@@ -75,6 +80,23 @@ def sample_gentle_pair(rng: np.random.Generator) -> tuple[PayoffParams, Populati
     )
     start = PopulationState(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))
     return p, start
+
+
+def step_rk4(p: PayoffParams, state, dt: float) -> PopulationState:
+    """One classical RK4 step, as the integrators take it: the checked
+    public form of _kernels.rk4_step.
+
+    The result is clamped onto the unit square when it overshoots by
+    less than _kernels.CLAMP_TOL; a larger overshoot rejects
+    the attempt and retries at half the step, so the time actually
+    advanced may be dt / 2**k.
+    """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValidationError(f"dt must be positive, got {dt}")
+    x, y = check_state(state)
+    a, b, c, e = field_coefficients(p)
+    x, y, _ = _kernels.rk4_step(a, b, c, e, x, y, dt)
+    return PopulationState(x, y)
 
 
 def euler_flow(p: PayoffParams, start: PopulationState, dt: float, t_max: float) -> PopulationState:

@@ -1,5 +1,5 @@
 """Integrators: single steps, full trajectories, basins, CSV export, and
-agreement between the path kernel and the public single-step function."""
+agreement between the path kernels and the checked single-step function."""
 
 import csv
 import math
@@ -19,7 +19,6 @@ from evoloss import (
     saddle_point,
     sample_starts,
     simulate,
-    step_rk4,
     write_trajectories_csv,
 )
 from evoloss import _kernels, game, stability
@@ -31,6 +30,7 @@ from helpers import (
     euler_path,
     reference_write_trajectories_csv,
     sample_gentle_pair,
+    step_rk4,
 )
 
 
@@ -96,7 +96,7 @@ def test_step_rk4_against_euler_reference(fixture_params):
 
 
 def test_simulate_first_step_matches_step_rk4(fixture_params):
-    """The path kernel and the public single-step function share their
+    """The path kernel and the checked single-step function share their
     arithmetic, so the first recorded step agrees bit for bit."""
     start = PopulationState(0.3, 0.7)
     traj = simulate(fixture_params, start, IntegratorConfig(t_max=1.0))
@@ -207,60 +207,64 @@ LANES = _kernels.BATCH_MIN_LANES
 RANDOM_STARTS = tuple(sample_starts(4 * LANES, np.random.default_rng(5)))
 
 
-def starts_stopping_after(params, start, cfg, lengths):
-    """Points of the path from start whose own paths reach its corner
-    after exactly the given numbers of samples: a step depends only on
-    the state it starts from, far from the horizon."""
-    traj = simulate(params, start, cfg)
-    assert traj.reason == "corner"
-    return [tuple(traj.states[len(traj.times) - n].tolist()) for n in lengths]
+def in_box(state, box):
+    """Whether the point state lies in the box of _kernels._stop_test."""
+    return all(min(v, 1.0 - v) <= box for v in state)
 
 
-def handoff_lengths(n):
-    """Path lengths for which fewer than BATCH_MIN_LANES lanes are left
-    first when the n-th sample is recorded: LANES - 1 longer paths, one
-    of n - 1 samples and 3 * LANES shorter ones."""
-    return [
-        *(n + 1 + 7 * i for i in range(LANES - 1)),
-        n - 1,
-        *(1 + i * (n - 2) // (3 * LANES) for i in range(3 * LANES)),
-    ]
+def own_leave(params, traj, cfg):
+    """The sample at which the lane of traj leaves the batch of rk4_paths
+    of its own accord: the first in the box of _kernels._stop_test, or
+    whose next attempt, at the batch's step, lands outside the square or
+    is NaN; the last sample when there is none.  Up to that sample the
+    lane's times are the batch's clock, so its steps are the batch's."""
+    box = _kernels._stop_test(cfg.stop_tol)[2]
+    coefficients = field_coefficients(params)
+    for j, (t, state) in enumerate(zip(traj.times.tolist(), traj.states.tolist())):
+        h = cfg.t_max - t if t + cfg.dt > cfg.t_max else cfg.dt
+        xn, yn = _kernels.rk4_attempt(*coefficients, *state, h)
+        if in_box(state, box) or not (0.0 <= xn <= 1.0 and 0.0 <= yn <= 1.0):
+            return j
+    return len(traj.times) - 1
 
 
-def handoff_sample(lengths):
-    """Samples per lane recorded when rk4_paths hands the lanes left to
-    the scalar loop, or None when the last ones stop while batched."""
-    for n in range(1, max(lengths) + 1):
-        left = sum(length >= n for length in lengths)
+def handoff_sample(own):
+    """The sample at which rk4_paths hands the lanes still batched to the
+    scalar loop because fewer than BATCH_MIN_LANES are left, given each
+    lane's own leave sample: the first chunk end, or the start, with
+    fewer lanes whose own leave sample is that one or later; None when
+    the last lanes leave of their own accord first."""
+    for n in range(0, max(own) + 1, _kernels._CHUNK):
+        left = sum(j >= n for j in own)
         if left < LANES:
             return n if left else None
     return None
 
 
-def in_box(state, box):
-    """Whether the point state lies in the box of _kernels._stop_test."""
-    return all(min(v, 1.0 - v) <= box for v in state.tolist())
+def starts_leaving_at(params, start, cfg, samples):
+    """Points of the path from start whose own lanes leave the batch at
+    exactly the given samples: a step depends only on the state it
+    starts from, far from the horizon."""
+    traj = simulate(params, start, cfg)
+    end = own_leave(params, traj, cfg)
+    assert traj.reason != "horizon" and max(samples) <= end
+    return [tuple(traj.states[end - j].tolist()) for j in samples]
 
 
-def batched_samples(traj, box, dt):
-    """Samples a lane records before it leaves the batch of rk4_paths of
-    its own accord: up to the first in the box, or up to the first step
-    that is not a full dt landing strictly inside the square, such as a
-    halved, shortened or clamped one."""
-    times, states = traj.times, traj.states
-    for n in range(1, len(times)):
-        if (
-            in_box(states[n - 1], box) or times[n] != times[n - 1] + dt
-            or not ((0.0 < states[n]) & (states[n] < 1.0)).all()
-        ):
-            return n
-    return len(times)
+CHUNK = _kernels._CHUNK
+#: Field coefficients (1.7e308, -1.7e308, 1, 0): on the edge x = 0 the
+#: state stays on it and y grows logistically, until a - b * y overflows
+#: to inf at y of about 0.0575 and x (1 - x) (a - b y) is 0 * inf = NaN.
+#: The scalar loop then halves its steps ever closer to that y.
+OVERFLOW = PayoffParams(g1=0.0, d1=1.0, g2=0.0, d2=1.7e308, n1=-1.0, n2=-1.7e308, w1=0.0,
+                        w2=1.0)
 
 
 # name: (params, starts, config, stop reasons of the whole batch); a
 # lane leaves the batch at a sample in the box of _kernels._stop_test or
-# on an attempt outside the square or NaN, and every lane leaves at the
-# horizon, at the budget or once fewer than BATCH_MIN_LANES are left
+# whose next attempt is outside the square or NaN, found once per chunk;
+# every lane leaves at the horizon or at the budget, and at a chunk end
+# once fewer than BATCH_MIN_LANES are left
 BATCH_CASES = {
     # corner starts leave at their first sample, in the box, and stop
     # there; the edge starts have signed zeros
@@ -303,29 +307,47 @@ BATCH_CASES = {
     # corners stopping on the sample the batch recorded
     "handoff_first": (FIXTURE, (*EDGE_STARTS, *RANDOM_STARTS[:8]), IntegratorConfig(),
                       {"corner"}),
-    # the lanes left leave for the scalar loop in mid-chunk, after a full
-    # chunk
-    "handoff_mid_chunk": (
+    # lanes leave of their own accord at the first, a middle and the last
+    # sample of the first two chunks, and at the third chunk's first,
+    # while at least LANES others stay batched
+    "leave_chunk_edges": (
         FIXTURE,
-        starts_stopping_after(FIXTURE, (0.45, 0.5), IntegratorConfig(),
-                              handoff_lengths(_kernels._CHUNK + 50)),
+        starts_leaving_at(FIXTURE, (0.45, 0.5), IntegratorConfig(), [
+            0, 50, CHUNK - 1, CHUNK, CHUNK + 50, 2 * CHUNK - 1,
+            *(2 * CHUNK + 3 * i for i in range(LANES)),
+        ]),
         IntegratorConfig(), {"corner"},
     ),
-    # ... on the step that fills the chunk
+    # lanes leave in mid-chunk, so that fewer than LANES are left at the
+    # chunk's end, and the scalar loop takes those there
     "handoff_chunk_end": (
         FIXTURE,
-        starts_stopping_after(FIXTURE, (0.45, 0.5), IntegratorConfig(),
-                              handoff_lengths(_kernels._CHUNK)),
+        starts_leaving_at(FIXTURE, (0.45, 0.5), IntegratorConfig(), [
+            *(CHUNK + 5 + 3 * i for i in range(8)),
+            *(2 * CHUNK + 20 + 5 * i for i in range(LANES - 1)),
+        ]),
         IntegratorConfig(), {"corner"},
     ),
-    # ... and two of them run on to the step budget
-    "handoff_budget": (
+    # every lane's first attempt overshoots, so all leave at their start
+    # although they are more than LANES, and the chunk's later states
+    # are thrown away; (0.5, 0.01) runs on to the step budget
+    "leave_all_at_start": (
         STIFF,
-        ((0.5, 0.01), (0.5, 0.01), *starts_stopping_after(
-            STIFF, (0.4, 0.4), IntegratorConfig(dt=0.5, t_max=50.0),
-            [1 + i * 145 // (4 * LANES - 2) for i in range(4 * LANES - 2)],
-        )),
+        ((0.5, 0.01), (0.5, 0.01), *map(tuple, simulate(
+            STIFF, (0.4, 0.4), IntegratorConfig(dt=0.5, t_max=50.0)
+        ).states[::2].tolist())),
         IntegratorConfig(dt=0.5, t_max=50.0), {"corner", "budget"},
+    ),
+    # early in the second chunk a lane's attempt overflows to NaN while
+    # LANES others stay batched: it computes on to the chunk's end on
+    # NaN, which must change no other lane and warn of nothing, and the
+    # scalar loop runs it on to the step budget
+    "overflow": (
+        OVERFLOW,
+        starts_leaving_at(OVERFLOW, (0.0, 0.0011), IntegratorConfig(t_max=6.0), [
+            CHUNK + 2, *(300 + 2 * i for i in range(LANES)),
+        ]),
+        IntegratorConfig(t_max=2.6), {"horizon", "budget"},
     ),
     # (0.25, 0.25) is in the box but outside every stop ball, so it
     # leaves at its start while the others stay batched, and runs on
@@ -350,33 +372,33 @@ def test_phase_portrait_batch_matches_per_start_simulate(case):
     assert {t.reason for t in batch} == reasons
     # why the lanes of each case leave the batch of rk4_paths
     lengths = [len(t.times) for t in batch]
-    handoff = handoff_sample(lengths)
-    still_batched = handoff or max(lengths) + 1
+    own = [own_leave(params, t, cfg) for t in batch]
+    handoff = handoff_sample(own)
+    # the sample at which each lane leaves the batch
+    leaves = own if handoff is None else [min(j, handoff) for j in own]
     if case == "horizon_cut":
         assert np.diff(batch[0].times)[-1] < cfg.dt
-        assert lengths[0] < still_batched
+        assert leaves[0] == lengths[0] - 1
     if case == "horizon_margin":
-        assert 0.0 < cfg.t_max - batch[0].times[-1] <= 1e-12 and lengths[0] < still_batched
+        assert 0.0 < cfg.t_max - batch[0].times[-1] <= 1e-12 and leaves[0] == lengths[0] - 1
     if case == "clamp":
-        box = _kernels._stop_test(cfg.stop_tol)[2]
-        counts = [batched_samples(t, box, cfg.dt) for t in batch]
 
-        def clamped(traj, n):
-            """Whether the lane leaves on an attempt within CLAMP_TOL
-            outside the square, taken at the full step, with at least
-            LANES lanes left in the batch."""
-            xn, yn = _kernels.rk4_attempt(
-                *field_coefficients(params), *traj.states[n - 1], cfg.dt
-            )
+        def clamped(traj, j):
+            """Whether the lane leaves at sample j on an attempt within
+            CLAMP_TOL outside the square, taken at the full step."""
+            xn, yn = _kernels.rk4_attempt(*field_coefficients(params), *traj.states[j].tolist(), cfg.dt)
             tol = _kernels.CLAMP_TOL
             return (
                 not (0.0 <= xn <= 1.0 and 0.0 <= yn <= 1.0)
                 and -tol <= min(xn, yn) and max(xn, yn) <= 1.0 + tol
-                and traj.times[n] == traj.times[n - 1] + cfg.dt
-                and sum(m > n for m in counts) >= LANES
+                and traj.times[j + 1] == traj.times[j] + cfg.dt
             )
 
-        assert any(clamped(t, n) for t, n in zip(batch, counts) if 1 < n < len(t.times))
+        # of its own accord, before any handoff
+        assert any(
+            clamped(t, j) for t, j in zip(batch, own)
+            if 0 < j < len(t.times) - 1 and (handoff is None or j < handoff)
+        )
     if case == "horizon_exact":
         assert cfg.t_max - T_199 != cfg.dt
         assert all(t.times[-2:].tolist() == [T_199, cfg.t_max] for t in batch)
@@ -384,25 +406,32 @@ def test_phase_portrait_batch_matches_per_start_simulate(case):
         behind, cut = batch[0].times, batch[1].times
         assert behind[-2:].tolist() == [0.045, cfg.t_max] and cfg.t_max - 0.045 != cfg.dt
         assert cut[-2] + cfg.dt > cfg.t_max and cut[-2] > behind[-2]
-        assert lengths[0] < still_batched
+        assert leaves[0] < lengths[0] - 1 and leaves[1] == lengths[1] - 1
     if case == "budget":
-        assert batch[0].times[1] == cfg.dt / 64 and still_batched > 1
+        assert batch[0].times[1] == cfg.dt / 64 and leaves[0] == 0 and handoff != 0
     if case == "handoff_first":
-        assert handoff == 1 and min(lengths) == 1
-    if case == "handoff_mid_chunk":
-        assert handoff > _kernels._CHUNK
-        assert 0 < (handoff - 1) % _kernels._CHUNK < _kernels._CHUNK - 1
+        assert handoff == 0 and min(lengths) == 1
+    if case == "leave_chunk_edges":
+        assert handoff is None
+        assert {0, 50, CHUNK - 1, CHUNK, CHUNK + 50, 2 * CHUNK - 1, 2 * CHUNK} <= set(leaves)
     if case == "handoff_chunk_end":
-        assert handoff == _kernels._CHUNK
-    if case == "handoff_budget":
-        assert batch[0].reason == "budget" and lengths[0] > handoff
+        assert handoff == 2 * CHUNK
+        assert sum(CHUNK < j < 2 * CHUNK for j in own) == 8
+        assert sum(j > handoff for j in own) == LANES - 1
+    if case == "leave_all_at_start":
+        assert batch[0].reason == "budget" and handoff is None and max(leaves) == 0
+    if case == "overflow":
+        j = own[0]
+        xn, yn = _kernels.rk4_attempt(*field_coefficients(params), *batch[0].states[j].tolist(), cfg.dt)
+        assert math.isnan(xn) and CHUNK < j < CHUNK + 8 and handoff is None
+        assert sum(k > 2 * CHUNK for k in leaves) >= LANES
     if case == "box_not_ball":
         box = _kernels._stop_test(cfg.stop_tol)[2]
         start = batch[0].states[0]
         assert in_box(start, box) and lengths[0] > 1
         assert min(math.dist(start, corner) for corner in CORNERS) > cfg.stop_tol
         # the lanes that stay batched after the first sample
-        assert sum(batched_samples(t, box, cfg.dt) > 1 for t in batch[1:]) >= LANES
+        assert sum(j > 0 for j in leaves[1:]) >= LANES
 
 
 def test_rk4_paths_matches_rk4_path_when_every_attempt_is_rejected():
@@ -624,6 +653,27 @@ def test_rk4_path_matches_repeated_step_rk4(coefficients, start, dt, steps, stop
     want, want_term = rk4_step_walk(*coefficients, *start, dt, t_max, stop_tol)
     assert np.column_stack((ts, xs, ys)).tobytes() == want.tobytes()
     assert term == want_term
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coefficients=st.tuples(COEFFICIENTS, COEFFICIENTS, COEFFICIENTS, COEFFICIENTS),
+    states=st.lists(st.tuples(EDGE, EDGE), min_size=1, max_size=6),
+    h=st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+)
+# overflow to inf and NaN within the attempt
+@example(coefficients=(1.7e308, -1.7e308, 1e300, 1.7e308), states=[(0.5, -0.0), (0.0, 0.5)],
+         h=2.0)
+def test_stacked_attempt_matches_rk4_attempt(coefficients, states, h):
+    """The batched sweep's attempt on stacked (x, y) states is
+    rk4_attempt on each state's floats, bit for bit."""
+    a, b, c, e = coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _kernels.rk4_attempt_stacked(
+            np.array(((a,), (c,))), np.array(((b,), (e,))), np.array(states).T, h
+        )
+    want = [_kernels.rk4_attempt(a, b, c, e, x, y, h) for x, y in states]
+    assert got.tobytes() == np.array(want).T.tobytes()
 
 
 # a lane whose every attempt is rejected makes 64 of them per step, in

@@ -275,12 +275,16 @@ def test_train_episode_time_scales_linearly():
         train_episode(LabConfig(steps=steps, **base))
         return time.perf_counter() - t0
 
-    # interleaved, so that a slow spell of the host hits both sizes alike
-    t300 = t600 = math.inf
+    # multiples of the update period, so that both sizes make 5 PPO
+    # updates per 1000 steps; interleaved, so that a slow spell of the
+    # host hits both sizes alike
+    period = SchedulerConfig().update_period
+    assert 1000 % period == 0
+    t1000 = t2000 = math.inf
     for _ in range(5):
-        t300 = min(t300, timed(300))
-        t600 = min(t600, timed(600))
-    assert 1.5 <= t600 / t300 <= 2.6
+        t1000 = min(t1000, timed(1000))
+        t2000 = min(t2000, timed(2000))
+    assert 1.5 <= t2000 / t1000 <= 2.6
 
 
 def assert_same_log(log, ref):
