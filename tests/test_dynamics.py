@@ -203,6 +203,7 @@ T_199 = _time_after(199, 0.01)
 FIXTURE = PayoffParams(g1=1.5, d1=1.0, g2=1.0, d2=1.5, n1=0.5, n2=0.5)
 EDGE_STARTS = (*CORNERS, PopulationState(-0.0, 0.5), PopulationState(0.5, -0.0))
 LANES = _kernels.BATCH_MIN_LANES
+CHUNK = _kernels._CHUNK
 # four times the crossover, so that every case runs batched for a while
 RANDOM_STARTS = tuple(sample_starts(4 * LANES, np.random.default_rng(5)))
 
@@ -234,7 +235,7 @@ def handoff_sample(own):
     lane's own leave sample: the first chunk end, or the start, with
     fewer lanes whose own leave sample is that one or later; None when
     the last lanes leave of their own accord first."""
-    for n in range(0, max(own) + 1, _kernels._CHUNK):
+    for n in range(0, max(own) + 1, CHUNK):
         left = sum(j >= n for j in own)
         if left < LANES:
             return n if left else None
@@ -251,7 +252,6 @@ def starts_leaving_at(params, start, cfg, samples):
     return [tuple(traj.states[end - j].tolist()) for j in samples]
 
 
-CHUNK = _kernels._CHUNK
 #: Field coefficients (1.7e308, -1.7e308, 1, 0): on the edge x = 0 the
 #: state stays on it and y grows logistically, until a - b * y overflows
 #: to inf at y of about 0.0575 and x (1 - x) (a - b y) is 0 * inf = NaN.
