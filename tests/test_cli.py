@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import math
+import pathlib
+import re
 import shutil
 
 import pytest
@@ -381,6 +383,53 @@ def test_train_accepts_target_pair(tmp_path, capsys):
     cfg = write_kv(tmp_path / "train.cfg", target_x=0.8333, target_y=0.8333,
                    **TRAIN_CONFIG)
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "log.csv")]) == 0
+
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
+
+#: One valid value for each train config key, the keys as README.md's
+#: "File formats" section lists them.
+EVERY_TRAIN_KEY = dict(
+    steps=3, input_dim=4, feature_dim=2, batch_size=4, noise_scale=0.2,
+    learning_rate=0.02, seed=5, center=0.4, explore_weight=0.2, prev_loss_scale=0.5,
+    update_period=2, reward_cap=50.0, denom_floor=1e-5, target_x=0.3, target_y=0.9,
+    temperature=0.5, epsilon=0.01,
+)
+
+
+def test_train_config_keys_are_the_readme_list():
+    text = README.read_text(encoding="utf-8")
+    listed = text.split("Training config:", 1)[1].split("\n\n", 1)[0]
+    assert set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`", listed)))) == set(
+        EVERY_TRAIN_KEY
+    )
+
+
+def test_train_config_accepts_every_listed_key(tmp_path, capsys):
+    cfg = write_kv(tmp_path / "train.cfg", **EVERY_TRAIN_KEY)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "log.csv")]) == 0
+    assert "steps = 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "overrides,drop,line",
+    [
+        # target is the scheduler's field; the file spells it target_x, target_y
+        ({"verbosity": 3}, None, "error: unknown config keys: ['verbosity']"),
+        ({"target": 0.5}, None, "error: unknown config keys: ['target']"),
+        ({}, "steps", "error: config must set steps"),
+        ({"target_x": 0.8}, None,
+         "error: config must set both target_x and target_y or neither"),
+    ],
+)
+def test_train_config_key_error_lines(tmp_path, capsys, overrides, drop, line):
+    items = {**TRAIN_CONFIG, **overrides}
+    items.pop(drop, None)
+    cfg = write_kv(tmp_path / "train.cfg", **items)
+    out = tmp_path / "log.csv"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

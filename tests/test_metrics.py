@@ -1,5 +1,6 @@
 """Benchmark parsing and the reciprocal-gap payoff metrics."""
 
+import hashlib
 import math
 import warnings
 
@@ -349,6 +350,17 @@ def test_payoff_params_file_roundtrip(tmp_path):
     path = tmp_path / "game.params"
     save_payoff_params(p, path)
     assert load_payoff_params(path) == p
+
+
+def test_save_payoff_params_bytes_are_pinned(tmp_path):
+    """Key order g1 d1 g2 d2 n1 n2 w1 w2, one `key = repr` line each; a
+    non-default w2 shows that the weights are written too."""
+    p = PayoffParams(1.5, 1.0, 1.0, 1.5, 0.5, -0.25, w1=1.25, w2=0.75)
+    path = tmp_path / "game.params"
+    save_payoff_params(p, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "2eb4b5e934614abac8545ab6fb70c38989597392f31d703c578b75f2c2ce5907"
+    )
 
 
 def test_load_payoff_params_fixture(data_dir, fixture_params):

@@ -1,6 +1,7 @@
 """Weight-mapping, reward shaping, the Gaussian policy, and the clipped
 policy update."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -360,6 +361,22 @@ def test_policy_checkpoint_roundtrip(tmp_path):
         np.testing.assert_array_equal(getattr(loaded, field), getattr(policy, field))
     assert loaded.vb2 == policy.vb2
     assert path.read_text().splitlines()[0] == "evoloss-policy 1 6 5"
+
+
+@pytest.mark.parametrize(
+    "state_dim,hidden,digest",
+    [
+        (3, 2, "287e1409a2a32ee4cab6f23b68ba7f8f6a9d56e9fae230abf4650a558f333756"),
+        (8, 32, "45a828f65338447d4fc38918a60ff2cc38fa0736612829bd5bad050c6d189e23"),
+    ],
+)
+def test_save_policy_bytes_are_pinned(tmp_path, state_dim, hidden, digest):
+    """The checkpoint's header, field order (w1, b1, w2, b2, vw1, vb1,
+    vw2, vb2, log_std) and float format; a round trip alone would pass
+    with the fields in any order."""
+    path = tmp_path / "policy.txt"
+    save_policy(init_policy(state_dim, np.random.default_rng(7), hidden=hidden), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_load_policy_corruption(tmp_path):
