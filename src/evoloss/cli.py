@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -23,13 +24,7 @@ from .errors import DegenerateGameError, EvolossError, OutOfSimplexError, Valida
 from .game import PopulationState, check_state, saddle_point
 from .kvfile import read_kv_file, read_text
 from .lab import LabConfig, save_encoder_weights, train_episode, write_training_log
-from .losses import DEFAULT_OFFDIAG_WEIGHT, DEFAULT_TEMPERATURE
-from .metrics import (
-    discriminability,
-    generalizability,
-    load_benchmark,
-    load_payoff_params,
-)
+from .metrics import load_benchmark, load_payoff_params, metric_rows
 from .scheduler import SchedulerConfig, _cosine
 from .stability import enumerate_equilibria, equilibria_table, write_equilibria_csv
 
@@ -72,30 +67,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_metrics(args) -> int:
-    table = load_benchmark(args.input)
-    rows = []
-    for rec in table.ssl_accuracies:
-        ref = table.sl_accuracy(rec.eval)
-        if rec.pretrain == rec.eval:
-            rows.append(("D", rec.method, rec.pretrain, rec.eval,
-                         discriminability(ref, rec.accuracy)))
-        else:
-            rows.append(("G", rec.method, rec.pretrain, rec.eval,
-                         generalizability(ref, rec.accuracy)))
-    for rec in table.ensemble_accuracies:
-        ref = table.sl_accuracy(rec.eval)
-        rows.append(("N1", rec.method, rec.pretrain, rec.eval, ref - rec.accuracy))
-        gen_method = rec.method.split("+", 1)[0]
-        try:
-            gen_acc = table.accuracy(gen_method, rec.pretrain, rec.eval)
-        except EvolossError:
-            continue
-        rows.append(("N2", rec.method, rec.pretrain, rec.eval, gen_acc - rec.accuracy))
+    rows = metric_rows(load_benchmark(args.input))
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["metric", "method", "pretrain", "eval", "value"])
-        for *fields, value in rows:
-            writer.writerow([*fields, repr(value)])
+        for *key, value in rows:
+            writer.writerow([*key, repr(value)])
     print(f"wrote {len(rows)} metric rows to {args.output}")
     return 0
 
@@ -166,45 +143,36 @@ def run_simulate(args) -> int:
     return 0
 
 
-_LAB_KEYS = ("steps", "input_dim", "feature_dim", "batch_size",
-             "noise_scale", "learning_rate", "seed")
-_SCHED_KEYS = ("center", "explore_weight", "prev_loss_scale", "update_period",
-               "reward_cap", "denom_floor")
-_LOSS_KEYS = ("temperature", "epsilon")
-
-
-def _parse_train_config(path):
+def _parse_train_config(path) -> tuple[dict, dict]:
+    """The LabConfig and SchedulerConfig arguments a train config sets:
+    one key per field, except that the scheduler's target is the pair
+    target_x, target_y."""
     data = read_kv_file(path)
-    unknown = set(data) - {*_LAB_KEYS, *_SCHED_KEYS, "target_x", "target_y", *_LOSS_KEYS}
+    lab_fields, sched_fields = fields(LabConfig), fields(SchedulerConfig)
+    keys = {f.name for f in lab_fields + sched_fields} - {"target"} | {"target_x", "target_y"}
+    unknown = set(data) - keys
     if unknown:
         raise EvolossError(f"unknown config keys: {sorted(unknown)}")
-    if "steps" not in data:
-        raise EvolossError("config must set steps")
-
-    def pick(keys):
-        return {k: data[k] for k in keys if k in data}
-
-    lab_kwargs = pick(_LAB_KEYS)
-    sched_kwargs = pick(_SCHED_KEYS)
+    for f in lab_fields + sched_fields:
+        if f.default is MISSING and f.name not in data:
+            raise EvolossError(f"config must set {f.name}")
     if ("target_x" in data) != ("target_y" in data):
         raise EvolossError("config must set both target_x and target_y or neither")
     if "target_x" in data:
-        sched_kwargs["target"] = (data["target_x"], data["target_y"])
-    return lab_kwargs, sched_kwargs, pick(_LOSS_KEYS)
+        data["target"] = (data.pop("target_x"), data.pop("target_y"))
+    return (
+        {f.name: data[f.name] for f in lab_fields if f.name in data},
+        {f.name: data[f.name] for f in sched_fields if f.name in data},
+    )
 
 
 def run_train(args) -> int:
-    lab_kwargs, sched_kwargs, loss_kwargs = _parse_train_config(args.config)
+    lab_kwargs, sched_kwargs = _parse_train_config(args.config)
     if args.seed is not None:
         lab_kwargs["seed"] = args.seed
     cfg = LabConfig(**lab_kwargs)
     sched_cfg = SchedulerConfig(**sched_kwargs)
-    log = train_episode(
-        cfg,
-        sched_cfg,
-        temperature=loss_kwargs.get("temperature", DEFAULT_TEMPERATURE),
-        epsilon=loss_kwargs.get("epsilon", DEFAULT_OFFDIAG_WEIGHT),
-    )
+    log = train_episode(cfg, sched_cfg)
     write_training_log(log, args.out)
     weights_path = args.weights_out or f"{args.out}.weights"
     save_encoder_weights(log.final_weights, weights_path)

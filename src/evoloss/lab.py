@@ -53,6 +53,9 @@ class LabConfig:
     noise_scale: float = 0.1
     learning_rate: float = 0.01
     seed: int = 0
+    #: InfoNCE softmax temperature and Barlow Twins off-diagonal weight.
+    temperature: float = DEFAULT_TEMPERATURE
+    epsilon: float = DEFAULT_OFFDIAG_WEIGHT
 
     def __post_init__(self):
         for name in ("steps", "input_dim", "feature_dim", "batch_size", "seed"):
@@ -77,6 +80,8 @@ class LabConfig:
             raise ValidationError(
                 f"learning_rate must be positive, got {self.learning_rate}"
             )
+        _check_temperature(self.temperature)
+        _check_epsilon(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,6 @@ def init_encoder(rng: np.random.Generator, cfg: LabConfig) -> np.ndarray:
 def train_episode(
     cfg: LabConfig,
     sched_cfg: SchedulerConfig | None = None,
-    temperature: float = DEFAULT_TEMPERATURE,
-    epsilon: float = DEFAULT_OFFDIAG_WEIGHT,
     initial_policy: PolicyParams | None = None,
 ) -> TrainingLog:
     """Run one scheduled training episode.
@@ -150,11 +153,10 @@ def train_episode(
     observe_state, policy_act, map_action, info_nce, barlow_twins,
     reward and ppo_update without their per-call checks, with the same
     arithmetic on the same random stream, so the result equals those
-    calls bit for bit.  The inputs are checked here, once; a non-finite
-    loss or policy output raises ValidationError at its step.
+    calls bit for bit.  The configs check their fields when they are
+    made and the policy's size is checked here, once; a non-finite loss
+    or policy output raises ValidationError at its step.
     """
-    _check_temperature(temperature)
-    _check_epsilon(epsilon)
     sched_cfg = sched_cfg or SchedulerConfig()
     rng = np.random.default_rng(cfg.seed)
     weights = init_encoder(rng, cfg)
@@ -180,6 +182,7 @@ def train_episode(
     updates = []
     target = np.asarray(sched_cfg.target, dtype=float)
     target_norm = np.linalg.norm(target)
+    temperature, epsilon = cfg.temperature, cfg.epsilon
     loss_prev: float | None = None
     try:
         # an overflow would freeze both losses at zero gradient, and an

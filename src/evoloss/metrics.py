@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, astuple, dataclass, fields
 
 from .errors import (
     BenchmarkParseError,
@@ -94,6 +94,12 @@ class BenchmarkTable:
 
 def is_ensemble_method(method: str) -> bool:
     return "+" in method
+
+
+def ensemble_member(method: str) -> str:
+    """The generalizability-oriented member an ensemble method id names:
+    the part before its first ``+``."""
+    return method.split("+", 1)[0]
 
 
 def _build_table(rows: list[AccuracyRecord]) -> BenchmarkTable:
@@ -233,6 +239,33 @@ def negative_impacts(
     return n1, n2
 
 
+def metric_rows(table: BenchmarkTable) -> list[tuple[str, str, str, str, float]]:
+    """The (metric, method, pretrain, eval, value) rows a table yields.
+
+    Each SSL record gives D (pretrain == eval) or G (a transfer); each
+    ensemble record gives N1 and, when the table holds its member's
+    accuracy on the same datasets, N2 (see negative_impacts).
+    """
+    rows = []
+    for rec in table.ssl_accuracies:
+        ref = table.sl_accuracy(rec.eval)
+        if rec.pretrain == rec.eval:
+            rows.append(("D", rec.method, rec.pretrain, rec.eval,
+                         discriminability(ref, rec.accuracy)))
+        else:
+            rows.append(("G", rec.method, rec.pretrain, rec.eval,
+                         generalizability(ref, rec.accuracy)))
+    for rec in table.ensemble_accuracies:
+        ref = table.sl_accuracy(rec.eval)
+        rows.append(("N1", rec.method, rec.pretrain, rec.eval, ref - rec.accuracy))
+        try:
+            gen_acc = table.accuracy(ensemble_member(rec.method), rec.pretrain, rec.eval)
+        except MissingRecordError:
+            continue
+        rows.append(("N2", rec.method, rec.pretrain, rec.eval, gen_acc - rec.accuracy))
+    return rows
+
+
 @dataclass(frozen=True)
 class PayoffParams:
     """The eight scalars that define the two-player trade-off game.
@@ -252,19 +285,16 @@ class PayoffParams:
     w2: float = 1.0
 
     def __post_init__(self):
-        for name in ("g1", "d1", "g2", "d2", "n1", "n2", "w1", "w2"):
-            value = getattr(self, name)
+        values = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        for name, value in values:
             if not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
-        for name in ("g1", "d1", "g2", "d2", "w1", "w2"):
-            if getattr(self, name) < 0.0:
-                raise ValidationError(
-                    f"{name} must be nonnegative, got {getattr(self, name)}"
-                )
+        for name, value in values:
+            if value < 0.0 and name not in ("n1", "n2"):
+                raise ValidationError(f"{name} must be nonnegative, got {value}")
 
     def astuple(self) -> tuple[float, ...]:
-        return (self.g1, self.d1, self.g2, self.d2,
-                self.n1, self.n2, self.w1, self.w2)
+        return astuple(self)
 
 
 def game_datasets(table: BenchmarkTable) -> tuple[str, str]:
@@ -329,22 +359,18 @@ def payoff_from_benchmarks(
     return PayoffParams(g1, d1, g2, d2, n1, n2, w1, w2)
 
 
-_PARAM_KEYS = ("g1", "d1", "g2", "d2", "n1", "n2", "w1", "w2")
-
-
 def load_payoff_params(path) -> PayoffParams:
-    """Read PayoffParams from a `key = value` file; w1/w2 default to 1."""
+    """Read PayoffParams from a `key = value` file, one key per field;
+    the fields with a default (w1, w2) may be left out."""
     data = read_kv_file(path)
-    unknown = set(data) - set(_PARAM_KEYS)
+    unknown = set(data) - {f.name for f in fields(PayoffParams)}
     if unknown:
         raise ValidationError(f"unknown params keys: {sorted(unknown)}")
-    missing = {"g1", "d1", "g2", "d2", "n1", "n2"} - set(data)
+    missing = {f.name for f in fields(PayoffParams) if f.default is MISSING} - set(data)
     if missing:
         raise ValidationError(f"missing params keys: {sorted(missing)}")
-    data.setdefault("w1", 1.0)
-    data.setdefault("w2", 1.0)
     return PayoffParams(**data)
 
 
 def save_payoff_params(params: PayoffParams, path) -> None:
-    write_kv_file(path, dict(zip(_PARAM_KEYS, params.astuple())))
+    write_kv_file(path, asdict(params))

@@ -390,27 +390,29 @@ _POLICY_MAGIC = "evoloss-policy"
 _POLICY_VERSION = 1
 
 
-def _policy_fields(policy: PolicyParams):
+def _policy_layout(state_dim: int, hidden: int):
+    """(field, shape) of each PolicyParams field, in checkpoint order."""
     return (
-        policy.w1,
-        policy.b1,
-        policy.w2,
-        policy.b2,
-        policy.vw1,
-        policy.vb1,
-        policy.vw2,
-        np.array([policy.vb2]),
-        policy.log_std,
+        ("w1", (state_dim, hidden)),
+        ("b1", (hidden,)),
+        ("w2", (hidden, 2)),
+        ("b2", (2,)),
+        ("vw1", (state_dim, hidden)),
+        ("vb1", (hidden,)),
+        ("vw2", (hidden,)),
+        ("vb2", ()),
+        ("log_std", (2,)),
     )
 
 
 def save_policy(policy: PolicyParams, path) -> None:
-    """Flat text checkpoint: a version header, then one value per line."""
-    flat = np.concatenate([f.ravel() for f in _policy_fields(policy)])
+    """Flat text checkpoint: a version header, then one value per line,
+    field by field in _policy_layout order."""
+    layout = _policy_layout(policy.state_dim, policy.hidden)
+    flat = np.concatenate([np.ravel(getattr(policy, name)) for name, _ in layout])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_POLICY_MAGIC} {_POLICY_VERSION} {policy.state_dim} {policy.hidden}\n")
-        for value in flat:
-            fh.write(f"{float(value)!r}\n")
+        fh.write(f"{_POLICY_MAGIC} {_POLICY_VERSION} {policy.state_dim} {policy.hidden}\n"
+                 + "".join([f"{v!r}\n" for v in flat.tolist()]))
 
 
 def load_policy(path) -> PolicyParams:
@@ -434,36 +436,15 @@ def load_policy(path) -> PolicyParams:
         flat = np.array([float(v) for v in lines[1:] if v.strip()])
     except ValueError:
         raise ValidationError("checkpoint contains a non-numeric value") from None
-    shapes = (
-        (state_dim, hidden),
-        (hidden,),
-        (hidden, 2),
-        (2,),
-        (state_dim, hidden),
-        (hidden,),
-        (hidden,),
-        (1,),
-        (2,),
-    )
-    expected = sum(math.prod(s) for s in shapes)
-    if len(flat) != expected:
+    layout = _policy_layout(state_dim, hidden)
+    sizes = [math.prod(shape) for _, shape in layout]
+    if len(flat) != sum(sizes):
         raise ValidationError(
-            f"checkpoint holds {len(flat)} values, expected {expected}"
+            f"checkpoint holds {len(flat)} values, expected {sum(sizes)}"
         )
-    parts = []
-    offset = 0
-    for shape in shapes:
-        size = math.prod(shape)
-        parts.append(flat[offset : offset + size].reshape(shape))
-        offset += size
-    return PolicyParams(
-        w1=parts[0],
-        b1=parts[1],
-        w2=parts[2],
-        b2=parts[3],
-        vw1=parts[4],
-        vb1=parts[5],
-        vw2=parts[6],
-        vb2=float(parts[7][0]),
-        log_std=parts[8],
-    )
+    if not np.isfinite(flat).all():
+        raise ValidationError("checkpoint contains a non-finite value")
+    chunks = np.split(flat, np.cumsum(sizes)[:-1])
+    parts = {name: chunk.reshape(shape) for (name, shape), chunk in zip(layout, chunks)}
+    parts["vb2"] = float(parts["vb2"])
+    return PolicyParams(**parts)

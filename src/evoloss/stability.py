@@ -22,6 +22,10 @@ from .game import (
 from .metrics import PayoffParams
 
 
+#: The columns of the equilibria table and CSV.
+EQUILIBRIA_COLUMNS = ("x", "y", "det", "trace", "class")
+
+
 class StabilityClass(enum.Enum):
     UNSTABLE_POINT = "unstable"
     STABLE_POINT = "stable"
@@ -117,8 +121,7 @@ def enumerate_equilibria(p: PayoffParams) -> list[Equilibrium]:
 
 def equilibria_table(equilibria: list[Equilibrium]) -> str:
     """Render equilibria as an aligned text table."""
-    header = ("x", "y", "det", "trace", "class")
-    rows = [
+    rows = [EQUILIBRIA_COLUMNS] + [
         (
             f"{eq.point.x:.6f}",
             f"{eq.point.y:.6f}",
@@ -128,19 +131,14 @@ def equilibria_table(equilibria: list[Equilibrium]) -> str:
         )
         for eq in equilibria
     ]
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(5)]
-    lines = [
-        "  ".join(h.rjust(w) for h, w in zip(header, widths)),
-    ]
-    for r in rows:
-        lines.append("  ".join(v.rjust(w) for v, w in zip(r, widths)))
-    return "\n".join(lines)
+    widths = [max(len(v) for v in column) for column in zip(*rows)]
+    return "\n".join("  ".join(v.rjust(w) for v, w in zip(r, widths)) for r in rows)
 
 
 def write_equilibria_csv(equilibria: list[Equilibrium], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y", "det", "trace", "class"])
+        writer.writerow(EQUILIBRIA_COLUMNS)
         for eq in equilibria:
             writer.writerow(
                 [repr(eq.point.x), repr(eq.point.y), repr(eq.det), repr(eq.trace), eq.cls.value]

@@ -15,8 +15,6 @@ import math
 import numpy as np
 
 from evoloss import (
-    DEFAULT_OFFDIAG_WEIGHT,
-    DEFAULT_TEMPERATURE,
     PayoffParams,
     PopulationState,
     SchedulerConfig,
@@ -167,13 +165,7 @@ def assert_coefficients_positive(p: PayoffParams) -> None:
     assert min(a, b, c, e) > 0.0
 
 
-def replay_train_episode(
-    cfg,
-    sched_cfg=None,
-    temperature=DEFAULT_TEMPERATURE,
-    epsilon=DEFAULT_OFFDIAG_WEIGHT,
-    initial_policy=None,
-) -> TrainingLog:
+def replay_train_episode(cfg, sched_cfg=None, initial_policy=None) -> TrainingLog:
     """train_episode rebuilt step by step from the public, checked
     functions, in the order its docstring gives; the reference for the
     fused loop, which must equal it bit for bit."""
@@ -191,8 +183,8 @@ def replay_train_episode(
         state = observe_state(np.vstack((z1, z2)))
         action, log_prob, value = policy_act(policy, state, rng)
         w = map_action(action, sched_cfg)
-        loss_gen, (gi1, gi2) = info_nce(z1, z2, temperature)
-        loss_dis, (gb1, gb2) = barlow_twins(z1, z2, epsilon)
+        loss_gen, (gi1, gi2) = info_nce(z1, z2, cfg.temperature)
+        loss_dis, (gb1, gb2) = barlow_twins(z1, z2, cfg.epsilon)
         loss = w.alpha * loss_gen + w.beta * loss_dis
         g_z1 = w.alpha * gi1 + w.beta * gb1
         g_z2 = w.alpha * gi2 + w.beta * gb2

@@ -257,11 +257,13 @@ def test_train_episode_raises_at_an_invalid_value():
     """NaN from an invalid operation (inf * 0 in the Barlow Twins
     gradient) stops the run like an overflow; it used to go on under a
     RuntimeWarning."""
-    cfg = LabConfig(steps=12, input_dim=4, feature_dim=3, batch_size=4, noise_scale=1.0)
+    cfg = LabConfig(
+        steps=12, input_dim=4, feature_dim=3, batch_size=4, noise_scale=1.0, epsilon=1.7e308
+    )
     with pytest.raises(
         ValidationError, match="training diverged at step 0: invalid value encountered in matmul"
     ):
-        train_episode(cfg, SchedulerConfig(update_period=50), epsilon=1.7e308)
+        train_episode(cfg, SchedulerConfig(update_period=50))
 
 
 def test_train_episode_time_scales_linearly():
@@ -319,9 +321,10 @@ CRITERION_8_SCHED = SchedulerConfig(target=(0.8333, 0.8333))
         ),
         (LabConfig(steps=300, noise_scale=0.0, seed=5), SchedulerConfig(update_period=7), {}),
         (
-            LabConfig(steps=60, input_dim=5, feature_dim=3, batch_size=4, seed=2),
+            LabConfig(steps=60, input_dim=5, feature_dim=3, batch_size=4, seed=2,
+                      temperature=0.5, epsilon=0.0),
             SchedulerConfig(update_period=25, center=0.3),
-            {"temperature": 0.5, "epsilon": 0.0, "initial_policy": pinned_policy(3, (0.2, 0.5))},
+            {"initial_policy": pinned_policy(3, (0.2, 0.5))},
         ),
     ],
     ids=[
@@ -370,9 +373,8 @@ def test_train_episode_rejects_loss_params_before_first_step(monkeypatch, kwargs
         raise AssertionError("a random generator was made before the check")
 
     monkeypatch.setattr(np.random, "default_rng", no_generator)
-    cfg = LabConfig(steps=5, input_dim=4, feature_dim=2, batch_size=4)
     with pytest.raises(ValidationError, match=re.escape(message)):
-        train_episode(cfg, **kwargs)
+        train_episode(LabConfig(steps=5, input_dim=4, feature_dim=2, batch_size=4, **kwargs))
 
 
 @pytest.mark.parametrize("field,value", [("b2", np.array([math.nan, 0.1])), ("vb2", math.nan)])

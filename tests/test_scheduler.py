@@ -1,6 +1,7 @@
 """Weight-mapping, reward shaping, the Gaussian policy, and the clipped
 policy update."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -421,6 +422,19 @@ def test_load_policy_corruption(tmp_path):
         load_policy(empty)
 
 
+@pytest.mark.parametrize("values", [("nan", "inf"), ("-inf", "0.5"), ("0.5", "1e999")])
+def test_load_policy_rejects_non_finite_values(tmp_path, values):
+    """A checkpoint whose first two values read nan and inf used to load
+    as w1 = [nan, inf, ...], a policy init_policy never makes."""
+    path = tmp_path / "policy.txt"
+    save_policy(init_policy(3, np.random.default_rng(0), hidden=2), path)
+    lines = path.read_text().splitlines()
+    lines[1:3] = values
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="^checkpoint contains a non-finite value$"):
+        load_policy(path)
+
+
 def assert_loads_or_rejects(path):
     """load_policy returns a policy init_policy could have made, or
     raises ValidationError; nothing else escapes."""
@@ -430,6 +444,8 @@ def assert_loads_or_rejects(path):
         return
     assert isinstance(policy, PolicyParams)
     assert policy.state_dim >= 1 and policy.hidden >= 1
+    for field in dataclasses.fields(PolicyParams):
+        assert np.isfinite(getattr(policy, field.name)).all(), field.name
 
 
 CHECKPOINT_FUZZ = settings(
