@@ -38,11 +38,12 @@ CLAMP_TOL = 1e-9
 #: per lane it holds before copying them into the lane's pieces.  Holding
 #: every step of every lane would cost more memory than the finished
 #: trajectories.  On the 400 grid starts of evobench's basin_sweep (seeds
-#: 1, 5, 51), the sweep's peak RSS stays within 0.2 MB of its finished
-#: trajectories with 64, 128 or 256; 64 leaves 1.2 MB and 128 0.4 MB more
-#: than 256 in small pieces.  A sweep took 164, 155 and 150 ms (medians of
-#: 21, interleaved): a shorter chunk tests and copies more often, and a
-#: longer one computes more discarded steps of the lanes that left.
+#: 1, 5, 51; fresh process each, ru_maxrss), the sweep's peak RSS is that
+#: of its finished trajectories with 64, 128 or 256, and 64 leaves 1.6-2.0
+#: MB and 128 0.1-0.4 MB more than 256 in small pieces.  A sweep took 105,
+#: 100 and 100 ms (medians of 63, interleaved): a shorter chunk tests and
+#: copies more often, and a longer one computes more discarded steps of
+#: the lanes that left.
 _CHUNK = 128
 
 
@@ -73,9 +74,11 @@ def rk4_attempt(a, b, c, e, x, y, h):
     return xn, yn
 
 
-def rk4_attempt_stacked(p, q, s, h):
+def rk4_attempt_stacked(p, q, s, h, out=None):
     """rk4_attempt's arithmetic with x and y stacked: s is the (2, m)
-    array of m states, x over y, p = [[a], [c]] and q = [[b], [e]].
+    array of m states, x over y, p = [[a], [c]] and q = [[b], [e]],
+    or the same rows repeated to (2, m).  The result is written into
+    out when given, a (2, m) array that is not s.
 
     Row 0 of each stage is x's term and row 1 y's, with the same
     elementwise IEEE operations in the same order, so every state rounds
@@ -91,7 +94,7 @@ def rk4_attempt_stacked(p, q, s, h):
     f3 = s3 * (1.0 - s3) * (p - q * s3[::-1])
     s4 = s + h * f3
     f4 = s4 * (1.0 - s4) * (p - q * s4[::-1])
-    return s + sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    return np.add(s, sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4), out=out)
 
 
 def rk4_step(a, b, c, e, x, y, h):
@@ -230,13 +233,14 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     bit-identical to rk4_path.
 
     Returns one (times, states, terminal) per start, in start order,
-    states being the (n, 2) array of recorded (x, y) samples.
+    states being the (n, 2) array of recorded (x, y) samples.  The times
+    of a lane that stops at its leave sample are a read-only view of the
+    batch's one clock, shared with every other such lane; the other
+    lanes own theirs.
     """
     n_max = 2 * int(t_max / dt) + 16
     box = _stop_test(stop_tol)[2]
     t_end = t_max - 1e-12
-    p = np.array(((a,), (c,)))
-    q = np.array(((b,), (e,)))
     # the start index of each lane in the batch, also its column in s
     lane = np.arange(len(x0s))
     s = np.array((x0s, y0s), dtype=np.float64)
@@ -247,26 +251,40 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     # per start: the samples it recorded on the clock, and its later times
     tails = [None] * len(lane)
     terminal = [None] * len(lane)
-    # the leave test writes into one buffer: a fresh array of a chunk's
-    # size per test costs more than the test itself
-    scratch = np.empty((_CHUNK + 1, 2, len(lane)))
+    # the chunk's states, stepped in place, a scratch of their size for
+    # the leave test, and p = [[a], [c]] and q = [[b], [e]] repeated to
+    # the lane count, which makes a stacked step cheaper than broadcasting
+    # them: made again for each lane count that takes a batched step, as a
+    # fresh array per step or per test costs more than the step or test
+    buf = scratch = None
     while True:
         n0 = n - 1  # the clock index of the chunk's first sample
-        chunk = [s]
-        if len(lane) >= BATCH_MIN_LANES:
-            while len(chunk) <= _CHUNK and n < n_max and t < t_end:
+        k = 0  # the chunk's batched steps
+        if len(lane) >= BATCH_MIN_LANES and n < n_max and t < t_end:
+            if buf is None or buf.shape[2] != len(lane):
+                # the last chunk's arrays go first, so that old and new
+                # are never held together
+                buf = scratch = states = near = None
+                buf = np.empty((_CHUNK + 1, 2, len(lane)))
+                scratch = np.empty_like(buf)
+                p = np.repeat(((a,), (c,)), len(lane), axis=1)
+                q = np.repeat(((b,), (e,)), len(lane), axis=1)
+            buf[0] = s
+            while k < _CHUNK and n < n_max and t < t_end:
                 h = t_max - t if t + dt > t_max else dt  # as in _rk4_run
-                s = rk4_attempt_stacked(p, q, s, h)
-                chunk.append(s)
+                rk4_attempt_stacked(p, q, buf[k], h, out=buf[k + 1])
+                k += 1
                 t += h
                 clock.append(t)
                 n += 1
-        k = len(chunk) - 1
-        states = np.array(chunk)
+            states = buf[: k + 1]
+            near = np.subtract(1.0, states, out=scratch[: k + 1])
+        else:
+            states = s[np.newaxis]
+            near = 1.0 - states
         # min(v, 1 - v) is below 0, or NaN, exactly when v is outside
         # [0, 1] or NaN; the state after the chunk's last sample is not
         # computed yet, so every lane leaves there or before
-        near = np.subtract(1.0, states, out=scratch[: k + 1, :, : len(lane)])
         np.minimum(states, near, out=near)
         leave = near.max(axis=1) <= box
         leave[:-1] |= ~(near[1:].min(axis=1) >= 0.0)
@@ -292,12 +310,17 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
             break
         # compress keeps s C-ordered; s[:, stay] would not, and every
         # later ufunc call would iterate it strided
-        lane, s = lane[stay], s.compress(stay, axis=1)
-    del chunk, states, near, scratch  # returned to the OS before the pieces are joined
+        lane, s = lane[stay], states[k].compress(stay, axis=1)
+    del buf, scratch, states, near  # returned to the OS before the pieces are joined
+    # a lane that stopped at its leave sample gets a view of the clock as
+    # its times, so the clock is made read-only; only the lanes that took
+    # steps in the scalar loop join the clock to their own later times
     clock = np.array(clock)
+    clock.flags.writeable = False
     paths = []
     for r, chunks in enumerate(pieces):
         n, ts = tails[r]
         tails[r] = pieces[r] = None
-        paths.append((np.concatenate((clock[:n], ts)), np.concatenate(chunks), terminal[r]))
+        times = np.concatenate((clock[:n], ts)) if ts else clock[:n]
+        paths.append((times, np.concatenate(chunks), terminal[r]))
     return paths

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ValidationError
+from .errors import ValidationError, as_int
 from .game import CORNERS, PopulationState, check_state, field_coefficients
 from .metrics import PayoffParams
 
@@ -46,7 +46,9 @@ class Trajectory:
     """Recorded path of one integration run.
 
     converged_to is the corner whose stop_tol-ball the path entered, or
-    None when it stopped first; reason is one of STOP_REASONS.
+    None when it stopped first; reason is one of STOP_REASONS.  The
+    trajectories of one phase_portrait call may share one read-only
+    times array, so copy times before writing into it.
     """
 
     times: np.ndarray
@@ -116,6 +118,7 @@ def phase_portrait(
 
 def sample_starts(n: int, rng: np.random.Generator) -> list[PopulationState]:
     """n uniform random interior start states."""
+    n = as_int("n", n)
     if n < 1:
         raise ValidationError(f"need at least one start, got {n}")
     pts = rng.uniform(0.0, 1.0, size=(n, 2))

@@ -40,8 +40,12 @@ CORNERS = (
 
 def check_state(state) -> PopulationState:
     """Validate that state is a finite point of the unit square."""
-    x, y = state
-    if not (math.isfinite(x) and math.isfinite(y)):
+    try:
+        x, y = state
+        finite = math.isfinite(x) and math.isfinite(y)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"state must be a pair of real numbers, got {state!r}") from None
+    if not finite:
         raise ValidationError(f"state must be finite, got ({x}, {y})")
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ValidationError(f"state ({x}, {y}) outside the unit square")

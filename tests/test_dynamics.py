@@ -453,11 +453,59 @@ def test_rk4_paths_matches_rk4_path_when_every_attempt_is_rejected():
     assert paths[0][0][1] == 0.01 / 2**64
 
 
+def test_phase_portrait_lanes_share_one_read_only_clock(fixture_params):
+    """A lane that stops at its leave sample takes its times as a view of
+    the batch's one clock, which is read-only; a lane that the scalar
+    loop finished owns its times; every lane is still simulate's path."""
+    cfg = IntegratorConfig()
+    starts = sample_starts(2 * LANES + 6, np.random.default_rng(3))
+    batch = phase_portrait(fixture_params, starts, cfg)
+    for start, got in zip(starts, batch):
+        want = simulate(fixture_params, start, cfg)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+        assert (got.converged_to, got.reason) == (want.converged_to, want.reason)
+    own = [own_leave(fixture_params, t, cfg) for t in batch]
+    handoff = handoff_sample(own)
+    leaves = own if handoff is None else [min(j, handoff) for j in own]
+    shared = [t.times for t, j in zip(batch, leaves) if j == len(t.times) - 1]
+    finished = [t.times for t, j in zip(batch, leaves) if j < len(t.times) - 1]
+    assert len(shared) >= 2 and finished
+    for times in shared:
+        assert not times.flags.writeable
+        assert np.shares_memory(times, shared[0])
+    with pytest.raises(ValueError):
+        shared[0][0] = 1.0
+    for times in finished:
+        assert times.flags.writeable and times.flags.owndata
+
+
 def test_phase_portrait_validates_starts(fixture_params):
     with pytest.raises(ValidationError):
         phase_portrait(fixture_params, [])
     with pytest.raises(ValidationError):
         phase_portrait(fixture_params, [(1.5, 0.5)])
+
+
+@pytest.mark.parametrize("start", [(0.1, 0.2, 0.3), ("a", "b"), (None, 0.5), 0.5, (0.5 + 0j, 0.2)])
+def test_phase_portrait_rejects_a_start_that_is_not_a_pair_of_reals(fixture_params, start):
+    """Unpacking such a start, or math.isfinite on its entries, raised a
+    bare ValueError or TypeError."""
+    with pytest.raises(ValidationError, match="pair of real numbers"):
+        phase_portrait(fixture_params, [(0.5, 0.5), start])
+
+
+@pytest.mark.parametrize("n", [2.5, math.nan, "3"])
+def test_sample_starts_rejects_a_non_integer_count(n):
+    with pytest.raises(ValidationError, match="n must be an integer"):
+        sample_starts(n, np.random.default_rng(4))
+
+
+def test_sample_starts_takes_a_whole_float_count():
+    """2.0 starts are 2, as errors.as_int reads every integer input."""
+    assert sample_starts(2.0, np.random.default_rng(4)) == sample_starts(
+        2, np.random.default_rng(4)
+    )
 
 
 def test_sample_starts_seeded():
@@ -666,14 +714,28 @@ def test_rk4_path_matches_repeated_step_rk4(coefficients, start, dt, steps, stop
          h=2.0)
 def test_stacked_attempt_matches_rk4_attempt(coefficients, states, h):
     """The batched sweep's attempt on stacked (x, y) states is
-    rk4_attempt on each state's floats, bit for bit."""
+    rk4_attempt on each state's floats, bit for bit, with the coefficient
+    columns broadcast or repeated, and returned or written into out."""
     a, b, c, e = coefficients
     with np.errstate(over="ignore", invalid="ignore"):
         got = _kernels.rk4_attempt_stacked(
             np.array(((a,), (c,))), np.array(((b,), (e,))), np.array(states).T, h
         )
-    want = [_kernels.rk4_attempt(a, b, c, e, x, y, h) for x, y in states]
-    assert got.tobytes() == np.array(want).T.tobytes()
+    want = np.array([_kernels.rk4_attempt(a, b, c, e, x, y, h) for x, y in states]).T
+    assert got.tobytes() == want.tobytes()
+    # as rk4_paths calls it: coefficient rows repeated to (2, m), and the
+    # state and result in consecutive rows of one chunk buffer
+    m = len(states)
+    buf = np.full((2, 2, m), math.nan)
+    buf[0] = np.array(states).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _kernels.rk4_attempt_stacked(
+            np.repeat(((a,), (c,)), m, axis=1), np.repeat(((b,), (e,)), m, axis=1), buf[0], h,
+            out=buf[1],
+        )
+    assert np.shares_memory(out, buf[1])
+    assert buf[1].tobytes() == want.tobytes()
+    assert buf[0].tobytes() == np.array(states).T.tobytes()
 
 
 # a lane whose every attempt is rejected makes 64 of them per step, in
