@@ -312,9 +312,7 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
         # later ufunc call would iterate it strided
         lane, s = lane[stay], states[k].compress(stay, axis=1)
     del buf, scratch, states, near  # returned to the OS before the pieces are joined
-    # a lane that stopped at its leave sample gets a view of the clock as
-    # its times, so the clock is made read-only; only the lanes that took
-    # steps in the scalar loop join the clock to their own later times
+    # lanes that stopped at their leave sample share views of the clock
     clock = np.array(clock)
     clock.flags.writeable = False
     paths = []
