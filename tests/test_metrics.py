@@ -4,6 +4,7 @@ import hashlib
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,6 +27,7 @@ from evoloss import (
     table_payoffs,
     write_benchmark,
 )
+from evoloss.cli import main
 from evoloss.metrics import GAP_FLOOR
 
 
@@ -82,6 +84,58 @@ def test_write_benchmark_is_fixed_point(tmp_path):
     write_benchmark(make_table(), first)
     write_benchmark(load_benchmark(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def write_generated_benchmark(path, seed, shuffle=False):
+    """A 78-row table: supervised references on six datasets, then four
+    SSL methods and two ensembles, each pretrained on two datasets and
+    evaluated on all six; shuffle mixes the kinds of row."""
+    rng = np.random.default_rng(seed)
+    datasets = [f"D{i}" for i in range(6)]
+    rows = [("SL", d, d, rng.uniform(97.0, 99.9)) for d in datasets]
+    for method in ("M0", "M1", "M2", "M3", "M0+M1", "M2+M3"):
+        for pretrain in datasets[:2]:
+            for eval_ds in datasets:
+                rows.append((method, pretrain, eval_ds, rng.uniform(40.0, 92.0)))
+    if shuffle:
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    path.write_text("method,pretrain,eval,accuracy\n" + "".join(
+        f"{m},{p},{e},{round(float(acc), 2)!r}\n" for m, p, e, acc in rows
+    ), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "table,metrics_digest,table_digest",
+    [
+        ("fixture",
+         "ff9de16d6be7977550c07cb4ca1bd887a50a9fbf60c4607106fc98df7f5a90d1",
+         "19b81dbf8332f34f2dbba8de9182d1d40e38661981eb72c2b54946f6eaafbabc"),
+        ("generated",
+         "fd0738c84381ad84f07b1bdbfc29114692daff7b12886a5aad46a2ff04216f2c",
+         "20973307f5f74f515a7cbcc927c7fe718f33cbddf5fefd4f301f2be7957d15de"),
+        ("shuffled",
+         "ef7a0295bd8fc4a15355751ad4d775c8bced1b7a41359ec9c721e97a6fcd1b56",
+         "c9bc697f9f2f17eae7dbac30273f6a36fac2e4ad3065b0674ce3336477cb0aa6"),
+    ],
+)
+def test_metrics_and_write_benchmark_bytes_are_pinned(
+    data_dir, tmp_path, capsys, table, metrics_digest, table_digest
+):
+    """`evoloss metrics` and write_benchmark(load_benchmark(f)) keep their
+    bytes, row order included.  The arithmetic is Python floats and repr,
+    so the digests do not depend on the BLAS build or the CPU."""
+    if table == "fixture":
+        src = data_dir / "benchmark_small.csv"
+    else:
+        src = write_generated_benchmark(tmp_path / "in.csv", 15, table == "shuffled")
+    out = tmp_path / "metrics.csv"
+    assert main(["metrics", "--input", str(src), "--output", str(out)]) == 0
+    capsys.readouterr()
+    copy = tmp_path / "copy.csv"
+    write_benchmark(load_benchmark(src), copy)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == metrics_digest
+    assert hashlib.sha256(copy.read_bytes()).hexdigest() == table_digest
 
 
 def _write(tmp_path, text):
