@@ -58,15 +58,14 @@ class AccuracyRecord:
 
 @dataclass(frozen=True)
 class BenchmarkTable:
-    """Parsed benchmark file: supervised references plus SSL/ensemble rows."""
+    """Parsed benchmark file: every accuracy keyed by (method, pretrain,
+    eval), in file order, the supervised references under (SL, d, d)."""
 
-    sl_accuracies: dict[str, float]
-    ssl_accuracies: tuple[AccuracyRecord, ...]
-    ensemble_accuracies: tuple[AccuracyRecord, ...]
+    accuracies: dict[tuple[str, str, str], float]
 
     def sl_accuracy(self, dataset: str) -> float:
         try:
-            return self.sl_accuracies[dataset]
+            return self.accuracies[SL_METHOD, dataset, dataset]
         except KeyError:
             raise MissingRecordError(
                 f"no supervised accuracy for dataset {dataset!r}"
@@ -74,22 +73,18 @@ class BenchmarkTable:
 
     def accuracy(self, method: str, pretrain: str, eval: str) -> float:
         """Look up one (method, pretrain, eval) measurement."""
-        if method == SL_METHOD:
-            if pretrain != eval:
-                raise MissingRecordError(
-                    f"supervised rows are homogeneous; no {(method, pretrain, eval)!r}"
-                )
-            return self.sl_accuracy(eval)
-        for rec in self.ssl_accuracies + self.ensemble_accuracies:
-            if (rec.method, rec.pretrain, rec.eval) == (method, pretrain, eval):
-                return rec.accuracy
-        raise MissingRecordError(
-            f"no record for ({method!r}, {pretrain!r}, {eval!r})"
-        )
+        try:
+            return self.accuracies[method, pretrain, eval]
+        except KeyError:
+            raise MissingRecordError(
+                f"no record for ({method!r}, {pretrain!r}, {eval!r})"
+            ) from None
 
     @property
     def records(self) -> tuple[AccuracyRecord, ...]:
-        return self.ssl_accuracies + self.ensemble_accuracies
+        """The SSL records, then the ensemble records, each in file order."""
+        return tuple(AccuracyRecord(*key, self.accuracies[key])
+                     for key in _canonical_order(self.accuracies) if key[0] != SL_METHOD)
 
 
 def is_ensemble_method(method: str) -> bool:
@@ -102,24 +97,11 @@ def ensemble_member(method: str) -> str:
     return method.split("+", 1)[0]
 
 
-def _build_table(rows: list[AccuracyRecord]) -> BenchmarkTable:
-    sl: dict[str, float] = {}
-    ssl: list[AccuracyRecord] = []
-    ens: list[AccuracyRecord] = []
-    for rec in rows:
-        if rec.method == SL_METHOD:
-            sl[rec.eval] = rec.accuracy
-        elif is_ensemble_method(rec.method):
-            ens.append(rec)
-        else:
-            ssl.append(rec)
-    for rec in ssl + ens:
-        if rec.eval not in sl:
-            raise ValidationError(
-                f"record {(rec.method, rec.pretrain, rec.eval)!r} has no "
-                f"supervised reference accuracy for {rec.eval!r}"
-            )
-    return BenchmarkTable(sl, tuple(ssl), tuple(ens))
+def _canonical_order(keys) -> list[tuple[str, str, str]]:
+    """keys with the supervised references first, then the SSL records,
+    then the ensemble records, each kind in its given order."""
+    return sorted(keys, key=lambda key: 0 if key[0] == SL_METHOD
+                  else 1 + is_ensemble_method(key[0]))
 
 
 def load_benchmark(path) -> BenchmarkTable:
@@ -144,8 +126,7 @@ def load_benchmark(path) -> BenchmarkTable:
             f"expected header {','.join(_HEADER)!r}, got {','.join(lines[0])!r}",
             line=1,
         )
-    rows: list[AccuracyRecord] = []
-    seen: set[tuple[str, str, str]] = set()
+    accuracies: dict[tuple[str, str, str], float] = {}
     for lineno, row in enumerate(lines[1:], start=2):
         if not row:
             continue
@@ -170,11 +151,17 @@ def load_benchmark(path) -> BenchmarkTable:
                 line=lineno,
             )
         key = (method, pretrain, eval_ds)
-        if key in seen:
+        if key in accuracies:
             raise BenchmarkParseError(f"duplicate record {key}", line=lineno)
-        seen.add(key)
-        rows.append(rec)
-    return _build_table(rows)
+        accuracies[key] = rec.accuracy
+    table = BenchmarkTable(accuracies)
+    for rec in table.records:
+        if (SL_METHOD, rec.eval, rec.eval) not in accuracies:
+            raise ValidationError(
+                f"record {(rec.method, rec.pretrain, rec.eval)!r} has no "
+                f"supervised reference accuracy for {rec.eval!r}"
+            )
+    return table
 
 
 def write_benchmark(table: BenchmarkTable, path) -> None:
@@ -182,12 +169,8 @@ def write_benchmark(table: BenchmarkTable, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_HEADER)
-        for dataset in table.sl_accuracies:
-            writer.writerow(
-                [SL_METHOD, dataset, dataset, repr(float(table.sl_accuracies[dataset]))]
-            )
-        for rec in table.records:
-            writer.writerow([rec.method, rec.pretrain, rec.eval, repr(float(rec.accuracy))])
+        for key in _canonical_order(table.accuracies):
+            writer.writerow([*key, repr(float(table.accuracies[key]))])
 
 
 def _reciprocal_gap(reference: float, measured: float, what: str) -> float:
@@ -247,22 +230,20 @@ def metric_rows(table: BenchmarkTable) -> list[tuple[str, str, str, str, float]]
     accuracy on the same datasets, N2 (see negative_impacts).
     """
     rows = []
-    for rec in table.ssl_accuracies:
+    for rec in table.records:
+        key = (rec.method, rec.pretrain, rec.eval)
         ref = table.sl_accuracy(rec.eval)
-        if rec.pretrain == rec.eval:
-            rows.append(("D", rec.method, rec.pretrain, rec.eval,
-                         discriminability(ref, rec.accuracy)))
+        if is_ensemble_method(rec.method):
+            rows.append(("N1", *key, ref - rec.accuracy))
+            try:
+                gen_acc = table.accuracy(ensemble_member(rec.method), rec.pretrain, rec.eval)
+            except MissingRecordError:
+                continue
+            rows.append(("N2", *key, gen_acc - rec.accuracy))
+        elif rec.pretrain == rec.eval:
+            rows.append(("D", *key, discriminability(ref, rec.accuracy)))
         else:
-            rows.append(("G", rec.method, rec.pretrain, rec.eval,
-                         generalizability(ref, rec.accuracy)))
-    for rec in table.ensemble_accuracies:
-        ref = table.sl_accuracy(rec.eval)
-        rows.append(("N1", rec.method, rec.pretrain, rec.eval, ref - rec.accuracy))
-        try:
-            gen_acc = table.accuracy(ensemble_member(rec.method), rec.pretrain, rec.eval)
-        except MissingRecordError:
-            continue
-        rows.append(("N2", rec.method, rec.pretrain, rec.eval, gen_acc - rec.accuracy))
+            rows.append(("G", *key, generalizability(ref, rec.accuracy)))
     return rows
 
 

@@ -42,17 +42,16 @@ def make_table(
     sl_away=99.6,
 ):
     """Single-game table: pretrain C10, transfer S10, methods SIM/BT/SIM+BT."""
-    ssl = (
-        AccuracyRecord("SIM", "C10", "C10", gen_home),
-        AccuracyRecord("SIM", "C10", "S10", gen_away),
-        AccuracyRecord("BT", "C10", "C10", dis_home),
-        AccuracyRecord("BT", "C10", "S10", dis_away),
-    )
-    ens = (
-        AccuracyRecord("SIM+BT", "C10", "C10", ens_home),
-        AccuracyRecord("SIM+BT", "C10", "S10", ens_away),
-    )
-    return BenchmarkTable({"C10": sl_home, "S10": sl_away}, ssl, ens)
+    return BenchmarkTable({
+        ("SL", "C10", "C10"): sl_home,
+        ("SL", "S10", "S10"): sl_away,
+        ("SIM", "C10", "C10"): gen_home,
+        ("SIM", "C10", "S10"): gen_away,
+        ("BT", "C10", "C10"): dis_home,
+        ("BT", "C10", "S10"): dis_away,
+        ("SIM+BT", "C10", "C10"): ens_home,
+        ("SIM+BT", "C10", "S10"): ens_away,
+    })
 
 
 # ---------------------------------------------------------------- parsing
@@ -65,8 +64,8 @@ def test_load_benchmark_fixture(data_dir):
     assert table.accuracy("BT", "C10", "S10") == 73.1
     assert table.accuracy("SIM+BT", "C10", "C10") == 79.0
     assert table.accuracy("SL", "C10", "C10") == 99.37
-    assert len(table.ssl_accuracies) == 5
-    assert len(table.ensemble_accuracies) == 2
+    assert sum(not is_ensemble_method(rec.method) for rec in table.records) == 5
+    assert sum(is_ensemble_method(rec.method) for rec in table.records) == 2
     assert len(table.records) == 7
 
 
@@ -325,11 +324,11 @@ def test_game_datasets_inference():
 
 def test_game_datasets_rejects_ambiguity():
     table = make_table()
-    extra = table.ssl_accuracies + (AccuracyRecord("BT", "S10", "S10", 85.5),)
-    mixed = BenchmarkTable(table.sl_accuracies, extra, table.ensemble_accuracies)
+    mixed = BenchmarkTable({**table.accuracies, ("BT", "S10", "S10"): 85.5})
     with pytest.raises(ValidationError, match="ambiguous"):
         game_datasets(mixed)
-    empty = BenchmarkTable(table.sl_accuracies, (), ())
+    empty = BenchmarkTable({key: acc for key, acc in table.accuracies.items()
+                            if key[0] == "SL"})
     with pytest.raises(ValidationError, match="no SSL"):
         game_datasets(empty)
 
