@@ -21,7 +21,7 @@ from .dynamics import (
     write_trajectories_csv,
 )
 from .errors import DegenerateGameError, EvolossError, OutOfSimplexError, ValidationError
-from .game import PopulationState, check_state, saddle_point
+from .game import PopulationState, saddle_point
 from .kvfile import read_kv_file, read_text
 from .lab import LabConfig, save_encoder_weights, train_episode, write_training_log
 from .metrics import load_benchmark, load_payoff_params, metric_rows
@@ -108,7 +108,7 @@ def _read_starts_file(path) -> list[PopulationState]:
             x, y = float(parts[0]), float(parts[1])
         except ValueError:
             raise EvolossError(f"{path} line {lineno}: non-numeric start") from None
-        starts.append(check_state((x, y)))
+        starts.append(PopulationState(x, y))
     if not starts:
         raise EvolossError(f"{path}: no start states found")
     return starts

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ValidationError, as_int
+from .errors import ValidationError, as_float, as_int
 from .game import CORNERS, PopulationState, check_state, field_coefficients
 from .metrics import PayoffParams
 
@@ -21,9 +21,7 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("dt", "t_max", "stop_tol"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, as_float(name, getattr(self, name)))
         if self.dt <= 0.0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.t_max < self.dt:
@@ -104,7 +102,11 @@ def phase_portrait(
     Many starts are integrated together; the result is bit for bit that
     of a simulate call per start.
     """
-    starts = [check_state(s) for s in starts]
+    try:
+        states = iter(starts)
+    except TypeError:
+        raise ValidationError(f"starts must be an iterable of states, got {starts!r}") from None
+    starts = [check_state(s) for s in states]
     if not starts:
         raise ValidationError("phase_portrait needs at least one start state")
     cfg = cfg or IntegratorConfig()

@@ -6,6 +6,8 @@ degenerate game inputs (zero denominators, fixed points outside the
 unit square) exit with code 3.
 """
 
+import math
+
 
 class EvolossError(Exception):
     """Base class for all package errors."""
@@ -24,6 +26,22 @@ def as_int(name: str, value) -> int:
     if integral != value:
         raise ValidationError(f"{name} must be an integer, got {value}")
     return integral
+
+
+def as_float(name: str, value, rule: str = "finite") -> float:
+    """value as a float; ValidationError unless it is a finite real number.
+
+    A real value that is not finite is reported as "name must be rule".
+    """
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValidationError(f"{name} must be {rule}, got {value}")
+    return float(value)
 
 
 class BenchmarkParseError(ValidationError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, as_int
+from .errors import ValidationError, as_float, as_int
 # train_episode fuses the public step functions imported here; they stay
 # lab attributes because evobench's traced cli_files run wraps them here.
 from .losses import (
@@ -74,9 +74,13 @@ class LabConfig:
             raise ValidationError(
                 f"batch_size must be at least 2, got {self.batch_size}"
             )
-        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0.0):
+        # the rule names each field's range, so a NaN reads as out of it
+        for name, rule in (("noise_scale", "nonnegative"), ("learning_rate", "positive"),
+                           ("temperature", "positive"), ("epsilon", "nonnegative")):
+            object.__setattr__(self, name, as_float(name, getattr(self, name), rule))
+        if self.noise_scale < 0.0:
             raise ValidationError(f"noise_scale must be nonnegative, got {self.noise_scale}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+        if self.learning_rate <= 0.0:
             raise ValidationError(
                 f"learning_rate must be positive, got {self.learning_rate}"
             )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFeatureError, NormalizationError, ValidationError
+from .errors import DegenerateFeatureError, NormalizationError, ValidationError, as_float
 
 #: Softmax temperature applied to pairwise cosine similarities.
 DEFAULT_TEMPERATURE = 0.07
@@ -29,8 +29,8 @@ class LossWeights:
     beta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValidationError("loss weights must be finite")
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, as_float(name, getattr(self, name)))
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ValidationError(
                 f"loss weights must be nonnegative, got ({self.alpha}, {self.beta})"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, as_int
+from .errors import ValidationError, as_float, as_int
 from .kvfile import read_text
 from .losses import LossWeights
 
@@ -61,8 +61,7 @@ class SchedulerConfig:
     def __post_init__(self):
         for name in ("center", "explore_weight", "prev_loss_scale",
                      "reward_cap", "denom_floor"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
+            object.__setattr__(self, name, as_float(name, getattr(self, name)))
         if self.center <= 0.0:
             raise ValidationError(f"center must be positive, got {self.center}")
         if self.explore_weight < 0.0 or self.prev_loss_scale < 0.0:
@@ -74,9 +73,14 @@ class SchedulerConfig:
             raise ValidationError(
                 f"update_period must be a positive integer, got {self.update_period}"
             )
-        tx, ty = self.target
-        if not (math.isfinite(tx) and math.isfinite(ty)):
-            raise ValidationError("target must be finite")
+        try:
+            tx, ty = self.target
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"target must be a pair of real numbers, got {self.target!r}"
+            ) from None
+        tx, ty = as_float("target_x", tx), as_float("target_y", ty)
+        object.__setattr__(self, "target", (tx, ty))
         if tx < 0.0 or ty < 0.0:
             raise ValidationError(f"target must be nonnegative, got {self.target}")
         # the reward divides by the target's norm, sqrt(tx * tx + ty * ty)

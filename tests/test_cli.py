@@ -247,6 +247,29 @@ def test_simulate_bad_starts_file_exits_2(params_file, tmp_path, content, capsys
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        ("0.2,0.9\n1.5,0.5\n", "error: state (1.5, 0.5) outside the unit square\n"),
+        ("nan,0.5\n", "error: state must be finite, got (nan, 0.5)\n"),
+    ],
+)
+def test_simulate_starts_file_states_are_checked_once(
+    params_file, tmp_path, capsys, content, message
+):
+    """The starts file reader parses x,y and leaves the unit-square check
+    to phase_portrait, which reports it with the same error line."""
+    starts = tmp_path / "starts.txt"
+    starts.write_text(content, encoding="utf-8")
+    out = tmp_path / "paths.csv"
+    assert main(
+        ["simulate", "--params", str(params_file),
+         "--starts-file", str(starts), "--out", str(out)]
+    ) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_simulate_huge_t_max_writes_default_csv(params_file, tmp_path):
     """Paths that reach a corner never touch the horizon, so a horizon of
     1e12 writes the default horizon's bytes instead of trying to allocate

@@ -2,6 +2,8 @@
 agreement between the path kernels and the checked single-step function."""
 
 import csv
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -9,9 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from evoloss import (
+    AccuracyRecord,
     IntegratorConfig,
+    LabConfig,
+    LossWeights,
     PayoffParams,
     PopulationState,
+    SchedulerConfig,
     Trajectory,
     ValidationError,
     field_coefficients,
@@ -506,6 +512,51 @@ def test_sample_starts_takes_a_whole_float_count():
     assert sample_starts(2.0, np.random.default_rng(4)) == sample_starts(
         2, np.random.default_rng(4)
     )
+
+
+@pytest.mark.parametrize(
+    "constructor,field,value",
+    [
+        (functools.partial(phase_portrait, FIXTURE), "starts", 5),
+        (functools.partial(phase_portrait, FIXTURE), "starts", None),
+        (IntegratorConfig, "dt", "0.1"),
+        (IntegratorConfig, "t_max", None),
+        (IntegratorConfig, "stop_tol", 1e-3 + 0j),
+        (functools.partial(LabConfig, steps=1), "noise_scale", "x"),
+        (functools.partial(LabConfig, steps=1), "learning_rate", None),
+        (functools.partial(LabConfig, steps=1), "temperature", "0.07"),
+        (functools.partial(LabConfig, steps=1), "epsilon", [0.0]),
+        (SchedulerConfig, "center", "1"),
+        (SchedulerConfig, "explore_weight", None),
+        (SchedulerConfig, "prev_loss_scale", "1"),
+        (SchedulerConfig, "reward_cap", (100.0,)),
+        (SchedulerConfig, "denom_floor", "1e-6"),
+        (SchedulerConfig, "target", (1,)),
+        (SchedulerConfig, "target", None),
+        (SchedulerConfig, "target", ("a", 1.0)),
+        (functools.partial(dataclasses.replace, FIXTURE), "g1", "a"),
+        (functools.partial(dataclasses.replace, FIXTURE), "w2", None),
+        (functools.partial(LossWeights, alpha=1.0, beta=1.0), "alpha", "a"),
+        (functools.partial(LossWeights, alpha=1.0, beta=1.0), "beta", 1j),
+        (functools.partial(AccuracyRecord, "BT", "C10", "C10"), "accuracy", "50"),
+    ],
+)
+def test_public_api_rejects_a_value_that_is_not_real(constructor, field, value):
+    """Each of these escaped as a bare TypeError or ValueError."""
+    with pytest.raises(ValidationError, match=f"^{field}") as exc:
+        constructor(**{field: value})
+    assert "\n" not in str(exc.value)
+
+
+def test_float_fields_are_stored_as_floats():
+    """errors.as_float gives each checked field a Python float."""
+    cfg = IntegratorConfig(dt=np.float32(0.5), t_max=2, stop_tol=True)
+    assert [type(v) for v in (cfg.dt, cfg.t_max, cfg.stop_tol)] == [float] * 3
+    assert (cfg.dt, cfg.t_max, cfg.stop_tol) == (0.5, 2.0, 1.0)
+    assert SchedulerConfig(target=np.array([1, 2])).target == (1.0, 2.0)
+    assert type(dataclasses.replace(FIXTURE, g1=2).g1) is float
+    with pytest.raises(ValidationError, match="^g1 must be finite"):
+        dataclasses.replace(FIXTURE, g1=10**400)
 
 
 def test_sample_starts_seeded():
