@@ -21,7 +21,7 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("dt", "t_max", "stop_tol"):
-            object.__setattr__(self, name, as_float(name, getattr(self, name)))
+            as_float(name, getattr(self, name))
         if self.dt <= 0.0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.t_max < self.dt:

@@ -29,10 +29,8 @@ def as_int(name: str, value) -> int:
 
 
 def as_float(name: str, value, rule: str = "finite") -> float:
-    """value as a float; ValidationError unless it is a finite real number.
-
-    A real value that is not finite is reported as "name must be rule".
-    """
+    """value as a float; ValidationError unless it is a finite real number,
+    reported as "name must be rule" when it is real but not finite."""
     try:
         finite = math.isfinite(value)
     except TypeError:

@@ -74,13 +74,9 @@ class LabConfig:
             raise ValidationError(
                 f"batch_size must be at least 2, got {self.batch_size}"
             )
-        # the rule names each field's range, so a NaN reads as out of it
-        for name, rule in (("noise_scale", "nonnegative"), ("learning_rate", "positive"),
-                           ("temperature", "positive"), ("epsilon", "nonnegative")):
-            object.__setattr__(self, name, as_float(name, getattr(self, name), rule))
-        if self.noise_scale < 0.0:
+        if as_float("noise_scale", self.noise_scale, "nonnegative") < 0.0:
             raise ValidationError(f"noise_scale must be nonnegative, got {self.noise_scale}")
-        if self.learning_rate <= 0.0:
+        if as_float("learning_rate", self.learning_rate, "positive") <= 0.0:
             raise ValidationError(
                 f"learning_rate must be positive, got {self.learning_rate}"
             )

@@ -8,7 +8,6 @@ without autodiff.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +28,8 @@ class LossWeights:
     beta: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            object.__setattr__(self, name, as_float(name, getattr(self, name)))
-        if self.alpha < 0.0 or self.beta < 0.0:
+        alpha, beta = as_float("alpha", self.alpha), as_float("beta", self.beta)
+        if alpha < 0.0 or beta < 0.0:
             raise ValidationError(
                 f"loss weights must be nonnegative, got ({self.alpha}, {self.beta})"
             )
@@ -58,12 +56,12 @@ def _check_pair(z1, z2) -> np.ndarray:
 
 
 def _check_temperature(temperature: float) -> None:
-    if not (math.isfinite(temperature) and temperature > 0.0):
+    if as_float("temperature", temperature, "positive") <= 0.0:
         raise ValidationError(f"temperature must be positive, got {temperature}")
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+    if as_float("epsilon", epsilon, "nonnegative") < 0.0:
         raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
 
 

@@ -49,8 +49,7 @@ class AccuracyRecord:
     def __post_init__(self):
         if not self.method or not self.pretrain or not self.eval:
             raise ValidationError("record fields must be non-empty")
-        object.__setattr__(self, "accuracy", as_float("accuracy", self.accuracy))
-        if not 0.0 <= self.accuracy <= 100.0:
+        if not 0.0 <= as_float("accuracy", self.accuracy) <= 100.0:
             raise ValidationError(
                 f"accuracy {self.accuracy} outside [0, 100] percent"
             )
@@ -266,9 +265,10 @@ class PayoffParams:
     w2: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, as_float(f.name, getattr(self, f.name)))
-        for name, value in asdict(self).items():
+        values = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        for name, value in values:
+            as_float(name, value)
+        for name, value in values:
             if value < 0.0 and name not in ("n1", "n2"):
                 raise ValidationError(f"{name} must be nonnegative, got {value}")
 

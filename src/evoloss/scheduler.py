@@ -61,7 +61,7 @@ class SchedulerConfig:
     def __post_init__(self):
         for name in ("center", "explore_weight", "prev_loss_scale",
                      "reward_cap", "denom_floor"):
-            object.__setattr__(self, name, as_float(name, getattr(self, name)))
+            as_float(name, getattr(self, name))
         if self.center <= 0.0:
             raise ValidationError(f"center must be positive, got {self.center}")
         if self.explore_weight < 0.0 or self.prev_loss_scale < 0.0:
@@ -80,7 +80,6 @@ class SchedulerConfig:
                 f"target must be a pair of real numbers, got {self.target!r}"
             ) from None
         tx, ty = as_float("target_x", tx), as_float("target_y", ty)
-        object.__setattr__(self, "target", (tx, ty))
         if tx < 0.0 or ty < 0.0:
             raise ValidationError(f"target must be nonnegative, got {self.target}")
         # the reward divides by the target's norm, sqrt(tx * tx + ty * ty)
@@ -209,10 +208,9 @@ def reward(
     Second term (absent on the first step, when loss_prev is None): the
     capped reciprocal of the loss change, scaled by explore_weight.
     """
-    if not math.isfinite(loss_t):
-        raise ValidationError(f"loss_t must be finite, got {loss_t}")
-    if loss_prev is not None and not math.isfinite(loss_prev):
-        raise ValidationError(f"loss_prev must be finite, got {loss_prev}")
+    as_float("loss_t", loss_t)
+    if loss_prev is not None:
+        as_float("loss_prev", loss_prev)
     t = np.asarray(cfg.target, dtype=float)
     return _reward(weights.alpha, weights.beta, t, np.linalg.norm(t), cfg, loss_t, loss_prev)
 
