@@ -103,10 +103,9 @@ def phase_portrait(
     of a simulate call per start.
     """
     try:
-        states = iter(starts)
-    except TypeError:
+        starts = [check_state(s) for s in starts]
+    except TypeError:  # check_state raises ValidationError, so starts is not iterable
         raise ValidationError(f"starts must be an iterable of states, got {starts!r}") from None
-    starts = [check_state(s) for s in states]
     if not starts:
         raise ValidationError("phase_portrait needs at least one start state")
     cfg = cfg or IntegratorConfig()

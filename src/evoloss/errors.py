@@ -7,6 +7,7 @@ unit square) exit with code 3.
 """
 
 import math
+import numbers
 
 
 class EvolossError(Exception):
@@ -32,11 +33,14 @@ def as_float(name: str, value, rule: str = "finite") -> float:
     """value as a float; ValidationError unless it is a finite real number,
     reported as "name must be rule" when it is real but not finite."""
     try:
+        # math.isfinite would take a numpy complex scalar's real part
+        if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+            raise TypeError
         finite = math.isfinite(value)
     except TypeError:
         raise ValidationError(f"{name} must be a real number, got {value!r}") from None
-    except OverflowError:  # an int too large for a float
-        finite = False
+    except OverflowError:  # an int too large for a float, maybe too long to print
+        raise ValidationError(f"{name} must be {rule}, got an int too large for a float") from None
     if not finite:
         raise ValidationError(f"{name} must be {rule}, got {value}")
     return float(value)

@@ -265,10 +265,8 @@ class PayoffParams:
     w2: float = 1.0
 
     def __post_init__(self):
-        values = [(f.name, getattr(self, f.name)) for f in fields(self)]
-        for name, value in values:
-            as_float(name, value)
-        for name, value in values:
+        values = {f.name: as_float(f.name, getattr(self, f.name)) for f in fields(self)}
+        for name, value in values.items():
             if value < 0.0 and name not in ("n1", "n2"):
                 raise ValidationError(f"{name} must be nonnegative, got {value}")
 

@@ -522,6 +522,7 @@ def test_sample_starts_takes_a_whole_float_count():
         (IntegratorConfig, "dt", "0.1"),
         (IntegratorConfig, "t_max", None),
         (IntegratorConfig, "stop_tol", 1e-3 + 0j),
+        (IntegratorConfig, "dt", np.complex128(0.1 + 1j)),  # once taken as 0.1
         (functools.partial(LabConfig, steps=1), "noise_scale", "x"),
         (functools.partial(LabConfig, steps=1), "learning_rate", None),
         (functools.partial(LabConfig, steps=1), "temperature", "0.07"),
@@ -537,6 +538,8 @@ def test_sample_starts_takes_a_whole_float_count():
         (functools.partial(dataclasses.replace, FIXTURE), "g1", "a"),
         (functools.partial(dataclasses.replace, FIXTURE), "w2", None),
         (functools.partial(dataclasses.replace, FIXTURE), "n1", 10**400),  # overflows a float
+        pytest.param(functools.partial(dataclasses.replace, FIXTURE), "n2", -10**5000,
+                     id="n2-int-too-long-to-print"),
         (functools.partial(LossWeights, alpha=1.0, beta=1.0), "alpha", "a"),
         (functools.partial(LossWeights, alpha=1.0, beta=1.0), "beta", 1j),
         (functools.partial(AccuracyRecord, "BT", "C10", "C10"), "accuracy", "50"),
