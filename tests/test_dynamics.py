@@ -522,7 +522,7 @@ def test_sample_starts_takes_a_whole_float_count():
         (IntegratorConfig, "dt", "0.1"),
         (IntegratorConfig, "t_max", None),
         (IntegratorConfig, "stop_tol", 1e-3 + 0j),
-        (IntegratorConfig, "dt", np.complex128(0.1 + 1j)),  # once taken as 0.1
+        (IntegratorConfig, "dt", np.complex128(0.1 + 1j)),
         (functools.partial(LabConfig, steps=1), "noise_scale", "x"),
         (functools.partial(LabConfig, steps=1), "learning_rate", None),
         (functools.partial(LabConfig, steps=1), "temperature", "0.07"),
@@ -546,7 +546,8 @@ def test_sample_starts_takes_a_whole_float_count():
     ],
 )
 def test_public_api_rejects_a_value_that_is_not_a_finite_real(constructor, field, value):
-    """Each of these escaped as a bare TypeError, ValueError or OverflowError."""
+    """Each of these escaped as a bare TypeError, ValueError or
+    OverflowError, except the numpy complex dt, which was taken as 0.1."""
     with pytest.raises(ValidationError, match=f"^{field}") as exc:
         constructor(**{field: value})
     assert "\n" not in str(exc.value)
