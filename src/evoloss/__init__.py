@@ -25,11 +25,7 @@ from .game import (
     ZERO_TOL,
     PopulationState,
     check_state,
-    expected_utility_gen,
     field_coefficients,
-    income_matrix_dis,
-    income_matrix_gen,
-    is_ess,
     replicator_rhs,
     saddle_point,
 )
@@ -48,8 +44,6 @@ from .losses import (
     DEFAULT_TEMPERATURE,
     LossWeights,
     barlow_twins,
-    cross_correlation,
-    ensemble_loss,
     info_nce,
 )
 from .metrics import (
@@ -88,7 +82,6 @@ from .stability import (
     Equilibrium,
     StabilityClass,
     classify,
-    classify_by_eigen,
     enumerate_equilibria,
     equilibria_table,
     jacobian,

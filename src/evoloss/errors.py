@@ -18,6 +18,10 @@ class ValidationError(EvolossError, ValueError):
     """Malformed input: bad values, shapes, files, or configuration."""
 
 
+class NotFiniteError(ValidationError):
+    """A real number that is NaN, infinite or too large for a float."""
+
+
 def as_int(name: str, value) -> int:
     """value as an int; ValidationError unless it is a finite whole number."""
     try:
@@ -40,9 +44,9 @@ def as_float(name: str, value, rule: str = "finite") -> float:
     except TypeError:
         raise ValidationError(f"{name} must be a real number, got {value!r}") from None
     except OverflowError:  # an int too large for a float, maybe too long to print
-        raise ValidationError(f"{name} must be {rule}, got an int too large for a float") from None
+        raise NotFiniteError(f"{name} must be {rule}, got an int too large for a float") from None
     if not finite:
-        raise ValidationError(f"{name} must be {rule}, got {value}")
+        raise NotFiniteError(f"{name} must be {rule}, got {value}")
     return float(value)
 
 

@@ -1,9 +1,12 @@
 """Two-player asymmetric game between a generalizability-oriented model
 and a discriminability-oriented one, and its replicator dynamics.
 
-Population state is a point (x, y) in the unit square: x is the share
-of the first population playing "cooperate" (contribute its strength to
-the ensemble), y the same for the second population.
+Population state is a point (x, y) in the unit square: y is the share
+of the first (generalizability) population playing "cooperate"
+(contribute its strength to the ensemble), x the same for the second
+(discriminability) population.  dy/dt is y times the generalizability
+player's income advantage of cooperating, and dx/dt is x times the
+discriminability player's.
 """
 
 from __future__ import annotations
@@ -11,9 +14,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
-from .errors import DegenerateGameError, OutOfSimplexError, ValidationError
+from .errors import (
+    DegenerateGameError,
+    NotFiniteError,
+    OutOfSimplexError,
+    ValidationError,
+    as_float,
+)
 from .metrics import PayoffParams
 
 #: Magnitudes below this are treated as exact zeros in fixed-point and
@@ -42,49 +49,14 @@ def check_state(state) -> PopulationState:
     """Validate that state is a finite point of the unit square."""
     try:
         x, y = state
-        finite = math.isfinite(x) and math.isfinite(y)
-    except (TypeError, ValueError, OverflowError):
+        point = PopulationState(as_float("x", x), as_float("y", y))
+    except NotFiniteError:
+        raise ValidationError(f"state must be finite, got ({x}, {y})") from None
+    except (TypeError, ValueError):  # not a pair, or not a pair of reals
         raise ValidationError(f"state must be a pair of real numbers, got {state!r}") from None
-    if not finite:
-        raise ValidationError(f"state must be finite, got ({x}, {y})")
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+    if not (0.0 <= point.x <= 1.0 and 0.0 <= point.y <= 1.0):
         raise ValidationError(f"state ({x}, {y}) outside the unit square")
-    return PopulationState(float(x), float(y))
-
-
-def income_matrix_gen(p: PayoffParams) -> np.ndarray:
-    """Income matrix of the generalizability player (row = own move)."""
-    return np.array(
-        [
-            [p.w1 * (p.g1 - p.n2) + (p.d2 - p.n1), p.w1 * p.g1 + p.d1],
-            [p.w1 * p.g2 + p.d2, 0.0],
-        ]
-    )
-
-
-def income_matrix_dis(p: PayoffParams) -> np.ndarray:
-    """Income matrix of the discriminability player (row = own move)."""
-    return np.array(
-        [
-            [(p.g1 - p.n2) + p.w2 * (p.d2 - p.n1), p.g1 + p.w2 * p.d1],
-            [p.g2 + p.w2 * p.d2, 0.0],
-        ]
-    )
-
-
-def expected_utility_gen(p: PayoffParams, state) -> tuple[float, float]:
-    """Expected income of the generalizability player.
-
-    Returns (u_coop, u_mean): the income of its cooperating strategy
-    against the opponent mix, and the population-average income.
-    """
-    x, y = check_state(state)
-    h = income_matrix_gen(p)
-    opponent = np.array([x, 1.0 - x])
-    own = np.array([y, 1.0 - y])
-    u_coop = float(h[0] @ opponent)
-    u_mean = float(own @ h @ opponent)
-    return u_coop, u_mean
+    return point
 
 
 def field_coefficients(p: PayoffParams) -> tuple[float, float, float, float]:
@@ -128,8 +100,3 @@ def saddle_point(p: PayoffParams) -> PopulationState:
         raise OutOfSimplexError(x_star, y_star)
     return PopulationState(x_star, y_star)
 
-
-def is_ess(f_value: float, f_derivative: float) -> bool:
-    """Evolutionarily stable: the growth rate vanishes and does not
-    increase under perturbation."""
-    return abs(f_value) <= ZERO_TOL and f_derivative <= ZERO_TOL

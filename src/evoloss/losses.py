@@ -65,16 +65,6 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
 
 
-def _check_rows(z: np.ndarray) -> None:
-    if (_row_norms(z) == 0.0).any():
-        raise NormalizationError("a feature row has zero norm")
-
-
-def _check_columns(z: np.ndarray) -> None:
-    if (_centered_columns(z)[1] == 0.0).any():
-        raise DegenerateFeatureError("a feature column has zero variance")
-
-
 # The kernels below take both views stacked into one (2, batch, dim)
 # array z, so that each per-view operation is one numpy call, and they
 # assume checked input: finite, no zero-norm row, no constant column,
@@ -175,22 +165,10 @@ def info_nce(z1, z2, temperature: float = DEFAULT_TEMPERATURE):
     """
     z = _check_pair(z1, z2)
     _check_temperature(temperature)
-    _check_rows(z)
+    if (_row_norms(z) == 0.0).any():
+        raise NormalizationError("a feature row has zero norm")
     loss, g = _info_nce(z, temperature)
     return loss, (g[0], g[1])
-
-
-def cross_correlation(z1, z2) -> np.ndarray:
-    """Batch cross-correlation matrix between feature dimensions.
-
-    Columns are centered over the batch and unit-normalized, so every
-    entry is a correlation coefficient in [-1, 1].
-    """
-    z = _check_pair(z1, z2)
-    _check_columns(z)
-    centered, norms = _centered_columns(z)
-    a, b = centered / norms
-    return a.T @ b
 
 
 def barlow_twins(z1, z2, epsilon: float = DEFAULT_OFFDIAG_WEIGHT):
@@ -201,29 +179,8 @@ def barlow_twins(z1, z2, epsilon: float = DEFAULT_OFFDIAG_WEIGHT):
     """
     z = _check_pair(z1, z2)
     _check_epsilon(epsilon)
-    _check_columns(z)
+    if (_centered_columns(z)[1] == 0.0).any():
+        raise DegenerateFeatureError("a feature column has zero variance")
     loss, g = _barlow_twins(z, epsilon)
     return loss, (g[0], g[1])
 
-
-def ensemble_loss(
-    z1,
-    z2,
-    weights: LossWeights,
-    temperature: float = DEFAULT_TEMPERATURE,
-    epsilon: float = DEFAULT_OFFDIAG_WEIGHT,
-):
-    """Weighted sum of the contrastive and decorrelation losses.
-
-    Returns (loss, (grad_z1, grad_z2)); the gradient is the same linear
-    combination of the component gradients.
-    """
-    if not isinstance(weights, LossWeights):
-        weights = LossWeights(*weights)
-    z = _check_pair(z1, z2)
-    _check_temperature(temperature)
-    _check_rows(z)
-    _check_epsilon(epsilon)
-    _check_columns(z)
-    loss, _, _, g = _ensemble(z, weights.alpha, weights.beta, temperature, epsilon)
-    return float(loss), (g[0], g[1])

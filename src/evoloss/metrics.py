@@ -47,20 +47,46 @@ class AccuracyRecord:
     accuracy: float
 
     def __post_init__(self):
-        if not self.method or not self.pretrain or not self.eval:
-            raise ValidationError("record fields must be non-empty")
+        if not all(isinstance(f, str) and f for f in (self.method, self.pretrain, self.eval)):
+            raise ValidationError("record fields must be non-empty strings")
         if not 0.0 <= as_float("accuracy", self.accuracy) <= 100.0:
             raise ValidationError(
                 f"accuracy {self.accuracy} outside [0, 100] percent"
             )
+        if self.method == SL_METHOD and self.pretrain != self.eval:
+            raise ValidationError(
+                f"SL rows must have pretrain == eval, got {self.pretrain!r} != {self.eval!r}"
+            )
+
+
+class _EntryError(ValidationError):
+    """A bad BenchmarkTable entry; load_benchmark reports its key's line."""
+
+    def __init__(self, key, message):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
 class BenchmarkTable:
     """Parsed benchmark file: every accuracy keyed by (method, pretrain,
-    eval), in file order, the supervised references under (SL, d, d)."""
+    eval), in file order, the supervised references under (SL, d, d).
+    Each entry is a valid AccuracyRecord, and each record has the
+    supervised reference of its eval dataset."""
 
     accuracies: dict[tuple[str, str, str], float]
+
+    def __post_init__(self):
+        for key, accuracy in self.accuracies.items():
+            if not (isinstance(key, tuple) and len(key) == 3):
+                raise _EntryError(key, f"key must be a (method, pretrain, eval) triple, got {key!r}")
+            try:
+                AccuracyRecord(*key, accuracy)
+            except ValidationError as exc:
+                raise _EntryError(key, str(exc)) from None
+            if key[0] != SL_METHOD and (SL_METHOD, key[2], key[2]) not in self.accuracies:
+                raise _EntryError(key, f"record {key!r} has no supervised "
+                                       f"reference accuracy for {key[2]!r}")
 
     def sl_accuracy(self, dataset: str) -> float:
         try:
@@ -106,8 +132,9 @@ def _canonical_order(keys) -> list[tuple[str, str, str]]:
 def load_benchmark(path) -> BenchmarkTable:
     """Read a benchmark CSV into a BenchmarkTable.
 
-    Raises BenchmarkParseError (with a line number) on structural
-    problems and ValidationError on semantic ones.
+    Raises BenchmarkParseError, with the line number when there is one,
+    on a malformed file or an entry BenchmarkTable rejects, and
+    ValidationError when the file cannot be read.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -126,6 +153,7 @@ def load_benchmark(path) -> BenchmarkTable:
             line=1,
         )
     accuracies: dict[tuple[str, str, str], float] = {}
+    linenos: dict[tuple[str, str, str], int] = {}
     for lineno, row in enumerate(lines[1:], start=2):
         if not row:
             continue
@@ -140,27 +168,15 @@ def load_benchmark(path) -> BenchmarkTable:
             raise BenchmarkParseError(
                 f"accuracy is not a number: {acc_text!r}", line=lineno
             ) from None
-        try:
-            rec = AccuracyRecord(method, pretrain, eval_ds, acc)
-        except ValidationError as exc:
-            raise BenchmarkParseError(str(exc), line=lineno) from exc
-        if method == SL_METHOD and pretrain != eval_ds:
-            raise BenchmarkParseError(
-                f"SL rows must have pretrain == eval, got {pretrain!r} != {eval_ds!r}",
-                line=lineno,
-            )
         key = (method, pretrain, eval_ds)
         if key in accuracies:
             raise BenchmarkParseError(f"duplicate record {key}", line=lineno)
-        accuracies[key] = rec.accuracy
-    table = BenchmarkTable(accuracies)
-    for rec in table.records:
-        if (SL_METHOD, rec.eval, rec.eval) not in accuracies:
-            raise ValidationError(
-                f"record {(rec.method, rec.pretrain, rec.eval)!r} has no "
-                f"supervised reference accuracy for {rec.eval!r}"
-            )
-    return table
+        accuracies[key] = acc
+        linenos[key] = lineno
+    try:
+        return BenchmarkTable(accuracies)
+    except _EntryError as exc:
+        raise BenchmarkParseError(str(exc), line=linenos[exc.key]) from None
 
 
 def write_benchmark(table: BenchmarkTable, path) -> None:

@@ -122,7 +122,8 @@ class Transition:
 class PolicyParams:
     """Two-layer action-mean network, two-layer value network, and a
     learnable per-dimension log standard deviation (kept in
-    [LOG_STD_MIN, LOG_STD_MAX])."""
+    [LOG_STD_MIN, LOG_STD_MAX]).  Every field has the shape that
+    _policy_layout gives for w1's (state_dim, hidden)."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -133,6 +134,16 @@ class PolicyParams:
     vw2: np.ndarray
     vb2: float
     log_std: np.ndarray
+
+    def __post_init__(self):
+        w1_shape = np.shape(self.w1)
+        if len(w1_shape) != 2:
+            raise ValidationError(f"w1 must be 2-D (state_dim, hidden), got shape {w1_shape}")
+        for name, shape in _policy_layout(*w1_shape):
+            if np.shape(getattr(self, name)) != shape:
+                raise ValidationError(
+                    f"{name} has shape {np.shape(getattr(self, name))}, expected {shape}"
+                )
 
     @property
     def state_dim(self) -> int:

@@ -54,16 +54,6 @@ def jacobian(p: PayoffParams, state) -> np.ndarray:
     )
 
 
-def _require_fixed_point(p: PayoffParams, point) -> PopulationState:
-    point = check_state(point)
-    dx, dy = replicator_rhs(p, point)
-    if abs(dx) > ZERO_TOL or abs(dy) > ZERO_TOL:
-        raise ValidationError(
-            f"point {tuple(point)} is not a fixed point: field = ({dx:.3g}, {dy:.3g})"
-        )
-    return point
-
-
 def classify(p: PayoffParams, point) -> Equilibrium:
     """Classify a fixed point by the determinant/trace of its Jacobian.
 
@@ -72,7 +62,12 @@ def classify(p: PayoffParams, point) -> Equilibrium:
     ZERO_TOL of the sign boundaries is reported as degenerate.  Raises
     ValidationError when det or trace overflows.
     """
-    point = _require_fixed_point(p, point)
+    point = check_state(point)
+    dx, dy = replicator_rhs(p, point)
+    if abs(dx) > ZERO_TOL or abs(dy) > ZERO_TOL:
+        raise ValidationError(
+            f"point {tuple(point)} is not a fixed point: field = ({dx:.3g}, {dy:.3g})"
+        )
     j = jacobian(p, point)
     with np.errstate(over="ignore", invalid="ignore"):
         det = float(np.linalg.det(j))
@@ -88,24 +83,6 @@ def classify(p: PayoffParams, point) -> Equilibrium:
     else:
         cls = StabilityClass.DEGENERATE
     return Equilibrium(point, det, trace, cls)
-
-
-def classify_by_eigen(p: PayoffParams, point) -> StabilityClass:
-    """Independent classification from the Jacobian's eigenvalues.
-
-    Both real parts negative: stable; both positive: unstable; strictly
-    opposite signs: saddle; any real part within ZERO_TOL of zero:
-    degenerate.
-    """
-    point = _require_fixed_point(p, point)
-    real_parts = np.linalg.eigvals(jacobian(p, point)).real
-    if np.any(np.abs(real_parts) <= ZERO_TOL):
-        return StabilityClass.DEGENERATE
-    if np.all(real_parts < 0.0):
-        return StabilityClass.STABLE_POINT
-    if np.all(real_parts > 0.0):
-        return StabilityClass.UNSTABLE_POINT
-    return StabilityClass.SADDLE_POINT
 
 
 def enumerate_equilibria(p: PayoffParams) -> list[Equilibrium]:

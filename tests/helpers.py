@@ -1,7 +1,8 @@
 """Shared test utilities: parameter samplers and slow-but-simple oracles.
 
 Everything in here is deliberately independent of the package internals —
-oracles go through the public API only (``replicator_rhs``) or reimplement
+oracles go through the public API only (``replicator_rhs``, ``jacobian``)
+or reimplement
 the arithmetic from scratch, so they can catch bugs in the fast paths.
 The exception is ``step_rk4``, the checked form of the kernels' one RK4
 step, which the tests walk to rebuild paths step by step.
@@ -15,9 +16,11 @@ import math
 import numpy as np
 
 from evoloss import (
+    ZERO_TOL,
     PayoffParams,
     PopulationState,
     SchedulerConfig,
+    StabilityClass,
     Transition,
     TrainingLog,
     ValidationError,
@@ -29,6 +32,7 @@ from evoloss import (
     info_nce,
     init_encoder,
     init_policy,
+    jacobian,
     map_action,
     observe_state,
     policy_act,
@@ -149,6 +153,71 @@ def fd_jacobian(p: PayoffParams, state: PopulationState, h: float = 1e-6) -> np.
     return out
 
 
+def classify_by_eigen(p: PayoffParams, point) -> StabilityClass:
+    """Classification of a fixed point from the Jacobian's eigenvalues,
+    independent of classify's det/trace rule.
+
+    Both real parts negative: stable; both positive: unstable; strictly
+    opposite signs: saddle; any real part within ZERO_TOL of zero:
+    degenerate.
+    """
+    real_parts = np.linalg.eigvals(jacobian(p, point)).real
+    if np.any(np.abs(real_parts) <= ZERO_TOL):
+        return StabilityClass.DEGENERATE
+    if np.all(real_parts < 0.0):
+        return StabilityClass.STABLE_POINT
+    if np.all(real_parts > 0.0):
+        return StabilityClass.UNSTABLE_POINT
+    return StabilityClass.SADDLE_POINT
+
+
+# The paper's derivation of the replicator field: each player's income
+# matrix (row = own move, column = the opponent's, cooperate first) and
+# the expected incomes under the two populations' mixes.  y is the
+# generalizability population's cooperating share, x the
+# discriminability population's.
+
+
+def income_matrix_gen(p: PayoffParams) -> np.ndarray:
+    """Income matrix of the generalizability player."""
+    return np.array(
+        [
+            [p.w1 * (p.g1 - p.n2) + (p.d2 - p.n1), p.w1 * p.g1 + p.d1],
+            [p.w1 * p.g2 + p.d2, 0.0],
+        ]
+    )
+
+
+def income_matrix_dis(p: PayoffParams) -> np.ndarray:
+    """Income matrix of the discriminability player."""
+    return np.array(
+        [
+            [(p.g1 - p.n2) + p.w2 * (p.d2 - p.n1), p.g2 + p.w2 * p.d2],
+            [p.g1 + p.w2 * p.d1, 0.0],
+        ]
+    )
+
+
+def _expected_utility(h: np.ndarray, own_share: float, opponent_share: float):
+    """(u_coop, u_mean): the income of cooperating against the opponent
+    mix, and the population-average income."""
+    own = np.array([own_share, 1.0 - own_share])
+    opponent = np.array([opponent_share, 1.0 - opponent_share])
+    return float(h[0] @ opponent), float(own @ h @ opponent)
+
+
+def expected_utility_gen(p: PayoffParams, state) -> tuple[float, float]:
+    """(u_coop, u_mean) of the generalizability player."""
+    x, y = check_state(state)
+    return _expected_utility(income_matrix_gen(p), y, x)
+
+
+def expected_utility_dis(p: PayoffParams, state) -> tuple[float, float]:
+    """(u_coop, u_mean) of the discriminability player."""
+    x, y = check_state(state)
+    return _expected_utility(income_matrix_dis(p), x, y)
+
+
 def cosine(u, v) -> float:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -245,6 +314,15 @@ def reference_info_nce(z1, z2, temperature):
     g1 = (g_u - u * np.add.reduce(g_u * u, axis=1, keepdims=True)) / nu
     g2 = (g_v - v * np.add.reduce(g_v * v, axis=1, keepdims=True)) / nv
     return float(loss), g1, g2
+
+
+def reference_cross_correlation(z1, z2):
+    """Batch cross-correlation matrix between feature dimensions: columns
+    centered over the batch and unit-normalized, so that every entry is a
+    correlation coefficient in [-1, 1]."""
+    ca, na = _reference_centered_columns(z1)
+    cb, nb = _reference_centered_columns(z2)
+    return (ca / na).T @ (cb / nb)
 
 
 def reference_barlow_twins(z1, z2, epsilon):

@@ -18,7 +18,6 @@ from evoloss import (
     SchedulerConfig,
     StabilityClass,
     barlow_twins,
-    classify_by_eigen,
     enumerate_equilibria,
     field_coefficients,
     info_nce,
@@ -33,7 +32,13 @@ from evoloss import _kernels
 from evoloss.cli import main as cli_main
 from evoloss.scheduler import reward
 
-from helpers import cosine, euler_path, sample_gentle_pair, sample_saddle_params
+from helpers import (
+    classify_by_eigen,
+    cosine,
+    euler_path,
+    sample_gentle_pair,
+    sample_saddle_params,
+)
 
 FIVE_POINT_PATTERN = (
     StabilityClass.UNSTABLE_POINT,

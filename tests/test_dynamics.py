@@ -493,10 +493,15 @@ def test_phase_portrait_validates_starts(fixture_params):
         phase_portrait(fixture_params, [(1.5, 0.5)])
 
 
-@pytest.mark.parametrize("start", [(0.1, 0.2, 0.3), ("a", "b"), (None, 0.5), 0.5, (0.5 + 0j, 0.2)])
+@pytest.mark.parametrize(
+    "start",
+    [(0.1, 0.2, 0.3), ("a", "b"), (None, 0.5), 0.5, (0.5 + 0j, 0.2),
+     (np.complex128(0.2 + 1j), 0.9)],
+)
 def test_phase_portrait_rejects_a_start_that_is_not_a_pair_of_reals(fixture_params, start):
     """Unpacking such a start, or math.isfinite on its entries, raised a
-    bare ValueError or TypeError."""
+    bare ValueError or TypeError; a numpy complex coordinate was taken
+    by its real part, with only a ComplexWarning."""
     with pytest.raises(ValidationError, match="pair of real numbers"):
         phase_portrait(fixture_params, [(0.5, 0.5), start])
 

@@ -12,16 +12,18 @@ from evoloss import (
     PopulationState,
     ValidationError,
     check_state,
-    expected_utility_gen,
     field_coefficients,
-    income_matrix_dis,
-    income_matrix_gen,
-    is_ess,
     replicator_rhs,
     saddle_point,
 )
 
-from helpers import sample_saddle_params
+from helpers import (
+    expected_utility_dis,
+    expected_utility_gen,
+    income_matrix_dis,
+    income_matrix_gen,
+    sample_saddle_params,
+)
 
 
 def scaled(p: PayoffParams, s: float) -> PayoffParams:
@@ -52,7 +54,7 @@ def test_income_matrices_asymmetric_weights(fixture_params):
     )
     light = PayoffParams(1.5, 1.0, 1.0, 1.5, 0.5, 0.5, w1=1.0, w2=0.5)
     np.testing.assert_array_equal(
-        income_matrix_dis(light), [[1.5, 2.0], [1.75, 0.0]]
+        income_matrix_dis(light), [[1.5, 1.75], [2.0, 0.0]]
     )
 
 
@@ -82,6 +84,17 @@ def test_rhs_matches_utility_advantage(fixture_params, rng):
             _, dy = replicator_rhs(p, state)
             u_coop, u_mean = expected_utility_gen(p, state)
             assert math.isclose(dy, state.y * (u_coop - u_mean), rel_tol=1e-12, abs_tol=1e-15)
+
+
+def test_rhs_x_matches_dis_utility_advantage(fixture_params, rng):
+    """dx/dt must equal x * (cooperator income - average income) of the
+    discriminability player, against the mix (y, 1 - y)."""
+    for p in (fixture_params, sample_saddle_params(rng), sample_saddle_params(rng)):
+        for _ in range(20):
+            state = PopulationState(rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99))
+            dx, _ = replicator_rhs(p, state)
+            u_coop, u_mean = expected_utility_dis(p, state)
+            assert math.isclose(dx, state.x * (u_coop - u_mean), rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_rhs_scale_covariance(fixture_params, rng):
@@ -143,16 +156,3 @@ def test_check_state():
     with pytest.raises(ValidationError):
         check_state((math.nan, 0.5))
 
-
-@pytest.mark.parametrize(
-    "f_value,f_derivative,expected",
-    [
-        (0.0, -1.0, True),
-        (0.0, 0.0, True),
-        (0.0, 1e-12, True),
-        (0.0, 0.5, False),
-        (0.1, -1.0, False),
-    ],
-)
-def test_is_ess(f_value, f_derivative, expected):
-    assert is_ess(f_value, f_derivative) is expected

@@ -14,9 +14,10 @@ from evoloss import (
     SchedulerConfig,
     TrainingLog,
     ValidationError,
+    barlow_twins,
     encoder_forward,
-    ensemble_loss,
     gen_two_view_batch,
+    info_nce,
     init_policy,
     train_episode,
     write_training_log,
@@ -112,12 +113,17 @@ def test_encoder_weight_gradient_matches_finite_differences(rng):
     x1 = rng.standard_normal((6, 4))
     x2 = rng.standard_normal((6, 4))
     w = rng.standard_normal((4, 3)) * 0.5
-    weights = (0.6, 0.4)
+    alpha, beta = 0.6, 0.4
+
+    def weighted_loss(z1, z2):
+        gen, (gi1, gi2) = info_nce(z1, z2)
+        dis, (gb1, gb2) = barlow_twins(z1, z2)
+        return alpha * gen + beta * dis, (alpha * gi1 + beta * gb1, alpha * gi2 + beta * gb2)
 
     def loss_of(wm):
-        return ensemble_loss(x1 @ wm, x2 @ wm, weights)[0]
+        return weighted_loss(x1 @ wm, x2 @ wm)[0]
 
-    _, (g1, g2) = ensemble_loss(x1 @ w, x2 @ w, weights)
+    _, (g1, g2) = weighted_loss(x1 @ w, x2 @ w)
     analytic = x1.T @ g1 + x2.T @ g2
     numeric = np.zeros_like(w)
     h = 1e-6

@@ -194,8 +194,9 @@ def test_load_benchmark_heterogeneous_sl_row(tmp_path):
 
 def test_load_benchmark_missing_sl_reference(tmp_path):
     text = "method,pretrain,eval,accuracy\nSL,C10,C10,99.0\nBT,C10,S10,73.1\n"
-    with pytest.raises(ValidationError, match="no\\s+supervised reference"):
+    with pytest.raises(ValidationError, match="no\\s+supervised reference") as exc:
         load_benchmark(_write(tmp_path, text))
+    assert exc.value.line == 3
 
 
 def test_load_benchmark_skips_blank_lines(tmp_path):
@@ -217,6 +218,31 @@ def test_table_lookup_errors():
         table.accuracy("BT", "S10", "C10")
     with pytest.raises(MissingRecordError):
         table.accuracy("SL", "C10", "S10")
+
+
+@pytest.mark.parametrize(
+    "accuracies,message",
+    [
+        ({("SL", "C10", "S10"): 99.0, ("BT", "C10", "S10"): 150.0}, "pretrain == eval"),
+        ({("SL", "S10", "S10"): 99.0, ("BT", "C10", "S10"): 150.0}, r"outside \[0, 100\]"),
+        ({("SL", "S10", "S10"): 99.0, ("BT", "C10", "S10"): math.nan}, "accuracy must be finite"),
+        ({("SL", "S10", "S10"): 99.0, ("BT", "C10", "S10"): np.complex128(70 + 1j)},
+         "accuracy must be a real number"),
+        ({("SL", "S10", "S10"): 99.0, ("BT", "C10", "S10"): "73.1"},
+         "accuracy must be a real number"),
+        ({("SL", "S10", "S10"): 99.0, ("BT", "", "S10"): 73.1}, "non-empty strings"),
+        ({("SL", "S10", "S10"): 99.0, ("BT", 10, "S10"): 73.1}, "non-empty strings"),
+        ({("SL", "S10", "S10"): 99.0, ("BT", "C10"): 73.1}, "triple"),
+        ({"BT,C10,S10": 73.1}, "triple"),
+        ({("SL", "S10", "S10"): 99.0, ("BT", "C10", "C10"): 73.1}, "no supervised reference"),
+    ],
+)
+def test_benchmark_table_checks_its_entries(accuracies, message):
+    """A table built by hand was accepted unchecked: write_benchmark wrote
+    a file that load_benchmark rejected, and .records raised on every
+    access."""
+    with pytest.raises(ValidationError, match=message):
+        BenchmarkTable(accuracies)
 
 
 def test_accuracy_record_validation():

@@ -353,6 +353,20 @@ def test_ppo_update_improves_simple_bandit():
 # ------------------------------------------------------------- checkpoint
 
 
+@pytest.mark.parametrize(
+    "field,shape",
+    [("w1", (8,)), ("w1", (8, 32, 1)), ("b1", (31,)), ("w2", (32, 3)), ("b2", (2, 1)),
+     ("vw1", (7, 32)), ("vb1", (32, 1)), ("vw2", (32, 1)), ("vb2", (1,)), ("log_std", (3,))],
+)
+def test_policy_params_checks_each_field_shape(field, shape):
+    """A hand-built policy with a wrong shape reached train_episode, which
+    raised a bare ValueError or TypeError, and save_policy/load_policy
+    silently reshaped it."""
+    policy = init_policy(8, np.random.default_rng(0))
+    with pytest.raises(ValidationError, match=f"^{field} "):
+        dataclasses.replace(policy, **{field: np.zeros(shape)})
+
+
 def test_policy_checkpoint_roundtrip(tmp_path):
     policy = init_policy(6, np.random.default_rng(12), hidden=5)
     path = tmp_path / "policy.txt"

@@ -12,7 +12,6 @@ from evoloss import (
     StabilityClass,
     ValidationError,
     classify,
-    classify_by_eigen,
     enumerate_equilibria,
     equilibria_table,
     jacobian,
@@ -21,7 +20,7 @@ from evoloss import (
 )
 from evoloss.stability import CORNERS
 
-from helpers import fd_jacobian, sample_saddle_params
+from helpers import classify_by_eigen, fd_jacobian, sample_saddle_params
 
 #: corner-by-corner pattern for games with a strictly interior fixed point
 EXPECTED_PATTERN = (
@@ -92,8 +91,6 @@ def test_classify_fixture_saddle(fixture_params):
 def test_classify_rejects_non_fixed_point(fixture_params):
     with pytest.raises(ValidationError, match="not a fixed point"):
         classify(fixture_params, (0.3, 0.4))
-    with pytest.raises(ValidationError):
-        classify_by_eigen(fixture_params, (0.3, 0.4))
 
 
 def test_classify_stable_node():
