@@ -99,4 +99,3 @@ def saddle_point(p: PayoffParams) -> PopulationState:
     if not (0.0 <= x_star <= 1.0 and 0.0 <= y_star <= 1.0):
         raise OutOfSimplexError(x_star, y_star)
     return PopulationState(x_star, y_star)
-

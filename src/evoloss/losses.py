@@ -183,4 +183,3 @@ def barlow_twins(z1, z2, epsilon: float = DEFAULT_OFFDIAG_WEIGHT):
         raise DegenerateFeatureError("a feature column has zero variance")
     loss, g = _barlow_twins(z, epsilon)
     return loss, (g[0], g[1])
-

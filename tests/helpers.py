@@ -2,8 +2,8 @@
 
 Everything in here is deliberately independent of the package internals —
 oracles go through the public API only (``replicator_rhs``, ``jacobian``)
-or reimplement
-the arithmetic from scratch, so they can catch bugs in the fast paths.
+or reimplement the arithmetic from scratch, so they can catch bugs in the
+fast paths.
 The exception is ``step_rk4``, the checked form of the kernels' one RK4
 step, which the tests walk to rebuild paths step by step.
 """

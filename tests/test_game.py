@@ -155,4 +155,3 @@ def test_check_state():
         check_state((-0.01, 0.5))
     with pytest.raises(ValidationError):
         check_state((math.nan, 0.5))
-
