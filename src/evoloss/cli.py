@@ -20,7 +20,7 @@ from .dynamics import (
     sample_starts,
     write_trajectories_csv,
 )
-from .errors import DegenerateGameError, EvolossError, OutOfSimplexError, ValidationError
+from .errors import DegenerateGameError, EvolossError, OutOfSimplexError, as_int
 from .game import PopulationState, saddle_point
 from .kvfile import read_kv_file, read_text
 from .lab import LabConfig, save_encoder_weights, train_episode, write_training_log
@@ -117,12 +117,11 @@ def _read_starts_file(path) -> list[PopulationState]:
 def run_simulate(args) -> int:
     params = load_payoff_params(args.params)
     cfg = IntegratorConfig(dt=args.dt, t_max=args.t_max, stop_tol=args.stop_tol)
-    if args.seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {args.seed}")
+    seed = as_int("seed", args.seed, 0)
     if args.starts_file:
         starts = _read_starts_file(args.starts_file)
     else:
-        starts = sample_starts(args.starts, np.random.default_rng(args.seed))
+        starts = sample_starts(args.starts, np.random.default_rng(seed))
     trajectories = phase_portrait(params, starts, cfg)
     write_trajectories_csv(trajectories, args.out)
     counts = {corner: 0 for corner in CORNERS}

@@ -20,18 +20,14 @@ class IntegratorConfig:
     stop_tol: float = 1e-3
 
     def __post_init__(self):
-        for name in ("dt", "t_max", "stop_tol"):
-            as_float(name, getattr(self, name))
-        if self.dt <= 0.0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
+        for name, rule in (("dt", "positive"), ("t_max", "finite"), ("stop_tol", "positive")):
+            as_float(name, getattr(self, name), rule)
         if self.t_max < self.dt:
             raise ValidationError(
                 f"t_max ({self.t_max}) must be at least dt ({self.dt})"
             )
         if not math.isfinite(self.t_max / self.dt):
             raise ValidationError(f"t_max / dt must be finite, got {self.t_max} / {self.dt}")
-        if self.stop_tol <= 0.0:
-            raise ValidationError(f"stop_tol must be positive, got {self.stop_tol}")
 
 
 #: Why a trajectory stopped: it entered a corner's stop_tol-ball, it
@@ -119,10 +115,7 @@ def phase_portrait(
 
 def sample_starts(n: int, rng: np.random.Generator) -> list[PopulationState]:
     """n uniform random interior start states."""
-    n = as_int("n", n)
-    if n < 1:
-        raise ValidationError(f"need at least one start, got {n}")
-    pts = rng.uniform(0.0, 1.0, size=(n, 2))
+    pts = rng.uniform(0.0, 1.0, size=(as_int("n", n, 1), 2))
     return [PopulationState(float(px), float(py)) for px, py in pts]
 
 

@@ -22,20 +22,43 @@ class NotFiniteError(ValidationError):
     """A real number that is NaN, infinite or too large for a float."""
 
 
-def as_int(name: str, value) -> int:
-    """value as an int; ValidationError unless it is a finite whole number."""
+def _shown(value) -> str:
+    """str(value), or a note when value is an int too long to print."""
+    try:
+        return str(value)
+    except ValueError:
+        return "an int too long to print"
+
+
+def as_int(name: str, value, minimum: int | None = None) -> int:
+    """value as an int; ValidationError unless it is a finite whole number
+    of at least minimum (when given), reported as "name must be positive"
+    for a minimum of 1, "nonnegative" for 0 and "at least k" otherwise."""
     try:
         integral = int(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be an integer, got {value}") from None
     if integral != value:
         raise ValidationError(f"{name} must be an integer, got {value}")
+    if minimum is not None and integral < minimum:
+        bound = {0: "nonnegative", 1: "positive"}.get(minimum, f"at least {minimum}")
+        raise ValidationError(f"{name} must be {bound}, got {_shown(integral)}")
     return integral
 
 
+# the rules as_float checks beyond "finite", each a test of a finite float
+_RULES = {
+    "positive": lambda v: v > 0.0,
+    "nonnegative": lambda v: v >= 0.0,
+    "a percent in [0, 100]": lambda v: 0.0 <= v <= 100.0,
+}
+
+
 def as_float(name: str, value, rule: str = "finite") -> float:
-    """value as a float; ValidationError unless it is a finite real number,
-    reported as "name must be rule" when it is real but not finite."""
+    """value as a float; ValidationError unless it is a real number that
+    obeys rule: "finite", "positive", "nonnegative" or "a percent in
+    [0, 100]", each of which implies finite.  A real value that breaks
+    the rule is reported as "name must be rule, got value"."""
     try:
         # math.isfinite would take a numpy complex scalar's real part
         if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
@@ -47,7 +70,10 @@ def as_float(name: str, value, rule: str = "finite") -> float:
         raise NotFiniteError(f"{name} must be {rule}, got an int too large for a float") from None
     if not finite:
         raise NotFiniteError(f"{name} must be {rule}, got {value}")
-    return float(value)
+    number = float(value)
+    if rule != "finite" and not _RULES[rule](number):
+        raise ValidationError(f"{name} must be {rule}, got {number}")
+    return number
 
 
 class BenchmarkParseError(ValidationError):

@@ -19,6 +19,7 @@ from .errors import (
     NotFiniteError,
     OutOfSimplexError,
     ValidationError,
+    _shown,
     as_float,
 )
 from .metrics import PayoffParams
@@ -51,7 +52,7 @@ def check_state(state) -> PopulationState:
         x, y = state
         point = PopulationState(as_float("x", x), as_float("y", y))
     except NotFiniteError:
-        raise ValidationError(f"state must be finite, got ({x}, {y})") from None
+        raise ValidationError(f"state must be finite, got ({_shown(x)}, {_shown(y)})") from None
     except (TypeError, ValueError):  # not a pair, or not a pair of reals
         raise ValidationError(f"state must be a pair of real numbers, got {state!r}") from None
     if not (0.0 <= point.x <= 1.0 and 0.0 <= point.y <= 1.0):

@@ -19,8 +19,6 @@ from .errors import ValidationError, as_float, as_int
 from .losses import (
     DEFAULT_OFFDIAG_WEIGHT,
     DEFAULT_TEMPERATURE,
-    _check_epsilon,
-    _check_temperature,
     _ensemble,
     barlow_twins,
     info_nce,
@@ -58,30 +56,12 @@ class LabConfig:
     epsilon: float = DEFAULT_OFFDIAG_WEIGHT
 
     def __post_init__(self):
-        for name in ("steps", "input_dim", "feature_dim", "batch_size", "seed"):
-            object.__setattr__(self, name, as_int(name, getattr(self, name)))
-        if self.steps < 1:
-            raise ValidationError(f"steps must be positive, got {self.steps}")
-        if self.input_dim < 1:
-            raise ValidationError(f"input_dim must be positive, got {self.input_dim}")
-        if self.feature_dim < 2:
-            raise ValidationError(
-                f"feature_dim must be at least 2, got {self.feature_dim}"
-            )
-        if self.seed < 0:
-            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
-        if self.batch_size < 2:
-            raise ValidationError(
-                f"batch_size must be at least 2, got {self.batch_size}"
-            )
-        if as_float("noise_scale", self.noise_scale, "nonnegative") < 0.0:
-            raise ValidationError(f"noise_scale must be nonnegative, got {self.noise_scale}")
-        if as_float("learning_rate", self.learning_rate, "positive") <= 0.0:
-            raise ValidationError(
-                f"learning_rate must be positive, got {self.learning_rate}"
-            )
-        _check_temperature(self.temperature)
-        _check_epsilon(self.epsilon)
+        for name, minimum in (("steps", 1), ("input_dim", 1), ("feature_dim", 2),
+                              ("batch_size", 2), ("seed", 0)):
+            object.__setattr__(self, name, as_int(name, getattr(self, name), minimum))
+        for name, rule in (("noise_scale", "nonnegative"), ("learning_rate", "positive"),
+                           ("temperature", "positive"), ("epsilon", "nonnegative")):
+            as_float(name, getattr(self, name), rule)
 
 
 @dataclass(frozen=True)

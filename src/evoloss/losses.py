@@ -28,11 +28,8 @@ class LossWeights:
     beta: float
 
     def __post_init__(self):
-        alpha, beta = as_float("alpha", self.alpha), as_float("beta", self.beta)
-        if alpha < 0.0 or beta < 0.0:
-            raise ValidationError(
-                f"loss weights must be nonnegative, got ({self.alpha}, {self.beta})"
-            )
+        as_float("alpha", self.alpha, "nonnegative")
+        as_float("beta", self.beta, "nonnegative")
         if self.alpha == 0.0 and self.beta == 0.0:
             raise ValidationError("loss weights must not both be zero")
 
@@ -53,16 +50,6 @@ def _check_pair(z1, z2) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise ValidationError("feature batches must be finite")
     return z
-
-
-def _check_temperature(temperature: float) -> None:
-    if as_float("temperature", temperature, "positive") <= 0.0:
-        raise ValidationError(f"temperature must be positive, got {temperature}")
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if as_float("epsilon", epsilon, "nonnegative") < 0.0:
-        raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
 
 
 # The kernels below take both views stacked into one (2, batch, dim)
@@ -164,7 +151,7 @@ def info_nce(z1, z2, temperature: float = DEFAULT_TEMPERATURE):
     averaged.  Returns (loss, (grad_z1, grad_z2)).
     """
     z = _check_pair(z1, z2)
-    _check_temperature(temperature)
+    as_float("temperature", temperature, "positive")
     if (_row_norms(z) == 0.0).any():
         raise NormalizationError("a feature row has zero norm")
     loss, g = _info_nce(z, temperature)
@@ -178,7 +165,7 @@ def barlow_twins(z1, z2, epsilon: float = DEFAULT_OFFDIAG_WEIGHT):
     latter weighted by epsilon.  Returns (loss, (grad_z1, grad_z2)).
     """
     z = _check_pair(z1, z2)
-    _check_epsilon(epsilon)
+    as_float("epsilon", epsilon, "nonnegative")
     if (_centered_columns(z)[1] == 0.0).any():
         raise DegenerateFeatureError("a feature column has zero variance")
     loss, g = _barlow_twins(z, epsilon)

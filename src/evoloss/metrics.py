@@ -16,9 +16,10 @@ self-supervised results.
 from __future__ import annotations
 
 import csv
-import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import MISSING, asdict, astuple, dataclass, fields
+from types import MappingProxyType
 
 from .errors import (
     BenchmarkParseError,
@@ -35,6 +36,8 @@ _HEADER = ["method", "pretrain", "eval", "accuracy"]
 
 SL_METHOD = "SL"
 
+_PERCENT = "a percent in [0, 100]"
+
 
 @dataclass(frozen=True)
 class AccuracyRecord:
@@ -49,10 +52,7 @@ class AccuracyRecord:
     def __post_init__(self):
         if not all(isinstance(f, str) and f for f in (self.method, self.pretrain, self.eval)):
             raise ValidationError("record fields must be non-empty strings")
-        if not 0.0 <= as_float("accuracy", self.accuracy) <= 100.0:
-            raise ValidationError(
-                f"accuracy {self.accuracy} outside [0, 100] percent"
-            )
+        as_float("accuracy", self.accuracy, _PERCENT)
         if self.method == SL_METHOD and self.pretrain != self.eval:
             raise ValidationError(
                 f"SL rows must have pretrain == eval, got {self.pretrain!r} != {self.eval!r}"
@@ -72,11 +72,14 @@ class BenchmarkTable:
     """Parsed benchmark file: every accuracy keyed by (method, pretrain,
     eval), in file order, the supervised references under (SL, d, d).
     Each entry is a valid AccuracyRecord, and each record has the
-    supervised reference of its eval dataset."""
+    supervised reference of its eval dataset.  The mapping is a read-only
+    copy; a changed table is BenchmarkTable({**table.accuracies, key: v})."""
 
-    accuracies: dict[tuple[str, str, str], float]
+    accuracies: Mapping[tuple[str, str, str], float]
 
     def __post_init__(self):
+        # a read-only copy, so no later write can get round the checks
+        object.__setattr__(self, "accuracies", MappingProxyType(dict(self.accuracies)))
         for key, accuracy in self.accuracies.items():
             if not (isinstance(key, tuple) and len(key) == 3):
                 raise _EntryError(key, f"key must be a (method, pretrain, eval) triple, got {key!r}")
@@ -188,12 +191,8 @@ def write_benchmark(table: BenchmarkTable, path) -> None:
             writer.writerow([*key, repr(float(table.accuracies[key]))])
 
 
-def _reciprocal_gap(reference: float, measured: float, what: str) -> float:
-    for name, value in ((f"reference accuracy for {what}", reference),
-                        (f"measured accuracy for {what}", measured)):
-        if not math.isfinite(value) or not 0.0 <= value <= 100.0:
-            raise ValidationError(f"{name} must be a percent in [0, 100], got {value}")
-    gap = reference - measured
+def _reciprocal_gap(sl_acc: float, ssl_acc: float, what: str) -> float:
+    gap = as_float("sl_acc", sl_acc, _PERCENT) - as_float("ssl_acc", ssl_acc, _PERCENT)
     if gap < GAP_FLOOR:
         warnings.warn(
             f"{what}: accuracy gap {gap:.6g} below floor {GAP_FLOOR}; clamping",
@@ -281,10 +280,9 @@ class PayoffParams:
     w2: float = 1.0
 
     def __post_init__(self):
-        values = {f.name: as_float(f.name, getattr(self, f.name)) for f in fields(self)}
-        for name, value in values.items():
-            if value < 0.0 and name not in ("n1", "n2"):
-                raise ValidationError(f"{name} must be nonnegative, got {value}")
+        for f in fields(self):
+            as_float(f.name, getattr(self, f.name),
+                     "finite" if f.name in ("n1", "n2") else "nonnegative")
 
     def astuple(self) -> tuple[float, ...]:
         return astuple(self)

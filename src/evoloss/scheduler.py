@@ -59,36 +59,26 @@ class SchedulerConfig:
     denom_floor: float = 1e-6
 
     def __post_init__(self):
-        for name in ("center", "explore_weight", "prev_loss_scale",
-                     "reward_cap", "denom_floor"):
-            as_float(name, getattr(self, name))
-        if self.center <= 0.0:
-            raise ValidationError(f"center must be positive, got {self.center}")
-        if self.explore_weight < 0.0 or self.prev_loss_scale < 0.0:
-            raise ValidationError("explore_weight and prev_loss_scale must be nonnegative")
+        for name, rule in (("center", "positive"), ("explore_weight", "nonnegative"),
+                           ("prev_loss_scale", "nonnegative"), ("reward_cap", "positive"),
+                           ("denom_floor", "positive")):
+            as_float(name, getattr(self, name), rule)
         object.__setattr__(
-            self, "update_period", as_int("update_period", self.update_period)
+            self, "update_period", as_int("update_period", self.update_period, 1)
         )
-        if self.update_period < 1:
-            raise ValidationError(
-                f"update_period must be a positive integer, got {self.update_period}"
-            )
         try:
             tx, ty = self.target
         except (TypeError, ValueError):
             raise ValidationError(
                 f"target must be a pair of real numbers, got {self.target!r}"
             ) from None
-        tx, ty = as_float("target_x", tx), as_float("target_y", ty)
-        if tx < 0.0 or ty < 0.0:
-            raise ValidationError(f"target must be nonnegative, got {self.target}")
+        tx = as_float("target_x", tx, "nonnegative")
+        ty = as_float("target_y", ty, "nonnegative")
         # the reward divides by the target's norm, sqrt(tx * tx + ty * ty)
         if not 1e-300 <= tx * tx + ty * ty <= 1e300:
             raise ValidationError(
                 f"target must have a squared norm in [1e-300, 1e300], got {self.target}"
             )
-        if self.reward_cap <= 0.0 or self.denom_floor <= 0.0:
-            raise ValidationError("reward_cap and denom_floor must be positive")
         # the largest stability bonus; a Python float product that
         # overflows gives inf without a signal
         if self.explore_weight * min(self.reward_cap, 1.0 / self.denom_floor) > 1e300:
@@ -108,14 +98,10 @@ class Transition:
     value: float
 
     def __post_init__(self):
-        if not (
-            np.all(np.isfinite(self.state))
-            and np.all(np.isfinite(self.action))
-            and math.isfinite(self.reward)
-            and math.isfinite(self.log_prob)
-            and math.isfinite(self.value)
-        ):
+        if not (np.all(np.isfinite(self.state)) and np.all(np.isfinite(self.action))):
             raise ValidationError("transition fields must be finite")
+        for name in ("reward", "log_prob", "value"):
+            as_float(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -157,8 +143,7 @@ class PolicyParams:
 def init_policy(state_dim: int, rng: np.random.Generator, hidden: int = HIDDEN_UNITS) -> PolicyParams:
     """Fresh policy; output heads start near zero so the initial action
     mean sits at the center of the weight range."""
-    if state_dim < 1 or hidden < 1:
-        raise ValidationError("state_dim and hidden must be positive")
+    state_dim, hidden = as_int("state_dim", state_dim, 1), as_int("hidden", hidden, 1)
     scale_in = 1.0 / math.sqrt(state_dim)
     scale_h = 1.0 / math.sqrt(hidden)
     return PolicyParams(

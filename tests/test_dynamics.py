@@ -19,8 +19,12 @@ from evoloss import (
     PopulationState,
     SchedulerConfig,
     Trajectory,
+    Transition,
     ValidationError,
+    discriminability,
     field_coefficients,
+    generalizability,
+    init_policy,
     phase_portrait,
     saddle_point,
     sample_starts,
@@ -519,6 +523,11 @@ def test_sample_starts_takes_a_whole_float_count():
     )
 
 
+TRANSITION = functools.partial(
+    Transition, state=np.zeros(2), action=np.zeros(2), reward=0.0, log_prob=0.0, value=0.0
+)
+
+
 @pytest.mark.parametrize(
     "constructor,field,value",
     [
@@ -548,6 +557,25 @@ def test_sample_starts_takes_a_whole_float_count():
         (functools.partial(LossWeights, alpha=1.0, beta=1.0), "alpha", "a"),
         (functools.partial(LossWeights, alpha=1.0, beta=1.0), "beta", 1j),
         (functools.partial(AccuracyRecord, "BT", "C10", "C10"), "accuracy", "50"),
+        # generalizability returned a complex number; the others escaped
+        # as a bare TypeError or OverflowError
+        (functools.partial(generalizability, ssl_acc=80.0), "sl_acc", np.complex128(90 + 1j)),
+        (functools.partial(generalizability, ssl_acc=80.0), "sl_acc", "90"),
+        (functools.partial(generalizability, sl_acc=90.0), "ssl_acc", None),
+        pytest.param(functools.partial(generalizability, sl_acc=90.0), "ssl_acc", 10**400,
+                     id="generalizability-ssl_acc-int-too-large-for-a-float"),
+        (functools.partial(discriminability, ssl_acc=80.0), "sl_acc", np.complex128(90 + 1j)),
+        (functools.partial(discriminability, ssl_acc=80.0), "sl_acc", "90"),
+        (functools.partial(discriminability, sl_acc=90.0), "ssl_acc", None),
+        pytest.param(functools.partial(discriminability, sl_acc=90.0), "ssl_acc", 10**400,
+                     id="discriminability-ssl_acc-int-too-large-for-a-float"),
+        # a complex reward was accepted
+        (TRANSITION, "reward", np.complex128(1 + 2j)),
+        pytest.param(TRANSITION, "reward", 10**400, id="reward-int-too-large-for-a-float"),
+        (functools.partial(init_policy, rng=np.random.default_rng(0)), "state_dim", 8.5),
+        # formatting the message raised a bare ValueError: the int has
+        # more digits than str() prints
+        pytest.param(game.check_state, "state", (10**5000, 0.5), id="state-int-too-long-to-print"),
     ],
 )
 def test_public_api_rejects_a_value_that_is_not_a_finite_real(constructor, field, value):
@@ -556,6 +584,39 @@ def test_public_api_rejects_a_value_that_is_not_a_finite_real(constructor, field
     with pytest.raises(ValidationError, match=f"^{field}") as exc:
         constructor(**{field: value})
     assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "constructor,kwargs,message",
+    [
+        (IntegratorConfig, {"dt": 0}, "dt must be positive, got 0.0"),
+        (IntegratorConfig, {"stop_tol": 0}, "stop_tol must be positive, got 0.0"),
+        (LabConfig, {"steps": 0}, "steps must be positive, got 0"),
+        (LabConfig, {"steps": 1, "feature_dim": 1}, "feature_dim must be at least 2, got 1"),
+        (LabConfig, {"steps": 1, "batch_size": 1}, "batch_size must be at least 2, got 1"),
+        (LabConfig, {"steps": 1, "seed": -1}, "seed must be nonnegative, got -1"),
+        (SchedulerConfig, {"center": 0}, "center must be positive, got 0.0"),
+        (SchedulerConfig, {"explore_weight": -1}, "explore_weight must be nonnegative, got -1.0"),
+        (SchedulerConfig, {"reward_cap": 0}, "reward_cap must be positive, got 0.0"),
+        (SchedulerConfig, {"update_period": 0}, "update_period must be positive, got 0"),
+        (SchedulerConfig, {"target": (-0.1, 1)}, "target_x must be nonnegative, got -0.1"),
+        (LossWeights, {"alpha": -1, "beta": 1}, "alpha must be nonnegative, got -1.0"),
+        (functools.partial(dataclasses.replace, FIXTURE), {"g1": -1},
+         "g1 must be nonnegative, got -1.0"),
+        (functools.partial(sample_starts, rng=np.random.default_rng(4)), {"n": 0},
+         "n must be positive, got 0"),
+    ],
+)
+def test_range_checks_name_the_field(constructor, kwargs, message):
+    """errors.as_float and as_int check each field's range, once."""
+    with pytest.raises(ValidationError) as exc:
+        constructor(**kwargs)
+    assert str(exc.value) == message
+
+
+def test_payoff_params_take_signed_ensembling_costs():
+    """Only n1 and n2 may be negative: an ensemble can beat its members."""
+    assert dataclasses.replace(FIXTURE, n1=-1, n2=-2.5).n1 == -1
 
 
 def test_sample_starts_seeded():

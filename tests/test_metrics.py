@@ -224,8 +224,10 @@ def test_table_lookup_errors():
     "accuracies,message",
     [
         ({("SL", "C10", "S10"): 99.0, ("BT", "C10", "S10"): 150.0}, "pretrain == eval"),
-        ({("SL", "S10", "S10"): 99.0, ("BT", "C10", "S10"): 150.0}, r"outside \[0, 100\]"),
-        ({("SL", "S10", "S10"): 99.0, ("BT", "C10", "S10"): math.nan}, "accuracy must be finite"),
+        pytest.param({("SL", "S10", "S10"): 99.0, ("BT", "C10", "S10"): 150.0},
+                     r"^accuracy must be a percent in \[0, 100\], got 150\.0$", id="percent-150"),
+        pytest.param({("SL", "S10", "S10"): 99.0, ("BT", "C10", "S10"): math.nan},
+                     r"^accuracy must be a percent in \[0, 100\], got nan$", id="percent-nan"),
         ({("SL", "S10", "S10"): 99.0, ("BT", "C10", "S10"): np.complex128(70 + 1j)},
          "accuracy must be a real number"),
         ({("SL", "S10", "S10"): 99.0, ("BT", "C10", "S10"): "73.1"},
@@ -243,6 +245,18 @@ def test_benchmark_table_checks_its_entries(accuracies, message):
     access."""
     with pytest.raises(ValidationError, match=message):
         BenchmarkTable(accuracies)
+
+
+def test_benchmark_table_holds_a_read_only_copy():
+    """The table kept the caller's dict: a write into it, or into
+    .accuracies, put 150.0 past the checks and .records then raised."""
+    accuracies = dict(make_table().accuracies)
+    table = BenchmarkTable(accuracies)
+    with pytest.raises(TypeError):
+        table.accuracies[("BT", "C10", "S10")] = 150.0
+    accuracies[("BT", "C10", "S10")] = 150.0
+    assert table.accuracy("BT", "C10", "S10") == 73.1
+    assert len(table.records) == 6
 
 
 def test_accuracy_record_validation():
