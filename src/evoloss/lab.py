@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, as_float, as_int
+from .errors import ValidationError, as_array, as_float, as_int
 # train_episode fuses the public step functions imported here; they stay
 # lab attributes because evobench's traced cli_files run wraps them here.
 from .losses import (
@@ -101,13 +101,8 @@ def gen_two_view_batch(rng: np.random.Generator, cfg: LabConfig):
 
 def encoder_forward(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Linear encoder: one matrix, rows of x mapped to feature rows."""
-    weights = np.asarray(weights, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if weights.ndim != 2 or x.ndim != 2 or x.shape[1] != weights.shape[0]:
-        raise ValidationError(
-            f"cannot encode {x.shape} through weights {weights.shape}"
-        )
-    return x @ weights
+    weights = as_array("weights", weights, (None, None))
+    return as_array("x", x, (None, weights.shape[0])) @ weights
 
 
 def init_encoder(rng: np.random.Generator, cfg: LabConfig) -> np.ndarray:

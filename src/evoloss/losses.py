@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFeatureError, NormalizationError, ValidationError, as_float
+from .errors import DegenerateFeatureError, NormalizationError, ValidationError, as_array, as_float
 
 #: Softmax temperature applied to pairwise cosine similarities.
 DEFAULT_TEMPERATURE = 0.07
@@ -36,20 +36,10 @@ class LossWeights:
 
 def _check_pair(z1, z2) -> np.ndarray:
     """The two views, checked, stacked into one (2, batch, dim) array."""
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    if z1.ndim != 2 or z2.ndim != 2:
-        raise ValidationError("feature batches must be 2-D (batch, dim)")
-    if z1.shape != z2.shape:
-        raise ValidationError(f"view shapes differ: {z1.shape} vs {z2.shape}")
-    if z1.shape[0] < 2:
-        raise ValidationError(f"need a batch of at least 2, got {z1.shape[0]}")
-    if z1.shape[1] < 1:
-        raise ValidationError("feature dimension must be at least 1")
-    z = np.stack((z1, z2))
-    if not np.all(np.isfinite(z)):
-        raise ValidationError("feature batches must be finite")
-    return z
+    z1 = as_array("z1", z1, (None, None))
+    if z1.shape[0] < 2 or z1.shape[1] < 1:
+        raise ValidationError(f"z1 must have at least 2 rows and 1 column, got {z1.shape}")
+    return np.stack((z1, as_array("z2", z2, z1.shape)))
 
 
 # The kernels below take both views stacked into one (2, batch, dim)

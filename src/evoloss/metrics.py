@@ -25,6 +25,7 @@ from .errors import (
     BenchmarkParseError,
     MissingRecordError,
     ValidationError,
+    _shown,
     as_float,
 )
 from .kvfile import read_kv_file, write_kv_file
@@ -78,6 +79,8 @@ class BenchmarkTable:
     accuracies: Mapping[tuple[str, str, str], float]
 
     def __post_init__(self):
+        if not isinstance(self.accuracies, Mapping):
+            raise ValidationError(f"accuracies must be a mapping, got {_shown(self.accuracies)}")
         # a read-only copy, so no later write can get round the checks
         object.__setattr__(self, "accuracies", MappingProxyType(dict(self.accuracies)))
         for key, accuracy in self.accuracies.items():

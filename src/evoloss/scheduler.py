@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, as_float, as_int
+from .errors import ValidationError, as_array, as_float, as_int
 from .kvfile import read_text
 from .losses import LossWeights
 
@@ -98,8 +98,8 @@ class Transition:
     value: float
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.state)) and np.all(np.isfinite(self.action))):
-            raise ValidationError("transition fields must be finite")
+        object.__setattr__(self, "state", as_array("state", self.state, (None,)))
+        object.__setattr__(self, "action", as_array("action", self.action, (2,)))
         for name in ("reward", "log_prob", "value"):
             as_float(name, getattr(self, name))
 
@@ -161,11 +161,9 @@ def init_policy(state_dim: int, rng: np.random.Generator, hidden: int = HIDDEN_U
 
 def observe_state(features) -> np.ndarray:
     """Per-dimension mean of a feature batch."""
-    z = np.asarray(features, dtype=float)
-    if z.ndim != 2 or z.shape[0] < 1:
-        raise ValidationError("observe_state needs a nonempty 2-D batch")
-    if not np.all(np.isfinite(z)):
-        raise ValidationError("features must be finite")
+    z = as_array("features", features, (None, None))
+    if z.shape[0] < 1:
+        raise ValidationError(f"features must have at least 1 row, got {z.shape}")
     return z.mean(axis=0)
 
 
@@ -175,12 +173,7 @@ def map_action(action, cfg: SchedulerConfig) -> LossWeights:
     Action components are expected in [-1, 1]; the result is clamped to
     [0, 2 * center] and floored at WEIGHT_FLOOR.
     """
-    a = np.asarray(action, dtype=float)
-    if a.shape != (2,):
-        raise ValidationError(f"action must be a pair, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("action must be finite")
-    return LossWeights(*_weights(*a.tolist(), cfg))
+    return LossWeights(*_weights(*as_array("action", action, (2,)).tolist(), cfg))
 
 
 def _weights(a0: float, a1: float, cfg: SchedulerConfig) -> tuple[float, float]:
@@ -253,14 +246,7 @@ def policy_act(policy: PolicyParams, state, rng: np.random.Generator):
 
     Returns (action, log_prob, value); deterministic given the rng.
     """
-    s = np.asarray(state, dtype=float)
-    if s.shape != (policy.state_dim,):
-        raise ValidationError(
-            f"state has shape {s.shape}, policy expects ({policy.state_dim},)"
-        )
-    if not np.all(np.isfinite(s)):
-        raise ValidationError("state must be finite")
-    return _act(policy, s, rng.standard_normal(2))
+    return _act(policy, as_array("state", state, (policy.state_dim,)), rng.standard_normal(2))
 
 
 def _act(policy: PolicyParams, state: np.ndarray, noise: np.ndarray):
@@ -309,12 +295,14 @@ def ppo_update(policy: PolicyParams, buffer, cfg: SchedulerConfig):
         raise ValidationError(
             f"buffer holds {len(buffer)} transitions, expected update_period = {cfg.update_period}"
         )
-    states = np.stack([tr.state for tr in buffer])
-    if states.shape[1] != policy.state_dim:
-        raise ValidationError("buffer states do not match the policy's input size")
+    for tr in buffer:
+        if not isinstance(tr, Transition):
+            raise ValidationError(f"buffer entries must be Transitions, got {type(tr).__name__}")
+        if len(tr.state) != policy.state_dim:
+            raise ValidationError("buffer states do not match the policy's input size")
     return _ppo_step(
         policy,
-        states,
+        np.stack([tr.state for tr in buffer]),
         np.stack([tr.action for tr in buffer]),
         np.array([tr.reward for tr in buffer]),
         np.array([tr.log_prob for tr in buffer]),

@@ -21,11 +21,18 @@ from evoloss import (
     Trajectory,
     Transition,
     ValidationError,
+    barlow_twins,
     discriminability,
+    encoder_forward,
     field_coefficients,
     generalizability,
+    info_nce,
     init_policy,
+    map_action,
+    observe_state,
     phase_portrait,
+    policy_act,
+    ppo_update,
     saddle_point,
     sample_starts,
     simulate,
@@ -526,6 +533,27 @@ def test_sample_starts_takes_a_whole_float_count():
 TRANSITION = functools.partial(
     Transition, state=np.zeros(2), action=np.zeros(2), reward=0.0, log_prob=0.0, value=0.0
 )
+POLICY = init_policy(2, np.random.default_rng(0))
+Z = np.arange(6.0).reshape(3, 2)
+MAP_ACTION = functools.partial(map_action, cfg=SchedulerConfig())
+POLICY_ACT = functools.partial(policy_act, POLICY, rng=np.random.default_rng(0))
+# each public array input, with a valid value for it
+ARRAY_INPUTS = [
+    ("observe_state", observe_state, "features", Z),
+    ("map_action", MAP_ACTION, "action", np.zeros(2)),
+    ("policy_act", POLICY_ACT, "state", np.zeros(2)),
+    ("Transition", TRANSITION, "state", np.zeros(2)),
+    ("Transition", TRANSITION, "action", np.zeros(2)),
+    ("info_nce", functools.partial(info_nce, z2=Z), "z1", Z),
+    ("barlow_twins", functools.partial(barlow_twins, z2=Z), "z1", Z),
+    ("encoder_forward", functools.partial(encoder_forward, x=Z), "weights", np.eye(2)),
+]
+
+
+def with_nan(good):
+    bad = good.copy()
+    bad.flat[0] = math.nan
+    return bad
 
 
 @pytest.mark.parametrize(
@@ -576,11 +604,39 @@ TRANSITION = functools.partial(
         # formatting the message raised a bare ValueError: the int has
         # more digits than str() prints
         pytest.param(game.check_state, "state", (10**5000, 0.5), id="state-int-too-long-to-print"),
+        # a complex array was taken by its real part, a string or ragged
+        # one escaped as a bare ValueError or TypeError, and NaN weights
+        # were encoded
+        *[pytest.param(constructor, field, bad, id=f"{name}-{field}-{kind}")
+          for name, constructor, field, good in ARRAY_INPUTS
+          for kind, bad in (("complex", good + 1j), ("str", good.astype(str)),
+                            ("ragged", [good.tolist(), [0.0]]), ("nan", with_nan(good)))],
+        # a shape the function does not take; the first two already
+        # named their argument
+        pytest.param(MAP_ACTION, "action", np.zeros(3), id="map_action-action-shape"),
+        pytest.param(POLICY_ACT, "state", np.zeros(3), id="policy_act-state-shape"),
+        pytest.param(observe_state, "features", np.zeros(2), id="observe_state-features-shape"),
+        pytest.param(TRANSITION, "state", np.zeros((2, 2)), id="Transition-state-shape"),
+        pytest.param(TRANSITION, "action", np.zeros(3), id="Transition-action-shape"),
+        pytest.param(functools.partial(info_nce, Z), "z2", Z[:2], id="info_nce-z2-shape"),
+        pytest.param(functools.partial(barlow_twins, Z), "z2", Z[:2], id="barlow_twins-z2-shape"),
+        pytest.param(functools.partial(encoder_forward, np.eye(2)), "x", np.zeros((3, 3)),
+                     id="encoder_forward-x-shape"),
+        # ppo_update escaped with an AttributeError, or a bare ValueError
+        # from stacking states of two lengths
+        pytest.param(functools.partial(ppo_update, POLICY, cfg=SchedulerConfig(update_period=1)),
+                     "buffer", [5], id="ppo_update-buffer-int"),
+        pytest.param(functools.partial(ppo_update, POLICY, cfg=SchedulerConfig(update_period=2)),
+                     "buffer", [TRANSITION(), TRANSITION(state=np.zeros(3))],
+                     id="ppo_update-buffer-ragged-states"),
     ],
 )
 def test_public_api_rejects_a_value_that_is_not_a_finite_real(constructor, field, value):
-    """Each of these escaped as a bare TypeError, ValueError or
-    OverflowError, except the numpy complex dt, which was taken as 0.1."""
+    """Each of these escaped as a bare TypeError, ValueError,
+    OverflowError or AttributeError, was taken by its real part, or was
+    rejected with a message that did not start with its name, except the
+    NaN cases of observe_state, map_action and policy_act and the shape
+    cases of the last two, whose message already did."""
     with pytest.raises(ValidationError, match=f"^{field}") as exc:
         constructor(**{field: value})
     assert "\n" not in str(exc.value)

@@ -237,6 +237,9 @@ def test_table_lookup_errors():
         ({("SL", "S10", "S10"): 99.0, ("BT", "C10"): 73.1}, "triple"),
         ({"BT,C10,S10": 73.1}, "triple"),
         ({("SL", "S10", "S10"): 99.0, ("BT", "C10", "C10"): 73.1}, "no supervised reference"),
+        # a bare TypeError from dict()
+        (5, "^accuracies must be a mapping, got 5$"),
+        (None, "^accuracies must be a mapping, got None$"),
     ],
 )
 def test_benchmark_table_checks_its_entries(accuracies, message):
