@@ -4,6 +4,7 @@ agreement between the path kernels and the checked single-step function."""
 import csv
 import dataclasses
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -495,6 +496,28 @@ def test_phase_portrait_lanes_share_one_read_only_clock(fixture_params):
         shared[0][0] = 1.0
     for times in finished:
         assert times.flags.writeable and times.flags.owndata
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (1, "278c1a117dc69a5c9edc736733cd2eb0e5e0de762710d81443440a29581b2ce1"),
+        (2, "9000a316ff0a20367f1c764315429eb6d5f519809ac96cbccb6ebaf87d3e3782"),
+        (3, "7695e50a3d7d0745bd0cc2a2185c7b7acc03387a54f3a4c21ca9576d574676df"),
+    ],
+)
+def test_phase_portrait_sweep_bytes_are_pinned(fixture_params, seed, digest):
+    """A 400-start sweep keeps its bytes: its lanes leave the batch over
+    many chunks, and the last ones are handed to the scalar loop at a
+    chunk end, so batched steps, leave tests and hand-offs all count."""
+    trajs = phase_portrait(fixture_params, sample_starts(400, np.random.default_rng(seed)))
+    chunks = {(len(t.times) - 1) // CHUNK for t in trajs}
+    assert len(chunks) >= 10
+    sha = hashlib.sha256()
+    for t in trajs:
+        for part in (t.times.tobytes(), t.states.tobytes(), repr(t.converged_to), t.reason):
+            sha.update(part if isinstance(part, bytes) else part.encode())
+    assert sha.hexdigest() == digest
 
 
 def test_phase_portrait_validates_starts(fixture_params):
