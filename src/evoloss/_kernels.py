@@ -74,27 +74,58 @@ def rk4_attempt(a, b, c, e, x, y, h):
     return xn, yn
 
 
-def rk4_attempt_stacked(p, q, s, h, out=None):
+def stacked_workspace(m):
+    """Scratch for rk4_attempt_stacked on m states: six (2, m) arrays,
+    the stage state with its rows reversed, a view made once, then the
+    four stage slopes and a factor, as the tuple (z, z[::-1], f1, f2, f3,
+    f4, u); 96 bytes a state."""
+    work = np.empty((6, 2, m))
+    return (work[0], work[0, ::-1], *work[1:])
+
+
+def _slope(p, q, z, z_flip, f, u):
+    """The field at the stacked states z, z_flip being z[::-1], written
+    into f as z * (1.0 - z) * (p - q * z_flip), with u as scratch."""
+    np.subtract(1.0, z, out=f)
+    np.multiply(z, f, out=f)
+    np.multiply(q, z_flip, out=u)
+    np.subtract(p, u, out=u)
+    np.multiply(f, u, out=f)
+
+
+def rk4_attempt_stacked(p, q, s, s_flip, h, out, work):
     """rk4_attempt's arithmetic with x and y stacked: s is the (2, m)
-    array of m states, x over y, p = [[a], [c]] and q = [[b], [e]],
-    or the same rows repeated to (2, m).  The result is written into
-    out when given, a (2, m) array that is not s.
+    array of m states, x over y, s_flip is s[::-1], p = [[a], [c]] and
+    q = [[b], [e]], or the same rows repeated to (2, m).  The result is
+    written into out, a (2, m) array that is not s, and the stages into
+    work, a stacked_workspace(m) that no argument shares memory with.
 
     Row 0 of each stage is x's term and row 1 y's, with the same
     elementwise IEEE operations in the same order, so every state rounds
     exactly as rk4_attempt on its floats;
     test_stacked_attempt_matches_rk4_attempt pins that bit for bit.
     """
+    z, z_flip, f1, f2, f3, f4, u = work
     half = 0.5 * h
     sixth = h / 6.0
-    f1 = s * (1.0 - s) * (p - q * s[::-1])
-    s2 = s + half * f1
-    f2 = s2 * (1.0 - s2) * (p - q * s2[::-1])
-    s3 = s + half * f2
-    f3 = s3 * (1.0 - s3) * (p - q * s3[::-1])
-    s4 = s + h * f3
-    f4 = s4 * (1.0 - s4) * (p - q * s4[::-1])
-    return np.add(s, sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4), out=out)
+    _slope(p, q, s, s_flip, f1, u)
+    np.multiply(half, f1, out=z)
+    np.add(s, z, out=z)
+    _slope(p, q, z, z_flip, f2, u)
+    np.multiply(half, f2, out=z)
+    np.add(s, z, out=z)
+    _slope(p, q, z, z_flip, f3, u)
+    np.multiply(h, f3, out=z)
+    np.add(s, z, out=z)
+    _slope(p, q, z, z_flip, f4, u)
+    # f1 + 2.0 * f2 + 2.0 * f3 + f4, summed left to right into f1
+    np.multiply(2.0, f2, out=f2)
+    np.add(f1, f2, out=f1)
+    np.multiply(2.0, f3, out=f3)
+    np.add(f1, f3, out=f1)
+    np.add(f1, f4, out=f1)
+    np.multiply(sixth, f1, out=f1)
+    return np.add(s, f1, out=out)
 
 
 def rk4_step(a, b, c, e, x, y, h):
@@ -251,12 +282,14 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     # per start: the samples it recorded on the clock, and its later times
     tails = [None] * len(lane)
     terminal = [None] * len(lane)
-    # the chunk's states, stepped in place, a scratch of their size for
-    # the leave test, and p = [[a], [c]] and q = [[b], [e]] repeated to
-    # the lane count, which makes a stacked step cheaper than broadcasting
-    # them: made again for each lane count that takes a batched step, as a
-    # fresh array per step or per test costs more than the step or test
-    buf = scratch = None
+    # the chunk's states, stepped in place, with views of its rows and of
+    # their reversals, a scratch of its size for the leave test, p =
+    # [[a], [c]] and q = [[b], [e]] repeated to the lane count, which makes
+    # a stacked step cheaper than broadcasting them, and the step's
+    # workspace: made again for each lane count that takes a batched step,
+    # as a fresh array or view per step or per test costs more than the
+    # step or test
+    buf = rows = flips = scratch = work = None
     while True:
         n0 = n - 1  # the clock index of the chunk's first sample
         k = 0  # the chunk's batched steps
@@ -264,15 +297,17 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
             if buf is None or buf.shape[2] != len(lane):
                 # the last chunk's arrays go first, so that old and new
                 # are never held together
-                buf = scratch = states = near = None
+                buf = rows = flips = scratch = work = states = near = None
                 buf = np.empty((_CHUNK + 1, 2, len(lane)))
+                rows, flips = list(buf), list(buf[:, ::-1])
                 scratch = np.empty_like(buf)
+                work = stacked_workspace(len(lane))
                 p = np.repeat(((a,), (c,)), len(lane), axis=1)
                 q = np.repeat(((b,), (e,)), len(lane), axis=1)
             buf[0] = s
             while k < _CHUNK and n < n_max and t < t_end:
                 h = t_max - t if t + dt > t_max else dt  # as in _rk4_run
-                rk4_attempt_stacked(p, q, buf[k], h, out=buf[k + 1])
+                rk4_attempt_stacked(p, q, rows[k], flips[k], h, rows[k + 1], work)
                 k += 1
                 t += h
                 clock.append(t)
@@ -311,7 +346,8 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
         # compress keeps s C-ordered; s[:, stay] would not, and every
         # later ufunc call would iterate it strided
         lane, s = lane[stay], states[k].compress(stay, axis=1)
-    del buf, scratch, states, near  # returned to the OS before the pieces are joined
+    # returned to the OS before the pieces are joined
+    del buf, rows, flips, scratch, work, states, near
     # lanes that stopped at their leave sample share views of the clock
     clock = np.array(clock)
     clock.flags.writeable = False

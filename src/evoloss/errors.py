@@ -78,21 +78,26 @@ def as_float(name: str, value, rule: str = "finite") -> float:
     return number
 
 
-def as_array(name: str, value, shape: tuple) -> np.ndarray:
+def as_array(name: str, value, shape: tuple | None) -> np.ndarray:
     """value as a float64 array of the given shape, a size per axis with
-    None for any size; ValidationError unless it is a rectangular array of
-    bool, int, uint or float entries, and NotFiniteError unless every entry
-    is finite.  A float64 array is returned as it is, not copied."""
+    None for any size, or of any shape when shape is None; ValidationError
+    unless it is a rectangular array of bool, int, uint or float entries,
+    and NotFiniteError unless every entry is finite.  A float64 array is
+    returned as it is, not copied."""
     try:
         array = np.asarray(value)
     except (TypeError, ValueError):  # a ragged nesting, for one
         raise ValidationError(f"{name} must be a rectangular array of real numbers") from None
     if array.dtype.kind not in "biuf":
         raise ValidationError(f"{name} must be an array of real numbers, got dtype {array.dtype}")
-    if array.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, array.shape)):
+    if shape is not None and (
+        array.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, array.shape))
+    ):
         wanted = str(tuple(shape)).replace("None", "any")
         raise ValidationError(f"{name} must have shape {wanted}, got {array.shape}")
-    array = array.astype(np.float64, copy=False)
+    # a long double beyond the float64 range becomes inf, reported below
+    with np.errstate(over="ignore"):
+        array = array.astype(np.float64, copy=False)
     finite = np.isfinite(array)
     if not finite.all():
         raise NotFiniteError(f"{name} must be finite, got {array[~finite][0]}")

@@ -108,8 +108,10 @@ class Transition:
 class PolicyParams:
     """Two-layer action-mean network, two-layer value network, and a
     learnable per-dimension log standard deviation (kept in
-    [LOG_STD_MIN, LOG_STD_MAX]).  Every field has the shape that
-    _policy_layout gives for w1's (state_dim, hidden)."""
+    [LOG_STD_MIN, LOG_STD_MAX]).  Every field is read through as_array
+    with the shape that _policy_layout gives for w1's (state_dim,
+    hidden), and vb2 through as_float, so every weight is a finite
+    float."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -122,14 +124,11 @@ class PolicyParams:
     log_std: np.ndarray
 
     def __post_init__(self):
-        w1_shape = np.shape(self.w1)
-        if len(w1_shape) != 2:
-            raise ValidationError(f"w1 must be 2-D (state_dim, hidden), got shape {w1_shape}")
+        w1_shape = as_array("w1", self.w1, (None, None)).shape
         for name, shape in _policy_layout(*w1_shape):
-            if np.shape(getattr(self, name)) != shape:
-                raise ValidationError(
-                    f"{name} has shape {np.shape(getattr(self, name))}, expected {shape}"
-                )
+            value = getattr(self, name)
+            value = as_float(name, value) if name == "vb2" else as_array(name, value, shape)
+            object.__setattr__(self, name, value)
 
     @property
     def state_dim(self) -> int:
@@ -261,9 +260,15 @@ def _act(policy: PolicyParams, state: np.ndarray, noise: np.ndarray):
 
 
 def clipped_objective(ratio, advantage, clip_eps: float = CLIP_EPS):
-    """Elementwise clipped-surrogate objective min(r A, clip(r) A)."""
-    ratio = np.asarray(ratio, dtype=float)
-    advantage = np.asarray(advantage, dtype=float)
+    """Elementwise clipped-surrogate objective min(r A, clip(r) A) of a
+    ratio and an advantage of the same shape."""
+    ratio = as_array("ratio", ratio, None)
+    advantage = as_array("advantage", advantage, ratio.shape)
+    return _clipped_objective(ratio, advantage, as_float("clip_eps", clip_eps, "nonnegative"))
+
+
+def _clipped_objective(ratio, advantage, clip_eps=CLIP_EPS):
+    """clipped_objective on checked float64 arrays."""
     return np.minimum(
         ratio * advantage,
         np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantage,
@@ -324,7 +329,7 @@ def _ppo_step(policy: PolicyParams, states, actions, rewards, old_logp, values):
     new_logp = _squashed_log_prob(raw, mu, log_std, actions)
     ratio = np.exp(new_logp - old_logp)
 
-    objective = clipped_objective(ratio, adv)
+    objective = _clipped_objective(ratio, adv)
     policy_loss = -float(objective.mean())
     # gradient flows only through samples where the unclipped branch wins
     unclipped = ratio * adv

@@ -23,6 +23,7 @@ from evoloss import (
     Transition,
     ValidationError,
     barlow_twins,
+    clipped_objective,
     discriminability,
     encoder_forward,
     field_coefficients,
@@ -39,7 +40,7 @@ from evoloss import (
     simulate,
     write_trajectories_csv,
 )
-from evoloss import _kernels, game, stability
+from evoloss import _kernels, errors, game, stability
 from evoloss.dynamics import CORNERS
 
 from helpers import (
@@ -570,6 +571,12 @@ ARRAY_INPUTS = [
     ("info_nce", functools.partial(info_nce, z2=Z), "z1", Z),
     ("barlow_twins", functools.partial(barlow_twins, z2=Z), "z1", Z),
     ("encoder_forward", functools.partial(encoder_forward, x=Z), "weights", np.eye(2)),
+    ("clipped_objective", functools.partial(clipped_objective, advantage=np.ones(2)), "ratio",
+     np.ones(2)),
+    ("clipped_objective", functools.partial(clipped_objective, np.ones(2)), "advantage",
+     np.ones(2)),
+    *[("PolicyParams", functools.partial(dataclasses.replace, POLICY), name, getattr(POLICY, name))
+      for name in ("w1", "b1", "w2", "b2", "vw1", "vb1", "vw2", "log_std")],
 ]
 
 
@@ -645,6 +652,17 @@ def with_nan(good):
         pytest.param(functools.partial(barlow_twins, Z), "z2", Z[:2], id="barlow_twins-z2-shape"),
         pytest.param(functools.partial(encoder_forward, np.eye(2)), "x", np.zeros((3, 3)),
                      id="encoder_forward-x-shape"),
+        pytest.param(functools.partial(clipped_objective, np.ones(2)), "advantage", np.ones(3),
+                     id="clipped_objective-advantage-shape"),
+        pytest.param(functools.partial(dataclasses.replace, POLICY), "w1", np.zeros(2),
+                     id="PolicyParams-w1-shape"),
+        pytest.param(functools.partial(dataclasses.replace, POLICY), "vw2", np.zeros((32, 1)),
+                     id="PolicyParams-vw2-shape"),
+        # PolicyParams checked only shapes, and clipped_objective took a
+        # complex clip_eps
+        (functools.partial(dataclasses.replace, POLICY), "vb2", 1j),
+        (functools.partial(dataclasses.replace, POLICY), "vb2", math.nan),
+        (functools.partial(clipped_objective, 1.0, 1.0), "clip_eps", np.complex128(0.2 + 1j)),
         # ppo_update escaped with an AttributeError, or a bare ValueError
         # from stacking states of two lengths
         pytest.param(functools.partial(ppo_update, POLICY, cfg=SchedulerConfig(update_period=1)),
@@ -656,13 +674,42 @@ def with_nan(good):
 )
 def test_public_api_rejects_a_value_that_is_not_a_finite_real(constructor, field, value):
     """Each of these escaped as a bare TypeError, ValueError,
-    OverflowError or AttributeError, was taken by its real part, or was
-    rejected with a message that did not start with its name, except the
-    NaN cases of observe_state, map_action and policy_act and the shape
-    cases of the last two, whose message already did."""
+    OverflowError or AttributeError, was taken by its real part, was
+    accepted, or was rejected with a message that did not start with its
+    name, except the NaN cases of observe_state, map_action and
+    policy_act and the shape cases of the last two, whose message already
+    did."""
     with pytest.raises(ValidationError, match=f"^{field}") as exc:
         constructor(**{field: value})
     assert "\n" not in str(exc.value)
+
+
+def test_clipped_objective_rejects_a_complex_ratio():
+    """It returned [2.4] after a ComplexWarning, the imaginary part dropped."""
+    with pytest.raises(ValidationError) as exc:
+        clipped_objective(np.array([1.5 + 1j]), np.array([2.0]))
+    assert str(exc.value) == "ratio must be an array of real numbers, got dtype complex128"
+
+
+def test_policy_params_reject_a_complex_weight():
+    """The policy was made, and policy_act on it returned a complex
+    action after a ComplexWarning."""
+    with pytest.raises(ValidationError) as exc:
+        dataclasses.replace(POLICY, w1=POLICY.w1 + 1j)
+    assert str(exc.value) == "w1 must be an array of real numbers, got dtype complex128"
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+    reason="long double is float64 here, so no entry lies beyond its range",
+)
+def test_as_array_reads_a_long_double_beyond_float64_as_not_finite():
+    """The cast to float64 warned of its overflow before the one-line
+    error; under the suite's warning filter the warning escaped."""
+    big = np.array([1e300], dtype=np.longdouble) * np.longdouble(1e300)
+    with pytest.raises(errors.NotFiniteError) as exc:
+        errors.as_array("v", big, (None,))
+    assert str(exc.value) == "v must be finite, got inf"
 
 
 @pytest.mark.parametrize(
@@ -897,35 +944,37 @@ def test_rk4_path_matches_repeated_step_rk4(coefficients, start, dt, steps, stop
 @given(
     coefficients=st.tuples(COEFFICIENTS, COEFFICIENTS, COEFFICIENTS, COEFFICIENTS),
     states=st.lists(st.tuples(EDGE, EDGE), min_size=1, max_size=6),
+    others=st.lists(st.tuples(EDGE, EDGE), min_size=6, max_size=6),
     h=st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
 )
 # overflow to inf and NaN within the attempt
 @example(coefficients=(1.7e308, -1.7e308, 1e300, 1.7e308), states=[(0.5, -0.0), (0.0, 0.5)],
-         h=2.0)
-def test_stacked_attempt_matches_rk4_attempt(coefficients, states, h):
+         others=[(0.25, 0.75)] * 6, h=2.0)
+def test_stacked_attempt_matches_rk4_attempt(coefficients, states, others, h):
     """The batched sweep's attempt on stacked (x, y) states is
     rk4_attempt on each state's floats, bit for bit, with the coefficient
-    columns broadcast or repeated, and returned or written into out."""
+    columns broadcast or repeated to (2, m).  Every call goes through one
+    workspace, on two state sets in turn, so a stage that reads a value
+    left from the call before fails; the inputs come back unchanged."""
     a, b, c, e = coefficients
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = _kernels.rk4_attempt_stacked(
-            np.array(((a,), (c,))), np.array(((b,), (e,))), np.array(states).T, h
-        )
-    want = np.array([_kernels.rk4_attempt(a, b, c, e, x, y, h) for x, y in states]).T
-    assert got.tobytes() == want.tobytes()
-    # as rk4_paths calls it: coefficient rows repeated to (2, m), and the
-    # state and result in consecutive rows of one chunk buffer
     m = len(states)
-    buf = np.full((2, 2, m), math.nan)
-    buf[0] = np.array(states).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _kernels.rk4_attempt_stacked(
-            np.repeat(((a,), (c,)), m, axis=1), np.repeat(((b,), (e,)), m, axis=1), buf[0], h,
-            out=buf[1],
-        )
-    assert np.shares_memory(out, buf[1])
-    assert buf[1].tobytes() == want.tobytes()
-    assert buf[0].tobytes() == np.array(states).T.tobytes()
+    columns = np.array(((a,), (c,))), np.array(((b,), (e,)))
+    repeated = tuple(np.repeat(v, m, axis=1) for v in columns)
+    work = _kernels.stacked_workspace(m)
+    for p, q in (columns, repeated):
+        for batch in (states, others[:m]):
+            want = np.array([_kernels.rk4_attempt(a, b, c, e, x, y, h) for x, y in batch]).T
+            # as rk4_paths calls it: the state and result in consecutive
+            # rows of one chunk buffer
+            buf = np.full((2, 2, m), math.nan)
+            buf[0] = np.array(batch).T
+            inputs = [v.copy() for v in (p, q, buf[0])]
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = _kernels.rk4_attempt_stacked(p, q, buf[0], buf[0, ::-1], h, buf[1], work)
+            assert np.shares_memory(out, buf[1])
+            assert buf[1].tobytes() == want.tobytes()
+            for v, before in zip((p, q, buf[0]), inputs):
+                assert v.tobytes() == before.tobytes()
 
 
 # a lane whose every attempt is rejected makes 64 of them per step, in

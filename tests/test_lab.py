@@ -383,10 +383,15 @@ def test_train_episode_rejects_loss_params_before_first_step(monkeypatch, kwargs
         train_episode(LabConfig(steps=5, input_dim=4, feature_dim=2, batch_size=4, **kwargs))
 
 
-@pytest.mark.parametrize("field,value", [("b2", np.array([math.nan, 0.1])), ("vb2", math.nan)])
-def test_train_episode_rejects_non_finite_policy_output(field, value):
-    """A NaN action mean or value estimate stops the run at its step."""
-    policy = dataclasses.replace(pinned_policy(3, (0.4, 0.6)), **{field: value})
+@pytest.mark.parametrize(
+    "fields",
+    [{"b1": np.full(4, 30.0), "w2": np.full((4, 2), 1e308)},
+     {"vb1": np.full(4, 30.0), "vw2": np.full(4, 1e308)}],
+)
+def test_train_episode_rejects_non_finite_policy_output(fields):
+    """An action mean or value estimate that overflows from finite
+    weights stops the run at its step; PolicyParams rejects NaN weights."""
+    policy = dataclasses.replace(pinned_policy(3, (0.4, 0.6)), **fields)
     cfg = LabConfig(steps=5, input_dim=4, feature_dim=3, batch_size=8)
     with pytest.raises(ValidationError, match="diverged at step 0"):
         train_episode(cfg, initial_policy=policy)
