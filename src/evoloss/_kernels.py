@@ -5,8 +5,10 @@ functions take the four precomputed coefficients so they stay
 independent of the dataclasses in the rest of the package.  They are
 plain Python over floats, except rk4_paths, which takes the ordinary
 steps of many starts at once as one stacked (2, starts) numpy state, on
-one shared clock; once per chunk of steps it finds the sample at which
-each start leaves the batch and hands it from there to the scalar loop.
+one shared clock, each step's stages computed in place in a workspace
+made once per lane count; once per chunk of steps it finds the sample at
+which each start leaves the batch and hands it from there to the scalar
+loop.
 evobench/README.md describes how their cost is measured.  The tests'
 forward-Euler reference is in tests/helpers.py.
 """
@@ -38,12 +40,12 @@ CLAMP_TOL = 1e-9
 #: per lane it holds before copying them into the lane's pieces.  Holding
 #: every step of every lane would cost more memory than the finished
 #: trajectories.  On the 400 grid starts of evobench's basin_sweep (seeds
-#: 1, 5, 51; fresh process each, ru_maxrss), the sweep's peak RSS is that
-#: of its finished trajectories with 64, 128 or 256, and 64 leaves 1.6-2.0
-#: MB and 128 0.1-0.4 MB more than 256 in small pieces.  A sweep took 105,
-#: 100 and 100 ms (medians of 63, interleaved): a shorter chunk tests and
-#: copies more often, and a longer one computes more discarded steps of
-#: the lanes that left.
+#: 1, 5, 51; fresh process each, ru_maxrss), whose finished trajectories
+#: hold 8.7 MB of states, the sweep's peak RSS with 64 is 1.2-1.9 MB and
+#: with 128 at most 0.7 MB above that with 256, in small pieces.  A sweep
+#: took 75-79, 70-73 and 74-76 ms (medians of 63, interleaved): a shorter
+#: chunk tests and copies more often, and a longer one computes more
+#: discarded steps of the lanes that left.
 _CHUNK = 128
 
 
@@ -146,16 +148,17 @@ def rk4_step(a, b, c, e, x, y, h):
 
 
 #: Fewest lanes for which a batched step of rk4_paths beats one rk4_path
-#: step per lane: on the fixture game a batched step costs 25-50 us from
-#: 8 to 128 lanes and 75-100 us at 400, a scalar step 1.7-2.0 us.
-#: rk4_paths hands its lanes to the scalar loop at the first chunk end
-#: with fewer than this left, so fewer starts run in that loop from their
-#: first sample.  Batched over per-start time (uniform starts, seeds 1-3,
-#: best of 9, interleaved):
+#: step per lane: on the fixture game a batched step costs 17-19 us from
+#: 8 to 128 lanes and 24-26 us at 400, a scalar step 1.0-1.1 us (best of
+#: 9 runs of 128 steps, 4 fresh processes).  rk4_paths hands its lanes to
+#: the scalar loop at the first chunk end with fewer than this left, so
+#: fewer starts run in that loop from their first sample.  Batched over
+#: per-start time (uniform starts, seeds 1-3, best of 9, interleaved, two
+#: runs):
 #:
 #:   starts               16       24       32       40       48       64       96
-#:   batched throughout   1.7-2.5  1.0-1.3  1.1-1.2  0.8-1.0  0.7-0.9  0.6-0.7  0.4-0.5
-#:   hand-off below 32    1.0-1.1  0.9-1.0  0.8-0.9  0.6      0.5-0.6  0.4-0.5  0.4
+#:   batched throughout   1.4-1.9  0.9-1.2  0.9-1.0  0.7-1.0  0.7-0.8  0.5-0.6  0.3-0.4
+#:   hand-off below 32    0.9-1.0  0.8-1.1  0.7-1.0  0.5-0.6  0.5      0.4      0.3
 BATCH_MIN_LANES = 32
 
 

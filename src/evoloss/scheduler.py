@@ -437,5 +437,4 @@ def load_policy(path) -> PolicyParams:
         raise ValidationError("checkpoint contains a non-finite value")
     chunks = np.split(flat, np.cumsum(sizes)[:-1])
     parts = {name: chunk.reshape(shape) for (name, shape), chunk in zip(layout, chunks)}
-    parts["vb2"] = float(parts["vb2"])
     return PolicyParams(**parts)
