@@ -61,6 +61,9 @@ def as_float(name: str, value, rule: str = "finite") -> float:
     obeys rule: "finite", "positive", "nonnegative" or "a percent in
     [0, 100]", each of which implies finite.  A real value that breaks
     the rule is reported as "name must be rule, got value"."""
+    # refused here, since numpy before 2.4 reads a one-entry array as its entry
+    if isinstance(value, np.ndarray) and value.ndim:
+        raise ValidationError(f"{name} must be a real number, got an array of shape {value.shape}")
     try:
         # math.isfinite would take a numpy complex scalar's real part
         if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):

@@ -110,8 +110,8 @@ class PolicyParams:
     learnable per-dimension log standard deviation (kept in
     [LOG_STD_MIN, LOG_STD_MAX]).  Every field is read through as_array
     with the shape that _policy_layout gives for w1's (state_dim,
-    hidden), and vb2 through as_float, so every weight is a finite
-    float."""
+    hidden), so every weight is a finite float; vb2, of shape (), is
+    stored as a float."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -126,9 +126,8 @@ class PolicyParams:
     def __post_init__(self):
         w1_shape = as_array("w1", self.w1, (None, None)).shape
         for name, shape in _policy_layout(*w1_shape):
-            value = getattr(self, name)
-            value = as_float(name, value) if name == "vb2" else as_array(name, value, shape)
-            object.__setattr__(self, name, value)
+            value = as_array(name, getattr(self, name), shape)
+            object.__setattr__(self, name, float(value) if shape == () else value)
 
     @property
     def state_dim(self) -> int:

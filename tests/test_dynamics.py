@@ -658,6 +658,16 @@ def with_nan(good):
                      id="PolicyParams-w1-shape"),
         pytest.param(functools.partial(dataclasses.replace, POLICY), "vw2", np.zeros((32, 1)),
                      id="PolicyParams-vw2-shape"),
+        # a long vb2 was read as a scalar, and its message printed the
+        # whole array over several lines
+        pytest.param(functools.partial(dataclasses.replace, POLICY), "vb2", np.zeros(100),
+                     id="PolicyParams-vb2-shape"),
+        # as_float read a one-entry array as its entry on numpy before
+        # 2.4, and printed a long one over several lines
+        pytest.param(TRANSITION, "reward", np.zeros(1), id="Transition-reward-shape"),
+        pytest.param(TRANSITION, "reward", np.zeros(100), id="Transition-reward-long"),
+        pytest.param(functools.partial(clipped_objective, 1.0, 1.0), "clip_eps", np.full(1, 0.2),
+                     id="clipped_objective-clip_eps-shape"),
         # PolicyParams checked only shapes, and clipped_objective took a
         # complex clip_eps
         (functools.partial(dataclasses.replace, POLICY), "vb2", 1j),
