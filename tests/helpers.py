@@ -18,6 +18,7 @@ import numpy as np
 from evoloss import (
     ZERO_TOL,
     PayoffParams,
+    PolicyParams,
     PopulationState,
     SchedulerConfig,
     StabilityClass,
@@ -43,6 +44,7 @@ from evoloss import (
 )
 from evoloss import _kernels
 from evoloss.lab import LOG_COLUMNS
+from evoloss.scheduler import CLIP_EPS, DISCOUNT, LEARNING_RATE, LOG_STD_MAX, LOG_STD_MIN
 
 
 def sample_saddle_params(rng: np.random.Generator, margin: float = 0.02) -> PayoffParams:
@@ -347,6 +349,79 @@ def reference_barlow_twins(z1, z2, epsilon):
     g1 = g_za - np.add.reduce(g_za, axis=0) / n
     g2 = g_zb - np.add.reduce(g_zb, axis=0) / n
     return loss, g1, g2
+
+
+# The clipped-surrogate update with the action-mean and value networks
+# written out as two separate forward and backward passes: the reference
+# for ppo_update, which must equal it bit for bit.
+
+
+def reference_ppo_step(policy, buffer):
+    """ppo_update on a full buffer of Transitions; returns (new_policy,
+    stats)."""
+    states = np.stack([tr.state for tr in buffer])
+    actions = np.stack([tr.action for tr in buffer])
+    rewards = np.array([tr.reward for tr in buffer])
+    old_logp = np.array([tr.log_prob for tr in buffer])
+    values = np.array([tr.value for tr in buffer])
+    n = len(rewards)
+    returns = np.empty(n)
+    acc = 0.0
+    for t in range(n - 1, -1, -1):
+        acc = rewards[t] + DISCOUNT * acc
+        returns[t] = acc
+    adv = returns - values
+    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+
+    log_std = policy.log_std.clip(LOG_STD_MIN, LOG_STD_MAX)
+    std = np.exp(log_std)
+    h = np.tanh(states @ policy.w1 + policy.b1)
+    mu = h @ policy.w2 + policy.b2
+    raw = np.arctanh(np.clip(actions, -(1.0 - 1e-7), 1.0 - 1e-7))
+    z = (raw - mu) / std
+    gauss = np.add.reduce(-0.5 * z**2 - log_std - 0.5 * math.log(2.0 * math.pi), axis=-1)
+    new_logp = gauss - np.add.reduce(np.log(1.0 - actions**2 + 1e-8), axis=-1)
+    ratio = np.exp(new_logp - old_logp)
+    unclipped = ratio * adv
+    objective = np.minimum(unclipped, np.clip(ratio, 1.0 - CLIP_EPS, 1.0 + CLIP_EPS) * adv)
+    active = unclipped <= objective
+    dl_dlogp = -(active * ratio * adv) / n
+    g_mu = dl_dlogp[:, None] * (z / std)
+    g_log_std = np.sum(dl_dlogp[:, None] * (z**2 - 1.0), axis=0)
+    g_w2 = h.T @ g_mu
+    g_b2 = g_mu.sum(axis=0)
+    g_h = (g_mu @ policy.w2.T) * (1.0 - h**2)
+    g_w1 = states.T @ g_h
+    g_b1 = g_h.sum(axis=0)
+
+    hv = np.tanh(states @ policy.vw1 + policy.vb1)
+    v_err = hv @ policy.vw2 + policy.vb2 - returns
+    g_v = v_err / n
+    g_vw2 = hv.T @ g_v
+    g_vb2 = float(g_v.sum())
+    g_hv = np.outer(g_v, policy.vw2) * (1.0 - hv**2)
+    g_vw1 = states.T @ g_hv
+    g_vb1 = g_hv.sum(axis=0)
+
+    lr = LEARNING_RATE
+    new_policy = PolicyParams(
+        w1=policy.w1 - lr * g_w1,
+        b1=policy.b1 - lr * g_b1,
+        w2=policy.w2 - lr * g_w2,
+        b2=policy.b2 - lr * g_b2,
+        vw1=policy.vw1 - lr * g_vw1,
+        vb1=policy.vb1 - lr * g_vb1,
+        vw2=policy.vw2 - lr * g_vw2,
+        vb2=policy.vb2 - lr * g_vb2,
+        log_std=np.clip(log_std - lr * g_log_std, LOG_STD_MIN, LOG_STD_MAX),
+    )
+    stats = {
+        "policy_loss": -float(objective.mean()),
+        "value_loss": 0.5 * float(np.mean(v_err**2)),
+        "clip_fraction": float(np.mean(~active)),
+        "mean_ratio": float(ratio.mean()),
+    }
+    return new_policy, stats
 
 
 #: Floats whose repr is easy to get wrong: signed zero, the smallest

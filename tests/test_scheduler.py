@@ -26,9 +26,9 @@ from evoloss import (
     reward,
     save_policy,
 )
-from evoloss.scheduler import LOG_STD_INIT, WEIGHT_FLOOR
+from evoloss.scheduler import LEARNING_RATE, LOG_STD_INIT, WEIGHT_FLOOR
 
-from helpers import cosine
+from helpers import cosine, reference_ppo_step
 
 
 def flat_policy(state_dim, mean, log_std=-5.0, hidden=4):
@@ -350,6 +350,57 @@ def test_ppo_update_improves_simple_bandit():
     assert all(b > a for a, b in zip(means, means[1:]))
 
 
+@pytest.mark.parametrize("state_dim,hidden,period", [(3, 3, 24), (5, 7, 40), (6, 5, 17)])
+def test_ppo_update_equals_reference_bit_for_bit(state_dim, hidden, period):
+    """The update against the two heads written out separately; the
+    buffer comes from another policy, so ratios spread and some clip."""
+    cfg = SchedulerConfig(update_period=period)
+    rng = np.random.default_rng(state_dim * 100 + hidden)
+    policy = init_policy(state_dim, rng, hidden=hidden)
+    policy = dataclasses.replace(policy, w2=policy.w2 * 60.0, vw2=policy.vw2 * 60.0,
+                                 vb2=0.3, log_std=np.array([-0.7, -1.2]))
+    collector = dataclasses.replace(init_policy(state_dim, rng, hidden=hidden), b2=np.array([0.2, -0.1]))
+    buffer = rollout(collector, rng.standard_normal((period, state_dim)),
+                     lambda s, a: float(a[0] - s[0] * a[1]), rng)
+    new, stats = ppo_update(policy, buffer, cfg)
+    ref, ref_stats = reference_ppo_step(policy, buffer)
+    for field in dataclasses.fields(PolicyParams):
+        got, want = getattr(new, field.name), getattr(ref, field.name)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+    assert stats == ref_stats
+    assert 0.0 < stats["clip_fraction"] < 1.0
+
+
+def test_ppo_update_gradient_matches_central_differences():
+    """Each field's step, read back as (old - new) / LEARNING_RATE,
+    against central differences of policy_loss + value_loss over the
+    same buffer."""
+    cfg = SchedulerConfig(update_period=16)
+    rng = np.random.default_rng(4)
+    policy = init_policy(3, rng, hidden=4)
+    policy = dataclasses.replace(policy, w2=policy.w2 * 100.0, vw2=policy.vw2 * 100.0)
+    buffer = rollout(policy, rng.standard_normal((16, 3)), lambda s, a: float(a @ s[:2]), rng)
+    new, _ = ppo_update(policy, buffer, cfg)
+
+    def loss(field, value):
+        _, stats = ppo_update(dataclasses.replace(policy, **{field: value}), buffer, cfg)
+        return stats["policy_loss"] + stats["value_loss"]
+
+    step = 1e-6
+    for field in dataclasses.fields(PolicyParams):
+        old = np.asarray(getattr(policy, field.name), dtype=float)
+        analytic = (old - np.asarray(getattr(new, field.name))) / LEARNING_RATE
+        numeric = np.empty_like(old)
+        for i in np.ndindex(old.shape):
+            up, down = old.copy(), old.copy()
+            up[i] += step
+            down[i] -= step
+            numeric[i] = (loss(field.name, up) - loss(field.name, down)) / (2.0 * step)
+        # the step's own rounding and the differences' stay below 3e-9
+        np.testing.assert_allclose(analytic, numeric, rtol=0.0, atol=1e-8, err_msg=field.name)
+        assert np.abs(analytic).max() > 0.1, field.name
+
+
 # ------------------------------------------------------------- checkpoint
 
 
@@ -382,6 +433,8 @@ def test_policy_checkpoint_roundtrip(tmp_path):
     "state_dim,hidden,digest",
     [
         (3, 2, "287e1409a2a32ee4cab6f23b68ba7f8f6a9d56e9fae230abf4650a558f333756"),
+        # 0.01 / sqrt(3) rounds one ulp below init_policy's 0.01 * (1 / sqrt(3))
+        (4, 3, "7e0e000c703ca1fac50c821e9ee1e680ed8d5bafb15e142f801e58fdd1ba3bf3"),
         (8, 32, "45a828f65338447d4fc38918a60ff2cc38fa0736612829bd5bad050c6d189e23"),
     ],
 )
