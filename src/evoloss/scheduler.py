@@ -106,8 +106,9 @@ class Transition:
 
 @dataclass(frozen=True)
 class PolicyParams:
-    """Two-layer action-mean network, two-layer value network, and a
-    learnable per-dimension log standard deviation (kept in
+    """Two heads of the same two-layer tanh network, one for the action
+    mean (w1, b1, w2, b2) and one for the value (vw1, vb1, vw2, vb2),
+    and a learnable per-dimension log standard deviation (kept in
     [LOG_STD_MIN, LOG_STD_MAX]).  Every field is read through as_array
     with the shape that _policy_layout gives for w1's (state_dim,
     hidden), so every weight is a finite float; vb2, of shape (), is
@@ -142,19 +143,19 @@ def init_policy(state_dim: int, rng: np.random.Generator, hidden: int = HIDDEN_U
     """Fresh policy; output heads start near zero so the initial action
     mean sits at the center of the weight range."""
     state_dim, hidden = as_int("state_dim", state_dim, 1), as_int("hidden", hidden, 1)
-    scale_in = 1.0 / math.sqrt(state_dim)
-    scale_h = 1.0 / math.sqrt(hidden)
     return PolicyParams(
-        w1=rng.normal(0.0, scale_in, (state_dim, hidden)),
-        b1=np.zeros(hidden),
-        w2=rng.normal(0.0, 0.01 * scale_h, (hidden, 2)),
-        b2=np.zeros(2),
-        vw1=rng.normal(0.0, scale_in, (state_dim, hidden)),
-        vb1=np.zeros(hidden),
-        vw2=rng.normal(0.0, 0.01 * scale_h, hidden),
-        vb2=0.0,
-        log_std=np.full(2, LOG_STD_INIT),
+        *_init_net(rng, state_dim, hidden, (2,)),
+        *_init_net(rng, state_dim, hidden, ()),
+        np.full(2, LOG_STD_INIT),
     )
+
+
+def _init_net(rng, state_dim, hidden, out_shape):
+    """(w1, b1, w2, b2) of one head, its output of out_shape per state;
+    w1 is drawn first, then w2."""
+    w1 = rng.normal(0.0, 1.0 / math.sqrt(state_dim), (state_dim, hidden))
+    w2 = rng.normal(0.0, 0.01 * (1.0 / math.sqrt(hidden)), (hidden, *out_shape))
+    return w1, np.zeros(hidden), w2, np.zeros(out_shape)
 
 
 def observe_state(features) -> np.ndarray:
@@ -177,10 +178,8 @@ def map_action(action, cfg: SchedulerConfig) -> LossWeights:
 def _weights(a0: float, a1: float, cfg: SchedulerConfig) -> tuple[float, float]:
     """map_action on a checked action pair, as (alpha, beta) floats."""
     top = 2.0 * cfg.center
-    return (
-        max(min(max(cfg.center + a0, 0.0), top), WEIGHT_FLOOR),
-        max(min(max(cfg.center + a1, 0.0), top), WEIGHT_FLOOR),
-    )
+    # the floor, above 0, also does the clamp at 0
+    return max(min(cfg.center + a0, top), WEIGHT_FLOOR), max(min(cfg.center + a1, top), WEIGHT_FLOOR)
 
 
 def reward(
@@ -222,14 +221,22 @@ def _clipped_log_std(policy: PolicyParams) -> np.ndarray:
     return policy.log_std.clip(LOG_STD_MIN, LOG_STD_MAX)
 
 
-def _policy_mean(policy: PolicyParams, states: np.ndarray):
-    h = np.tanh(states @ policy.w1 + policy.b1)
-    return h @ policy.w2 + policy.b2, h
+def _net(states, w1, b1, w2, b2):
+    """One head's output for a state or a row of states, and its hidden
+    activations."""
+    h = np.tanh(states @ w1 + b1)
+    return h @ w2 + b2, h
 
 
-def _value(policy: PolicyParams, states: np.ndarray):
-    hv = np.tanh(states @ policy.vw1 + policy.vb1)
-    return hv @ policy.vw2 + policy.vb2, hv
+def _net_grads(states, h, w2, g_out):
+    """Gradients (w1, b1, w2, b2) of one head, from _net's hidden
+    activations h and the loss gradient g_out of its output, of shape
+    (n, 2) or (n,)."""
+    # a 1-D output enters as a column, so (n, 1) @ (1, hidden) is one
+    # product per entry
+    n, hidden = h.shape
+    g_h = (g_out.reshape(n, -1) @ w2.reshape(hidden, -1).T) * (1.0 - h**2)
+    return states.T @ g_h, g_h.sum(axis=0), h.T @ g_out, g_out.sum(axis=0)
 
 
 def _squashed_log_prob(raw, mu, log_std, action):
@@ -249,12 +256,12 @@ def policy_act(policy: PolicyParams, state, rng: np.random.Generator):
 
 def _act(policy: PolicyParams, state: np.ndarray, noise: np.ndarray):
     """policy_act on a checked state, with its two standard normals given."""
-    mu, _ = _policy_mean(policy, state)
+    mu, _ = _net(state, policy.w1, policy.b1, policy.w2, policy.b2)
     log_std = _clipped_log_std(policy)
     raw = mu + np.exp(log_std) * noise
     action = np.tanh(raw)
     log_prob = float(_squashed_log_prob(raw, mu, log_std, action))
-    value, _ = _value(policy, state)
+    value, _ = _net(state, policy.vw1, policy.vb1, policy.vw2, policy.vb2)
     return action, log_prob, float(value)
 
 
@@ -323,7 +330,7 @@ def _ppo_step(policy: PolicyParams, states, actions, rewards, old_logp, values):
 
     log_std = _clipped_log_std(policy)
     std = np.exp(log_std)
-    mu, h = _policy_mean(policy, states)
+    mu, h = _net(states, policy.w1, policy.b1, policy.w2, policy.b2)
     raw = np.arctanh(np.clip(actions, -_ATANH_LIMIT, _ATANH_LIMIT))
     new_logp = _squashed_log_prob(raw, mu, log_std, actions)
     ratio = np.exp(new_logp - old_logp)
@@ -339,33 +346,16 @@ def _ppo_step(policy: PolicyParams, states, actions, rewards, old_logp, values):
     g_mu = dl_dlogp[:, None] * (z / std)
     g_log_std = np.sum(dl_dlogp[:, None] * (z**2 - 1.0), axis=0)
 
-    g_w2 = h.T @ g_mu
-    g_b2 = g_mu.sum(axis=0)
-    g_h = (g_mu @ policy.w2.T) * (1.0 - h**2)
-    g_w1 = states.T @ g_h
-    g_b1 = g_h.sum(axis=0)
-
-    v_pred, hv = _value(policy, states)
+    v_pred, hv = _net(states, policy.vw1, policy.vb1, policy.vw2, policy.vb2)
     v_err = v_pred - returns
     value_loss = 0.5 * float(np.mean(v_err**2))
-    g_v = v_err / n
-    g_vw2 = hv.T @ g_v
-    g_vb2 = float(g_v.sum())
-    g_hv = np.outer(g_v, policy.vw2) * (1.0 - hv**2)
-    g_vw1 = states.T @ g_hv
-    g_vb1 = g_hv.sum(axis=0)
 
-    lr = LEARNING_RATE
+    # the eight network fields in _policy_layout order, then log_std
+    grads = _net_grads(states, h, policy.w2, g_mu) + _net_grads(states, hv, policy.vw2, v_err / n)
+    layout = _policy_layout(policy.state_dim, policy.hidden)
     new_policy = PolicyParams(
-        w1=policy.w1 - lr * g_w1,
-        b1=policy.b1 - lr * g_b1,
-        w2=policy.w2 - lr * g_w2,
-        b2=policy.b2 - lr * g_b2,
-        vw1=policy.vw1 - lr * g_vw1,
-        vb1=policy.vb1 - lr * g_vb1,
-        vw2=policy.vw2 - lr * g_vw2,
-        vb2=policy.vb2 - lr * g_vb2,
-        log_std=np.clip(log_std - lr * g_log_std, LOG_STD_MIN, LOG_STD_MAX),
+        *[getattr(policy, name) - LEARNING_RATE * g for (name, _), g in zip(layout, grads)],
+        np.clip(log_std - LEARNING_RATE * g_log_std, LOG_STD_MIN, LOG_STD_MAX),
     )
     stats = {
         "policy_loss": policy_loss,
@@ -432,8 +422,6 @@ def load_policy(path) -> PolicyParams:
         raise ValidationError(
             f"checkpoint holds {len(flat)} values, expected {sum(sizes)}"
         )
-    if not np.isfinite(flat).all():
-        raise ValidationError("checkpoint contains a non-finite value")
     chunks = np.split(flat, np.cumsum(sizes)[:-1])
     parts = {name: chunk.reshape(shape) for (name, shape), chunk in zip(layout, chunks)}
     return PolicyParams(**parts)

@@ -27,6 +27,7 @@ from evoloss import (
     ValidationError,
     barlow_twins,
     check_state,
+    discounted_returns,
     encoder_forward,
     field_coefficients,
     gen_two_view_batch,
@@ -44,7 +45,7 @@ from evoloss import (
 )
 from evoloss import _kernels
 from evoloss.lab import LOG_COLUMNS
-from evoloss.scheduler import CLIP_EPS, DISCOUNT, LEARNING_RATE, LOG_STD_MAX, LOG_STD_MIN
+from evoloss.scheduler import CLIP_EPS, LEARNING_RATE, LOG_STD_MAX, LOG_STD_MIN
 
 
 def sample_saddle_params(rng: np.random.Generator, margin: float = 0.02) -> PayoffParams:
@@ -365,11 +366,7 @@ def reference_ppo_step(policy, buffer):
     old_logp = np.array([tr.log_prob for tr in buffer])
     values = np.array([tr.value for tr in buffer])
     n = len(rewards)
-    returns = np.empty(n)
-    acc = 0.0
-    for t in range(n - 1, -1, -1):
-        acc = rewards[t] + DISCOUNT * acc
-        returns[t] = acc
+    returns = discounted_returns(rewards)
     adv = returns - values
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 

@@ -489,17 +489,24 @@ def test_load_policy_corruption(tmp_path):
         load_policy(empty)
 
 
-@pytest.mark.parametrize("values", [("nan", "inf"), ("-inf", "0.5"), ("0.5", "1e999")])
-def test_load_policy_rejects_non_finite_values(tmp_path, values):
+@pytest.mark.parametrize(
+    "values,line",
+    [(("nan", "inf"), "w1 must be finite, got nan"),
+     (("-inf", "0.5"), "w1 must be finite, got -inf"),
+     (("0.5", "1e999"), "w1 must be finite, got inf")],
+)
+def test_load_policy_rejects_non_finite_values(tmp_path, values, line):
     """A checkpoint whose first two values read nan and inf used to load
-    as w1 = [nan, inf, ...], a policy init_policy never makes."""
+    as w1 = [nan, inf, ...], a policy init_policy never makes; PolicyParams
+    now names the field."""
     path = tmp_path / "policy.txt"
     save_policy(init_policy(3, np.random.default_rng(0), hidden=2), path)
     lines = path.read_text().splitlines()
     lines[1:3] = values
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValidationError, match="^checkpoint contains a non-finite value$"):
+    with pytest.raises(ValidationError) as info:
         load_policy(path)
+    assert str(info.value) == line
 
 
 def assert_loads_or_rejects(path):
