@@ -179,7 +179,8 @@ def _weights(a0: float, a1: float, cfg: SchedulerConfig) -> tuple[float, float]:
     """map_action on a checked action pair, as (alpha, beta) floats."""
     top = 2.0 * cfg.center
     # the floor, above 0, also does the clamp at 0
-    return max(min(cfg.center + a0, top), WEIGHT_FLOOR), max(min(cfg.center + a1, top), WEIGHT_FLOOR)
+    return (max(min(cfg.center + a0, top), WEIGHT_FLOOR),
+            max(min(cfg.center + a1, top), WEIGHT_FLOOR))
 
 
 def reward(

@@ -359,7 +359,8 @@ def test_ppo_update_equals_reference_bit_for_bit(state_dim, hidden, period):
     policy = init_policy(state_dim, rng, hidden=hidden)
     policy = dataclasses.replace(policy, w2=policy.w2 * 60.0, vw2=policy.vw2 * 60.0,
                                  vb2=0.3, log_std=np.array([-0.7, -1.2]))
-    collector = dataclasses.replace(init_policy(state_dim, rng, hidden=hidden), b2=np.array([0.2, -0.1]))
+    collector = init_policy(state_dim, rng, hidden=hidden)
+    collector = dataclasses.replace(collector, b2=np.array([0.2, -0.1]))
     buffer = rollout(collector, rng.standard_normal((period, state_dim)),
                      lambda s, a: float(a[0] - s[0] * a[1]), rng)
     new, stats = ppo_update(policy, buffer, cfg)
