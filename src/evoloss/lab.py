@@ -22,12 +22,14 @@ from .losses import (
     _ensemble,
     barlow_twins,
     info_nce,
+    loss_workspace,
 )
 from .scheduler import (
     PolicyParams,
     SchedulerConfig,
     Transition,
     _act,
+    _clipped_log_std,
     _ppo_step,
     _reward,
     _weights,
@@ -131,6 +133,14 @@ def train_episode(
     calls bit for bit.  The configs check their fields when they are
     made and the policy's size is checked here, once; a non-finite loss
     or policy output raises ValidationError at its step.
+
+    A step allocates no array of the batch's size: the draws, the two
+    views, their features and the encoder's gradient have buffers made
+    once per episode, and both losses run in one loss_workspace sized by
+    batch_size and feature_dim.  The loss gradient g_z lives in that
+    workspace, so it is valid only until the next step's losses.  The
+    policy's clipped log_std and its exp are made once per policy, at
+    the start and after each update.
     """
     sched_cfg = sched_cfg or SchedulerConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -148,6 +158,11 @@ def train_episode(
     # and the loss kernels take it stacked as (2, b, feature_dim)
     z = np.empty((2 * b, cfg.feature_dim))
     z1, z2 = z[:b], z[b:]
+    # the draws of gen_two_view_batch, then policy_act's two normals
+    draw = np.empty(3 * n + 2)
+    latent, noise1, noise2 = draw[: 3 * n].reshape(3, *shape)
+    x1, x2 = np.empty((2, *shape))
+    grads = np.empty((2, cfg.input_dim, cfg.feature_dim))
     views = z.reshape(2, b, cfg.feature_dim)
     states = np.empty((period, cfg.feature_dim))
     actions = np.empty((period, 2))
@@ -158,6 +173,10 @@ def train_episode(
     target = np.asarray(sched_cfg.target, dtype=float)
     target_norm = np.linalg.norm(target)
     temperature, epsilon = cfg.temperature, cfg.epsilon
+    work = loss_workspace(b, cfg.feature_dim)
+    # policy_act's clipped log_std and its exp, made again after each update
+    log_std = _clipped_log_std(policy)
+    std = np.exp(log_std)
     loss_prev: float | None = None
     try:
         # an overflow would freeze both losses at zero gradient, and an
@@ -165,27 +184,28 @@ def train_episode(
         # stop there
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for step in range(cfg.steps):
-                # the draws of gen_two_view_batch, then policy_act's two normals
-                draw = rng.standard_normal(3 * n + 2)
-                latent = draw[:n].reshape(shape)
-                x1 = latent + cfg.noise_scale * draw[n : 2 * n].reshape(shape)
-                x2 = latent + cfg.noise_scale * draw[2 * n : 3 * n].reshape(shape)
+                rng.standard_normal(out=draw)
+                np.add(latent, np.multiply(cfg.noise_scale, noise1, out=x1), out=x1)
+                np.add(latent, np.multiply(cfg.noise_scale, noise2, out=x2), out=x2)
                 np.matmul(x1, weights, out=z1)
                 np.matmul(x2, weights, out=z2)
                 k = step % period
                 state = states[k]
-                np.divide(np.add.reduce(z, axis=0), 2 * b, out=state)
-                action, log_prob, value = _act(policy, state, draw[3 * n :])
+                np.divide(np.add.reduce(z, axis=0, out=state), 2 * b, out=state)
+                action, log_prob, value = _act(policy, state, draw[3 * n :], log_std, std)
                 alpha, beta = _weights(*action.tolist(), sched_cfg)
                 loss, loss_gen, loss_dis, g_z = _ensemble(
-                    views, alpha, beta, temperature, epsilon
+                    views, alpha, beta, temperature, epsilon, work
                 )
                 if not math.isfinite(loss + log_prob + value):
                     raise ValidationError(
                         f"training diverged at step {step}: loss {loss!r}, "
                         f"log_prob {log_prob!r}, value {value!r}"
                     )
-                weights = weights - cfg.learning_rate * (x1.T @ g_z[0] + x2.T @ g_z[1])
+                np.matmul(x1.T, g_z[0], out=grads[0])
+                np.matmul(x2.T, g_z[1], out=grads[1])
+                g_w = np.add(grads[0], grads[1], out=grads[0])
+                np.subtract(weights, np.multiply(cfg.learning_rate, g_w, out=g_w), out=weights)
                 r = _reward(alpha, beta, target, target_norm, sched_cfg, loss, loss_prev)
                 loss_prev = loss
                 actions[k] = action
@@ -195,6 +215,8 @@ def train_episode(
                 if k == period - 1:
                     policy, stats = _ppo_step(policy, states, actions, rewards, log_probs, values)
                     updates.append(stats)
+                    log_std = _clipped_log_std(policy)
+                    std = np.exp(log_std)
                 records[step] = (step, alpha, beta, r, loss, loss_gen, loss_dis)
     except FloatingPointError as exc:
         raise ValidationError(f"training diverged at step {step}: {exc}") from None

@@ -240,8 +240,8 @@ def _net_grads(states, h, w2, g_out):
     return states.T @ g_h, g_h.sum(axis=0), h.T @ g_out, g_out.sum(axis=0)
 
 
-def _squashed_log_prob(raw, mu, log_std, action):
-    z = (raw - mu) / np.exp(log_std)
+def _squashed_log_prob(raw, mu, log_std, std, action):
+    z = (raw - mu) / std
     gauss = np.add.reduce(-0.5 * z**2 - log_std - 0.5 * _LOG_2PI, axis=-1)
     correction = np.add.reduce(np.log(1.0 - action**2 + _SQUASH_EPS), axis=-1)
     return gauss - correction
@@ -252,16 +252,18 @@ def policy_act(policy: PolicyParams, state, rng: np.random.Generator):
 
     Returns (action, log_prob, value); deterministic given the rng.
     """
-    return _act(policy, as_array("state", state, (policy.state_dim,)), rng.standard_normal(2))
-
-
-def _act(policy: PolicyParams, state: np.ndarray, noise: np.ndarray):
-    """policy_act on a checked state, with its two standard normals given."""
-    mu, _ = _net(state, policy.w1, policy.b1, policy.w2, policy.b2)
+    state = as_array("state", state, (policy.state_dim,))
     log_std = _clipped_log_std(policy)
-    raw = mu + np.exp(log_std) * noise
+    return _act(policy, state, rng.standard_normal(2), log_std, np.exp(log_std))
+
+
+def _act(policy: PolicyParams, state: np.ndarray, noise: np.ndarray, log_std, std):
+    """policy_act on a checked state, with its two standard normals, the
+    policy's clipped log_std and std = exp(log_std) given."""
+    mu, _ = _net(state, policy.w1, policy.b1, policy.w2, policy.b2)
+    raw = mu + std * noise
     action = np.tanh(raw)
-    log_prob = float(_squashed_log_prob(raw, mu, log_std, action))
+    log_prob = float(_squashed_log_prob(raw, mu, log_std, std, action))
     value, _ = _net(state, policy.vw1, policy.vb1, policy.vw2, policy.vb2)
     return action, log_prob, float(value)
 
@@ -282,7 +284,16 @@ def _clipped_objective(ratio, advantage, clip_eps=CLIP_EPS):
     )
 
 
-def discounted_returns(rewards: np.ndarray, discount: float = DISCOUNT) -> np.ndarray:
+def discounted_returns(rewards, discount: float = DISCOUNT) -> np.ndarray:
+    """Reward-to-go of each step of a 1-D reward sequence, each later
+    reward weighted by one more factor of discount."""
+    return _discounted_returns(
+        as_array("rewards", rewards, (None,)), as_float("discount", discount, "nonnegative")
+    )
+
+
+def _discounted_returns(rewards: np.ndarray, discount: float = DISCOUNT) -> np.ndarray:
+    """discounted_returns on checked input."""
     returns = np.empty(len(rewards))
     acc = 0.0
     for t in range(len(rewards) - 1, -1, -1):
@@ -325,7 +336,7 @@ def ppo_update(policy: PolicyParams, buffer, cfg: SchedulerConfig):
 def _ppo_step(policy: PolicyParams, states, actions, rewards, old_logp, values):
     """ppo_update on a checked buffer held as arrays, one row per step."""
     n = len(rewards)
-    returns = discounted_returns(rewards)
+    returns = _discounted_returns(rewards)
     adv = returns - values
     adv = (adv - adv.mean()) / (adv.std() + _ADV_EPS)
 
@@ -333,7 +344,7 @@ def _ppo_step(policy: PolicyParams, states, actions, rewards, old_logp, values):
     std = np.exp(log_std)
     mu, h = _net(states, policy.w1, policy.b1, policy.w2, policy.b2)
     raw = np.arctanh(np.clip(actions, -_ATANH_LIMIT, _ATANH_LIMIT))
-    new_logp = _squashed_log_prob(raw, mu, log_std, actions)
+    new_logp = _squashed_log_prob(raw, mu, log_std, std, actions)
     ratio = np.exp(new_logp - old_logp)
 
     objective = _clipped_objective(ratio, adv)

@@ -24,6 +24,7 @@ from evoloss import (
     ValidationError,
     barlow_twins,
     clipped_objective,
+    discounted_returns,
     discriminability,
     encoder_forward,
     field_coefficients,
@@ -575,6 +576,7 @@ ARRAY_INPUTS = [
      np.ones(2)),
     ("clipped_objective", functools.partial(clipped_objective, np.ones(2)), "advantage",
      np.ones(2)),
+    ("discounted_returns", discounted_returns, "rewards", np.ones(3)),
     *[("PolicyParams", functools.partial(dataclasses.replace, POLICY), name, getattr(POLICY, name))
       for name in ("w1", "b1", "w2", "b2", "vw1", "vb1", "vw2", "log_std")],
 ]
@@ -654,6 +656,9 @@ def with_nan(good):
                      id="encoder_forward-x-shape"),
         pytest.param(functools.partial(clipped_objective, np.ones(2)), "advantage", np.ones(3),
                      id="clipped_objective-advantage-shape"),
+        # discounted_returns escaped with a bare ValueError
+        pytest.param(discounted_returns, "rewards", np.ones((2, 2)),
+                     id="discounted_returns-rewards-shape"),
         pytest.param(functools.partial(dataclasses.replace, POLICY), "w1", np.zeros(2),
                      id="PolicyParams-w1-shape"),
         pytest.param(functools.partial(dataclasses.replace, POLICY), "vw2", np.zeros((32, 1)),
@@ -673,6 +678,8 @@ def with_nan(good):
         (functools.partial(dataclasses.replace, POLICY), "vb2", 1j),
         (functools.partial(dataclasses.replace, POLICY), "vb2", math.nan),
         (functools.partial(clipped_objective, 1.0, 1.0), "clip_eps", np.complex128(0.2 + 1j)),
+        # discounted_returns returned NaN returns
+        (functools.partial(discounted_returns, np.ones(3)), "discount", math.nan),
         # ppo_update escaped with an AttributeError, or a bare ValueError
         # from stacking states of two lengths
         pytest.param(functools.partial(ppo_update, POLICY, cfg=SchedulerConfig(update_period=1)),

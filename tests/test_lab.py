@@ -23,7 +23,7 @@ from evoloss import (
     write_training_log,
 )
 from evoloss.lab import LOG_COLUMNS, init_encoder, save_encoder_weights
-from evoloss.scheduler import PolicyParams
+from evoloss.scheduler import LOG_STD_INIT, LOG_STD_MAX, LOG_STD_MIN, PolicyParams
 
 from helpers import (
     AWKWARD_FLOATS,
@@ -308,6 +308,12 @@ def assert_same_log(log, ref):
 
 
 CRITERION_8_SCHED = SchedulerConfig(target=(0.8333, 0.8333))
+#: A replay case whose log_std moves at each of its four updates, so a
+#: clipped log_std or std kept from before an update changes the actions.
+LOG_STD_MOVES = (
+    LabConfig(steps=120, input_dim=6, feature_dim=3, batch_size=8, seed=9),
+    SchedulerConfig(update_period=30),
+)
 
 
 @pytest.mark.parametrize(
@@ -332,6 +338,16 @@ CRITERION_8_SCHED = SchedulerConfig(target=(0.8333, 0.8333))
             SchedulerConfig(update_period=25, center=0.3),
             {"initial_policy": pinned_policy(3, (0.2, 0.5))},
         ),
+        # log_std outside [LOG_STD_MIN, LOG_STD_MAX], clipped on both sides
+        (
+            LabConfig(steps=90, input_dim=5, feature_dim=3, batch_size=6, seed=8),
+            SchedulerConfig(update_period=30),
+            {"initial_policy": dataclasses.replace(
+                pinned_policy(3, (0.4, 0.6)),
+                log_std=np.array([LOG_STD_MIN - 2.0, LOG_STD_MAX + 1.0]),
+            )},
+        ),
+        (*LOG_STD_MOVES, {}),
     ],
     ids=[
         *[f"criterion8-seed{s}" for s in range(4)],
@@ -339,12 +355,26 @@ CRITERION_8_SCHED = SchedulerConfig(target=(0.8333, 0.8333))
         "period1-tiny",
         "noiseless-period7",
         "pinned-knobs",
+        "clipped-log-std",
+        "log-std-moves",
     ],
 )
 def test_train_episode_equals_public_function_replay(cfg, sched, kwargs):
     """The fused loop makes the same floating-point operations on the same
     random stream as the public, checked functions called one by one."""
     assert_same_log(train_episode(cfg, sched, **kwargs), replay_train_episode(cfg, sched, **kwargs))
+
+
+def test_log_std_moves_at_each_update_of_the_log_std_moves_case():
+    cfg, sched = LOG_STD_MOVES
+    period = sched.update_period
+    assert cfg.steps == 4 * period
+    # an episode cut at k * period ends with the policy of its k-th update
+    seen = {np.full(2, LOG_STD_INIT).tobytes()} | {
+        train_episode(dataclasses.replace(cfg, steps=k * period), sched).policy.log_std.tobytes()
+        for k in range(1, 5)
+    }
+    assert len(seen) == 5
 
 
 def test_train_episode_keeps_each_ppo_update_stats():

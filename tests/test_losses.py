@@ -15,7 +15,12 @@ from evoloss import (
     barlow_twins,
     info_nce,
 )
-from evoloss.losses import DEFAULT_OFFDIAG_WEIGHT, DEFAULT_TEMPERATURE, _ensemble
+from evoloss.losses import (
+    DEFAULT_OFFDIAG_WEIGHT,
+    DEFAULT_TEMPERATURE,
+    _ensemble,
+    loss_workspace,
+)
 
 from helpers import reference_barlow_twins, reference_cross_correlation, reference_info_nce
 
@@ -238,8 +243,35 @@ def test_stacked_kernels_match_per_view_reference(
     assert (got_dis, g1.tobytes(), g2.tobytes()) == (dis, gb1.tobytes(), gb2.tobytes())
     alpha, beta = weights
     loss, loss_gen, loss_dis, g = _ensemble(
-        z.reshape(2, batch, dim), alpha, beta, temperature, epsilon
+        z.reshape(2, batch, dim), alpha, beta, temperature, epsilon, loss_workspace(batch, dim)
     )
     assert (loss, loss_gen, loss_dis) == (alpha * gen + beta * dis, gen, dis)
     assert g[0].tobytes() == (alpha * gi1 + beta * gb1).tobytes()
     assert g[1].tobytes() == (alpha * gi2 + beta * gb2).tobytes()
+
+
+def test_a_reused_workspace_keeps_nothing_from_the_previous_call(rng):
+    """The training loop runs every step in one workspace: a second call
+    on it, with other views and weights, equals the reference alone."""
+    batch, dim = 6, 4
+    work = loss_workspace(batch, dim)
+    _ensemble(rng.standard_normal((2, batch, dim)) * 50.0, 0.9, 0.2, 0.5, 0.3, work)
+    z = rng.standard_normal((2, batch, dim))
+    alpha, beta = 1e-3, 1.0
+    loss, loss_gen, loss_dis, g = _ensemble(
+        z, alpha, beta, DEFAULT_TEMPERATURE, DEFAULT_OFFDIAG_WEIGHT, work
+    )
+    gen, gi1, gi2 = reference_info_nce(z[0], z[1], DEFAULT_TEMPERATURE)
+    dis, gb1, gb2 = reference_barlow_twins(z[0], z[1], DEFAULT_OFFDIAG_WEIGHT)
+    assert (loss, loss_gen, loss_dis) == (alpha * gen + beta * dis, gen, dis)
+    assert g[0].tobytes() == (alpha * gi1 + beta * gb1).tobytes()
+    assert g[1].tobytes() == (alpha * gi2 + beta * gb2).tobytes()
+
+
+def test_public_losses_return_arrays_that_a_later_call_leaves_alone(rng):
+    z1, z2 = rng.standard_normal((2, 5, 3))
+    for loss_fn in (info_nce, barlow_twins):
+        _, (g1, g2) = loss_fn(z1, z2)
+        before = g1.tobytes(), g2.tobytes()
+        loss_fn(3.0 * z2, z1 - 1.0)
+        assert (g1.tobytes(), g2.tobytes()) == before
