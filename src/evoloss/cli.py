@@ -178,8 +178,7 @@ def run_train(args) -> int:
     window = min(1000, cfg.steps)
     mean_alpha = float(log.alphas[-window:].mean())
     mean_beta = float(log.betas[-window:].mean())
-    target = np.asarray(sched_cfg.target, dtype=float)
-    cosine = _cosine(np.array([mean_alpha, mean_beta]), target, np.linalg.norm(target))
+    cosine = _cosine(np.array([mean_alpha, mean_beta]), sched_cfg)
     print(f"steps = {cfg.steps}")
     print(f"trailing_mean_alpha = {mean_alpha!r}")
     print(f"trailing_mean_beta = {mean_beta!r}")

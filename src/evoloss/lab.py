@@ -29,7 +29,6 @@ from .scheduler import (
     SchedulerConfig,
     Transition,
     _act,
-    _clipped_log_std,
     _ppo_step,
     _reward,
     _weights,
@@ -139,8 +138,8 @@ def train_episode(
     once per episode, and both losses run in one loss_workspace sized by
     batch_size and feature_dim.  The loss gradient g_z lives in that
     workspace, so it is valid only until the next step's losses.  The
-    policy's clipped log_std and its exp are made once per policy, at
-    the start and after each update.
+    policy's clipped log_std and its exp, and the target's norm, are
+    made once by the PolicyParams and the SchedulerConfig that hold them.
     """
     sched_cfg = sched_cfg or SchedulerConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -170,13 +169,8 @@ def train_episode(
     log_probs = np.empty(period)
     values = np.empty(period)
     updates = []
-    target = np.asarray(sched_cfg.target, dtype=float)
-    target_norm = np.linalg.norm(target)
     temperature, epsilon = cfg.temperature, cfg.epsilon
     work = loss_workspace(b, cfg.feature_dim)
-    # policy_act's clipped log_std and its exp, made again after each update
-    log_std = _clipped_log_std(policy)
-    std = np.exp(log_std)
     loss_prev: float | None = None
     try:
         # an overflow would freeze both losses at zero gradient, and an
@@ -192,7 +186,7 @@ def train_episode(
                 k = step % period
                 state = states[k]
                 np.divide(np.add.reduce(z, axis=0, out=state), 2 * b, out=state)
-                action, log_prob, value = _act(policy, state, draw[3 * n :], log_std, std)
+                action, log_prob, value = _act(policy, state, draw[3 * n :])
                 alpha, beta = _weights(*action.tolist(), sched_cfg)
                 loss, loss_gen, loss_dis, g_z = _ensemble(
                     views, alpha, beta, temperature, epsilon, work
@@ -206,7 +200,7 @@ def train_episode(
                 np.matmul(x2.T, g_z[1], out=grads[1])
                 g_w = np.add(grads[0], grads[1], out=grads[0])
                 np.subtract(weights, np.multiply(cfg.learning_rate, g_w, out=g_w), out=weights)
-                r = _reward(alpha, beta, target, target_norm, sched_cfg, loss, loss_prev)
+                r = _reward(alpha, beta, sched_cfg, loss, loss_prev)
                 loss_prev = loss
                 actions[k] = action
                 rewards[k] = r
@@ -215,8 +209,6 @@ def train_episode(
                 if k == period - 1:
                     policy, stats = _ppo_step(policy, states, actions, rewards, log_probs, values)
                     updates.append(stats)
-                    log_std = _clipped_log_std(policy)
-                    std = np.exp(log_std)
                 records[step] = (step, alpha, beta, r, loss, loss_gen, loss_dis)
     except FloatingPointError as exc:
         raise ValidationError(f"training diverged at step {step}: {exc}") from None

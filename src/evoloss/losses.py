@@ -140,10 +140,9 @@ def _mean_nll(m: np.ndarray, r: np.ndarray, diag: np.ndarray, work) -> float:
     return np.add.reduce(np.subtract(lse, diag, out=lse)) / len(lse)
 
 
-def _info_nce(z: np.ndarray, temperature: float, work):
-    """InfoNCE on checked stacked views; returns (loss, grad), grad
-    stacked like z and held in work."""
-    norms = _row_norms(z, work)
+def _info_nce(z: np.ndarray, norms: np.ndarray, temperature: float, work):
+    """InfoNCE on checked stacked views and their _row_norms; returns
+    (loss, grad), grad stacked like z and held in work."""
     w = np.divide(z, norms, out=work.w)
     u, v = w
     s = np.divide(np.matmul(u, v.T, out=work.s), temperature, out=work.s)
@@ -170,10 +169,10 @@ def _info_nce(z: np.ndarray, temperature: float, work):
     return float(loss), np.divide(g_w, norms, out=g_w)
 
 
-def _barlow_twins(z: np.ndarray, epsilon: float, work):
-    """Barlow Twins on checked stacked views; returns (loss, grad), grad
-    stacked like z and held in work."""
-    norms = _column_norms(z, work)
+def _barlow_twins(z: np.ndarray, norms: np.ndarray, epsilon: float, work):
+    """Barlow Twins on checked stacked views and their _column_norms,
+    with work.centered as _column_norms left it; returns (loss, grad),
+    grad stacked like z and held in work."""
     w = np.divide(work.centered, norms, out=work.centered)
     a, b = w
     corr = np.matmul(a.T, b, out=work.corr)
@@ -199,8 +198,8 @@ def _ensemble(z, alpha: float, beta: float, temperature: float, epsilon: float, 
     """Both losses on checked stacked views and their weighted sum;
     returns (loss, loss_gen, loss_dis, grad), grad stacked like z and
     held in work."""
-    loss_gen, g_gen = _info_nce(z, temperature, work)
-    loss_dis, g_dis = _barlow_twins(z, epsilon, work)
+    loss_gen, g_gen = _info_nce(z, _row_norms(z, work), temperature, work)
+    loss_dis, g_dis = _barlow_twins(z, _column_norms(z, work), epsilon, work)
     g = np.add(np.multiply(alpha, g_gen, out=g_gen), np.multiply(beta, g_dis, out=g_dis),
                out=g_gen)
     return alpha * loss_gen + beta * loss_dis, loss_gen, loss_dis, g
@@ -217,9 +216,10 @@ def info_nce(z1, z2, temperature: float = DEFAULT_TEMPERATURE):
     z = _check_pair(z1, z2)
     as_float("temperature", temperature, "positive")
     work = loss_workspace(*z.shape[1:])
-    if (_row_norms(z, work) == 0.0).any():
+    norms = _row_norms(z, work)
+    if (norms == 0.0).any():
         raise NormalizationError("a feature row has zero norm")
-    loss, g = _info_nce(z, temperature, work)
+    loss, g = _info_nce(z, norms, temperature, work)
     return loss, (g[0], g[1])
 
 
@@ -232,7 +232,8 @@ def barlow_twins(z1, z2, epsilon: float = DEFAULT_OFFDIAG_WEIGHT):
     z = _check_pair(z1, z2)
     as_float("epsilon", epsilon, "nonnegative")
     work = loss_workspace(*z.shape[1:])
-    if (_column_norms(z, work) == 0.0).any():
+    norms = _column_norms(z, work)
+    if (norms == 0.0).any():
         raise DegenerateFeatureError("a feature column has zero variance")
-    loss, g = _barlow_twins(z, epsilon, work)
+    loss, g = _barlow_twins(z, norms, epsilon, work)
     return loss, (g[0], g[1])

@@ -45,7 +45,8 @@ class SchedulerConfig:
     center: midpoint of the attainable weight range [0, 2 * center].
     explore_weight: scale of the loss-stability bonus.
     prev_loss_scale: factor on the previous loss inside the bonus.
-    target: direction the weight pair should align with.
+    target: direction the weight pair should align with, also stored as
+        the read-only array _target with its norm _target_norm.
     update_period: steps collected between policy updates.
     reward_cap / denom_floor: guards on the reciprocal bonus.
     """
@@ -79,6 +80,10 @@ class SchedulerConfig:
             raise ValidationError(
                 f"target must have a squared norm in [1e-300, 1e300], got {self.target}"
             )
+        target = np.array([tx, ty])
+        target.flags.writeable = False
+        object.__setattr__(self, "_target", target)
+        object.__setattr__(self, "_target_norm", np.linalg.norm(target))
         # the largest stability bonus; a Python float product that
         # overflows gives inf without a signal
         if self.explore_weight * min(self.reward_cap, 1.0 / self.denom_floor) > 1e300:
@@ -112,7 +117,8 @@ class PolicyParams:
     [LOG_STD_MIN, LOG_STD_MAX]).  Every field is read through as_array
     with the shape that _policy_layout gives for w1's (state_dim,
     hidden), so every weight is a finite float; vb2, of shape (), is
-    stored as a float."""
+    stored as a float.  log_std clipped to its range and its exp are
+    stored as _log_std and _std, made again by dataclasses.replace."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -129,6 +135,9 @@ class PolicyParams:
         for name, shape in _policy_layout(*w1_shape):
             value = as_array(name, getattr(self, name), shape)
             object.__setattr__(self, name, float(value) if shape == () else value)
+        log_std = self.log_std.clip(LOG_STD_MIN, LOG_STD_MAX)
+        object.__setattr__(self, "_log_std", log_std)
+        object.__setattr__(self, "_std", np.exp(log_std))
 
     @property
     def state_dim(self) -> int:
@@ -198,19 +207,17 @@ def reward(
     as_float("loss_t", loss_t)
     if loss_prev is not None:
         as_float("loss_prev", loss_prev)
-    t = np.asarray(cfg.target, dtype=float)
-    return _reward(weights.alpha, weights.beta, t, np.linalg.norm(t), cfg, loss_t, loss_prev)
+    return _reward(weights.alpha, weights.beta, cfg, loss_t, loss_prev)
 
 
-def _cosine(pair, target, target_norm):
-    """Cosine between a weight pair and the target, both float arrays,
-    given the target's norm."""
-    return float(pair @ target / (np.sqrt(pair.dot(pair)) * target_norm))
+def _cosine(pair, cfg: SchedulerConfig):
+    """Cosine between a float array weight pair and cfg's target."""
+    return float(pair @ cfg._target / (np.sqrt(pair.dot(pair)) * cfg._target_norm))
 
 
-def _reward(alpha, beta, target, target_norm, cfg, loss_t, loss_prev):
-    """reward() on checked input, with the target as an array and its norm."""
-    first = _cosine(np.array([alpha, beta]), target, target_norm)
+def _reward(alpha, beta, cfg, loss_t, loss_prev):
+    """reward() on checked input."""
+    first = _cosine(np.array([alpha, beta]), cfg)
     if loss_prev is None:
         return first
     denom = max(abs(loss_t - cfg.prev_loss_scale * loss_prev), cfg.denom_floor)
@@ -218,8 +225,14 @@ def _reward(alpha, beta, target, target_norm, cfg, loss_t, loss_prev):
     return first + second
 
 
-def _clipped_log_std(policy: PolicyParams) -> np.ndarray:
-    return policy.log_std.clip(LOG_STD_MIN, LOG_STD_MAX)
+def _raising(name: str, kernel, *args):
+    """kernel(*args) under the training loop's errstate: an overflow, an
+    invalid operation or a division by zero raises ValidationError."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return kernel(*args)
+    except FloatingPointError as exc:
+        raise ValidationError(f"{name} diverged: {exc}") from None
 
 
 def _net(states, w1, b1, w2, b2):
@@ -240,8 +253,9 @@ def _net_grads(states, h, w2, g_out):
     return states.T @ g_h, g_h.sum(axis=0), h.T @ g_out, g_out.sum(axis=0)
 
 
-def _squashed_log_prob(raw, mu, log_std, std, action):
-    z = (raw - mu) / std
+def _squashed_log_prob(z, log_std, action):
+    """Log-density of a tanh-squashed action whose Gaussian draw lies z
+    standard deviations from the mean."""
     gauss = np.add.reduce(-0.5 * z**2 - log_std - 0.5 * _LOG_2PI, axis=-1)
     correction = np.add.reduce(np.log(1.0 - action**2 + _SQUASH_EPS), axis=-1)
     return gauss - correction
@@ -253,17 +267,15 @@ def policy_act(policy: PolicyParams, state, rng: np.random.Generator):
     Returns (action, log_prob, value); deterministic given the rng.
     """
     state = as_array("state", state, (policy.state_dim,))
-    log_std = _clipped_log_std(policy)
-    return _act(policy, state, rng.standard_normal(2), log_std, np.exp(log_std))
+    return _raising("policy_act", _act, policy, state, rng.standard_normal(2))
 
 
-def _act(policy: PolicyParams, state: np.ndarray, noise: np.ndarray, log_std, std):
-    """policy_act on a checked state, with its two standard normals, the
-    policy's clipped log_std and std = exp(log_std) given."""
+def _act(policy: PolicyParams, state: np.ndarray, noise: np.ndarray):
+    """policy_act on a checked state, with its two standard normals given."""
     mu, _ = _net(state, policy.w1, policy.b1, policy.w2, policy.b2)
-    raw = mu + std * noise
+    raw = mu + policy._std * noise
     action = np.tanh(raw)
-    log_prob = float(_squashed_log_prob(raw, mu, log_std, std, action))
+    log_prob = float(_squashed_log_prob((raw - mu) / policy._std, policy._log_std, action))
     value, _ = _net(state, policy.vw1, policy.vb1, policy.vw2, policy.vb2)
     return action, log_prob, float(value)
 
@@ -323,14 +335,10 @@ def ppo_update(policy: PolicyParams, buffer, cfg: SchedulerConfig):
             raise ValidationError(f"buffer entries must be Transitions, got {type(tr).__name__}")
         if len(tr.state) != policy.state_dim:
             raise ValidationError("buffer states do not match the policy's input size")
-    return _ppo_step(
-        policy,
-        np.stack([tr.state for tr in buffer]),
-        np.stack([tr.action for tr in buffer]),
-        np.array([tr.reward for tr in buffer]),
-        np.array([tr.log_prob for tr in buffer]),
-        np.array([tr.value for tr in buffer]),
-    )
+    # _ppo_step's arrays, one row per transition
+    columns = (np.array([getattr(tr, name) for tr in buffer])
+               for name in ("state", "action", "reward", "log_prob", "value"))
+    return _raising("ppo_update", _ppo_step, policy, *columns)
 
 
 def _ppo_step(policy: PolicyParams, states, actions, rewards, old_logp, values):
@@ -340,11 +348,11 @@ def _ppo_step(policy: PolicyParams, states, actions, rewards, old_logp, values):
     adv = returns - values
     adv = (adv - adv.mean()) / (adv.std() + _ADV_EPS)
 
-    log_std = _clipped_log_std(policy)
-    std = np.exp(log_std)
+    log_std, std = policy._log_std, policy._std
     mu, h = _net(states, policy.w1, policy.b1, policy.w2, policy.b2)
     raw = np.arctanh(np.clip(actions, -_ATANH_LIMIT, _ATANH_LIMIT))
-    new_logp = _squashed_log_prob(raw, mu, log_std, std, actions)
+    z = (raw - mu) / std
+    new_logp = _squashed_log_prob(z, log_std, actions)
     ratio = np.exp(new_logp - old_logp)
 
     objective = _clipped_objective(ratio, adv)
@@ -354,7 +362,6 @@ def _ppo_step(policy: PolicyParams, states, actions, rewards, old_logp, values):
     active = unclipped <= objective
     dl_dlogp = -(active * ratio * adv) / n
 
-    z = (raw - mu) / std
     g_mu = dl_dlogp[:, None] * (z / std)
     g_log_std = np.sum(dl_dlogp[:, None] * (z**2 - 1.0), axis=0)
 

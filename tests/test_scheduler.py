@@ -26,7 +26,7 @@ from evoloss import (
     reward,
     save_policy,
 )
-from evoloss.scheduler import LEARNING_RATE, LOG_STD_INIT, WEIGHT_FLOOR
+from evoloss.scheduler import LEARNING_RATE, LOG_STD_INIT, LOG_STD_MAX, LOG_STD_MIN, WEIGHT_FLOOR
 
 from helpers import cosine, reference_ppo_step
 
@@ -96,6 +96,25 @@ def test_scheduler_config_validation(kwargs):
 
 def test_scheduler_config_stores_update_period_as_int():
     assert type(SchedulerConfig(update_period=50.0).update_period) is int
+
+
+def test_derived_values_add_no_field():
+    """The stored clipped log_std, std, target array and norm are not
+    fields, so no checkpoint, config key or replace argument changes."""
+    assert [f.name for f in dataclasses.fields(PolicyParams)] == [
+        "w1", "b1", "w2", "b2", "vw1", "vb1", "vw2", "vb2", "log_std"
+    ]
+    assert [f.name for f in dataclasses.fields(SchedulerConfig)] == [
+        "center", "explore_weight", "prev_loss_scale", "target", "update_period",
+        "reward_cap", "denom_floor",
+    ]
+
+
+def test_scheduler_config_target_array_is_read_only():
+    cfg = SchedulerConfig(target=(3, 4))
+    assert cfg._target.dtype == np.float64 and cfg._target_norm == 5.0
+    with pytest.raises(ValueError):
+        cfg._target[0] = 1.0
 
 
 def test_transition_validation():
@@ -187,6 +206,15 @@ def test_reward_prev_loss_scale():
     assert r == pytest.approx(1.0 + 0.1 / 0.4, abs=1e-12)
 
 
+def test_reward_reads_the_target_of_a_replaced_config():
+    cfg = SchedulerConfig()
+    weights = LossWeights(0.5, 1.0)
+    reward(weights, cfg, 1.0)
+    moved = dataclasses.replace(cfg, target=(1.0, 0.0))
+    assert reward(weights, moved, 1.0) == reward(weights, SchedulerConfig(target=(1.0, 0.0)), 1.0)
+    assert reward(weights, moved, 1.0) == pytest.approx(0.5 / math.sqrt(1.25), abs=1e-15)
+
+
 def test_reward_validation():
     cfg = SchedulerConfig()
     with pytest.raises(ValidationError):
@@ -243,6 +271,41 @@ def test_policy_act_tight_std_concentrates_on_mean():
     assert np.abs(actions - np.tanh(mean)).mean() < 0.01
 
 
+@pytest.mark.parametrize("log_std", [(-9.0, 4.0), (3.5, -6.0)])
+def test_policy_act_reads_the_log_std_of_a_replaced_policy(log_std):
+    """A replaced log_std beyond both bounds is clipped and exponentiated
+    anew, as the reference does from the field itself."""
+    policy = init_policy(3, np.random.default_rng(4), hidden=5)
+    state = np.array([0.3, -1.2, 0.7])
+    policy_act(policy, state, np.random.default_rng(8))
+    moved = dataclasses.replace(policy, log_std=np.array(log_std))
+    action, log_prob, value = policy_act(moved, state, np.random.default_rng(8))
+
+    noise = np.random.default_rng(8).standard_normal(2)
+    clipped = np.clip(np.array(log_std), LOG_STD_MIN, LOG_STD_MAX)
+    std = np.exp(clipped)
+    mu = np.tanh(state @ policy.w1 + policy.b1) @ policy.w2 + policy.b2
+    raw = mu + std * noise
+    ref_action = np.tanh(raw)
+    z = (raw - mu) / std
+    ref_log_prob = (np.add.reduce(-0.5 * z**2 - clipped - 0.5 * math.log(2.0 * math.pi))
+                    - np.add.reduce(np.log(1.0 - ref_action**2 + 1e-8)))
+    assert action.tobytes() == ref_action.tobytes()
+    assert np.float64(log_prob).tobytes() == ref_log_prob.tobytes()
+    assert value == policy_act(policy, state, np.random.default_rng(8))[2]
+
+
+def test_policy_act_stops_on_overflow():
+    """The value the fused loop stops on: at the parent this returned
+    log_prob nan after two RuntimeWarnings."""
+    policy = dataclasses.replace(
+        init_policy(4, np.random.default_rng(0), hidden=4),
+        b1=np.full(4, 30.0), w2=np.full((4, 2), 1e308),
+    )
+    with pytest.raises(ValidationError, match="^policy_act diverged: overflow"):
+        policy_act(policy, np.zeros(4), np.random.default_rng(0))
+
+
 def test_policy_act_validation():
     policy = init_policy(4, np.random.default_rng(7))
     with pytest.raises(ValidationError):
@@ -293,6 +356,17 @@ def test_ppo_update_rejects_mismatched_states():
     buffer = rollout(other, [rng.standard_normal(5) for _ in range(2)],
                      lambda s, a: 1.0, rng)
     with pytest.raises(ValidationError, match="input size"):
+        ppo_update(policy, buffer, cfg)
+
+
+def test_ppo_update_stops_on_overflow():
+    """Rewards of 1e300 overflow the advantage spread and the value loss,
+    which at the parent came back as value_loss inf without an error."""
+    cfg = SchedulerConfig(update_period=4)
+    policy = init_policy(4, np.random.default_rng(0), hidden=4)
+    rng = np.random.default_rng(1)
+    buffer = [Transition(rng.standard_normal(4), np.zeros(2), 1e300, 0.0, 0.0) for _ in range(4)]
+    with pytest.raises(ValidationError, match="^ppo_update diverged: overflow"):
         ppo_update(policy, buffer, cfg)
 
 
