@@ -162,12 +162,15 @@ def rk4_step(a, b, c, e, x, y, h):
 BATCH_MIN_LANES = 32
 
 
-def _stop_test(stop_tol):
-    """(corners, tol2, box) of the corner stop test; rk4_paths uses box.
+def _path_rules(dt, t_max, stop_tol):
+    """The stop rules of a path, made once per integration call and read
+    by both loops, as (dt, t_max, t_end, n_max, corners, tol2, box).
 
-    A point stops at the first of the (index, corner) pairs with
-    (x - cx) ** 2 + (y - cy) ** 2 <= tol2, as _corner_hit computes it;
-    none when stopping is off.  Any such point has min(x, 1 - x) <= box
+    A path stops at the horizon once its time reaches t_end = t_max -
+    1e-12, and at its budget once it holds n_max = 2 * int(t_max / dt) +
+    16 samples.  A point stops at the first of the (index, corner) pairs
+    in corners with (x - cx) ** 2 + (y - cy) ** 2 <= tol2; corners is
+    empty when stopping is off.  Any such point has min(x, 1 - x) <= box
     and min(y, 1 - y) <= box, so only points in that box are tested:
     1 - x is exact for x >= 0.5 (Sterbenz), a sum of nonnegative floats
     is at least each term, and box allows for an ulp of pow() rounding,
@@ -175,38 +178,26 @@ def _stop_test(stop_tol):
     about 1.6e-162 squares to 0, which is within any stop_tol.
     """
     corners = tuple(enumerate(CORNERS)) if stop_tol >= 0.0 else ()
-    return corners, stop_tol * stop_tol, stop_tol * (1.0 + 1e-9) + 1e-150
+    box = stop_tol * (1.0 + 1e-9) + 1e-150
+    return dt, t_max, t_max - 1e-12, 2 * int(t_max / dt) + 16, corners, stop_tol * stop_tol, box
 
 
-def _corner_hit(x, y, corners, tol2):
-    """Index of the first of the (index, corner) pairs within sqrt(tol2)
-    of the float point (x, y), or TERM_HORIZON when there is none."""
-    for k, (cx, cy) in corners:
-        if (x - cx) ** 2 + (y - cy) ** 2 <= tol2:
-            return k
-    return TERM_HORIZON
-
-
-def _rk4_run(a, b, c, e, t, x, y, n, dt, t_max, stop_tol, ts, xs, ys):
-    """The loop of rk4_path, from a path's n-th sample (t, x, y), which
-    the caller has recorded: tests it for a stop, then steps and appends
-    each further sample to the buffers ts, xs, ys.  Returns the terminal
-    code."""
-    n_max = 2 * int(t_max / dt) + 16
-    corners, tol2, box = _stop_test(stop_tol)
-    t_end = t_max - 1e-12
+def _rk4_run(a, b, c, e, rules, t, x, y, n, ts, xs, ys):
+    """The loop of rk4_path under the _path_rules tuple rules, from a
+    path's n-th sample (t, x, y), which the caller has recorded: tests it
+    for a stop, then steps and appends each further sample to the
+    buffers ts, xs, ys.  Returns the terminal code."""
+    dt, t_max, t_end, n_max, corners, tol2, box = rules
     while True:
         if (x <= box or 1.0 - x <= box) and (y <= box or 1.0 - y <= box):
-            terminal = _corner_hit(x, y, corners, tol2)
-            if terminal != TERM_HORIZON:
-                return terminal
+            for k, (cx, cy) in corners:
+                if (x - cx) ** 2 + (y - cy) ** 2 <= tol2:
+                    return k
         if t >= t_end:
             return TERM_HORIZON
         if n >= n_max:
             return TERM_BUDGET
-        h = dt
-        if t + h > t_max:
-            h = t_max - t
+        h = t_max - t if t + dt > t_max else dt
         xn, yn = rk4_attempt(a, b, c, e, x, y, h)
         # rk4_step would take an attempt inside the square as it is, -0.0
         # included; NaN fails both tests and takes the checked path, which
@@ -230,7 +221,7 @@ def rk4_path(a, b, c, e, x0, y0, dt, t_max, stop_tol):
     Stops once the state comes within stop_tol (Euclidean) of a unit
     square corner; pass a negative stop_tol to disable stopping.  Steps
     are taken by rk4_step; the last one is shortened to end at t_max.
-    At most 2 * int(t_max / dt) + 16 samples are recorded; the buffers
+    At most the sample budget of _path_rules is recorded; the buffers
     grow as the path does.
 
     Returns (times, xs, ys, terminal): the recorded samples, and
@@ -243,7 +234,8 @@ def rk4_path(a, b, c, e, x0, y0, dt, t_max, stop_tol):
     ts = array("d", (0.0,))
     xs = array("d", (x0,))
     ys = array("d", (y0,))
-    terminal = _rk4_run(a, b, c, e, 0.0, x0, y0, 1, dt, t_max, stop_tol, ts, xs, ys)
+    rules = _path_rules(dt, t_max, stop_tol)
+    terminal = _rk4_run(a, b, c, e, rules, 0.0, x0, y0, 1, ts, xs, ys)
     return np.array(ts), np.array(xs), np.array(ys), terminal
 
 
@@ -256,7 +248,7 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     The batch is one (2, lanes) state, x over y, which takes ordinary
     steps with rk4_attempt_stacked on one shared clock.  Once per chunk
     of _CHUNK steps, and when the batch stops, the chunk's samples are
-    tested: a lane leaves at its first sample in the box of _stop_test,
+    tested: a lane leaves at its first sample in the box of _path_rules,
     or whose next state lies outside the unit square or is NaN, and the
     states it computed after that sample are thrown away.  Every lane
     leaves when the batch stops, at the horizon or once the budget is
@@ -272,9 +264,8 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     batch's one clock, shared with every other such lane; the other
     lanes own theirs.
     """
-    n_max = 2 * int(t_max / dt) + 16
-    box = _stop_test(stop_tol)[2]
-    t_end = t_max - 1e-12
+    rules = _path_rules(dt, t_max, stop_tol)
+    _, _, t_end, n_max, _, _, box = rules
     # the start index of each lane in the batch, also its column in s
     lane = np.arange(len(x0s))
     s = np.array((x0s, y0s), dtype=np.float64)
@@ -309,7 +300,7 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
                 q = np.repeat(((b,), (e,)), len(lane), axis=1)
             buf[0] = s
             while k < _CHUNK and n < n_max and t < t_end:
-                h = t_max - t if t + dt > t_max else dt  # as in _rk4_run
+                h = t_max - t if t + dt > t_max else dt
                 rk4_attempt_stacked(p, q, rows[k], flips[k], h, rows[k + 1], work)
                 k += 1
                 t += h
@@ -338,9 +329,7 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
             pieces[r].append(piece)
             x, y = piece[-1].tolist()
             ts, xs, ys = array("d"), array("d"), array("d")
-            terminal[r] = _rk4_run(
-                a, b, c, e, clock[n0 + j], x, y, n0 + j + 1, dt, t_max, stop_tol, ts, xs, ys
-            )
+            terminal[r] = _rk4_run(a, b, c, e, rules, clock[n0 + j], x, y, n0 + j + 1, ts, xs, ys)
             tails[r] = (n0 + j + 1, ts)
             if xs:
                 pieces[r].append(np.column_stack((xs, ys)))

@@ -121,7 +121,7 @@ def run_simulate(args) -> int:
     if args.starts_file:
         starts = _read_starts_file(args.starts_file)
     else:
-        starts = sample_starts(args.starts, np.random.default_rng(seed))
+        starts = sample_starts(as_int("starts", args.starts, 1), np.random.default_rng(seed))
     trajectories = phase_portrait(params, starts, cfg)
     write_trajectories_csv(trajectories, args.out)
     counts = {corner: 0 for corner in CORNERS}
@@ -196,6 +196,12 @@ _HANDLERS = {
 }
 
 
+#: How the ValueError that numpy raises for an array too large to
+#: allocate, before it allocates anything, begins: a dimension beyond
+#: its index type, or a byte size beyond its maximum.
+_TOO_BIG = ("Maximum allowed dimension exceeded", "array is too big;")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -207,7 +213,9 @@ def main(argv=None) -> int:
     except (EvolossError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(_TOO_BIG):
+            raise
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 

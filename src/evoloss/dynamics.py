@@ -31,7 +31,7 @@ class IntegratorConfig:
 
 
 #: Why a trajectory stopped: it entered a corner's stop_tol-ball, it
-#: reached t_max, or it used up its sample budget of 2 * int(t_max / dt) + 16.
+#: reached t_max, or it used up its sample budget (_kernels._path_rules).
 STOP_REASONS = ("corner", "horizon", "budget")
 
 

@@ -231,8 +231,15 @@ def negative_impacts(
     Returns (n1, n2): n1 is the supervised reference on the transfer
     dataset minus the ensemble's transferred accuracy; n2 is the
     generalizability member's transferred accuracy minus the ensemble's.
-    Either may be negative when the ensemble wins.
+    Either may be negative when the ensemble wins.  Raises
+    ValidationError unless gen_method is the member ens_method names
+    (ensemble_member), the one metric_rows takes for N2.
     """
+    member = ensemble_member(ens_method)
+    if gen_method != member:
+        raise ValidationError(
+            f"ensemble {ens_method!r} names member {member!r}, not {gen_method!r}"
+        )
     ens_acc = table.accuracy(ens_method, d, d_prime)
     n1 = table.sl_accuracy(d_prime) - ens_acc
     n2 = table.accuracy(gen_method, d, d_prime) - ens_acc

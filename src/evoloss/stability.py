@@ -60,11 +60,15 @@ def classify(p: PayoffParams, point) -> Equilibrium:
     det < 0 is a saddle regardless of trace; det > 0 splits into stable
     (negative trace) and unstable (positive trace); anything within
     ZERO_TOL of the sign boundaries is reported as degenerate.  Raises
-    ValidationError when det or trace overflows.
+    ValidationError when the field at point exceeds ZERO_TOL times the
+    largest field coefficient magnitude (or 1), as the rounding of
+    a - b * y and c - e * x grows with the coefficients, and when det or
+    trace overflows.
     """
     point = check_state(point)
     dx, dy = replicator_rhs(p, point)
-    if abs(dx) > ZERO_TOL or abs(dy) > ZERO_TOL:
+    tol = ZERO_TOL * max(1.0, *map(abs, field_coefficients(p)))
+    if abs(dx) > tol or abs(dy) > tol:
         raise ValidationError(
             f"point {tuple(point)} is not a fixed point: field = ({dx:.3g}, {dy:.3g})"
         )

@@ -10,6 +10,7 @@ import shutil
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from evoloss import cli
 from evoloss.cli import main
 
 
@@ -99,6 +100,20 @@ def test_equilibria_overflowing_jacobian_exits_2(tmp_path, capsys):
     )
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_equilibria_accepts_the_saddle_it_prints(tmp_path, capsys):
+    """equilibria classifies the saddle that saddle prints in a game with
+    payoffs of 1e9; it used to exit 2, calling the point's field of
+    -3.05e-07 too large for a fixed point."""
+    params = write_kv(tmp_path / "big.params", g1=1e9, d1=4e9, g2=7e9, d2=7e9,
+                      n1=7e9, n2=7e9)
+    assert main(["saddle", "--params", str(params)]) == 0
+    assert main(["equilibria", "--params", str(params)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("x_star = 0.2\ny_star = 0.56\n")
+    saddle = out.splitlines()[-1].split()
+    assert saddle[:2] == ["0.200000", "0.560000"] and saddle[-1] == "saddle"
 
 
 # ---------------------------------------------------------------- metrics
@@ -361,6 +376,35 @@ def test_simulate_bad_flag_exits_2(params_file, tmp_path, capsys, flags, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "starts, line",
+    [
+        # sample_starts' own name for the count used to be reported
+        ("0", "error: starts must be positive, got 0"),
+        # numpy refuses the size before allocating; its ValueError used to
+        # end in a traceback
+        ("100000000000000000000", "error: out of memory: Maximum allowed dimension exceeded"),
+    ],
+)
+def test_simulate_bad_starts_count_exits_2(params_file, tmp_path, capsys, starts, line):
+    out = tmp_path / "o.csv"
+    argv = ["simulate", "--params", str(params_file), "--starts", starts, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
+def test_other_value_error_keeps_its_traceback(params_file, monkeypatch):
+    """main turns only numpy's too-big-to-allocate ValueErrors into an
+    error line; any other ValueError is a bug and propagates."""
+    def broken(args):
+        raise ValueError("a bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "saddle", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["saddle", "--params", str(params_file)])
+
+
 # ------------------------------------------------------------------ train
 
 
@@ -466,6 +510,10 @@ def test_train_config_key_error_lines(tmp_path, capsys, overrides, drop, line):
         ({"steps": float("nan")}, False),  # non-finite steps
         ({"steps": float("inf")}, False),
         ({"steps": 1e12}, False),        # records too large to allocate
+        # sizes numpy refuses before allocating; its ValueError used to
+        # end in a traceback
+        ({"steps": 1e20}, False),
+        ({"input_dim": 1e10, "feature_dim": 1e10}, False),
         ({"seed": -1}, False),           # numpy's generator raised ValueError
         ({"target_x": 1e300, "target_y": 1e300}, False),  # its norm overflowed
         ({"explore_weight": 1.7e308}, False),  # its bonus overflowed: NaN in the update

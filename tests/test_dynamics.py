@@ -229,17 +229,17 @@ RANDOM_STARTS = tuple(sample_starts(4 * LANES, np.random.default_rng(5)))
 
 
 def in_box(state, box):
-    """Whether the point state lies in the box of _kernels._stop_test."""
+    """Whether the point state lies in the box of _kernels._path_rules."""
     return all(min(v, 1.0 - v) <= box for v in state)
 
 
 def own_leave(params, traj, cfg):
     """The sample at which the lane of traj leaves the batch of rk4_paths
-    of its own accord: the first in the box of _kernels._stop_test, or
+    of its own accord: the first in the box of _kernels._path_rules, or
     whose next attempt, at the batch's step, lands outside the square or
     is NaN; the last sample when there is none.  Up to that sample the
     lane's times are the batch's clock, so its steps are the batch's."""
-    box = _kernels._stop_test(cfg.stop_tol)[2]
+    *_, box = _kernels._path_rules(cfg.dt, cfg.t_max, cfg.stop_tol)
     coefficients = field_coefficients(params)
     for j, (t, state) in enumerate(zip(traj.times.tolist(), traj.states.tolist())):
         h = cfg.t_max - t if t + cfg.dt > cfg.t_max else cfg.dt
@@ -281,7 +281,7 @@ OVERFLOW = PayoffParams(g1=0.0, d1=1.0, g2=0.0, d2=1.7e308, n1=-1.0, n2=-1.7e308
 
 
 # name: (params, starts, config, stop reasons of the whole batch); a
-# lane leaves the batch at a sample in the box of _kernels._stop_test or
+# lane leaves the batch at a sample in the box of _kernels._path_rules or
 # whose next attempt is outside the square or NaN, found once per chunk;
 # every lane leaves at the horizon or at the budget, and at a chunk end
 # once fewer than BATCH_MIN_LANES are left
@@ -446,7 +446,7 @@ def test_phase_portrait_batch_matches_per_start_simulate(case):
         assert math.isnan(xn) and CHUNK < j < CHUNK + 8 and handoff is None
         assert sum(k > 2 * CHUNK for k in leaves) >= LANES
     if case == "box_not_ball":
-        box = _kernels._stop_test(cfg.stop_tol)[2]
+        *_, box = _kernels._path_rules(cfg.dt, cfg.t_max, cfg.stop_tol)
         start = batch[0].states[0]
         assert in_box(start, box) and lengths[0] > 1
         assert min(math.dist(start, corner) for corner in CORNERS) > cfg.stop_tol
@@ -1050,13 +1050,15 @@ UNDERFLOW_DISTANCE = math.sqrt(5e-324) / math.sqrt(2.0)
 @example(stop_tol=1e-170, corner=CORNERS[0], axis=(1.0, 0.0), scale="underflow", ulps=-1)
 @example(stop_tol=0.1, corner=CORNERS[3], axis=(0.0, 1.0), scale="stop_tol", ulps=0)
 def test_box_pretest_keeps_every_corner_stop(stop_tol, corner, axis, scale, ulps):
-    """Both kernels stop at the first sample exactly when _corner_hit
-    says the start is in a stop ball, and at the same corner: the box
-    test in front of it drops no start, at the ball's edge or where the
-    squared distance underflows."""
+    """Both kernels stop at the first sample exactly when the start is in
+    a stop ball, and at the first such corner in CORNERS order: the box
+    test in front of the ball test drops no start, at the ball's edge or
+    where the squared distance underflows."""
     distance = (stop_tol if scale == "stop_tol" else UNDERFLOW_DISTANCE) * (1.0 + ulps * 2.0**-52)
     x, y = (min(max(abs(c - distance * u), 0.0), 1.0) for c, u in zip(corner, axis))
-    want = _kernels._corner_hit(x, y, tuple(enumerate(CORNERS)), stop_tol * stop_tol)
+    balls = (k for k, (cx, cy) in enumerate(CORNERS)
+             if (x - cx) ** 2 + (y - cy) ** 2 <= stop_tol * stop_tol)
+    want = next(balls, -1)
     a, b, c, e = field_coefficients(FIXTURE)
     ts, _, _, term = _kernels.rk4_path(a, b, c, e, x, y, 0.01, 0.01, stop_tol)
     [(batch_ts, _, batch_term), *_] = _kernels.rk4_paths(

@@ -28,7 +28,7 @@ from evoloss import (
     write_benchmark,
 )
 from evoloss.cli import main
-from evoloss.metrics import GAP_FLOOR
+from evoloss.metrics import GAP_FLOOR, metric_rows
 
 
 def make_table(
@@ -359,6 +359,25 @@ def test_negative_impacts_frozen():
     assert n1 == 99.6 - 72.5
     assert n2 == 64.8 - 72.5
     assert n2 < 0.0  # the ensemble transfers better than its member here
+
+
+def test_negative_impacts_takes_n2_from_the_named_member(data_dir):
+    """N2 is the transfer accuracy of the member the ensemble id names
+    minus the ensemble's, as metric_rows computes it; another gen_method
+    used to give a second N2 for the same record (0.6 from BT against
+    metric_rows' -7.7 from SIM on the fixture's C10 game)."""
+    full = load_benchmark(data_dir / "benchmark_small.csv")
+    table = BenchmarkTable({key: acc for key, acc in full.accuracies.items()
+                            if key[0] == "SL" or key[1] == "C10"})
+    line = r"^ensemble 'SIM\+BT' names member 'SIM', not 'BT'$"
+    with pytest.raises(ValidationError, match=line):
+        negative_impacts(table, "BT", "SIM+BT", "C10", "S10")
+    with pytest.raises(ValidationError, match=line):
+        table_payoffs(table, "BT", "SIM", "SIM+BT")
+    with pytest.raises(ValidationError, match=line):
+        payoff_from_benchmarks([table], 1.0, 1.0, "BT", "SIM", "SIM+BT")
+    n2 = table_payoffs(table, "SIM", "BT", "SIM+BT")[5]
+    assert ("N2", "SIM+BT", "C10", "S10", n2) in metric_rows(table)
 
 
 def test_game_datasets_inference():

@@ -93,6 +93,16 @@ def test_classify_rejects_non_fixed_point(fixture_params):
         classify(fixture_params, (0.3, 0.4))
 
 
+def test_classify_scales_the_fixed_point_check_with_the_coefficients():
+    """At payoffs of 1e9 the field at the computed saddle rounds to
+    -3.05e-07, which the absolute ZERO_TOL used to reject; a point off
+    the saddle is still rejected."""
+    p = PayoffParams(g1=1e9, d1=4e9, g2=7e9, d2=7e9, n1=7e9, n2=7e9)
+    assert classify(p, saddle_point(p)).cls is StabilityClass.SADDLE_POINT
+    with pytest.raises(ValidationError, match="not a fixed point"):
+        classify(p, (0.2, 0.57))
+
+
 def test_classify_stable_node():
     # gains chosen so (1,1) is attracting: J = diag(-1, -2) there
     p = PayoffParams(g1=3.0, d1=0.5, g2=0.5, d2=2.0, n1=0.0, n2=0.5)
