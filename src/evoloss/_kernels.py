@@ -43,7 +43,7 @@ CLAMP_TOL = 1e-9
 #: 1, 5, 51; fresh process each, ru_maxrss), whose finished trajectories
 #: hold 8.7 MB of states, the sweep's peak RSS with 64 is 1.2-1.9 MB and
 #: with 128 at most 0.7 MB above that with 256, in small pieces.  A sweep
-#: took 75-79, 70-73 and 74-76 ms (medians of 63, interleaved): a shorter
+#: took 71-77, 66-72 and 70-79 ms (medians of 63, interleaved): a shorter
 #: chunk tests and copies more often, and a longer one computes more
 #: discarded steps of the lanes that left.
 _CHUNK = 128
@@ -76,58 +76,84 @@ def rk4_attempt(a, b, c, e, x, y, h):
     return xn, yn
 
 
+def _read_only(v):
+    """v as a read-only 0-d float64 array.  A ufunc converts a Python
+    float operand on every call, at (2, 400) about 0.2 us of a 0.5 us
+    call; a 0-d array of the same value gives the same result without
+    that."""
+    v = np.array(v, dtype=np.float64)
+    v.flags.writeable = False
+    return v
+
+
+_ONE = _read_only(1.0)
+_TWO = _read_only(2.0)
+
+
+def _step_factors(h):
+    """The operands of rk4_attempt_stacked for a step of size h: h, 0.5 *
+    h and h / 6.0, rounded as rk4_attempt rounds them, as read-only 0-d
+    arrays; made once per step size."""
+    return tuple(map(_read_only, (h, 0.5 * h, h / 6.0)))
+
+
 def stacked_workspace(m):
     """Scratch for rk4_attempt_stacked on m states: six (2, m) arrays,
-    the stage state with its rows reversed, a view made once, then the
-    four stage slopes and a factor, as the tuple (z, z[::-1], f1, f2, f3,
-    f4, u); 96 bytes a state."""
+    the stage state z, the four stage slopes f1 to f4 and a factor u, as
+    the tuple (z, z[::-1], f2 and f3 as one (2, 2, m) array, f1, f2, f3,
+    f4, u), its views made once; 96 bytes a state."""
     work = np.empty((6, 2, m))
-    return (work[0], work[0, ::-1], *work[1:])
+    return (work[0], work[0, ::-1], work[2:4], *work[1:])
+
+
+# looked up once, and given out positionally: at (2, 400) the lookup and
+# the out= keyword each cost about 0.04 us of a 0.5 us call
+_subtract, _multiply, _add = np.subtract, np.multiply, np.add
 
 
 def _slope(p, q, z, z_flip, f, u):
     """The field at the stacked states z, z_flip being z[::-1], written
     into f as z * (1.0 - z) * (p - q * z_flip), with u as scratch."""
-    np.subtract(1.0, z, out=f)
-    np.multiply(z, f, out=f)
-    np.multiply(q, z_flip, out=u)
-    np.subtract(p, u, out=u)
-    np.multiply(f, u, out=f)
+    _subtract(_ONE, z, f)
+    _multiply(z, f, f)
+    _multiply(q, z_flip, u)
+    _subtract(p, u, u)
+    _multiply(f, u, f)
 
 
-def rk4_attempt_stacked(p, q, s, s_flip, h, out, work):
+def rk4_attempt_stacked(p, q, s, s_flip, factors, out, work):
     """rk4_attempt's arithmetic with x and y stacked: s is the (2, m)
     array of m states, x over y, s_flip is s[::-1], p = [[a], [c]] and
-    q = [[b], [e]], or the same rows repeated to (2, m).  The result is
-    written into out, a (2, m) array that is not s, and the stages into
-    work, a stacked_workspace(m) that no argument shares memory with.
+    q = [[b], [e]], or the same rows repeated to (2, m), and factors is
+    _step_factors(h).  The result is written into out, a (2, m) array
+    that is not s, and the stages into work, a stacked_workspace(m) that
+    no argument shares memory with.
 
     Row 0 of each stage is x's term and row 1 y's, with the same
     elementwise IEEE operations in the same order, so every state rounds
     exactly as rk4_attempt on its floats;
     test_stacked_attempt_matches_rk4_attempt pins that bit for bit.
     """
-    z, z_flip, f1, f2, f3, f4, u = work
-    half = 0.5 * h
-    sixth = h / 6.0
+    z, z_flip, f23, f1, f2, f3, f4, u = work
+    h, half, sixth = factors
     _slope(p, q, s, s_flip, f1, u)
-    np.multiply(half, f1, out=z)
-    np.add(s, z, out=z)
+    _multiply(half, f1, z)
+    _add(s, z, z)
     _slope(p, q, z, z_flip, f2, u)
-    np.multiply(half, f2, out=z)
-    np.add(s, z, out=z)
+    _multiply(half, f2, z)
+    _add(s, z, z)
     _slope(p, q, z, z_flip, f3, u)
-    np.multiply(h, f3, out=z)
-    np.add(s, z, out=z)
+    _multiply(h, f3, z)
+    _add(s, z, z)
     _slope(p, q, z, z_flip, f4, u)
-    # f1 + 2.0 * f2 + 2.0 * f3 + f4, summed left to right into f1
-    np.multiply(2.0, f2, out=f2)
-    np.add(f1, f2, out=f1)
-    np.multiply(2.0, f3, out=f3)
-    np.add(f1, f3, out=f1)
-    np.add(f1, f4, out=f1)
-    np.multiply(sixth, f1, out=f1)
-    return np.add(s, f1, out=out)
+    # f1 + 2.0 * f2 + 2.0 * f3 + f4, summed left to right into f1; both
+    # doublings in one call, as neither reads f1
+    _multiply(_TWO, f23, f23)
+    _add(f1, f2, f1)
+    _add(f1, f3, f1)
+    _add(f1, f4, f1)
+    _multiply(sixth, f1, f1)
+    return _add(s, f1, out)
 
 
 def rk4_step(a, b, c, e, x, y, h):
@@ -148,17 +174,21 @@ def rk4_step(a, b, c, e, x, y, h):
 
 
 #: Fewest lanes for which a batched step of rk4_paths beats one rk4_path
-#: step per lane: on the fixture game a batched step costs 17-19 us from
-#: 8 to 128 lanes and 24-26 us at 400, a scalar step 1.0-1.1 us (best of
+#: step per lane: on the fixture game a batched step costs 13-15 us from
+#: 8 to 128 lanes and 21-24 us at 400, a scalar step 1.0-1.1 us (best of
 #: 9 runs of 128 steps, 4 fresh processes).  rk4_paths hands its lanes to
 #: the scalar loop at the first chunk end with fewer than this left, so
 #: fewer starts run in that loop from their first sample.  Batched over
-#: per-start time (uniform starts, seeds 1-3, best of 9, interleaved, two
-#: runs):
+#: per-start time (uniform starts, seeds 1-3, best of 9, interleaved):
 #:
-#:   starts               16       24       32       40       48       64       96
-#:   batched throughout   1.4-1.9  0.9-1.2  0.9-1.0  0.7-1.0  0.7-0.8  0.5-0.6  0.3-0.4
-#:   hand-off below 32    0.9-1.0  0.8-1.1  0.7-1.0  0.5-0.6  0.5      0.4      0.3
+#:   starts               16       20       24       28       32       48       96
+#:   batched throughout   1.1-1.2  0.9-1.3  0.8-1.1  0.6-0.9  0.5-0.8  0.4-0.5  0.2-0.3
+#:   hand-off below 32    1.0      1.0      1.0      0.9-1.0  0.6-1.0  0.4      0.2
+#:   hand-off below 20    1.0      0.8-0.9  0.7      0.5-0.7  0.4-0.6  0.4      0.2
+#:
+#: At 400 starts all three read 0.1.  20 would win from 20 to 32 starts,
+#: but the batch tests derive their starts from this value, and
+#: horizon_mixed finds no corner stop among 4 * 20 random starts.
 BATCH_MIN_LANES = 32
 
 
@@ -266,6 +296,7 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     """
     rules = _path_rules(dt, t_max, stop_tol)
     _, _, t_end, n_max, _, _, box = rules
+    full = _step_factors(dt)
     # the start index of each lane in the batch, also its column in s
     lane = np.arange(len(x0s))
     s = np.array((x0s, y0s), dtype=np.float64)
@@ -301,7 +332,9 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
             buf[0] = s
             while k < _CHUNK and n < n_max and t < t_end:
                 h = t_max - t if t + dt > t_max else dt
-                rk4_attempt_stacked(p, q, rows[k], flips[k], h, rows[k + 1], work)
+                # only the shortened last step makes its own factors
+                factors = full if h == dt else _step_factors(h)
+                rk4_attempt_stacked(p, q, rows[k], flips[k], factors, rows[k + 1], work)
                 k += 1
                 t += h
                 clock.append(t)

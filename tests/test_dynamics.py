@@ -967,10 +967,18 @@ def test_rk4_path_matches_repeated_step_rk4(coefficients, start, dt, steps, stop
 # overflow to inf and NaN within the attempt
 @example(coefficients=(1.7e308, -1.7e308, 1e300, 1.7e308), states=[(0.5, -0.0), (0.0, 0.5)],
          others=[(0.25, 0.75)] * 6, h=2.0)
+# the shortened last step of dt = 0.01 to t_max = 1.005, whose factors
+# rk4_paths makes apart from dt's, and a subnormal h, whose 0.5 * h
+# rounds up and h / 6.0 to zero
+@example(coefficients=FIXTURE_COEFFICIENTS, states=[(0.3, 0.7), (0.9, 0.1)],
+         others=[(0.25, 0.75)] * 6, h=0.01 * 100.5 - sum([0.01] * 100))
+@example(coefficients=FIXTURE_COEFFICIENTS, states=[(0.3, 0.7), (5e-324, 1.0)],
+         others=[(0.25, 0.75)] * 6, h=1.5e-323)
 def test_stacked_attempt_matches_rk4_attempt(coefficients, states, others, h):
     """The batched sweep's attempt on stacked (x, y) states is
     rk4_attempt on each state's floats, bit for bit, with the coefficient
-    columns broadcast or repeated to (2, m).  Every call goes through one
+    columns broadcast or repeated to (2, m) and h made into the step's
+    factors as rk4_paths makes them.  Every call goes through one
     workspace, on two state sets in turn, so a stage that reads a value
     left from the call before fails; the inputs come back unchanged."""
     a, b, c, e = coefficients
@@ -978,6 +986,7 @@ def test_stacked_attempt_matches_rk4_attempt(coefficients, states, others, h):
     columns = np.array(((a,), (c,))), np.array(((b,), (e,)))
     repeated = tuple(np.repeat(v, m, axis=1) for v in columns)
     work = _kernels.stacked_workspace(m)
+    factors = _kernels._step_factors(h)
     for p, q in (columns, repeated):
         for batch in (states, others[:m]):
             want = np.array([_kernels.rk4_attempt(a, b, c, e, x, y, h) for x, y in batch]).T
@@ -987,11 +996,25 @@ def test_stacked_attempt_matches_rk4_attempt(coefficients, states, others, h):
             buf[0] = np.array(batch).T
             inputs = [v.copy() for v in (p, q, buf[0])]
             with np.errstate(over="ignore", invalid="ignore"):
-                out = _kernels.rk4_attempt_stacked(p, q, buf[0], buf[0, ::-1], h, buf[1], work)
+                out = _kernels.rk4_attempt_stacked(p, q, buf[0], buf[0, ::-1], factors, buf[1],
+                                                   work)
             assert np.shares_memory(out, buf[1])
             assert buf[1].tobytes() == want.tobytes()
             for v, before in zip((p, q, buf[0]), inputs):
                 assert v.tobytes() == before.tobytes()
+
+
+def test_stacked_attempt_constants_are_read_only():
+    """The stacked attempt's constant operands, the module's and a step's
+    factors, are read-only 0-d float64 arrays: a stage that wrote into
+    one would change every later step."""
+    for v in (_kernels._ONE, _kernels._TWO, *_kernels._step_factors(0.01)):
+        assert v.shape == () and v.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            v[()] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(v, 1.0, out=v)
+    assert [float(v) for v in _kernels._step_factors(0.01)] == [0.01, 0.5 * 0.01, 0.01 / 6.0]
 
 
 # a lane whose every attempt is rejected makes 64 of them per step, in
