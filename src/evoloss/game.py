@@ -24,8 +24,8 @@ from .errors import (
 )
 from .metrics import PayoffParams
 
-#: Magnitudes below this are treated as exact zeros in fixed-point and
-#: stability logic.
+#: Magnitudes below this, relative to the field's scale (field_scale),
+#: are treated as exact zeros in fixed-point and stability logic.
 ZERO_TOL = 1e-9
 
 
@@ -77,6 +77,16 @@ def field_coefficients(p: PayoffParams) -> tuple[float, float, float, float]:
     return a, b, c, e
 
 
+def field_scale(coefficients) -> float:
+    """The field's own scale s = max(|a|, |b|, |c|, |e|) of its
+    coefficients.  A common payoff factor multiplies the field by the
+    same factor, which changes only its time scale, so every zero test
+    compares a quantity of the field's degree in s against ZERO_TOL times
+    that power of s, and the factor changes no answer.  s is 0 only for
+    the all-zero field, where every such test finds a zero."""
+    return max(map(abs, coefficients))
+
+
 def replicator_rhs(p: PayoffParams, state) -> tuple[float, float]:
     """Time derivative (dx/dt, dy/dt) of the cooperation shares."""
     x, y = check_state(state)
@@ -87,11 +97,13 @@ def replicator_rhs(p: PayoffParams, state) -> tuple[float, float]:
 def saddle_point(p: PayoffParams) -> PopulationState:
     """The interior fixed point (x*, y*) of the replicator field.
 
-    Raises DegenerateGameError when a defining denominator vanishes and
-    OutOfSimplexError when the point falls outside the unit square.
+    Raises DegenerateGameError when a defining denominator is within
+    ZERO_TOL of zero, relative to field_scale, and OutOfSimplexError when
+    the point falls outside the unit square.
     """
     a, b, c, e = field_coefficients(p)
-    if abs(e) <= ZERO_TOL or abs(b) <= ZERO_TOL:
+    tol = ZERO_TOL * field_scale((a, b, c, e))
+    if abs(e) <= tol or abs(b) <= tol:
         raise DegenerateGameError(
             "interior fixed point undefined: zero denominator in (x*, y*)"
         )

@@ -16,6 +16,7 @@ from .game import (
     PopulationState,
     check_state,
     field_coefficients,
+    field_scale,
     replicator_rhs,
     saddle_point,
 )
@@ -58,16 +59,19 @@ def classify(p: PayoffParams, point) -> Equilibrium:
     """Classify a fixed point by the determinant/trace of its Jacobian.
 
     det < 0 is a saddle regardless of trace; det > 0 splits into stable
-    (negative trace) and unstable (positive trace); anything within
-    ZERO_TOL of the sign boundaries is reported as degenerate.  Raises
-    ValidationError when the field at point exceeds ZERO_TOL times the
-    largest field coefficient magnitude (or 1), as the rounding of
-    a - b * y and c - e * x grows with the coefficients, and when det or
-    trace overflows.
+    (negative trace) and unstable (positive trace); a det within ZERO_TOL
+    * s**2 or a trace within ZERO_TOL * s of its sign boundary is reported
+    as degenerate, s being game.field_scale, so that a common payoff
+    factor changes no class.  Raises ValidationError when the field at
+    point exceeds ZERO_TOL * s, as the rounding of a - b * y and c - e * x
+    grows with the coefficients, and when det or trace overflows.  A
+    ZERO_TOL * s**2 that overflows exceeds every finite det, which is then
+    within it.
     """
     point = check_state(point)
     dx, dy = replicator_rhs(p, point)
-    tol = ZERO_TOL * max(1.0, *map(abs, field_coefficients(p)))
+    scale = field_scale(field_coefficients(p))
+    tol = ZERO_TOL * scale
     if abs(dx) > tol or abs(dy) > tol:
         raise ValidationError(
             f"point {tuple(point)} is not a fixed point: field = ({dx:.3g}, {dy:.3g})"
@@ -78,11 +82,12 @@ def classify(p: PayoffParams, point) -> Equilibrium:
         trace = float(np.trace(j))
     if not (math.isfinite(det) and math.isfinite(trace)):
         raise ValidationError(f"Jacobian at {tuple(point)} overflows: det {det}, trace {trace}")
-    if det < -ZERO_TOL:
+    det_tol = tol * scale
+    if det < -det_tol:
         cls = StabilityClass.SADDLE_POINT
-    elif det > ZERO_TOL and trace > ZERO_TOL:
+    elif det > det_tol and trace > tol:
         cls = StabilityClass.UNSTABLE_POINT
-    elif det > ZERO_TOL and trace < -ZERO_TOL:
+    elif det > det_tol and trace < -tol:
         cls = StabilityClass.STABLE_POINT
     else:
         cls = StabilityClass.DEGENERATE

@@ -44,6 +44,7 @@ from evoloss import (
     saddle_point,
 )
 from evoloss import _kernels
+from evoloss.game import field_scale
 from evoloss.lab import LOG_COLUMNS
 from evoloss.scheduler import CLIP_EPS, LEARNING_RATE, LOG_STD_MAX, LOG_STD_MIN
 
@@ -161,11 +162,11 @@ def classify_by_eigen(p: PayoffParams, point) -> StabilityClass:
     independent of classify's det/trace rule.
 
     Both real parts negative: stable; both positive: unstable; strictly
-    opposite signs: saddle; any real part within ZERO_TOL of zero:
-    degenerate.
+    opposite signs: saddle; any real part within ZERO_TOL times the
+    field's scale of zero: degenerate.
     """
     real_parts = np.linalg.eigvals(jacobian(p, point)).real
-    if np.any(np.abs(real_parts) <= ZERO_TOL):
+    if np.any(np.abs(real_parts) <= ZERO_TOL * field_scale(field_coefficients(p))):
         return StabilityClass.DEGENERATE
     if np.all(real_parts < 0.0):
         return StabilityClass.STABLE_POINT

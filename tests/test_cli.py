@@ -116,6 +116,51 @@ def test_equilibria_accepts_the_saddle_it_prints(tmp_path, capsys):
     assert saddle[:2] == ["0.200000", "0.560000"] and saddle[-1] == "saddle"
 
 
+#: The fixture's payoffs as decimal strings, so that a scaled copy reads
+#: as the exact decimal, not as a rounded product.
+FIXTURE_PAYOFFS = dict(g1="1.5", d1="1", g2="1", d2="1.5", n1="0.5", n2="0.5")
+
+
+def scaled_fixture(tmp_path, k):
+    """The fixture game with every payoff times 10**k."""
+    return write_kv(tmp_path / f"scaled{k}.params",
+                    **{name: f"{v}e{k}" for name, v in FIXTURE_PAYOFFS.items()})
+
+
+def saddle_and_classes(params, capsys):
+    """The exit codes of saddle and equilibria on params, and the classes
+    equilibria lists."""
+    saddle = main(["saddle", "--params", str(params)])
+    capsys.readouterr()
+    equilibria = main(["equilibria", "--params", str(params)])
+    classes = [line.split()[-1] for line in capsys.readouterr().out.splitlines()[1:]]
+    return saddle, equilibria, classes
+
+
+def test_fixture_scaled_by_1e_11_keeps_its_saddle_and_classes(tmp_path, capsys):
+    """The fixture times 1e-11 has the fixture's saddle and classes: a
+    common payoff factor only rescales the field's time.  saddle used to
+    exit 3 (zero denominator), and equilibria listed four degenerate
+    corners, as every zero test was absolute."""
+    params = scaled_fixture(tmp_path, -11)
+    assert main(["saddle", "--params", str(params)]) == 0
+    out = capsys.readouterr().out
+    for line in out.splitlines():
+        assert abs(float(line.split(" = ")[1]) - 5.0 / 6.0) <= 2 * math.ulp(5.0 / 6.0)
+    assert saddle_and_classes(params, capsys) == (
+        0, 0, ["unstable", "stable", "stable", "unstable", "saddle"])
+
+
+@pytest.mark.parametrize("k", [-12, -6, 3, 9, 12])
+def test_fixture_scaled_by_a_power_of_ten_answers_as_the_fixture(params_file, tmp_path, capsys, k):
+    """Every zero test is relative to the field's scale, so the fixture
+    times 10**k exits and classifies as the fixture does; at 1e-12 and
+    1e-6 it used to call every point degenerate."""
+    want = saddle_and_classes(params_file, capsys)
+    assert want == (0, 0, ["unstable", "stable", "stable", "unstable", "saddle"])
+    assert saddle_and_classes(scaled_fixture(tmp_path, k), capsys) == want
+
+
 # ---------------------------------------------------------------- metrics
 
 
