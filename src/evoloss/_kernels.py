@@ -4,11 +4,12 @@ The field is dx/dt = x(1-x)(a - b y), dy/dt = y(1-y)(c - e x); the
 functions take the four precomputed coefficients so they stay
 independent of the dataclasses in the rest of the package.  They are
 plain Python over floats, except rk4_paths, which takes the ordinary
-steps of many starts at once as one stacked (2, starts) numpy state, on
-one shared clock, each step's stages computed in place in a workspace
-made once per lane count; once per chunk of steps it finds the sample at
-which each start leaves the batch and hands it from there to the scalar
-loop.
+steps of many starts at once as one flat numpy row per sample, the x of
+every start followed by their y in reversed order, so that a stage
+reads each coordinate's partner from the row's reversal, on one shared
+clock, each step's stages computed in place in a workspace made once
+per lane count; once per chunk of steps it finds the sample at which
+each start leaves the batch and hands it from there to the scalar loop.
 evobench/README.md describes how their cost is measured.  The tests'
 forward-Euler reference is in tests/helpers.py.
 """
@@ -98,12 +99,13 @@ def _step_factors(h):
 
 
 def stacked_workspace(m):
-    """Scratch for rk4_attempt_stacked on m states: six (2, m) arrays,
-    the stage state z, the four stage slopes f1 to f4 and a factor u, as
-    the tuple (z, z[::-1], f2 and f3 as one (2, 2, m) array, f1, f2, f3,
-    f4, u), its views made once; 96 bytes a state."""
-    work = np.empty((6, 2, m))
-    return (work[0], work[0, ::-1], work[2:4], *work[1:])
+    """Scratch for rk4_attempt_stacked on m states in the flat layout of
+    rk4_paths: six rows of 2 * m floats, the stage state z, the four
+    stage slopes f1 to f4 and a factor u, as the tuple (z, z[::-1], f2
+    and f3 as one row of 4 * m, f1, f2, f3, f4, u), its views made once;
+    96 bytes a state."""
+    work = np.empty((6, 2 * m))
+    return (work[0], work[0, ::-1], work[2:4].reshape(-1), *work[1:])
 
 
 # looked up once, and given out positionally: at (2, 400) the lookup and
@@ -111,41 +113,49 @@ def stacked_workspace(m):
 _subtract, _multiply, _add = np.subtract, np.multiply, np.add
 
 
-def _slope(p, q, z, z_flip, f, u):
-    """The field at the stacked states z, z_flip being z[::-1], written
-    into f as z * (1.0 - z) * (p - q * z_flip), with u as scratch."""
-    _subtract(_ONE, z, f)
-    _multiply(z, f, f)
-    _multiply(q, z_flip, u)
-    _subtract(p, u, u)
-    _multiply(f, u, f)
-
-
-def rk4_attempt_stacked(p, q, s, s_flip, factors, out, work):
-    """rk4_attempt's arithmetic with x and y stacked: s is the (2, m)
-    array of m states, x over y, s_flip is s[::-1], p = [[a], [c]] and
-    q = [[b], [e]], or the same rows repeated to (2, m), and factors is
-    _step_factors(h).  The result is written into out, a (2, m) array
+def rk4_attempt_stacked(p, q, s, s_rev, factors, out, work):
+    """rk4_attempt's arithmetic on m states at once in the flat layout of
+    rk4_paths: s is the row [x_0 ... x_{m-1}, y_{m-1} ... y_0] and s_rev
+    its reversal s[::-1], which holds each coordinate's partner at its
+    position, p = [a] * m + [c] * m, q = [b] * m + [e] * m, and factors
+    is _step_factors(h).  The result is written into out, a row of 2 * m
     that is not s, and the stages into work, a stacked_workspace(m) that
     no argument shares memory with.
 
-    Row 0 of each stage is x's term and row 1 y's, with the same
-    elementwise IEEE operations in the same order, so every state rounds
-    exactly as rk4_attempt on its floats;
-    test_stacked_attempt_matches_rk4_attempt pins that bit for bit.
+    Each stage's slope is z * (1.0 - z) * (p - q * z[::-1]): x's term in
+    the first half and y's in the second, with the same elementwise IEEE
+    operations in the same order, so every state rounds exactly as
+    rk4_attempt on its floats; test_stacked_attempt_matches_rk4_attempt
+    pins that bit for bit.
     """
-    z, z_flip, f23, f1, f2, f3, f4, u = work
+    z, z_rev, f23, f1, f2, f3, f4, u = work
     h, half, sixth = factors
-    _slope(p, q, s, s_flip, f1, u)
+    _subtract(_ONE, s, f1)
+    _multiply(s, f1, f1)
+    _multiply(q, s_rev, u)
+    _subtract(p, u, u)
+    _multiply(f1, u, f1)
     _multiply(half, f1, z)
     _add(s, z, z)
-    _slope(p, q, z, z_flip, f2, u)
+    _subtract(_ONE, z, f2)
+    _multiply(z, f2, f2)
+    _multiply(q, z_rev, u)
+    _subtract(p, u, u)
+    _multiply(f2, u, f2)
     _multiply(half, f2, z)
     _add(s, z, z)
-    _slope(p, q, z, z_flip, f3, u)
+    _subtract(_ONE, z, f3)
+    _multiply(z, f3, f3)
+    _multiply(q, z_rev, u)
+    _subtract(p, u, u)
+    _multiply(f3, u, f3)
     _multiply(h, f3, z)
     _add(s, z, z)
-    _slope(p, q, z, z_flip, f4, u)
+    _subtract(_ONE, z, f4)
+    _multiply(z, f4, f4)
+    _multiply(q, z_rev, u)
+    _subtract(p, u, u)
+    _multiply(f4, u, f4)
     # f1 + 2.0 * f2 + 2.0 * f3 + f4, summed left to right into f1; both
     # doublings in one call, as neither reads f1
     _multiply(_TWO, f23, f23)
@@ -174,22 +184,24 @@ def rk4_step(a, b, c, e, x, y, h):
 
 
 #: Fewest lanes for which a batched step of rk4_paths beats one rk4_path
-#: step per lane: on the fixture game a batched step costs 13-15 us from
-#: 8 to 128 lanes and 21-24 us at 400, a scalar step 1.0-1.1 us (best of
-#: 9 runs of 128 steps, 4 fresh processes).  rk4_paths hands its lanes to
-#: the scalar loop at the first chunk end with fewer than this left, so
-#: fewer starts run in that loop from their first sample.  Batched over
-#: per-start time (uniform starts, seeds 1-3, best of 9, interleaved):
+#: step per lane: on the fixture game a batched step costs 11-14 us from
+#: 8 to 128 lanes and 17-22 us at 400, a scalar step 1.1-1.3 us (best of
+#: 9 runs of 128 steps, 5 fresh processes, a 2-core shared VM).
+#: rk4_paths hands its lanes to the scalar loop at the first count with
+#: fewer than this left, so fewer starts run in that loop from their
+#: first sample.  Batched over per-start time (uniform starts, seeds 1-3,
+#: best of 9, interleaved):
 #:
 #:   starts               16       20       24       28       32       48       96
-#:   batched throughout   1.1-1.2  0.9-1.3  0.8-1.1  0.6-0.9  0.5-0.8  0.4-0.5  0.2-0.3
-#:   hand-off below 32    1.0      1.0      1.0      0.9-1.0  0.6-1.0  0.4      0.2
-#:   hand-off below 20    1.0      0.8-0.9  0.7      0.5-0.7  0.4-0.6  0.4      0.2
+#:   batched throughout   0.9-1.1  0.8-1.0  0.6-0.9  0.6-0.7  0.5-0.6  0.4-0.5  0.2-0.3
+#:   hand-off below 32    1.0-1.1  1.0-1.2  1.0-1.1  1.0      0.6-0.9  0.4      0.2
+#:   hand-off below 24    1.1      1.0-1.1  0.7-1.0  0.5-0.6  0.4-0.5  0.3-0.4  0.2
+#:   hand-off below 20    1.0-1.1  0.7-1.0  0.6-0.7  0.5      0.4      0.3      0.2
 #:
-#: At 400 starts all three read 0.1.  20 would win from 20 to 32 starts,
-#: but the batch tests derive their starts from this value, and
-#: horizon_mixed finds no corner stop among 4 * 20 random starts.
-BATCH_MIN_LANES = 32
+#: At 400 starts all four read 0.1, and on evobench's basin_sweep 20
+#: reads 0.95-0.99 of 32's sweep time.  Above 16, so that a 16-start
+#: simulate stays in the scalar loop, where it is as fast.
+BATCH_MIN_LANES = 20
 
 
 def _path_rules(dt, t_max, stop_tol):
@@ -269,24 +281,53 @@ def rk4_path(a, b, c, e, x0, y0, dt, t_max, stop_tol):
     return np.array(ts), np.array(xs), np.array(ys), terminal
 
 
+def _first_leaves(near_x, near_y, box):
+    """Per lane, the sample at which it leaves the batch of rk4_paths,
+    given min(v, 1 - v) of its x and of its y at a chunk's samples so far
+    as near_x and near_y, sample by lane: the first sample in the box of
+    _path_rules or whose next state lies outside the unit square or is
+    NaN, else the last.  min(v, 1 - v) is below 0, or NaN, exactly when v
+    is outside [0, 1] or NaN; the state after the last sample is not
+    computed yet, so every lane leaves there or before."""
+    leave = np.maximum(near_x, near_y) <= box
+    leave[:-1] |= ~(np.minimum(near_x[1:], near_y[1:]) >= 0.0)
+    leave[-1] = True
+    return leave.argmax(axis=0)
+
+
+#: The steps of the first chunk after which rk4_paths counts the lanes
+#: that can stay batched, testing the samples since the last count, and
+#: stops the batch once fewer than BATCH_MIN_LANES can, so that a sweep
+#: whose lanes nearly all leave early computes few discarded steps.  A
+#: chunk that goes on is not cut.  On evobench's basin_sweep (seeds
+#: 2401, 7, 11; a 2-core shared VM) the counts take 0.5-0.7 % of a
+#: sweep, and 0.6-0.8 % at 1, 2, 4, ..., 64.
+_EARLY_CHECKS = (1, 4, 16, 64)
+
+
 # a lane that leaves the batch may compute on past its leave sample, to
 # inf or NaN, until the chunk ends; those values are thrown away
 @np.errstate(over="ignore", invalid="ignore")
 def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     """rk4_path from many starts at once, one numpy lane per start.
 
-    The batch is one (2, lanes) state, x over y, which takes ordinary
-    steps with rk4_attempt_stacked on one shared clock.  Once per chunk
-    of _CHUNK steps, and when the batch stops, the chunk's samples are
-    tested: a lane leaves at its first sample in the box of _path_rules,
-    or whose next state lies outside the unit square or is NaN, and the
-    states it computed after that sample are thrown away.  Every lane
-    leaves when the batch stops, at the horizon or once the budget is
-    spent, and at a chunk end once fewer than BATCH_MIN_LANES are left;
-    fewer than that take no batched step.  A lane that leaves runs on
-    from its leave sample in the loop of rk4_path, which alone decides
-    its stop and alone halves or clamps a step, so every lane is
-    bit-identical to rk4_path.
+    The batch of m lanes takes ordinary steps with rk4_attempt_stacked on
+    one shared clock, each sample one flat row [x_0 ... x_{m-1}, y_{m-1}
+    ... y_0], so that no step reads an operand in reversed lane order
+    but the row's own reversal.  Once per chunk of _CHUNK steps, and
+    when the batch stops, the chunk's y halves are put back in lane
+    order and its samples tested: a lane leaves at its first sample in
+    the box of _path_rules, or whose next state lies outside the unit
+    square or is NaN, and the states it computed after that sample are
+    thrown away.  Every lane leaves when the batch stops, at the horizon
+    or once the budget is spent, and at a chunk end once fewer than
+    BATCH_MIN_LANES are left; fewer than that take no batched step.  In
+    the first chunk the lanes that can stay are also counted after the
+    steps in _EARLY_CHECKS, and the batch stops there once fewer than
+    BATCH_MIN_LANES can.  A lane that leaves runs on from its leave
+    sample in the loop of rk4_path, which alone decides its stop and
+    alone halves or clamps a step, so every lane is bit-identical to
+    rk4_path.
 
     Returns one (times, states, terminal) per start, in start order,
     states being the (n, 2) array of recorded (x, y) samples.  The times
@@ -307,51 +348,67 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     # per start: the samples it recorded on the clock, and its later times
     tails = [None] * len(lane)
     terminal = [None] * len(lane)
-    # the chunk's states, stepped in place, with views of its rows and of
-    # their reversals, a scratch of its size for the leave test, p =
-    # [[a], [c]] and q = [[b], [e]] repeated to the lane count, which makes
-    # a stacked step cheaper than broadcasting them, and the step's
-    # workspace: made again for each lane count that takes a batched step,
-    # as a fresh array or view per step or per test costs more than the
-    # step or test
-    buf = rows = flips = scratch = work = None
+    # the chunk's flat rows, stepped in place, with views of each row and
+    # of its reversal, a scratch of their size, both also viewed as (x, y)
+    # by lane, p = [a] * m + [c] * m and q = [b] * m + [e] * m, which
+    # makes a step cheaper than broadcasting a and c, and the step's
+    # workspace: made again for each lane count m that takes a batched
+    # step, as a fresh array or view per step or per test costs more than
+    # the step or test
+    buf = rows = revs = scratch = xy = near_xy = work = None
     while True:
         n0 = n - 1  # the clock index of the chunk's first sample
         k = 0  # the chunk's batched steps
         if len(lane) >= BATCH_MIN_LANES and n < n_max and t < t_end:
-            if buf is None or buf.shape[2] != len(lane):
+            m = len(lane)
+            if buf is None or buf.shape[1] != 2 * m:
                 # the last chunk's arrays go first, so that old and new
                 # are never held together
-                buf = rows = flips = scratch = work = states = near = None
-                buf = np.empty((_CHUNK + 1, 2, len(lane)))
-                rows, flips = list(buf), list(buf[:, ::-1])
+                buf = rows = revs = scratch = xy = near_xy = work = states = near = None
+                buf = np.empty((_CHUNK + 1, 2 * m))
+                rows, revs = list(buf), list(buf[:, ::-1])
                 scratch = np.empty_like(buf)
-                work = stacked_workspace(len(lane))
-                p = np.repeat(((a,), (c,)), len(lane), axis=1)
-                q = np.repeat(((b,), (e,)), len(lane), axis=1)
-            buf[0] = s
-            while k < _CHUNK and n < n_max and t < t_end:
-                h = t_max - t if t + dt > t_max else dt
-                # only the shortened last step makes its own factors
-                factors = full if h == dt else _step_factors(h)
-                rk4_attempt_stacked(p, q, rows[k], flips[k], factors, rows[k + 1], work)
-                k += 1
-                t += h
-                clock.append(t)
-                n += 1
-            states = buf[: k + 1]
-            near = np.subtract(1.0, states, out=scratch[: k + 1])
+                xy, near_xy = buf.reshape(-1, 2, m), scratch.reshape(-1, 2, m)
+                work = stacked_workspace(m)
+                p = np.repeat((a, c), m)
+                q = np.repeat((b, e), m)
+            buf[0, :m] = s[0]
+            buf[0, : m - 1 : -1] = s[1]
+            stops = (_CHUNK,)
+            if n0 == 0:
+                # the first chunk also stops at each early check; gone marks
+                # the lanes that left at a sample before the last one, k0
+                stops, gone, k0 = (*_EARLY_CHECKS, _CHUNK), np.zeros(m, dtype=bool), 0
+            for stop in stops:
+                while k < stop and n < n_max and t < t_end:
+                    h = t_max - t if t + dt > t_max else dt
+                    # only the shortened last step makes its own factors
+                    factors = full if h == dt else _step_factors(h)
+                    rk4_attempt_stacked(p, q, rows[k], revs[k], factors, rows[k + 1], work)
+                    k += 1
+                    t += h
+                    clock.append(t)
+                    n += 1
+                if k < stop or k == _CHUNK:
+                    break
+                # the samples since the last check; y in lane order is the
+                # second half reversed
+                near = np.subtract(1.0, buf[k0 : k + 1], out=scratch[k0 : k + 1])
+                np.minimum(buf[k0 : k + 1], near, out=near)
+                gone |= _first_leaves(near[:, :m], near[:, : m - 1 : -1], box) < k - k0
+                if m - np.count_nonzero(gone) < BATCH_MIN_LANES:
+                    break
+                k0 = k
+            # y back in lane order, through scratch
+            np.copyto(scratch[: k + 1, :m], buf[: k + 1, : m - 1 : -1])
+            buf[: k + 1, m:] = scratch[: k + 1, :m]
+            states = xy[: k + 1]
+            near = np.subtract(1.0, states, out=near_xy[: k + 1])
         else:
             states = s[np.newaxis]
             near = 1.0 - states
-        # min(v, 1 - v) is below 0, or NaN, exactly when v is outside
-        # [0, 1] or NaN; the state after the chunk's last sample is not
-        # computed yet, so every lane leaves there or before
         np.minimum(states, near, out=near)
-        leave = near.max(axis=1) <= box
-        leave[:-1] |= ~(near[1:].min(axis=1) >= 0.0)
-        leave[-1] = True
-        first = leave.argmax(axis=0)
+        first = _first_leaves(near[:, 0], near[:, 1], box)
         stay = first == k
         done = k < _CHUNK or np.count_nonzero(stay) < BATCH_MIN_LANES
         for i, (r, j) in enumerate(zip(lane.tolist(), first.tolist())):
@@ -372,7 +429,7 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
         # later ufunc call would iterate it strided
         lane, s = lane[stay], states[k].compress(stay, axis=1)
     # returned to the OS before the pieces are joined
-    del buf, rows, flips, scratch, work, states, near
+    del buf, rows, revs, scratch, xy, near_xy, work, states, near
     # lanes that stopped at their leave sample share views of the clock
     clock = np.array(clock)
     clock.flags.writeable = False

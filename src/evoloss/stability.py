@@ -59,14 +59,14 @@ def classify(p: PayoffParams, point) -> Equilibrium:
     """Classify a fixed point by the determinant/trace of its Jacobian.
 
     det < 0 is a saddle regardless of trace; det > 0 splits into stable
-    (negative trace) and unstable (positive trace); a det within ZERO_TOL
-    * s**2 or a trace within ZERO_TOL * s of its sign boundary is reported
-    as degenerate, s being game.field_scale, so that a common payoff
-    factor changes no class.  Raises ValidationError when the field at
-    point exceeds ZERO_TOL * s, as the rounding of a - b * y and c - e * x
-    grows with the coefficients, and when det or trace overflows.  A
-    ZERO_TOL * s**2 that overflows exceeds every finite det, which is then
-    within it.
+    (negative trace) and unstable (positive trace).  The class reads det
+    and trace of the Jacobian divided by s = game.field_scale, which a
+    common payoff factor leaves as they are and which neither underflow
+    nor overflow, and one within ZERO_TOL of its sign boundary is
+    reported as degenerate; the Equilibrium keeps the unscaled det and
+    trace.  Raises ValidationError when the field at point exceeds
+    ZERO_TOL * s, as the rounding of a - b * y and c - e * x grows with
+    the coefficients, and when the unscaled det or trace overflows.
     """
     point = check_state(point)
     dx, dy = replicator_rhs(p, point)
@@ -82,12 +82,14 @@ def classify(p: PayoffParams, point) -> Equilibrium:
         trace = float(np.trace(j))
     if not (math.isfinite(det) and math.isfinite(trace)):
         raise ValidationError(f"Jacobian at {tuple(point)} overflows: det {det}, trace {trace}")
-    det_tol = tol * scale
-    if det < -det_tol:
+    # s is 0 only for the all-zero field, whose Jacobian is 0
+    unit = j / (scale or 1.0)
+    unit_det, unit_trace = float(np.linalg.det(unit)), float(np.trace(unit))
+    if unit_det < -ZERO_TOL:
         cls = StabilityClass.SADDLE_POINT
-    elif det > det_tol and trace > tol:
+    elif unit_det > ZERO_TOL and unit_trace > ZERO_TOL:
         cls = StabilityClass.UNSTABLE_POINT
-    elif det > det_tol and trace < -tol:
+    elif unit_det > ZERO_TOL and unit_trace < -ZERO_TOL:
         cls = StabilityClass.STABLE_POINT
     else:
         cls = StabilityClass.DEGENERATE

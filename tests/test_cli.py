@@ -7,11 +7,13 @@ import pathlib
 import re
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from evoloss import cli
+from evoloss import PayoffParams, cli
 from evoloss.cli import main
+from evoloss.stability import jacobian
 
 
 @pytest.fixture
@@ -159,6 +161,25 @@ def test_fixture_scaled_by_a_power_of_ten_answers_as_the_fixture(params_file, tm
     want = saddle_and_classes(params_file, capsys)
     assert want == (0, 0, ["unstable", "stable", "stable", "unstable", "saddle"])
     assert saddle_and_classes(scaled_fixture(tmp_path, k), capsys) == want
+
+
+@pytest.mark.parametrize("k", [-162, -163, -165, -170])
+def test_fixture_scaled_where_det_underflows_keeps_its_classes(params_file, tmp_path, capsys,
+                                                               k):
+    """det ~ s**2 underflows at these factors, so equilibria used to list
+    four or five degenerate points; classify reads det and trace of the
+    Jacobian divided by the field's scale, which no factor changes, and
+    lists the fixture's classes.  The CSV keeps the unscaled det and
+    trace."""
+    want = saddle_and_classes(params_file, capsys)
+    params = scaled_fixture(tmp_path, k)
+    assert saddle_and_classes(params, capsys) == want
+    out = tmp_path / "eq.csv"
+    assert main(["equilibria", "--params", str(params), "--output", str(out)]) == 0
+    game = PayoffParams(**{name: float(f"{v}e{k}") for name, v in FIXTURE_PAYOFFS.items()})
+    for row in list(csv.reader(out.open()))[1:]:
+        j = jacobian(game, (float(row[0]), float(row[1])))
+        assert [float(row[2]), float(row[3])] == [float(np.linalg.det(j)), float(np.trace(j))]
 
 
 # ---------------------------------------------------------------- metrics

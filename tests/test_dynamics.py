@@ -252,10 +252,11 @@ def own_leave(params, traj, cfg):
 def handoff_sample(own):
     """The sample at which rk4_paths hands the lanes still batched to the
     scalar loop because fewer than BATCH_MIN_LANES are left, given each
-    lane's own leave sample: the first chunk end, or the start, with
+    lane's own leave sample: the first count, at the start, after a step
+    of _kernels._EARLY_CHECKS in the first chunk or at a chunk end, with
     fewer lanes whose own leave sample is that one or later; None when
     the last lanes leave of their own accord first."""
-    for n in range(0, max(own) + 1, CHUNK):
+    for n in sorted({*_kernels._EARLY_CHECKS, *range(0, max(own) + 1, CHUNK)}):
         left = sum(j >= n for j in own)
         if left < LANES:
             return n if left else None
@@ -305,15 +306,19 @@ BATCH_CASES = {
                       {"horizon"}),
     # (0.1, 0.05) leaves the batch at a halved step and meets the horizon
     # in the scalar loop, off the batch's clock: it lands on t_max with a
-    # full step, although t_max - t is not dt; the saddle stays batched
-    # and its last step is cut
-    "horizon_mixed": (STIFF, ((0.1, 0.05), (5 / 6, 5 / 6), *RANDOM_STARTS),
+    # full step, although t_max - t is not dt; the saddle, given LANES
+    # more times, stays batched and its last step is cut; the corner
+    # start stops at its corner whatever LANES is
+    "horizon_mixed": (STIFF, ((0.1, 0.05), (5 / 6, 5 / 6), (0.0, 1.0), *RANDOM_STARTS,
+                              *[(5 / 6, 5 / 6)] * LANES),
                       IntegratorConfig(t_max=0.055), {"corner", "horizon"}),
     # after some batched steps, a lane leaves when its attempt lands just
     # outside the square, within CLAMP_TOL, and the scalar loop takes that
-    # attempt at the full step, clamped onto the edge, while at least
-    # LANES others stay batched
-    "clamp": (FIXTURE, RANDOM_STARTS, IntegratorConfig(dt=1.5, t_max=50.0), {"horizon"}),
+    # attempt at the full step, clamped onto the edge: the first start
+    # does so at its sample 6, and is given LANES times so that the batch
+    # holds them until then whatever LANES is
+    "clamp": (FIXTURE, ((0.40509865286115954, 0.07347331180727756),) * LANES + RANDOM_STARTS,
+              IntegratorConfig(dt=1.5, t_max=50.0), {"horizon"}),
     # the stop balls overlap and the box is the whole square, so every
     # lane leaves at its start: the first corner in CORNERS order wins
     "overlap": (FIXTURE, ((0.5, 0.5), *RANDOM_STARTS), IntegratorConfig(stop_tol=0.75),
@@ -323,10 +328,10 @@ BATCH_CASES = {
     # run out of budget
     "budget": (STIFF, ((0.5, 0.01), *RANDOM_STARTS), IntegratorConfig(dt=0.5, t_max=50.0),
                {"corner", "budget"}),
-    # fewer starts than BATCH_MIN_LANES leave at the first sample, the
-    # corners stopping on the sample the batch recorded
-    "handoff_first": (FIXTURE, (*EDGE_STARTS, *RANDOM_STARTS[:8]), IntegratorConfig(),
-                      {"corner"}),
+    # one start fewer than BATCH_MIN_LANES: all leave at the first
+    # sample, the corners stopping on the sample the batch recorded
+    "handoff_first": (FIXTURE, (*EDGE_STARTS, *RANDOM_STARTS[: LANES - 1 - len(EDGE_STARTS)]),
+                      IntegratorConfig(), {"corner"}),
     # lanes leave of their own accord at the first, a middle and the last
     # sample of the first two chunks, and at the third chunk's first,
     # while at least LANES others stay batched
@@ -975,33 +980,89 @@ def test_rk4_path_matches_repeated_step_rk4(coefficients, start, dt, steps, stop
 @example(coefficients=FIXTURE_COEFFICIENTS, states=[(0.3, 0.7), (5e-324, 1.0)],
          others=[(0.25, 0.75)] * 6, h=1.5e-323)
 def test_stacked_attempt_matches_rk4_attempt(coefficients, states, others, h):
-    """The batched sweep's attempt on stacked (x, y) states is
-    rk4_attempt on each state's floats, bit for bit, with the coefficient
-    columns broadcast or repeated to (2, m) and h made into the step's
-    factors as rk4_paths makes them.  Every call goes through one
-    workspace, on two state sets in turn, so a stage that reads a value
-    left from the call before fails; the inputs come back unchanged."""
+    """The batched sweep's attempt on m states in the flat layout [x_0
+    ... x_{m-1}, y_{m-1} ... y_0] is rk4_attempt on each state's floats,
+    bit for bit, with p and q the rows [a] * m + [c] * m and [b] * m +
+    [e] * m and h made into the step's factors as rk4_paths makes them.
+    Every call goes through one workspace, on two state sets in turn, so
+    a stage that reads a value left from the call before fails; the
+    inputs come back unchanged."""
     a, b, c, e = coefficients
     m = len(states)
-    columns = np.array(((a,), (c,))), np.array(((b,), (e,)))
-    repeated = tuple(np.repeat(v, m, axis=1) for v in columns)
+    p, q = np.repeat((a, c), m), np.repeat((b, e), m)
     work = _kernels.stacked_workspace(m)
     factors = _kernels._step_factors(h)
-    for p, q in (columns, repeated):
-        for batch in (states, others[:m]):
-            want = np.array([_kernels.rk4_attempt(a, b, c, e, x, y, h) for x, y in batch]).T
-            # as rk4_paths calls it: the state and result in consecutive
-            # rows of one chunk buffer
-            buf = np.full((2, 2, m), math.nan)
-            buf[0] = np.array(batch).T
-            inputs = [v.copy() for v in (p, q, buf[0])]
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = _kernels.rk4_attempt_stacked(p, q, buf[0], buf[0, ::-1], factors, buf[1],
-                                                   work)
-            assert np.shares_memory(out, buf[1])
-            assert buf[1].tobytes() == want.tobytes()
-            for v, before in zip((p, q, buf[0]), inputs):
-                assert v.tobytes() == before.tobytes()
+    for batch in (states, others[:m]):
+        want = np.array([_kernels.rk4_attempt(a, b, c, e, x, y, h) for x, y in batch])
+        # as rk4_paths calls it: the state and result in consecutive rows
+        # of one chunk buffer, y in reversed lane order
+        buf = np.full((2, 2 * m), math.nan)
+        xs, ys = np.array(batch).T
+        buf[0] = np.concatenate((xs, ys[::-1]))
+        inputs = [v.copy() for v in (p, q, buf[0])]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _kernels.rk4_attempt_stacked(p, q, buf[0], buf[0, ::-1], factors, buf[1], work)
+        assert np.shares_memory(out, buf[1])
+        assert buf[1].tobytes() == np.concatenate((want[:, 0], want[::-1, 1])).tobytes()
+        for v, before in zip((p, q, buf[0]), inputs):
+            assert v.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_stacked_workspace_hands_out_flat_rows(m):
+    """stacked_workspace(m) gives rows of 2 * m floats: the stage state's
+    partner view is its exact reversal, in its memory, and f2 and f3 are
+    also one row of 4 * m for the doubling call; no two stages share
+    memory."""
+    z, z_rev, f23, *stages = _kernels.stacked_workspace(m)
+    rows = (z, *stages)
+    assert all(v.shape == (2 * m,) for v in (z_rev, *rows)) and f23.shape == (4 * m,)
+    z[:] = np.arange(2 * m)
+    assert np.shares_memory(z, z_rev) and z_rev.tolist() == z.tolist()[::-1]
+    _, f2, f3, _, _ = stages
+    f23[:] = np.arange(4 * m)
+    assert np.concatenate((f2, f3)).tolist() == f23.tolist()
+    assert not any(np.shares_memory(v, w) for i, v in enumerate(rows) for w in rows[i + 1:])
+
+
+def _count_batched_steps(monkeypatch):
+    """The operands of each batched step rk4_paths takes from here on."""
+    steps = []
+    attempt = _kernels.rk4_attempt_stacked
+
+    def counted(*args):
+        steps.append(args)
+        return attempt(*args)
+
+    monkeypatch.setattr(_kernels, "rk4_attempt_stacked", counted)
+    return steps
+
+
+def test_batched_steps_take_only_flat_rows(monkeypatch):
+    """Every operand of a batched step is one row, and the state's
+    partner view is its reversal: no ufunc call of a step iterates a
+    2-D array read in reverse."""
+    steps = _count_batched_steps(monkeypatch)
+    phase_portrait(FIXTURE, RANDOM_STARTS, IntegratorConfig(t_max=3.0))
+    assert steps
+    for p, q, s, s_rev, factors, out, work in steps:
+        assert all(v.ndim == 1 for v in (p, q, s, s_rev, out, *work))
+        assert np.shares_memory(s, s_rev) and s_rev.strides == (-s.itemsize,)
+
+
+def test_batch_that_every_lane_leaves_at_its_start_takes_one_step(monkeypatch):
+    """The lanes of leave_all_at_start all leave at their first sample,
+    so the batch stops at its first count of the lanes that can stay,
+    after one step, instead of computing a whole chunk of discarded
+    steps; every lane is still simulate's, bit for bit."""
+    steps = _count_batched_steps(monkeypatch)
+    params, starts, cfg, _ = BATCH_CASES["leave_all_at_start"]
+    batch = phase_portrait(params, starts, cfg)
+    assert len(steps) <= 1
+    for start, got in zip(starts, batch):
+        want = simulate(params, start, cfg)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
 
 
 def test_stacked_attempt_constants_are_read_only():
