@@ -349,13 +349,12 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     tails = [None] * len(lane)
     terminal = [None] * len(lane)
     # the chunk's flat rows, stepped in place, with views of each row and
-    # of its reversal, a scratch of their size, both also viewed as (x, y)
-    # by lane, p = [a] * m + [c] * m and q = [b] * m + [e] * m, which
-    # makes a step cheaper than broadcasting a and c, and the step's
-    # workspace: made again for each lane count m that takes a batched
-    # step, as a fresh array or view per step or per test costs more than
-    # the step or test
-    buf = rows = revs = scratch = xy = near_xy = work = None
+    # of its reversal, a scratch of their size, p = [a] * m + [c] * m and
+    # q = [b] * m + [e] * m, which makes a step cheaper than broadcasting a
+    # and c, and the step's workspace: made again for each lane count m
+    # that takes a batched step, as a fresh array or view per step or per
+    # test costs more than the step or test
+    buf = rows = revs = scratch = work = None
     while True:
         n0 = n - 1  # the clock index of the chunk's first sample
         k = 0  # the chunk's batched steps
@@ -364,11 +363,10 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
             if buf is None or buf.shape[1] != 2 * m:
                 # the last chunk's arrays go first, so that old and new
                 # are never held together
-                buf = rows = revs = scratch = xy = near_xy = work = states = near = None
+                buf = rows = revs = scratch = work = states = near = None
                 buf = np.empty((_CHUNK + 1, 2 * m))
                 rows, revs = list(buf), list(buf[:, ::-1])
                 scratch = np.empty_like(buf)
-                xy, near_xy = buf.reshape(-1, 2, m), scratch.reshape(-1, 2, m)
                 work = stacked_workspace(m)
                 p = np.repeat((a, c), m)
                 q = np.repeat((b, e), m)
@@ -402,8 +400,8 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
             # y back in lane order, through scratch
             np.copyto(scratch[: k + 1, :m], buf[: k + 1, : m - 1 : -1])
             buf[: k + 1, m:] = scratch[: k + 1, :m]
-            states = xy[: k + 1]
-            near = np.subtract(1.0, states, out=near_xy[: k + 1])
+            states = buf[: k + 1].reshape(-1, 2, m)
+            near = np.subtract(1.0, states, out=scratch[: k + 1].reshape(-1, 2, m))
         else:
             states = s[np.newaxis]
             near = 1.0 - states
@@ -429,7 +427,7 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
         # later ufunc call would iterate it strided
         lane, s = lane[stay], states[k].compress(stay, axis=1)
     # returned to the OS before the pieces are joined
-    del buf, rows, revs, scratch, xy, near_xy, work, states, near
+    del buf, rows, revs, scratch, work, states, near
     # lanes that stopped at their leave sample share views of the clock
     clock = np.array(clock)
     clock.flags.writeable = False
