@@ -70,13 +70,11 @@ from .scheduler import (
     clipped_objective,
     discounted_returns,
     init_policy,
-    load_policy,
     map_action,
     observe_state,
     policy_act,
     ppo_update,
     reward,
-    save_policy,
 )
 from .stability import (
     Equilibrium,

@@ -209,19 +209,21 @@ def _path_rules(dt, t_max, stop_tol):
     by both loops, as (dt, t_max, t_end, n_max, corners, tol2, box).
 
     A path stops at the horizon once its time reaches t_end = t_max -
-    1e-12, and at its budget once it holds n_max = 2 * int(t_max / dt) +
-    16 samples.  A point stops at the first of the (index, corner) pairs
-    in corners with (x - cx) ** 2 + (y - cy) ** 2 <= tol2; corners is
-    empty when stopping is off.  Any such point has min(x, 1 - x) <= box
-    and min(y, 1 - y) <= box, so only points in that box are tested:
-    1 - x is exact for x >= 0.5 (Sterbenz), a sum of nonnegative floats
-    is at least each term, and box allows for an ulp of pow() rounding,
-    relative, or absolute where the squares underflow: a distance below
-    about 1.6e-162 squares to 0, which is within any stop_tol.
+    1e-10 * dt, a margin far below one step whatever dt is, and exactly
+    1e-12 at the default dt = 0.01; it stops at its budget once it holds
+    n_max = 2 * int(t_max / dt) + 16 samples.  A point stops at the
+    first of the (index, corner) pairs in corners with (x - cx) ** 2 +
+    (y - cy) ** 2 <= tol2; corners is empty when stopping is off.  Any
+    such point has min(x, 1 - x) <= box and min(y, 1 - y) <= box, so
+    only points in that box are tested: 1 - x is exact for x >= 0.5
+    (Sterbenz), a sum of nonnegative floats is at least each term, and
+    box allows for an ulp of pow() rounding, relative, or absolute where
+    the squares underflow: a distance below about 1.6e-162 squares to 0,
+    which is within any stop_tol.
     """
     corners = tuple(enumerate(CORNERS)) if stop_tol >= 0.0 else ()
     box = stop_tol * (1.0 + 1e-9) + 1e-150
-    return dt, t_max, t_max - 1e-12, 2 * int(t_max / dt) + 16, corners, stop_tol * stop_tol, box
+    return dt, t_max, t_max - 1e-10 * dt, 2 * int(t_max / dt) + 16, corners, stop_tol * stop_tol, box
 
 
 def _rk4_run(a, b, c, e, rules, t, x, y, n, ts, xs, ys):

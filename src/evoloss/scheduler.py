@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, as_array, as_float, as_int
-from .kvfile import read_text
 from .losses import LossWeights
 
 #: Weights are clamped to [0, 2 * center] and floored here so LossWeights
@@ -385,12 +384,8 @@ def _ppo_step(policy: PolicyParams, states, actions, rewards, old_logp, values):
     return new_policy, stats
 
 
-_POLICY_MAGIC = "evoloss-policy"
-_POLICY_VERSION = 1
-
-
 def _policy_layout(state_dim: int, hidden: int):
-    """(field, shape) of each PolicyParams field, in checkpoint order."""
+    """(field, shape) of each PolicyParams field, in field order."""
     return (
         ("w1", (state_dim, hidden)),
         ("b1", (hidden,)),
@@ -402,45 +397,3 @@ def _policy_layout(state_dim: int, hidden: int):
         ("vb2", ()),
         ("log_std", (2,)),
     )
-
-
-def save_policy(policy: PolicyParams, path) -> None:
-    """Flat text checkpoint: a version header, then one value per line,
-    field by field in _policy_layout order."""
-    layout = _policy_layout(policy.state_dim, policy.hidden)
-    flat = np.concatenate([np.ravel(getattr(policy, name)) for name, _ in layout])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_POLICY_MAGIC} {_POLICY_VERSION} {policy.state_dim} {policy.hidden}\n"
-                 + "".join([f"{v!r}\n" for v in flat.tolist()]))
-
-
-def load_policy(path) -> PolicyParams:
-    lines = read_text(path).splitlines()
-    if not lines:
-        raise ValidationError("empty checkpoint file")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != _POLICY_MAGIC:
-        raise ValidationError(f"not a policy checkpoint: {lines[0]!r}")
-    try:
-        version, state_dim, hidden = (int(v) for v in head[1:])
-    except ValueError:
-        raise ValidationError(
-            f"checkpoint header holds a non-integer: {lines[0]!r}"
-        ) from None
-    if version != _POLICY_VERSION:
-        raise ValidationError(f"unsupported checkpoint version {head[1]}")
-    if state_dim < 1 or hidden < 1:
-        raise ValidationError(f"checkpoint header has a size below 1: {lines[0]!r}")
-    try:
-        flat = np.array([float(v) for v in lines[1:] if v.strip()])
-    except ValueError:
-        raise ValidationError("checkpoint contains a non-numeric value") from None
-    layout = _policy_layout(state_dim, hidden)
-    sizes = [math.prod(shape) for _, shape in layout]
-    if len(flat) != sum(sizes):
-        raise ValidationError(
-            f"checkpoint holds {len(flat)} values, expected {sum(sizes)}"
-        )
-    chunks = np.split(flat, np.cumsum(sizes)[:-1])
-    parts = {name: chunk.reshape(shape) for (name, shape), chunk in zip(layout, chunks)}
-    return PolicyParams(**parts)

@@ -164,6 +164,23 @@ def test_simulate_saddle_start_never_converges(fixture_params):
     assert traj.times[-1] == pytest.approx(50.0, abs=1e-9)
 
 
+def test_short_horizon_is_integrated_to_t_max(fixture_params):
+    """A horizon that ended 1e-12 before t_max, whatever dt, stopped a
+    t_max = 1e-12 path at its start, reported as a horizon stop; it ends
+    1e-10 * dt before t_max, the same 1e-12 at the default dt."""
+    cfg = IntegratorConfig(dt=1e-13, t_max=1e-12)
+    alone = simulate(fixture_params, (0.3, 0.6), cfg)
+    batch = phase_portrait(fixture_params, [(0.3, 0.6)] * _kernels.BATCH_MIN_LANES, cfg)
+    for traj in (alone, *batch):
+        assert traj.reason == "horizon"
+        assert len(traj.times) == 11
+        assert traj.times[-1] == 1e-12
+        assert traj.final_state != (0.3, 0.6)
+    # the default dt keeps the old end, bit for bit
+    for t_max in (0.01, 3.3, 500.0):
+        assert _kernels._path_rules(0.01, t_max, 1e-3)[2] == t_max - 1e-12
+
+
 def test_simulate_stays_in_unit_square(fixture_params, rng):
     for _ in range(10):
         start = PopulationState(rng.uniform(0, 1), rng.uniform(0, 1))

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from evoloss import (
     LossWeights,
@@ -18,15 +18,20 @@ from evoloss import (
     clipped_objective,
     discounted_returns,
     init_policy,
-    load_policy,
     map_action,
     observe_state,
     policy_act,
     ppo_update,
     reward,
-    save_policy,
 )
-from evoloss.scheduler import LEARNING_RATE, LOG_STD_INIT, LOG_STD_MAX, LOG_STD_MIN, WEIGHT_FLOOR
+from evoloss.scheduler import (
+    LEARNING_RATE,
+    LOG_STD_INIT,
+    LOG_STD_MAX,
+    LOG_STD_MIN,
+    WEIGHT_FLOOR,
+    _policy_layout,
+)
 
 from helpers import cosine, reference_ppo_step
 
@@ -100,7 +105,7 @@ def test_scheduler_config_stores_update_period_as_int():
 
 def test_derived_values_add_no_field():
     """The stored clipped log_std, std, target array and norm are not
-    fields, so no checkpoint, config key or replace argument changes."""
+    fields, so no config key or replace argument changes."""
     assert [f.name for f in dataclasses.fields(PolicyParams)] == [
         "w1", "b1", "w2", "b2", "vw1", "vb1", "vw2", "vb2", "log_std"
     ]
@@ -248,6 +253,26 @@ def test_init_policy_shapes_and_defaults():
     np.testing.assert_array_equal(policy.log_std, LOG_STD_INIT)
     with pytest.raises(ValidationError):
         init_policy(0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "state_dim,hidden,digest",
+    [
+        (3, 2, "c9705090fc0e1bd5da28096442ef32bdd4787acaab279df57f4b6d42eee83250"),
+        # 0.01 / sqrt(3) rounds one ulp below init_policy's 0.01 * (1 / sqrt(3))
+        (4, 3, "1f5b580a1e953442a9dd5f9577c7a14bb2b9814bf25458bd4f622b6b61978d27"),
+        (8, 32, "49d36e60321324c3c23d7421c8edd8bf79d876eef2c784596027fd216051e30a"),
+    ],
+)
+def test_init_policy_bytes_are_pinned(state_dim, hidden, digest):
+    """init_policy's draws, their order (w1, then w2, per head) and their
+    scales, to the bit: the SHA-256 of every field's bytes in
+    _policy_layout order."""
+    policy = init_policy(state_dim, np.random.default_rng(7), hidden=hidden)
+    sha = hashlib.sha256()
+    for name, _ in _policy_layout(state_dim, hidden):
+        sha.update(np.asarray(getattr(policy, name)).tobytes())
+    assert sha.hexdigest() == digest
 
 
 def test_policy_act_deterministic_given_rng():
@@ -476,7 +501,7 @@ def test_ppo_update_gradient_matches_central_differences():
         assert np.abs(analytic).max() > 0.1, field.name
 
 
-# ------------------------------------------------------------- checkpoint
+# ---------------------------------------------------------- policy fields
 
 
 @pytest.mark.parametrize(
@@ -486,161 +511,27 @@ def test_ppo_update_gradient_matches_central_differences():
 )
 def test_policy_params_checks_each_field_shape(field, shape):
     """A hand-built policy with a wrong shape reached train_episode, which
-    raised a bare ValueError or TypeError, and save_policy/load_policy
-    silently reshaped it."""
+    raised a bare ValueError or TypeError."""
     policy = init_policy(8, np.random.default_rng(0))
     with pytest.raises(ValidationError, match=f"^{field} "):
         dataclasses.replace(policy, **{field: np.zeros(shape)})
 
 
-def test_policy_checkpoint_roundtrip(tmp_path):
-    policy = init_policy(6, np.random.default_rng(12), hidden=5)
-    path = tmp_path / "policy.txt"
-    save_policy(policy, path)
-    loaded = load_policy(path)
-    for field in ("w1", "b1", "w2", "b2", "vw1", "vb1", "vw2", "log_std"):
-        np.testing.assert_array_equal(getattr(loaded, field), getattr(policy, field))
-    assert loaded.vb2 == policy.vb2
-    assert path.read_text().splitlines()[0] == "evoloss-policy 1 6 5"
-
-
 @pytest.mark.parametrize(
-    "state_dim,hidden,digest",
-    [
-        (3, 2, "287e1409a2a32ee4cab6f23b68ba7f8f6a9d56e9fae230abf4650a558f333756"),
-        # 0.01 / sqrt(3) rounds one ulp below init_policy's 0.01 * (1 / sqrt(3))
-        (4, 3, "7e0e000c703ca1fac50c821e9ee1e680ed8d5bafb15e142f801e58fdd1ba3bf3"),
-        (8, 32, "45a828f65338447d4fc38918a60ff2cc38fa0736612829bd5bad050c6d189e23"),
-    ],
+    "value,line",
+    [(math.nan, "w1 must be finite, got nan"),
+     (-math.inf, "w1 must be finite, got -inf"),
+     (math.inf, "w1 must be finite, got inf")],
 )
-def test_save_policy_bytes_are_pinned(tmp_path, state_dim, hidden, digest):
-    """The checkpoint's header, field order (w1, b1, w2, b2, vw1, vb1,
-    vw2, vb2, log_std) and float format; a round trip alone would pass
-    with the fields in any order."""
-    path = tmp_path / "policy.txt"
-    save_policy(init_policy(state_dim, np.random.default_rng(7), hidden=hidden), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-
-
-def test_load_policy_corruption(tmp_path):
+def test_policy_params_rejects_non_finite_values(value, line):
+    """A policy whose w1 holds a value init_policy never makes is
+    rejected with one line that names the field and the value."""
     policy = init_policy(3, np.random.default_rng(0), hidden=2)
-    path = tmp_path / "policy.txt"
-    save_policy(policy, path)
-    lines = path.read_text().splitlines()
-
-    bad = tmp_path / "bad.txt"
-    bad.write_text("not-a-checkpoint 1 3 2\n" + "\n".join(lines[1:]))
-    with pytest.raises(ValidationError, match="not a policy checkpoint"):
-        load_policy(bad)
-
-    bad.write_text("evoloss-policy 9 3 2\n" + "\n".join(lines[1:]))
-    with pytest.raises(ValidationError, match="version"):
-        load_policy(bad)
-
-    bad.write_text("evoloss-policy x 8 32\n" + "\n".join(lines[1:]))
-    with pytest.raises(ValidationError, match="non-integer"):
-        load_policy(bad)
-
-    bad.write_bytes(b"evoloss-policy 1 3 2\n\xff\n")
-    with pytest.raises(ValidationError, match="cannot read"):
-        load_policy(bad)
-
-    bad.write_text("\n".join(lines[:-3]))  # truncated
-    with pytest.raises(ValidationError, match="expected"):
-        load_policy(bad)
-
-    lines_bad = lines[:]
-    lines_bad[5] = "banana"
-    bad.write_text("\n".join(lines_bad))
-    with pytest.raises(ValidationError, match="non-numeric"):
-        load_policy(bad)
-
-    with pytest.raises(ValidationError, match="cannot read"):
-        load_policy(tmp_path / "missing.txt")
-
-    empty = tmp_path / "empty.txt"
-    empty.write_text("")
-    with pytest.raises(ValidationError, match="empty"):
-        load_policy(empty)
-
-
-@pytest.mark.parametrize(
-    "values,line",
-    [(("nan", "inf"), "w1 must be finite, got nan"),
-     (("-inf", "0.5"), "w1 must be finite, got -inf"),
-     (("0.5", "1e999"), "w1 must be finite, got inf")],
-)
-def test_load_policy_rejects_non_finite_values(tmp_path, values, line):
-    """A checkpoint whose first two values read nan and inf used to load
-    as w1 = [nan, inf, ...], a policy init_policy never makes; PolicyParams
-    now names the field."""
-    path = tmp_path / "policy.txt"
-    save_policy(init_policy(3, np.random.default_rng(0), hidden=2), path)
-    lines = path.read_text().splitlines()
-    lines[1:3] = values
-    path.write_text("\n".join(lines) + "\n")
+    w1 = policy.w1.copy()
+    w1[0, 1] = value
     with pytest.raises(ValidationError) as info:
-        load_policy(path)
+        dataclasses.replace(policy, w1=w1)
     assert str(info.value) == line
-
-
-def assert_loads_or_rejects(path):
-    """load_policy returns a policy init_policy could have made, or
-    raises ValidationError; nothing else escapes."""
-    try:
-        policy = load_policy(path)
-    except ValidationError:
-        return
-    assert isinstance(policy, PolicyParams)
-    assert policy.state_dim >= 1 and policy.hidden >= 1
-    for field in dataclasses.fields(PolicyParams):
-        assert np.isfinite(getattr(policy, field.name)).all(), field.name
-
-
-CHECKPOINT_FUZZ = settings(
-    max_examples=200, deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-
-
-@CHECKPOINT_FUZZ
-@given(text=st.one_of(
-    st.text(max_size=120),
-    st.builds(lambda head, body: f"evoloss-policy {head}\n{body}",
-              st.text(max_size=20), st.text(max_size=100)),
-))
-def test_load_policy_fuzz_text(tmp_path, text):
-    path = tmp_path / "policy.txt"
-    path.write_text(text, encoding="utf-8")
-    assert_loads_or_rejects(path)
-
-
-HEADER_FIELD = st.one_of(
-    st.integers(min_value=-3, max_value=4).map(str),
-    st.sampled_from(["", "1.0", "+1", "0x1", "1e3", "\u0663", str(10**20)]),
-)
-
-
-@CHECKPOINT_FUZZ
-@given(
-    state_dim=st.integers(min_value=1, max_value=3),
-    hidden=st.integers(min_value=1, max_value=3),
-    header=st.lists(HEADER_FIELD, min_size=3, max_size=3),
-    kept=st.integers(min_value=0, max_value=60),
-)
-# a -1 size reached reshape as one unknown dimension too many
-@example(state_dim=1, hidden=1, header=["1", "-1", "-1"], kept=2)
-# zero sizes loaded a policy init_policy rejects
-@example(state_dim=1, hidden=1, header=["1", "0", "0"], kept=5)
-def test_load_policy_fuzz_header(tmp_path, state_dim, hidden, header, kept):
-    """A real checkpoint with its header's version and sizes replaced and
-    its values cut short or repeated to `kept` lines."""
-    path = tmp_path / "policy.txt"
-    save_policy(init_policy(state_dim, np.random.default_rng(0), hidden=hidden), path)
-    values = path.read_text().splitlines()[1:]
-    values = (values * (kept // len(values) + 1))[:kept]
-    path.write_text("\n".join([f"evoloss-policy {' '.join(header)}", *values]) + "\n")
-    assert_loads_or_rejects(path)
 
 
 def test_cosine_helper_sanity():
