@@ -181,6 +181,23 @@ def test_short_horizon_is_integrated_to_t_max(fixture_params):
         assert _kernels._path_rules(0.01, t_max, 1e-3)[2] == t_max - 1e-12
 
 
+@pytest.mark.parametrize("dt", [1e-14, 1e-17, 1e-100, 1e-300])
+def test_horizon_end_is_relative_to_dt(fixture_params, dt):
+    """Ten steps of any dt reach the horizon, in both loops: the path
+    takes ten steps of dt and ends within 1e-10 * dt of t_max, which
+    rounding of the summed steps may leave it short by.  Below t_max =
+    1e-12 an absolute end stopped it at its start."""
+    t_max = 10 * dt
+    cfg = IntegratorConfig(dt=dt, t_max=t_max)
+    alone = simulate(fixture_params, (0.3, 0.6), cfg)
+    batch = phase_portrait(fixture_params, [(0.3, 0.6)] * _kernels.BATCH_MIN_LANES, cfg)
+    for traj in (alone, *batch):
+        assert traj.reason == "horizon"
+        assert len(traj.times) == 11
+        assert 0.0 <= t_max - traj.times[-1] <= 1e-10 * dt
+        np.testing.assert_allclose(np.diff(traj.times), dt, rtol=1e-9, atol=0.0)
+
+
 def test_simulate_stays_in_unit_square(fixture_params, rng):
     for _ in range(10):
         start = PopulationState(rng.uniform(0, 1), rng.uniform(0, 1))
