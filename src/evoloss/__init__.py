@@ -67,8 +67,6 @@ from .scheduler import (
     PolicyParams,
     SchedulerConfig,
     Transition,
-    clipped_objective,
-    discounted_returns,
     init_policy,
     map_action,
     observe_state,

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 on success, 2 on input or validation problems, 3 on
-degenerate game inputs (no usable interior fixed point).
+degenerate game inputs (no usable interior fixed point).  On success,
+each warning is printed as one "warning: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import warnings
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -206,7 +208,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        with warnings.catch_warnings(record=True) as caught:
+            code = _HANDLERS[args.command](args)
+        sys.stderr.write("".join(f"warning: {w.message}\n" for w in caught))
+        return code
     except (DegenerateGameError, OutOfSimplexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -8,6 +8,7 @@ unit square) exit with code 3.
 
 import math
 import numbers
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -105,6 +106,17 @@ def as_array(name: str, value, shape: tuple | None) -> np.ndarray:
     if not finite.all():
         raise NotFiniteError(f"{name} must be finite, got {array[~finite][0]}")
     return array
+
+
+@contextmanager
+def raising(name: str):
+    """The block under the training loop's errstate, where an overflow, an
+    invalid operation or a division by zero raises "name diverged: ..."."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValidationError(f"{name} diverged: {exc}") from None
 
 
 class BenchmarkParseError(ValidationError):

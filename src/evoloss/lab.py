@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, as_array, as_float, as_int
+from .errors import ValidationError, as_array, as_float, as_int, raising
 # train_episode fuses the public step functions imported here; they stay
 # lab attributes because evobench's traced cli_files run wraps them here.
 from .losses import (
@@ -95,15 +95,18 @@ class TrainingLog:
 def gen_two_view_batch(rng: np.random.Generator, cfg: LabConfig):
     """Two noisy views of one batch of Gaussian latents."""
     latent = rng.standard_normal((cfg.batch_size, cfg.input_dim))
-    x1 = latent + cfg.noise_scale * rng.standard_normal(latent.shape)
-    x2 = latent + cfg.noise_scale * rng.standard_normal(latent.shape)
+    with raising("gen_two_view_batch"):
+        x1 = latent + cfg.noise_scale * rng.standard_normal(latent.shape)
+        x2 = latent + cfg.noise_scale * rng.standard_normal(latent.shape)
     return x1, x2
 
 
 def encoder_forward(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Linear encoder: one matrix, rows of x mapped to feature rows."""
     weights = as_array("weights", weights, (None, None))
-    return as_array("x", x, (None, weights.shape[0])) @ weights
+    x = as_array("x", x, (None, weights.shape[0]))
+    with raising("encoder_forward"):
+        return x @ weights
 
 
 def init_encoder(rng: np.random.Generator, cfg: LabConfig) -> np.ndarray:

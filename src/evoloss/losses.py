@@ -13,7 +13,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DegenerateFeatureError, NormalizationError, ValidationError, as_array, as_float
+from .errors import DegenerateFeatureError, NormalizationError, ValidationError
+from .errors import as_array, as_float, raising
 
 #: Softmax temperature applied to pairwise cosine similarities.
 DEFAULT_TEMPERATURE = 0.07
@@ -216,10 +217,11 @@ def info_nce(z1, z2, temperature: float = DEFAULT_TEMPERATURE):
     z = _check_pair(z1, z2)
     as_float("temperature", temperature, "positive")
     work = loss_workspace(*z.shape[1:])
-    norms = _row_norms(z, work)
-    if (norms == 0.0).any():
-        raise NormalizationError("a feature row has zero norm")
-    loss, g = _info_nce(z, norms, temperature, work)
+    with raising("info_nce"):
+        norms = _row_norms(z, work)
+        if (norms == 0.0).any():
+            raise NormalizationError("a feature row has zero norm")
+        loss, g = _info_nce(z, norms, temperature, work)
     return loss, (g[0], g[1])
 
 
@@ -232,8 +234,9 @@ def barlow_twins(z1, z2, epsilon: float = DEFAULT_OFFDIAG_WEIGHT):
     z = _check_pair(z1, z2)
     as_float("epsilon", epsilon, "nonnegative")
     work = loss_workspace(*z.shape[1:])
-    norms = _column_norms(z, work)
-    if (norms == 0.0).any():
-        raise DegenerateFeatureError("a feature column has zero variance")
-    loss, g = _barlow_twins(z, norms, epsilon, work)
+    with raising("barlow_twins"):
+        norms = _column_norms(z, work)
+        if (norms == 0.0).any():
+            raise DegenerateFeatureError("a feature column has zero variance")
+        loss, g = _barlow_twins(z, norms, epsilon, work)
     return loss, (g[0], g[1])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, as_array, as_float, as_int
+from .errors import ValidationError, as_array, as_float, as_int, raising
 from .losses import LossWeights
 
 #: Weights are clamped to [0, 2 * center] and floored here so LossWeights
@@ -171,7 +171,8 @@ def observe_state(features) -> np.ndarray:
     z = as_array("features", features, (None, None))
     if z.shape[0] < 1:
         raise ValidationError(f"features must have at least 1 row, got {z.shape}")
-    return z.mean(axis=0)
+    with raising("observe_state"):
+        return z.mean(axis=0)
 
 
 def map_action(action, cfg: SchedulerConfig) -> LossWeights:
@@ -206,7 +207,8 @@ def reward(
     as_float("loss_t", loss_t)
     if loss_prev is not None:
         as_float("loss_prev", loss_prev)
-    return _reward(weights.alpha, weights.beta, cfg, loss_t, loss_prev)
+    with raising("reward"):
+        return _reward(weights.alpha, weights.beta, cfg, loss_t, loss_prev)
 
 
 def _cosine(pair, cfg: SchedulerConfig):
@@ -222,16 +224,6 @@ def _reward(alpha, beta, cfg, loss_t, loss_prev):
     denom = max(abs(loss_t - cfg.prev_loss_scale * loss_prev), cfg.denom_floor)
     second = cfg.explore_weight * min(1.0 / denom, cfg.reward_cap)
     return first + second
-
-
-def _raising(name: str, kernel, *args):
-    """kernel(*args) under the training loop's errstate: an overflow, an
-    invalid operation or a division by zero raises ValidationError."""
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return kernel(*args)
-    except FloatingPointError as exc:
-        raise ValidationError(f"{name} diverged: {exc}") from None
 
 
 def _net(states, w1, b1, w2, b2):
@@ -266,7 +258,8 @@ def policy_act(policy: PolicyParams, state, rng: np.random.Generator):
     Returns (action, log_prob, value); deterministic given the rng.
     """
     state = as_array("state", state, (policy.state_dim,))
-    return _raising("policy_act", _act, policy, state, rng.standard_normal(2))
+    with raising("policy_act"):
+        return _act(policy, state, rng.standard_normal(2))
 
 
 def _act(policy: PolicyParams, state: np.ndarray, noise: np.ndarray):
@@ -277,40 +270,6 @@ def _act(policy: PolicyParams, state: np.ndarray, noise: np.ndarray):
     log_prob = float(_squashed_log_prob((raw - mu) / policy._std, policy._log_std, action))
     value, _ = _net(state, policy.vw1, policy.vb1, policy.vw2, policy.vb2)
     return action, log_prob, float(value)
-
-
-def clipped_objective(ratio, advantage, clip_eps: float = CLIP_EPS):
-    """Elementwise clipped-surrogate objective min(r A, clip(r) A) of a
-    ratio and an advantage of the same shape."""
-    ratio = as_array("ratio", ratio, None)
-    advantage = as_array("advantage", advantage, ratio.shape)
-    return _clipped_objective(ratio, advantage, as_float("clip_eps", clip_eps, "nonnegative"))
-
-
-def _clipped_objective(ratio, advantage, clip_eps=CLIP_EPS):
-    """clipped_objective on checked float64 arrays."""
-    return np.minimum(
-        ratio * advantage,
-        np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantage,
-    )
-
-
-def discounted_returns(rewards, discount: float = DISCOUNT) -> np.ndarray:
-    """Reward-to-go of each step of a 1-D reward sequence, each later
-    reward weighted by one more factor of discount."""
-    return _discounted_returns(
-        as_array("rewards", rewards, (None,)), as_float("discount", discount, "nonnegative")
-    )
-
-
-def _discounted_returns(rewards: np.ndarray, discount: float = DISCOUNT) -> np.ndarray:
-    """discounted_returns on checked input."""
-    returns = np.empty(len(rewards))
-    acc = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        acc = rewards[t] + discount * acc
-        returns[t] = acc
-    return returns
 
 
 def ppo_update(policy: PolicyParams, buffer, cfg: SchedulerConfig):
@@ -337,13 +296,19 @@ def ppo_update(policy: PolicyParams, buffer, cfg: SchedulerConfig):
     # _ppo_step's arrays, one row per transition
     columns = (np.array([getattr(tr, name) for tr in buffer])
                for name in ("state", "action", "reward", "log_prob", "value"))
-    return _raising("ppo_update", _ppo_step, policy, *columns)
+    with raising("ppo_update"):
+        return _ppo_step(policy, *columns)
 
 
 def _ppo_step(policy: PolicyParams, states, actions, rewards, old_logp, values):
     """ppo_update on a checked buffer held as arrays, one row per step."""
     n = len(rewards)
-    returns = _discounted_returns(rewards)
+    # reward-to-go, each later reward weighted by one more factor of DISCOUNT
+    returns = np.empty(n)
+    acc = 0.0
+    for t in range(n - 1, -1, -1):
+        acc = rewards[t] + DISCOUNT * acc
+        returns[t] = acc
     adv = returns - values
     adv = (adv - adv.mean()) / (adv.std() + _ADV_EPS)
 
@@ -354,19 +319,18 @@ def _ppo_step(policy: PolicyParams, states, actions, rewards, old_logp, values):
     new_logp = _squashed_log_prob(z, log_std, actions)
     ratio = np.exp(new_logp - old_logp)
 
-    objective = _clipped_objective(ratio, adv)
-    policy_loss = -float(objective.mean())
-    # gradient flows only through samples where the unclipped branch wins
+    # the clipped surrogate min(r A, clip(r) A); the gradient flows only
+    # through samples where the unclipped branch wins
     unclipped = ratio * adv
+    objective = np.minimum(unclipped, np.clip(ratio, 1.0 - CLIP_EPS, 1.0 + CLIP_EPS) * adv)
     active = unclipped <= objective
-    dl_dlogp = -(active * ratio * adv) / n
+    dl_dlogp = -(active * unclipped) / n
 
     g_mu = dl_dlogp[:, None] * (z / std)
     g_log_std = np.sum(dl_dlogp[:, None] * (z**2 - 1.0), axis=0)
 
     v_pred, hv = _net(states, policy.vw1, policy.vb1, policy.vw2, policy.vb2)
     v_err = v_pred - returns
-    value_loss = 0.5 * float(np.mean(v_err**2))
 
     # the eight network fields in _policy_layout order, then log_std
     grads = _net_grads(states, h, policy.w2, g_mu) + _net_grads(states, hv, policy.vw2, v_err / n)
@@ -376,8 +340,8 @@ def _ppo_step(policy: PolicyParams, states, actions, rewards, old_logp, values):
         np.clip(log_std - LEARNING_RATE * g_log_std, LOG_STD_MIN, LOG_STD_MAX),
     )
     stats = {
-        "policy_loss": policy_loss,
-        "value_loss": value_loss,
+        "policy_loss": -float(objective.mean()),
+        "value_loss": 0.5 * float(np.mean(v_err**2)),
         "clip_fraction": float(np.mean(~active)),
         "mean_ratio": float(ratio.mean()),
     }

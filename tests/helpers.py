@@ -27,7 +27,6 @@ from evoloss import (
     ValidationError,
     barlow_twins,
     check_state,
-    discounted_returns,
     encoder_forward,
     field_coefficients,
     gen_two_view_batch,
@@ -46,7 +45,7 @@ from evoloss import (
 from evoloss import _kernels
 from evoloss.game import field_scale
 from evoloss.lab import LOG_COLUMNS
-from evoloss.scheduler import CLIP_EPS, LEARNING_RATE, LOG_STD_MAX, LOG_STD_MIN
+from evoloss.scheduler import CLIP_EPS, DISCOUNT, LEARNING_RATE, LOG_STD_MAX, LOG_STD_MIN
 
 
 def sample_saddle_params(rng: np.random.Generator, margin: float = 0.02) -> PayoffParams:
@@ -358,16 +357,28 @@ def reference_barlow_twins(z1, z2, epsilon):
 # for ppo_update, which must equal it bit for bit.
 
 
+def reference_returns(rewards):
+    """Reward-to-go of each step: sum over k >= 0 of DISCOUNT**k times
+    the reward k steps later, accumulated from the last step back."""
+    returns = np.empty(len(rewards))
+    acc = 0.0
+    for t in reversed(range(len(rewards))):
+        acc = rewards[t] + DISCOUNT * acc
+        returns[t] = acc
+    return returns
+
+
 def reference_ppo_step(policy, buffer):
     """ppo_update on a full buffer of Transitions; returns (new_policy,
-    stats)."""
+    stats, ratio, adv), the last two the per-sample probability ratios
+    and normalized advantages that the clip acts on."""
     states = np.stack([tr.state for tr in buffer])
     actions = np.stack([tr.action for tr in buffer])
     rewards = np.array([tr.reward for tr in buffer])
     old_logp = np.array([tr.log_prob for tr in buffer])
     values = np.array([tr.value for tr in buffer])
     n = len(rewards)
-    returns = discounted_returns(rewards)
+    returns = reference_returns(rewards)
     adv = returns - values
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
@@ -419,7 +430,7 @@ def reference_ppo_step(policy, buffer):
         "clip_fraction": float(np.mean(~active)),
         "mean_ratio": float(ratio.mean()),
     }
-    return new_policy, stats
+    return new_policy, stats, ratio, adv
 
 
 #: Floats whose repr is easy to get wrong: signed zero, the smallest

@@ -225,6 +225,21 @@ def test_metrics_comma_in_method_reads_back_as_five_fields(tmp_path, capsys):
     assert rows[1:] == [["D", "M,X", "C10", "C10", repr(1.0 / (99.0 - 80.0))]]
 
 
+# a RuntimeWarning's action outside the suite, whose filter makes it an error
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+def test_metrics_prints_a_warning_on_one_line(tmp_path, capsys):
+    """A clamped gap printed Python's two-line warning format, with the
+    package's file path and source line."""
+    table = tmp_path / "bench.csv"
+    table.write_text("method,pretrain,eval,accuracy\nSL,A,A,99\nX,A,A,99\n", encoding="utf-8")
+    out = tmp_path / "m.csv"
+    assert main(["metrics", "--input", str(table), "--output", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote 1 metric rows to {out}\n"
+    assert captured.err == "warning: discriminability: accuracy gap 0 below floor 0.1; clamping\n"
+    assert out.read_bytes() == b"metric,method,pretrain,eval,value\nD,X,A,A,10.0\n"
+
+
 @pytest.mark.parametrize(
     "command,flag",
     [("metrics", "--input"), ("saddle", "--params"), ("train", "--config")],
@@ -657,7 +672,8 @@ def kv_lines(keys):
 
 
 def run_fuzzed(capsys, argv):
-    """main(argv) exits 0, 2 or 3, and with one error line when not 0."""
+    """main(argv) exits 0, 2 or 3, with one error line when not 0 and
+    only warning lines when 0."""
     capsys.readouterr()
     code = main(argv)
     err = capsys.readouterr().err
@@ -665,6 +681,8 @@ def run_fuzzed(capsys, argv):
     if code:
         assert err.startswith("error: ") and err.endswith("\n")
         assert len(err.splitlines()) == 1
+    else:
+        assert all(line.startswith("warning: ") for line in err.splitlines())
 
 
 @FUZZ
@@ -751,7 +769,7 @@ BENCHMARK_HEAD = "method,pretrain,eval,accuracy\nSL,C10,C10,99.0\nSL,S10,S10,99.
 # an eval name with a form feed, which once split the error message in two
 @example(text=BENCHMARK_HEAD + "0,0,0\x0c0,0.0")
 # a gap below metrics.GAP_FLOOR is clamped with this warning and exits 0
-@pytest.mark.filterwarnings("ignore:.*clamping:RuntimeWarning")
+@pytest.mark.filterwarnings("default:.*clamping:RuntimeWarning")
 def test_metrics_benchmark_csv_fuzz(tmp_path, capsys, text):
     """Benchmark CSVs that parse, and ones broken anywhere from the
     header to an unclosed quote or an oversized field."""

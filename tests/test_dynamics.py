@@ -23,11 +23,10 @@ from evoloss import (
     Transition,
     ValidationError,
     barlow_twins,
-    clipped_objective,
-    discounted_returns,
     discriminability,
     encoder_forward,
     field_coefficients,
+    gen_two_view_batch,
     generalizability,
     info_nce,
     init_policy,
@@ -36,6 +35,7 @@ from evoloss import (
     phase_portrait,
     policy_act,
     ppo_update,
+    reward,
     saddle_point,
     sample_starts,
     simulate,
@@ -611,11 +611,6 @@ ARRAY_INPUTS = [
     ("info_nce", functools.partial(info_nce, z2=Z), "z1", Z),
     ("barlow_twins", functools.partial(barlow_twins, z2=Z), "z1", Z),
     ("encoder_forward", functools.partial(encoder_forward, x=Z), "weights", np.eye(2)),
-    ("clipped_objective", functools.partial(clipped_objective, advantage=np.ones(2)), "ratio",
-     np.ones(2)),
-    ("clipped_objective", functools.partial(clipped_objective, np.ones(2)), "advantage",
-     np.ones(2)),
-    ("discounted_returns", discounted_returns, "rewards", np.ones(3)),
     *[("PolicyParams", functools.partial(dataclasses.replace, POLICY), name, getattr(POLICY, name))
       for name in ("w1", "b1", "w2", "b2", "vw1", "vb1", "vw2", "log_std")],
 ]
@@ -693,11 +688,6 @@ def with_nan(good):
         pytest.param(functools.partial(barlow_twins, Z), "z2", Z[:2], id="barlow_twins-z2-shape"),
         pytest.param(functools.partial(encoder_forward, np.eye(2)), "x", np.zeros((3, 3)),
                      id="encoder_forward-x-shape"),
-        pytest.param(functools.partial(clipped_objective, np.ones(2)), "advantage", np.ones(3),
-                     id="clipped_objective-advantage-shape"),
-        # discounted_returns escaped with a bare ValueError
-        pytest.param(discounted_returns, "rewards", np.ones((2, 2)),
-                     id="discounted_returns-rewards-shape"),
         pytest.param(functools.partial(dataclasses.replace, POLICY), "w1", np.zeros(2),
                      id="PolicyParams-w1-shape"),
         pytest.param(functools.partial(dataclasses.replace, POLICY), "vw2", np.zeros((32, 1)),
@@ -710,15 +700,9 @@ def with_nan(good):
         # 2.4, and printed a long one over several lines
         pytest.param(TRANSITION, "reward", np.zeros(1), id="Transition-reward-shape"),
         pytest.param(TRANSITION, "reward", np.zeros(100), id="Transition-reward-long"),
-        pytest.param(functools.partial(clipped_objective, 1.0, 1.0), "clip_eps", np.full(1, 0.2),
-                     id="clipped_objective-clip_eps-shape"),
-        # PolicyParams checked only shapes, and clipped_objective took a
-        # complex clip_eps
+        # PolicyParams checked only shapes
         (functools.partial(dataclasses.replace, POLICY), "vb2", 1j),
         (functools.partial(dataclasses.replace, POLICY), "vb2", math.nan),
-        (functools.partial(clipped_objective, 1.0, 1.0), "clip_eps", np.complex128(0.2 + 1j)),
-        # discounted_returns returned NaN returns
-        (functools.partial(discounted_returns, np.ones(3)), "discount", math.nan),
         # ppo_update escaped with an AttributeError, or a bare ValueError
         # from stacking states of two lengths
         pytest.param(functools.partial(ppo_update, POLICY, cfg=SchedulerConfig(update_period=1)),
@@ -740,11 +724,43 @@ def test_public_api_rejects_a_value_that_is_not_a_finite_real(constructor, field
     assert "\n" not in str(exc.value)
 
 
-def test_clipped_objective_rejects_a_complex_ratio():
-    """It returned [2.4] after a ComplexWarning, the imaginary part dropped."""
-    with pytest.raises(ValidationError) as exc:
-        clipped_objective(np.array([1.5 + 1j]), np.array([2.0]))
-    assert str(exc.value) == "ratio must be an array of real numbers, got dtype complex128"
+# two (4, 3) draws in a row from one generator
+Z1, Z2 = np.random.default_rng(0).standard_normal((2, 4, 3))
+
+
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        # the row norms overflowed, so every unit row was 0 and the loss ln 4
+        pytest.param("info_nce", lambda: info_nce(Z1 * 1e200, Z2 * 1e200), id="info_nce"),
+        # the column norms overflowed: loss 3.0 with a zero gradient
+        pytest.param("barlow_twins", lambda: barlow_twins(Z1 * 1e200, Z2 * 1e200),
+                     id="barlow_twins"),
+        # loss inf with NaN gradients
+        pytest.param("barlow_twins", lambda: barlow_twins(Z1, Z2, epsilon=1e308),
+                     id="barlow_twins-epsilon"),
+        # the squared norm of the pair overflowed and the cosine was lost: 0.2
+        pytest.param("reward",
+                     lambda: reward(LossWeights(1e200, 1e200), SchedulerConfig(), 1.0, 0.5),
+                     id="reward"),
+        pytest.param("encoder_forward",
+                     lambda: encoder_forward(np.full((2, 2), 1e200), np.full((1, 2), 1e200)),
+                     id="encoder_forward"),
+        pytest.param("observe_state", lambda: observe_state(np.full((2, 2), 1e308)),
+                     id="observe_state"),
+        # 65 of the 1 024 view entries were inf
+        pytest.param("gen_two_view_batch",
+                     lambda: gen_two_view_batch(np.random.default_rng(0),
+                                                LabConfig(steps=1, noise_scale=1e308)),
+                     id="gen_two_view_batch"),
+    ],
+)
+def test_public_numeric_function_raises_on_overflow(name, call):
+    """Each returned inf or a silently wrong value after a RuntimeWarning;
+    now each raises one line, as policy_act and ppo_update do."""
+    with pytest.raises(ValidationError, match=f"^{name} diverged: overflow encountered in ") as exc:
+        call()
+    assert "\n" not in str(exc.value)
 
 
 def test_policy_params_reject_a_complex_weight():

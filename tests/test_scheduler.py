@@ -15,8 +15,6 @@ from evoloss import (
     SchedulerConfig,
     Transition,
     ValidationError,
-    clipped_objective,
-    discounted_returns,
     init_policy,
     map_action,
     observe_state,
@@ -25,6 +23,7 @@ from evoloss import (
     reward,
 )
 from evoloss.scheduler import (
+    CLIP_EPS,
     LEARNING_RATE,
     LOG_STD_INIT,
     LOG_STD_MAX,
@@ -33,7 +32,7 @@ from evoloss.scheduler import (
     _policy_layout,
 )
 
-from helpers import cosine, reference_ppo_step
+from helpers import cosine, reference_ppo_step, reference_returns
 
 
 def flat_policy(state_dim, mean, log_std=-5.0, hidden=4):
@@ -342,25 +341,6 @@ def test_policy_act_validation():
 # ----------------------------------------------------------------- update
 
 
-def test_clipped_objective_frozen_cases():
-    assert clipped_objective(1.5, 2.0) == 2.4  # clipped ratio 1.2 wins
-    assert clipped_objective(0.5, -1.0) == -0.8  # clipped ratio 0.8 wins
-    assert clipped_objective(1.5, -1.0) == -1.5  # unclipped branch is lower
-    assert clipped_objective(1.0, 3.0) == 3.0
-    np.testing.assert_array_equal(
-        clipped_objective([1.5, 0.5], [2.0, -1.0]), [2.4, -0.8]
-    )
-
-
-def test_discounted_returns():
-    np.testing.assert_array_equal(
-        discounted_returns(np.array([1.0, 1.0, 1.0]), 0.5), [1.75, 1.5, 1.0]
-    )
-    np.testing.assert_array_equal(
-        discounted_returns(np.array([0.0, 0.0, 1.0])), [0.99 * 0.99, 0.99, 1.0]
-    )
-
-
 def test_ppo_update_requires_full_buffer():
     cfg = SchedulerConfig(update_period=4)
     policy = init_policy(3, np.random.default_rng(0))
@@ -416,7 +396,7 @@ def test_ppo_update_zero_advantage_leaves_action_net_untouched():
     rng = np.random.default_rng(3)
     states = [rng.standard_normal(3) for _ in range(16)]
     rewards = rng.uniform(-1.0, 1.0, size=16)
-    returns = discounted_returns(rewards)
+    returns = reference_returns(rewards)
     buffer = []
     for s, r, g in zip(states, rewards, returns):
         action, logp, _ = policy_act(policy, s, rng)
@@ -452,7 +432,9 @@ def test_ppo_update_improves_simple_bandit():
 @pytest.mark.parametrize("state_dim,hidden,period", [(3, 3, 24), (5, 7, 40), (6, 5, 17)])
 def test_ppo_update_equals_reference_bit_for_bit(state_dim, hidden, period):
     """The update against the two heads written out separately; the
-    buffer comes from another policy, so ratios spread and some clip."""
+    buffer comes from another policy, so ratios spread and both branches
+    of the clip act: some ratio above 1 + CLIP_EPS meets a positive
+    advantage, and some ratio below 1 - CLIP_EPS a negative one."""
     cfg = SchedulerConfig(update_period=period)
     rng = np.random.default_rng(state_dim * 100 + hidden)
     policy = init_policy(state_dim, rng, hidden=hidden)
@@ -463,12 +445,14 @@ def test_ppo_update_equals_reference_bit_for_bit(state_dim, hidden, period):
     buffer = rollout(collector, rng.standard_normal((period, state_dim)),
                      lambda s, a: float(a[0] - s[0] * a[1]), rng)
     new, stats = ppo_update(policy, buffer, cfg)
-    ref, ref_stats = reference_ppo_step(policy, buffer)
+    ref, ref_stats, ratio, adv = reference_ppo_step(policy, buffer)
     for field in dataclasses.fields(PolicyParams):
         got, want = getattr(new, field.name), getattr(ref, field.name)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
     assert stats == ref_stats
     assert 0.0 < stats["clip_fraction"] < 1.0
+    assert ((ratio > 1.0 + CLIP_EPS) & (adv > 0.0)).any()
+    assert ((ratio < 1.0 - CLIP_EPS) & (adv < 0.0)).any()
 
 
 def test_ppo_update_gradient_matches_central_differences():
