@@ -1,11 +1,13 @@
 """Integrators: single steps, full trajectories, basins, CSV export, and
 agreement between the path kernels and the checked single-step function."""
 
+import contextlib
 import csv
 import dataclasses
 import functools
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -761,6 +763,48 @@ def test_public_numeric_function_raises_on_overflow(name, call):
     with pytest.raises(ValidationError, match=f"^{name} diverged: overflow encountered in ") as exc:
         call()
     assert "\n" not in str(exc.value)
+
+
+# two transitions whose states underflow against the policy's first layer
+TINY_BUFFER = [Transition(np.full(2, 1e-320), np.array([0.1, -0.2]), r, 0.0, 0.0)
+               for r in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize(
+    "module,call",
+    [
+        pytest.param("losses", lambda: info_nce(Z1 * 1e-160, Z2 * 1e-160), id="info_nce"),
+        pytest.param("losses", lambda: barlow_twins(Z1 * 1e-160, Z2 * 1e-160), id="barlow_twins"),
+        pytest.param("scheduler",
+                     lambda: reward(LossWeights(1e-160, 1e-160), SchedulerConfig(), 1.0, 0.5),
+                     id="reward"),
+        pytest.param("lab",
+                     lambda: encoder_forward(np.full((2, 2), 1e-200), np.full((1, 2), 1e-200)),
+                     id="encoder_forward"),
+        pytest.param("scheduler", lambda: observe_state(np.array([[5e-324], [0.0]])),
+                     id="observe_state"),
+        pytest.param("lab",
+                     lambda: gen_two_view_batch(np.random.default_rng(0),
+                                                LabConfig(steps=1, noise_scale=1e-320)),
+                     id="gen_two_view_batch"),
+        pytest.param("scheduler",
+                     lambda: policy_act(POLICY, np.full(2, 1e-320), np.random.default_rng(0)),
+                     id="policy_act"),
+        pytest.param("scheduler",
+                     lambda: ppo_update(POLICY, TINY_BUFFER, SchedulerConfig(update_period=2)),
+                     id="ppo_update"),
+    ],
+)
+def test_divergence_guard_keeps_the_bytes_of_an_underflow(monkeypatch, module, call):
+    """The guard traps overflow, invalid operations and division by zero,
+    and changes no arithmetic: on input that underflows, each guarded
+    function returns the bytes it returns without the guard."""
+    guarded = pickle.dumps(call())
+    monkeypatch.setattr(f"evoloss.{module}.raising", lambda name: contextlib.nullcontext())
+    # the input does underflow
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+        call()
+    assert pickle.dumps(call()) == guarded
 
 
 def test_policy_params_reject_a_complex_weight():

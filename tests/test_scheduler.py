@@ -455,6 +455,63 @@ def test_ppo_update_equals_reference_bit_for_bit(state_dim, hidden, period):
     assert ((ratio < 1.0 - CLIP_EPS) & (adv < 0.0)).any()
 
 
+@pytest.mark.parametrize(
+    "ratios,policy_loss,clip_fraction",
+    [
+        # both clipped: 1.2 * A for A > 0 and 0.8 * A for A < 0
+        ([1.5, 0.5], -(1.2 - 0.8) / 2, 1.0),
+        # only the upper clip acts; r A = -1.5 is the lower branch for A < 0
+        ([1.5, 1.5], -(1.2 - 1.5) / 2, 0.5),
+        # only the lower clip acts; r A = 0.5 is the lower branch for A > 0
+        ([0.5, 0.5], -(0.5 - 0.8) / 2, 0.5),
+        # neither clips
+        ([0.5, 1.5], -(0.5 - 1.5) / 2, 0.0),
+    ],
+)
+def test_ppo_update_clips_the_surrogate(ratios, policy_loss, clip_fraction):
+    """Two samples of one state and action, with normalized advantages
+    +1 and -1 and probability ratios set through the stored log-probs:
+    the surrogate is min(r A, clip(r, 1 - CLIP_EPS, 1 + CLIP_EPS) A),
+    and a sample whose clipped branch wins moves no action parameter."""
+    cfg = SchedulerConfig(update_period=2)
+    policy = flat_policy(1, [0.1, -0.3], log_std=-1.0)
+    state = np.array([0.5])
+    action, logp, _ = policy_act(policy, state, np.random.default_rng(0))
+    # zero returns, so the advantages are minus the stored values
+    buffer = [Transition(state, action, 0.0, logp - math.log(r), v)
+              for r, v in zip(ratios, [-1.0, 1.0])]
+    new, stats = ppo_update(policy, buffer, cfg)
+    assert stats["mean_ratio"] == pytest.approx(np.mean(ratios), rel=1e-12)
+    assert stats["policy_loss"] == pytest.approx(policy_loss, rel=1e-6)
+    assert stats["clip_fraction"] == clip_fraction
+    assert (new.b2 == policy.b2).all() == (clip_fraction == 1.0)
+    assert (new.log_std == policy.log_std).all() == (clip_fraction == 1.0)
+
+
+@pytest.mark.parametrize(
+    "rewards,returns",
+    [
+        ([1.0, 1.0, 1.0], [2.9701, 1.99, 1.0]),
+        ([0.0, 0.0, 1.0], [0.9801, 0.99, 1.0]),
+        # reward-to-go looks forward only
+        ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ],
+)
+def test_ppo_update_regresses_the_value_head_on_discounted_returns(rewards, returns):
+    """With a value head that outputs 0, the value loss is half the mean
+    squared return, and the value bias steps by LEARNING_RATE times the
+    mean return; each return discounts later rewards by 0.99 a step."""
+    cfg = SchedulerConfig(update_period=3)
+    policy = flat_policy(2, [0.0, 0.0], log_std=-1.0)
+    rng = np.random.default_rng(0)
+    rewards = iter(rewards)
+    buffer = rollout(policy, rng.standard_normal((3, 2)), lambda s, a: next(rewards), rng)
+    new, stats = ppo_update(policy, buffer, cfg)
+    returns = np.array(returns)
+    assert stats["value_loss"] == pytest.approx(0.5 * np.mean(returns**2), rel=1e-14)
+    assert new.vb2 == pytest.approx(LEARNING_RATE * returns.mean(), rel=1e-14)
+
+
 def test_ppo_update_gradient_matches_central_differences():
     """Each field's step, read back as (old - new) / LEARNING_RATE,
     against central differences of policy_loss + value_loss over the
