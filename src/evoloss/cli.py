@@ -144,14 +144,18 @@ def run_simulate(args) -> int:
     return 0
 
 
+#: The keys a train config may set: one per LabConfig and SchedulerConfig
+#: field, except that the scheduler's target is the pair target_x, target_y.
+TRAIN_CONFIG_KEYS = frozenset({f.name for f in fields(LabConfig) + fields(SchedulerConfig)}
+                              - {"target"} | {"target_x", "target_y"})
+
+
 def _parse_train_config(path) -> tuple[dict, dict]:
-    """The LabConfig and SchedulerConfig arguments a train config sets:
-    one key per field, except that the scheduler's target is the pair
-    target_x, target_y."""
+    """The LabConfig and SchedulerConfig arguments a train config sets,
+    its keys those of TRAIN_CONFIG_KEYS."""
     data = read_kv_file(path)
     lab_fields, sched_fields = fields(LabConfig), fields(SchedulerConfig)
-    keys = {f.name for f in lab_fields + sched_fields} - {"target"} | {"target_x", "target_y"}
-    unknown = set(data) - keys
+    unknown = set(data) - TRAIN_CONFIG_KEYS
     if unknown:
         raise EvolossError(f"unknown config keys: {sorted(unknown)}")
     for f in lab_fields + sched_fields:

@@ -21,7 +21,7 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name, rule in (("dt", "positive"), ("t_max", "finite"), ("stop_tol", "positive")):
-            as_float(name, getattr(self, name), rule)
+            object.__setattr__(self, name, as_float(name, getattr(self, name), rule))
         if self.t_max < self.dt:
             raise ValidationError(
                 f"t_max ({self.t_max}) must be at least dt ({self.dt})"

@@ -62,7 +62,7 @@ class LabConfig:
             object.__setattr__(self, name, as_int(name, getattr(self, name), minimum))
         for name, rule in (("noise_scale", "nonnegative"), ("learning_rate", "positive"),
                            ("temperature", "positive"), ("epsilon", "nonnegative")):
-            as_float(name, getattr(self, name), rule)
+            object.__setattr__(self, name, as_float(name, getattr(self, name), rule))
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,14 @@ DEFAULT_OFFDIAG_WEIGHT = 0.0051
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Nonnegative mixing weights for the combined objective."""
+    """Nonnegative mixing weights for the combined objective, as floats."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        as_float("alpha", self.alpha, "nonnegative")
-        as_float("beta", self.beta, "nonnegative")
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, as_float(name, getattr(self, name), "nonnegative"))
         if self.alpha == 0.0 and self.beta == 0.0:
             raise ValidationError("loss weights must not both be zero")
 
@@ -215,7 +215,7 @@ def info_nce(z1, z2, temperature: float = DEFAULT_TEMPERATURE):
     averaged.  Returns (loss, (grad_z1, grad_z2)).
     """
     z = _check_pair(z1, z2)
-    as_float("temperature", temperature, "positive")
+    temperature = as_float("temperature", temperature, "positive")
     work = loss_workspace(*z.shape[1:])
     with raising("info_nce"):
         norms = _row_norms(z, work)
@@ -232,7 +232,7 @@ def barlow_twins(z1, z2, epsilon: float = DEFAULT_OFFDIAG_WEIGHT):
     latter weighted by epsilon.  Returns (loss, (grad_z1, grad_z2)).
     """
     z = _check_pair(z1, z2)
-    as_float("epsilon", epsilon, "nonnegative")
+    epsilon = as_float("epsilon", epsilon, "nonnegative")
     work = loss_workspace(*z.shape[1:])
     with raising("barlow_twins"):
         norms = _column_norms(z, work)

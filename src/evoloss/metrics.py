@@ -53,7 +53,7 @@ class AccuracyRecord:
     def __post_init__(self):
         if not all(isinstance(f, str) and f for f in (self.method, self.pretrain, self.eval)):
             raise ValidationError("record fields must be non-empty strings")
-        as_float("accuracy", self.accuracy, _PERCENT)
+        object.__setattr__(self, "accuracy", as_float("accuracy", self.accuracy, _PERCENT))
         if self.method == SL_METHOD and self.pretrain != self.eval:
             raise ValidationError(
                 f"SL rows must have pretrain == eval, got {self.pretrain!r} != {self.eval!r}"
@@ -81,18 +81,19 @@ class BenchmarkTable:
     def __post_init__(self):
         if not isinstance(self.accuracies, Mapping):
             raise ValidationError(f"accuracies must be a mapping, got {_shown(self.accuracies)}")
-        # a read-only copy, so no later write can get round the checks
-        object.__setattr__(self, "accuracies", MappingProxyType(dict(self.accuracies)))
-        for key, accuracy in self.accuracies.items():
+        # a read-only copy of the floats read, so no later write can get round the checks
+        accuracies = dict(self.accuracies)
+        for key, accuracy in accuracies.items():
             if not (isinstance(key, tuple) and len(key) == 3):
                 raise _EntryError(key, f"key must be a (method, pretrain, eval) triple, got {key!r}")
             try:
-                AccuracyRecord(*key, accuracy)
+                accuracies[key] = AccuracyRecord(*key, accuracy).accuracy
             except ValidationError as exc:
                 raise _EntryError(key, str(exc)) from None
-            if key[0] != SL_METHOD and (SL_METHOD, key[2], key[2]) not in self.accuracies:
+            if key[0] != SL_METHOD and (SL_METHOD, key[2], key[2]) not in accuracies:
                 raise _EntryError(key, f"record {key!r} has no supervised "
                                        f"reference accuracy for {key[2]!r}")
+        object.__setattr__(self, "accuracies", MappingProxyType(accuracies))
 
     def sl_accuracy(self, dataset: str) -> float:
         try:
@@ -191,7 +192,7 @@ def write_benchmark(table: BenchmarkTable, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_HEADER)
         for key in _canonical_order(table.accuracies):
-            writer.writerow([*key, repr(float(table.accuracies[key]))])
+            writer.writerow([*key, repr(table.accuracies[key])])
 
 
 def _reciprocal_gap(sl_acc: float, ssl_acc: float, what: str) -> float:
@@ -273,7 +274,7 @@ def metric_rows(table: BenchmarkTable) -> list[tuple[str, str, str, str, float]]
 
 @dataclass(frozen=True)
 class PayoffParams:
-    """The eight scalars that define the two-player trade-off game.
+    """The eight floats that define the two-player trade-off game.
 
     g1/d1 belong to the generalizability-oriented model, g2/d2 to the
     discriminability-oriented one; n1/n2 are the (signed) ensembling
@@ -291,8 +292,8 @@ class PayoffParams:
 
     def __post_init__(self):
         for f in fields(self):
-            as_float(f.name, getattr(self, f.name),
-                     "finite" if f.name in ("n1", "n2") else "nonnegative")
+            rule = "finite" if f.name in ("n1", "n2") else "nonnegative"
+            object.__setattr__(self, f.name, as_float(f.name, getattr(self, f.name), rule))
 
     def astuple(self) -> tuple[float, ...]:
         return astuple(self)

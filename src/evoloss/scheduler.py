@@ -18,6 +18,10 @@ import numpy as np
 from .errors import ValidationError, as_array, as_float, as_int, raising
 from .losses import LossWeights
 
+#: The stability bonus per unit of explore_weight is at most REWARD_CAP:
+#: the loss change it takes the reciprocal of is floored at 1 / REWARD_CAP.
+REWARD_CAP = 100.0
+
 #: Weights are clamped to [0, 2 * center] and floored here so LossWeights
 #: stays constructible.
 WEIGHT_FLOOR = 1e-3
@@ -39,30 +43,23 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Scheduler knobs.
+    """Scheduler knobs, each stored as the float or int it was read as.
 
     center: midpoint of the attainable weight range [0, 2 * center].
     explore_weight: scale of the loss-stability bonus.
-    prev_loss_scale: factor on the previous loss inside the bonus.
-    target: direction the weight pair should align with, also stored as
-        the read-only array _target with its norm _target_norm.
+    target: a float pair, the direction the weight pair should align with,
+        also stored as the read-only array _target with its norm _target_norm.
     update_period: steps collected between policy updates.
-    reward_cap / denom_floor: guards on the reciprocal bonus.
     """
 
     center: float = 0.5
     explore_weight: float = 0.1
-    prev_loss_scale: float = 1.0
     target: tuple[float, float] = (0.85, 0.87)
     update_period: int = 200
-    reward_cap: float = 100.0
-    denom_floor: float = 1e-6
 
     def __post_init__(self):
-        for name, rule in (("center", "positive"), ("explore_weight", "nonnegative"),
-                           ("prev_loss_scale", "nonnegative"), ("reward_cap", "positive"),
-                           ("denom_floor", "positive")):
-            as_float(name, getattr(self, name), rule)
+        for name, rule in (("center", "positive"), ("explore_weight", "nonnegative")):
+            object.__setattr__(self, name, as_float(name, getattr(self, name), rule))
         object.__setattr__(
             self, "update_period", as_int("update_period", self.update_period, 1)
         )
@@ -79,16 +76,15 @@ class SchedulerConfig:
             raise ValidationError(
                 f"target must have a squared norm in [1e-300, 1e300], got {self.target}"
             )
+        object.__setattr__(self, "target", (tx, ty))
         target = np.array([tx, ty])
         target.flags.writeable = False
         object.__setattr__(self, "_target", target)
         object.__setattr__(self, "_target_norm", np.linalg.norm(target))
         # the largest stability bonus; a Python float product that
         # overflows gives inf without a signal
-        if self.explore_weight * min(self.reward_cap, 1.0 / self.denom_floor) > 1e300:
-            raise ValidationError(
-                "explore_weight * min(reward_cap, 1 / denom_floor) must be at most 1e300"
-            )
+        if self.explore_weight * REWARD_CAP > 1e300:
+            raise ValidationError("explore_weight * REWARD_CAP must be at most 1e300")
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,7 @@ class Transition:
         object.__setattr__(self, "state", as_array("state", self.state, (None,)))
         object.__setattr__(self, "action", as_array("action", self.action, (2,)))
         for name in ("reward", "log_prob", "value"):
-            as_float(name, getattr(self, name))
+            object.__setattr__(self, name, as_float(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -202,11 +198,11 @@ def reward(
 
     First term: cosine between the weight pair and the target direction.
     Second term (absent on the first step, when loss_prev is None): the
-    capped reciprocal of the loss change, scaled by explore_weight.
+    reciprocal of the loss change capped at REWARD_CAP, times explore_weight.
     """
-    as_float("loss_t", loss_t)
+    loss_t = as_float("loss_t", loss_t)
     if loss_prev is not None:
-        as_float("loss_prev", loss_prev)
+        loss_prev = as_float("loss_prev", loss_prev)
     with raising("reward"):
         return _reward(weights.alpha, weights.beta, cfg, loss_t, loss_prev)
 
@@ -221,9 +217,7 @@ def _reward(alpha, beta, cfg, loss_t, loss_prev):
     first = _cosine(np.array([alpha, beta]), cfg)
     if loss_prev is None:
         return first
-    denom = max(abs(loss_t - cfg.prev_loss_scale * loss_prev), cfg.denom_floor)
-    second = cfg.explore_weight * min(1.0 / denom, cfg.reward_cap)
-    return first + second
+    return first + cfg.explore_weight * (1.0 / max(abs(loss_t - loss_prev), 1.0 / REWARD_CAP))
 
 
 def _net(states, w1, b1, w2, b2):

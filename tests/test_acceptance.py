@@ -30,7 +30,7 @@ from evoloss import (
 )
 from evoloss import _kernels
 from evoloss.cli import main as cli_main
-from evoloss.scheduler import reward
+from evoloss.scheduler import REWARD_CAP, reward
 
 from helpers import (
     classify_by_eigen,
@@ -230,7 +230,7 @@ def test_criterion_7_reward_shape():
     rng = np.random.default_rng(77)
     lo = math.inf
     hi = -math.inf
-    bound_hi = 1.0 + cfg.explore_weight * cfg.reward_cap
+    bound_hi = 1.0 + cfg.explore_weight * REWARD_CAP
     for _ in range(500):
         w = LossWeights(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
         prev = None if rng.uniform() < 0.2 else rng.uniform(0.0, 5.0)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from evoloss import PayoffParams, cli
-from evoloss.cli import main
+from evoloss.cli import TRAIN_CONFIG_KEYS, main
 from evoloss.stability import jacobian
 
 
@@ -539,9 +539,8 @@ README = pathlib.Path(__file__).parent.parent / "README.md"
 #: "File formats" section lists them.
 EVERY_TRAIN_KEY = dict(
     steps=3, input_dim=4, feature_dim=2, batch_size=4, noise_scale=0.2,
-    learning_rate=0.02, seed=5, center=0.4, explore_weight=0.2, prev_loss_scale=0.5,
-    update_period=2, reward_cap=50.0, denom_floor=1e-5, target_x=0.3, target_y=0.9,
-    temperature=0.5, epsilon=0.01,
+    learning_rate=0.02, seed=5, center=0.4, explore_weight=0.2, update_period=2,
+    target_x=0.3, target_y=0.9, temperature=0.5, epsilon=0.01,
 )
 
 
@@ -550,7 +549,7 @@ def test_train_config_keys_are_the_readme_list():
     listed = text.split("Training config:", 1)[1].split("\n\n", 1)[0]
     assert set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`", listed)))) == set(
         EVERY_TRAIN_KEY
-    )
+    ) == TRAIN_CONFIG_KEYS
 
 
 def test_train_config_accepts_every_listed_key(tmp_path, capsys):
@@ -565,6 +564,10 @@ def test_train_config_accepts_every_listed_key(tmp_path, capsys):
         # target is the scheduler's field; the file spells it target_x, target_y
         ({"verbosity": 3}, None, "error: unknown config keys: ['verbosity']"),
         ({"target": 0.5}, None, "error: unknown config keys: ['target']"),
+        # the stability bonus's floor and cap are the constant REWARD_CAP
+        ({"prev_loss_scale": 1.0}, None, "error: unknown config keys: ['prev_loss_scale']"),
+        ({"reward_cap": 100.0}, None, "error: unknown config keys: ['reward_cap']"),
+        ({"denom_floor": 1e-6}, None, "error: unknown config keys: ['denom_floor']"),
         ({}, "steps", "error: config must set steps"),
         ({"target_x": 0.8}, None,
          "error: config must set both target_x and target_y or neither"),
@@ -779,8 +782,7 @@ def test_metrics_benchmark_csv_fuzz(tmp_path, capsys, text):
 
 
 TRAIN_KEYS = [*TRAIN_CONFIG, "noise_scale", "learning_rate", "center", "explore_weight",
-              "prev_loss_scale", "reward_cap", "denom_floor", "target_x", "target_y",
-              "temperature", "epsilon"]
+              "target_x", "target_y", "temperature", "epsilon"]
 SIZE_KEYS = {"steps", "input_dim", "feature_dim", "batch_size", "update_period"}
 
 

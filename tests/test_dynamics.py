@@ -8,6 +8,8 @@ import functools
 import hashlib
 import math
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from evoloss import (
     AccuracyRecord,
+    BenchmarkTable,
     IntegratorConfig,
     LabConfig,
     LossWeights,
@@ -34,6 +37,7 @@ from evoloss import (
     init_policy,
     map_action,
     observe_state,
+    payoff_from_benchmarks,
     phase_portrait,
     policy_act,
     ppo_update,
@@ -41,6 +45,7 @@ from evoloss import (
     saddle_point,
     sample_starts,
     simulate,
+    train_episode,
     write_trajectories_csv,
 )
 from evoloss import _kernels, errors, game, stability
@@ -541,6 +546,33 @@ def test_phase_portrait_lanes_share_one_read_only_clock(fixture_params):
         assert times.flags.writeable and times.flags.owndata
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    k=st.integers(-40, 40),
+    seed=st.integers(0, 2**32 - 1),
+    dt=st.sampled_from([0.01, 0.03, 0.1]),
+    t_max=st.floats(0.1, 30.0),
+)
+def test_integration_is_scale_invariant_under_powers_of_two(k, seed, dt, t_max):
+    """Payoffs times 2^k with dt and t_max times 2^-k is the same field
+    in another time unit: every RK4 stage h * f, the clock and the stop
+    rules scale exactly, so states and stop reasons keep their bits and
+    times scale by 2^-k, batched and per start.  The saddle stays to the
+    horizon; the other starts reach a corner or the horizon."""
+    scale = 2.0**k
+    scaled = PayoffParams(*(v * scale for v in FIXTURE.astuple()[:6]))
+    cfg = IntegratorConfig(dt=dt, t_max=t_max)
+    scaled_cfg = IntegratorConfig(dt=dt / scale, t_max=t_max / scale)
+    starts = [*sample_starts(2 * LANES, np.random.default_rng(seed)), (5 / 6, 5 / 6), (0.3, 0.3)]
+    pairs = [*zip(phase_portrait(FIXTURE, starts, cfg), phase_portrait(scaled, starts, scaled_cfg)),
+             *[(simulate(FIXTURE, s, cfg), simulate(scaled, s, scaled_cfg)) for s in starts[-3:]]]
+    for want, got in pairs:
+        assert got.states.tobytes() == want.states.tobytes()
+        assert (got.converged_to, got.reason) == (want.converged_to, want.reason)
+        assert got.times.tobytes() == (want.times / scale).tobytes()
+    assert pairs[2 * LANES][0].reason == "horizon"
+
+
 @pytest.mark.parametrize(
     "seed, digest",
     [
@@ -639,9 +671,6 @@ def with_nan(good):
         (functools.partial(LabConfig, steps=1), "epsilon", [0.0]),
         (SchedulerConfig, "center", "1"),
         (SchedulerConfig, "explore_weight", None),
-        (SchedulerConfig, "prev_loss_scale", "1"),
-        (SchedulerConfig, "reward_cap", (100.0,)),
-        (SchedulerConfig, "denom_floor", "1e-6"),
         (SchedulerConfig, "target", (1,)),
         (SchedulerConfig, "target", None),
         (SchedulerConfig, "target", ("a", 1.0)),
@@ -839,7 +868,6 @@ def test_as_array_reads_a_long_double_beyond_float64_as_not_finite():
         (LabConfig, {"steps": 1, "seed": -1}, "seed must be nonnegative, got -1"),
         (SchedulerConfig, {"center": 0}, "center must be positive, got 0.0"),
         (SchedulerConfig, {"explore_weight": -1}, "explore_weight must be nonnegative, got -1.0"),
-        (SchedulerConfig, {"reward_cap": 0}, "reward_cap must be positive, got 0.0"),
         (SchedulerConfig, {"update_period": 0}, "update_period must be positive, got 0"),
         (SchedulerConfig, {"target": (-0.1, 1)}, "target_x must be nonnegative, got -0.1"),
         (LossWeights, {"alpha": -1, "beta": 1}, "alpha must be nonnegative, got -1.0"),
@@ -859,6 +887,116 @@ def test_range_checks_name_the_field(constructor, kwargs, message):
 def test_payoff_params_take_signed_ensembling_costs():
     """Only n1 and n2 may be negative: an ensemble can beat its members."""
     assert dataclasses.replace(FIXTURE, n1=-1, n2=-2.5).n1 == -1
+
+
+def one_game_table(ensemble_transfer):
+    """A benchmark table of one game (A, B, ensemble A+B, pretrained on C,
+    transferred to S) with the given ensemble transfer accuracy."""
+    return BenchmarkTable({
+        ("SL", "C", "C"): 90.0, ("SL", "S", "S"): 80.0,
+        ("A", "C", "C"): 85.0, ("A", "C", "S"): 60.0,
+        ("B", "C", "C"): 88.0, ("B", "C", "S"): 55.0,
+        ("A+B", "C", "C"): 87.0, ("A+B", "C", "S"): ensemble_transfer,
+    })
+
+
+@pytest.mark.parametrize(
+    "call,value",
+    [
+        # the encoder step or the loss raised a bare UFuncTypeError
+        pytest.param(lambda v: train_episode(LabConfig(steps=3, learning_rate=v)),
+                     Decimal("0.01"), id="LabConfig-learning_rate"),
+        pytest.param(lambda v: train_episode(LabConfig(steps=3, temperature=v)),
+                     Fraction(7, 100), id="LabConfig-temperature"),
+        # the rest raised a bare TypeError
+        pytest.param(lambda v: train_episode(LabConfig(steps=3), SchedulerConfig(center=v)),
+                     Decimal("0.5"), id="SchedulerConfig-center"),
+        pytest.param(lambda v: simulate(FIXTURE, (0.2, 0.7), IntegratorConfig(dt=v)),
+                     Decimal("0.01"), id="IntegratorConfig-dt"),
+        pytest.param(lambda v: saddle_point(dataclasses.replace(FIXTURE, g1=v)),
+                     Decimal("1.5"), id="PayoffParams-g1"),
+        pytest.param(lambda v: reward(LossWeights(v, 0.5), SchedulerConfig(), 1.0, 0.5),
+                     Decimal("0.5"), id="LossWeights-alpha"),
+        pytest.param(lambda v: ppo_update(POLICY, [TRANSITION(reward=v)],
+                                          SchedulerConfig(update_period=1)),
+                     Decimal("1.5"), id="Transition-reward"),
+        pytest.param(lambda v: payoff_from_benchmarks([one_game_table(v)], 1.0, 1.0,
+                                                      "A", "B", "A+B"),
+                     Decimal("58"), id="AccuracyRecord-accuracy"),
+        # the horizon end was worked out in float32, 4.8e-8 past t_max
+        pytest.param(lambda v: simulate(FIXTURE, (5 / 6, 5 / 6), IntegratorConfig(t_max=v)),
+                     np.float32(3.3), id="IntegratorConfig-t_max-float32"),
+        # (Fraction(1, 3), 1, 1, 1, 0, 0, 1.0, 1.0)
+        pytest.param(lambda v: PayoffParams(g1=v, d1=1, g2=1, d2=1, n1=0, n2=0).astuple(),
+                     Fraction(1, 3), id="PayoffParams-astuple"),
+    ],
+)
+def test_a_number_read_once_computes_as_its_float(call, value):
+    """Each value passed as_float and then broke the arithmetic, or was
+    computed in its own type; now the class keeps the float it read."""
+    assert pickle.dumps(call(value)) == pickle.dumps(call(float(value)))
+
+
+@pytest.mark.parametrize(
+    "call,args",
+    [
+        # a bare UFuncTypeError, and a bare TypeError
+        pytest.param(info_nce, (Z1, Z2, Fraction(7, 100)), id="info_nce-temperature"),
+        pytest.param(barlow_twins, (Z1, Z2, Decimal("0.0051")), id="barlow_twins-epsilon"),
+        # np.float16(1.2), which is 1.2001953125
+        pytest.param(functools.partial(reward, LossWeights(0.85, 0.87), SchedulerConfig()),
+                     (np.float16(1.5), np.float16(1.0)), id="reward-float16"),
+        # np.float64(1.2), where a float was promised
+        pytest.param(functools.partial(reward, LossWeights(0.85, 0.87), SchedulerConfig()),
+                     (1.0, np.float64(0.5)), id="reward-float64"),
+    ],
+)
+def test_scalar_arguments_compute_as_their_float(call, args):
+    """info_nce, barlow_twins and reward compute with the float that
+    as_float read from each scalar argument, not with the argument."""
+    as_floats = [a if isinstance(a, np.ndarray) else float(a) for a in args]
+    assert pickle.dumps(call(*args)) == pickle.dumps(call(*as_floats))
+
+
+@pytest.mark.parametrize(
+    "one", [True, 1, Fraction(1), Decimal(1), np.float16(1), np.float32(1), np.float64(1)],
+    ids=repr,
+)
+@pytest.mark.parametrize(
+    "cls,given",
+    [pytest.param(cls, given, id=cls.__name__) for cls, given in (
+        (LabConfig, {"steps": 1}),
+        (SchedulerConfig, {}),
+        (IntegratorConfig, {}),
+        (PayoffParams, {}),
+        (LossWeights, {}),
+        (AccuracyRecord, {"method": "SL", "pretrain": "C", "eval": "C"}),
+        (Transition, {"state": np.zeros(2), "action": np.zeros(2)}),
+    )],
+)
+def test_every_float_field_is_stored_as_a_float(cls, given, one):
+    names = [f.name for f in dataclasses.fields(cls) if f.type == "float"]
+    made = cls(**given, **dict.fromkeys(names, one))
+    assert names and all(type(getattr(made, name)) is float for name in names)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [np.array([0.85, 0.87]), [0.85, 0.87], (Fraction(85, 100), Decimal("0.87"))],
+    ids=["array", "list", "fraction-decimal"],
+)
+def test_scheduler_config_stores_its_target_as_a_float_pair(target):
+    """An array target made the config's == raise a bare ValueError, and
+    a list target its hash a TypeError."""
+    cfg = SchedulerConfig(target=target)
+    assert type(cfg.target) is tuple and all(type(v) is float for v in cfg.target)
+    assert cfg == SchedulerConfig() and hash(cfg) == hash(SchedulerConfig())
+
+
+def test_benchmark_table_stores_each_accuracy_as_a_float():
+    table = one_game_table(Fraction(117, 2))
+    assert table.accuracies["A+B", "C", "S"] == 58.5
+    assert all(type(v) is float for v in table.accuracies.values())
 
 
 def test_sample_starts_seeded():

@@ -23,7 +23,7 @@ from evoloss import (
     write_training_log,
 )
 from evoloss.lab import LOG_COLUMNS, init_encoder, save_encoder_weights
-from evoloss.scheduler import LOG_STD_INIT, LOG_STD_MAX, LOG_STD_MIN, PolicyParams
+from evoloss.scheduler import LOG_STD_INIT, LOG_STD_MAX, LOG_STD_MIN, REWARD_CAP, PolicyParams
 
 from helpers import (
     AWKWARD_FLOATS,
@@ -173,7 +173,7 @@ def test_train_episode_rewards_use_previous_loss():
     # step 0 has no stability bonus, so its reward is a bare cosine
     assert -1.0 <= log.rewards[0] <= 1.0
     assert np.all(log.rewards[1:] >= -1.0)
-    assert np.all(log.rewards <= 1.0 + sched.explore_weight * sched.reward_cap)
+    assert np.all(log.rewards <= 1.0 + sched.explore_weight * REWARD_CAP)
 
 
 def test_train_episode_deterministic():

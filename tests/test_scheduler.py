@@ -28,6 +28,7 @@ from evoloss.scheduler import (
     LOG_STD_INIT,
     LOG_STD_MAX,
     LOG_STD_MIN,
+    REWARD_CAP,
     WEIGHT_FLOOR,
     _policy_layout,
 )
@@ -74,7 +75,6 @@ def test_scheduler_config_defaults():
         {"center": 0.0},
         {"center": -1.0},
         {"explore_weight": -0.1},
-        {"prev_loss_scale": -1.0},
         {"update_period": 0},
         {"update_period": 2.5},
         {"target": (0.0, 0.0)},
@@ -83,14 +83,12 @@ def test_scheduler_config_defaults():
         # the norm overflowed or the reward divided by zero
         {"target": (1e300, 1e300)},
         {"target": (0.0, 5e-324)},
-        {"reward_cap": 0.0},
-        {"denom_floor": 0.0},
         {"center": math.inf},
         {"update_period": math.nan},
         {"update_period": math.inf},
-        # the stability bonus overflowed to inf
+        # the stability bonus overflowed to inf, or passed 1e300
         {"explore_weight": 1.7e308},
-        {"explore_weight": 1e299, "reward_cap": 1e10},
+        {"explore_weight": 1e299},
     ],
 )
 def test_scheduler_config_validation(kwargs):
@@ -109,8 +107,7 @@ def test_derived_values_add_no_field():
         "w1", "b1", "w2", "b2", "vw1", "vb1", "vw2", "vb2", "log_std"
     ]
     assert [f.name for f in dataclasses.fields(SchedulerConfig)] == [
-        "center", "explore_weight", "prev_loss_scale", "target", "update_period",
-        "reward_cap", "denom_floor",
+        "center", "explore_weight", "target", "update_period",
     ]
 
 
@@ -203,11 +200,24 @@ def test_reward_stability_bonus_caps_at_reward_cap():
     assert reward(LossWeights(0.85, 0.87), cfg, 1.0, 0.5) == 1.2
 
 
-def test_reward_prev_loss_scale():
-    cfg = SchedulerConfig(prev_loss_scale=2.0)
-    # |1.0 - 2.0 * 0.3| = 0.4
-    r = reward(LossWeights(0.85, 0.87), cfg, 1.0, 0.3)
-    assert r == pytest.approx(1.0 + 0.1 / 0.4, abs=1e-12)
+def test_stability_bonus_equals_the_two_guard_formula_bit_for_bit():
+    """The bonus floors the loss change at 1 / REWARD_CAP, where it once
+    floored it at 1e-6 and capped its reciprocal at REWARD_CAP: since
+    1.0 / 0.01 == 100.0, the two agree on every change, here 10^6 bit
+    patterns spread over all finite doubles and the neighbours of 0.01
+    and 1e-6, in numpy, and some of them through reward()."""
+    bits = np.random.default_rng(28).integers(0, np.float64(np.inf).view(np.int64), 10**6)
+    near = np.array([0.01, 1e-6]).view(np.int64)[:, None] + np.arange(-500, 501)
+    delta = np.concatenate([[0, 1], near.ravel(), bits]).view(np.float64)  # 0.0, 5e-324, ...
+    assert 0.0 <= delta.min() and delta.max() < np.inf and 0.01 in delta[:2004]
+    for explore_weight in (0.0, 0.1, 2.5):
+        old = explore_weight * np.minimum(1.0 / np.maximum(delta, 1e-6), 100.0)
+        new = explore_weight * (1.0 / np.maximum(delta, 1.0 / REWARD_CAP))
+        assert old.tobytes() == new.tobytes()
+    weights, cfg = LossWeights(0.3, 0.9), SchedulerConfig(explore_weight=2.5)
+    first = reward(weights, cfg, 1.0)
+    for d in delta[:3000].tolist():
+        assert reward(weights, cfg, d, 0.0) == first + 2.5 * min(1.0 / max(d, 1e-6), 100.0)
 
 
 def test_reward_reads_the_target_of_a_replaced_config():
@@ -236,7 +246,7 @@ def test_reward_validation():
 def test_reward_bounds(alpha, beta, loss_t, loss_prev):
     cfg = SchedulerConfig()
     r = reward(LossWeights(alpha, beta), cfg, loss_t, loss_prev)
-    assert -1.0 - 1e-12 <= r <= 1.0 + cfg.explore_weight * cfg.reward_cap + 1e-12
+    assert -1.0 - 1e-12 <= r <= 1.0 + cfg.explore_weight * REWARD_CAP + 1e-12
 
 
 # ----------------------------------------------------------------- policy
