@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 import warnings
 from dataclasses import MISSING, fields
@@ -31,6 +32,7 @@ from .scheduler import SchedulerConfig, _cosine
 from .stability import enumerate_equilibria, equilibria_table, write_equilibria_csv
 
 
+@functools.cache  # built once per process; parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evoloss",

@@ -10,6 +10,7 @@ import numpy as np
 from . import _kernels
 from .errors import ValidationError, as_float, as_int
 from .game import CORNERS, PopulationState, check_state, field_coefficients
+from .kvfile import repr_fields, write_rows
 from .metrics import PayoffParams
 
 
@@ -120,23 +121,35 @@ def sample_starts(n: int, rng: np.random.Generator) -> list[PopulationState]:
 
 
 def write_trajectories_csv(trajectories: list[Trajectory], path) -> None:
-    """Long-format CSV, one row per sample and one write per path; reprs need no quoting.
+    """Long-format CSV, one row per sample; reprs need no quoting, so the
+    bytes are those of csv.writer.  Rows are written in blocks of
+    kvfile.BLOCK_ROWS, formatted a column at a time.
 
     Paths that took the same steps share their times, so the longest
     path's times are formatted once and a path whose times are a prefix
     of them, byte for byte (0.0 == -0.0 but their reprs differ), reuses
-    those strings.
+    those strings.  Only the longest path reads past the second longest
+    one's length, so those strings are made per block.
     """
-    longest = max((traj.times for traj in trajectories), key=len, default=np.empty(0))
+    by_length = sorted((traj.times for traj in trajectories), key=len)
+    longest = by_length[-1] if by_length else np.empty(0)
     shared_bytes = longest.tobytes()
-    shared = list(map(repr, longest.tolist()))
+    second = len(by_length[-2]) if len(by_length) > 1 else 0
+    shared = [f",{t!r}," for t in longest[:second].tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("trajectory_id,t,x,y\n")
         for tid, traj in enumerate(trajectories):
-            times = traj.times
-            if shared_bytes.startswith(times.tobytes()):
-                ts = shared[: len(times)]
-            else:
-                ts = map(repr, times.tolist())
-            rows = zip(ts, traj.states.tolist())
-            fh.write("".join([f"{tid},{t},{x!r},{y!r}\n" for t, (x, y) in rows]))
+            own = shared if shared_bytes.startswith(traj.times.tobytes()) else []
+            write_rows(fh, len(traj.times), [
+                str(tid), _time_fields(traj.times, own),
+                repr_fields(traj.states[:, 0]), ",", repr_fields(traj.states[:, 1]), "\n",
+            ])
+
+
+def _time_fields(times, shared):
+    """The ",t," parts of write_rows for times, those of its first
+    len(shared) rows taken from shared."""
+    def fields(lo, hi):
+        cut = min(max(len(shared), lo), hi)
+        return shared[lo:cut] + [f",{t!r}," for t in times[cut:hi].tolist()]
+    return fields

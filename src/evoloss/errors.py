@@ -72,8 +72,10 @@ def as_float(name: str, value, rule: str = "finite") -> float:
         finite = math.isfinite(value)
     except TypeError:
         raise ValidationError(f"{name} must be a real number, got {value!r}") from None
-    except OverflowError:  # an int too large for a float, maybe too long to print
-        raise NotFiniteError(f"{name} must be {rule}, got an int too large for a float") from None
+    except ValueError:  # a Decimal signaling NaN, which has no float
+        raise NotFiniteError(f"{name} must be {rule}, got {value}") from None
+    except OverflowError:  # an int or Fraction too large for a float, maybe too long to print
+        raise NotFiniteError(f"{name} must be {rule}, got a number too large for a float") from None
     if not finite:
         raise NotFiniteError(f"{name} must be {rule}, got {value}")
     number = float(value)
@@ -106,6 +108,13 @@ def as_array(name: str, value, shape: tuple | None) -> np.ndarray:
     if not finite.all():
         raise NotFiniteError(f"{name} must be finite, got {array[~finite][0]}")
     return array
+
+
+def as_instance(name: str, value, cls: type):
+    """value itself; ValidationError unless it is an instance of cls."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 @contextmanager

@@ -1,4 +1,5 @@
-"""Tiny `key = value` text format used for params and train configs."""
+"""The package's small text formats: `key = value` files for params and
+train configs, and CSV rows written a block at a time."""
 
 from __future__ import annotations
 
@@ -52,3 +53,31 @@ def write_kv_file(path, items: dict[str, float]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in items.items():
             fh.write(f"{key} = {float(value)!r}\n")
+
+
+#: Rows write_rows formats at once, so the text it holds stays bounded.
+BLOCK_ROWS = 4096
+
+
+def write_rows(fh, n: int, row: list) -> None:
+    """Write n rows to fh, BLOCK_ROWS at a time.
+
+    row lists the parts of one row: a string is repeated on every row,
+    and a function fields(lo, hi) gives that part's strings for rows lo
+    to hi - 1.  A block is one parts list, filled a column at a time by
+    slice assignment, and one join.
+    """
+    width = len(row)
+    columns = [(i, part) for i, part in enumerate(row) if not isinstance(part, str)]
+    parts = row * min(n, BLOCK_ROWS)
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        del parts[(hi - lo) * width :]
+        for i, fields in columns:
+            parts[i::width] = fields(lo, hi)
+        fh.write("".join(parts))
+
+
+def repr_fields(column):
+    """The fields(lo, hi) of write_rows for a 1-D array, one repr each."""
+    return lambda lo, hi: map(repr, column[lo:hi].tolist())

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _read_only
 from .errors import ValidationError, as_array, as_float, as_int, raising
+from .kvfile import repr_fields, write_rows
 # train_episode fuses the public step functions imported here; they stay
 # lab attributes because evobench's traced cli_files run wraps them here.
 from .losses import (
@@ -39,6 +41,10 @@ from .scheduler import (
     ppo_update,
     reward,
 )
+
+_add, _subtract, _multiply, _divide, _matmul = (
+    np.add, np.subtract, np.multiply, np.divide, np.matmul)
+_add_reduce = np.add.reduce
 
 LOG_COLUMNS = ("step", "alpha", "beta", "reward", "loss_total", "loss_gen", "loss_dis")
 
@@ -172,7 +178,13 @@ def train_episode(
     log_probs = np.empty(period)
     values = np.empty(period)
     updates = []
-    temperature, epsilon = cfg.temperature, cfg.epsilon
+    # the loop's constant operands, as in _kernels: read-only 0-d arrays
+    # made once, where a Python number is converted on every call
+    noise_scale, learning_rate = _read_only(cfg.noise_scale), _read_only(cfg.learning_rate)
+    two_b, temperature = _read_only(2 * b), _read_only(cfg.temperature)
+    epsilon, two_epsilon = cfg.epsilon, _read_only(2.0 * cfg.epsilon)
+    act_noise = draw[3 * n :]
+    x1_t, x2_t = x1.T, x2.T
     work = loss_workspace(b, cfg.feature_dim)
     loss_prev: float | None = None
     try:
@@ -182,27 +194,27 @@ def train_episode(
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for step in range(cfg.steps):
                 rng.standard_normal(out=draw)
-                np.add(latent, np.multiply(cfg.noise_scale, noise1, out=x1), out=x1)
-                np.add(latent, np.multiply(cfg.noise_scale, noise2, out=x2), out=x2)
-                np.matmul(x1, weights, out=z1)
-                np.matmul(x2, weights, out=z2)
+                _add(latent, _multiply(noise_scale, noise1, x1), x1)
+                _add(latent, _multiply(noise_scale, noise2, x2), x2)
+                _matmul(x1, weights, z1)
+                _matmul(x2, weights, z2)
                 k = step % period
                 state = states[k]
-                np.divide(np.add.reduce(z, axis=0, out=state), 2 * b, out=state)
-                action, log_prob, value = _act(policy, state, draw[3 * n :])
+                _divide(_add_reduce(z, 0, None, state), two_b, state)
+                action, log_prob, value = _act(policy, state, act_noise)
                 alpha, beta = _weights(*action.tolist(), sched_cfg)
                 loss, loss_gen, loss_dis, g_z = _ensemble(
-                    views, alpha, beta, temperature, epsilon, work
+                    views, alpha, beta, temperature, epsilon, work, two_epsilon
                 )
                 if not math.isfinite(loss + log_prob + value):
                     raise ValidationError(
                         f"training diverged at step {step}: loss {loss!r}, "
                         f"log_prob {log_prob!r}, value {value!r}"
                     )
-                np.matmul(x1.T, g_z[0], out=grads[0])
-                np.matmul(x2.T, g_z[1], out=grads[1])
-                g_w = np.add(grads[0], grads[1], out=grads[0])
-                np.subtract(weights, np.multiply(cfg.learning_rate, g_w, out=g_w), out=weights)
+                _matmul(x1_t, g_z[0], grads[0])
+                _matmul(x2_t, g_z[1], grads[1])
+                g_w = _add(grads[0], grads[1], grads[0])
+                _subtract(weights, _multiply(learning_rate, g_w, g_w), weights)
                 r = _reward(alpha, beta, sched_cfg, loss, loss_prev)
                 loss_prev = loss
                 actions[k] = action
@@ -220,12 +232,13 @@ def train_episode(
 
 def write_training_log(log: TrainingLog, path) -> None:
     """Per-step CSV in LOG_COLUMNS order, written like write_trajectories_csv."""
+    records = log.records
+    row = [lambda lo, hi: map(str, map(int, records[lo:hi, 0].tolist()))]
+    for j in range(1, len(LOG_COLUMNS)):
+        row += [",", repr_fields(records[:, j])]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(LOG_COLUMNS) + "\n")
-        for first in range(0, len(log.records), 4096):  # bounds the text held at once
-            rows = log.records[first : first + 4096].tolist()
-            fh.write("".join([f"{int(k)},{a!r},{b!r},{r!r},{loss!r},{gen!r},{dis!r}\n"
-                              for k, a, b, r, loss, gen, dis in rows]))
+        write_rows(fh, len(records), row + ["\n"])
 
 
 def save_encoder_weights(weights: np.ndarray, path) -> None:

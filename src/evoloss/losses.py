@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ._kernels import _ONE, _read_only
 from .errors import DegenerateFeatureError, NormalizationError, ValidationError
 from .errors import as_array, as_float, raising
 
@@ -52,21 +53,31 @@ def _check_pair(z1, z2) -> np.ndarray:
 # operation or reduction rounds each view exactly as the same call on
 # that view alone.
 #
-# Every intermediate is written with out= into a loss_workspace, made
-# once per batch shape, so that a training step allocates no array.  The
-# ufuncs and their order are those of the allocating expressions, and
-# each buffer has the layout numpy would give the temporary it
-# replaces, so the results are the same bit for bit.
+# Every intermediate is written into a loss_workspace, made once per
+# batch shape, so that a training step allocates no array.  The ufuncs
+# and their order are those of the allocating expressions, and each
+# buffer has the layout numpy would give the temporary it replaces, so
+# the results are the same bit for bit.  As in _kernels, every constant
+# operand is a read-only 0-d array made once, the ufuncs are looked up
+# once, and out, axis and keepdims are given positionally.
+
+_add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
+_matmul, _sqrt, _exp, _log, _square = np.matmul, np.sqrt, np.exp, np.log, np.square
+_add_reduce, _max_reduce = np.add.reduce, np.maximum.reduce
+_MINUS_TWO = _read_only(-2.0)
 
 
 def loss_workspace(batch: int, dim: int) -> SimpleNamespace:
-    """Buffers for _info_nce and _barlow_twins on a (2, batch, dim) z.
+    """Buffers for _info_nce and _barlow_twins on a (2, batch, dim) z,
+    with the batch size as the 0-d operands count and two_n = 2.0 * batch.
 
     The gradient each kernel returns lives in the workspace and is
     overwritten by the kernel's next call on it.
     """
     views, rows = (2, batch, dim), (batch, batch)
     work = SimpleNamespace(
+        count=_read_only(batch),
+        two_n=_read_only(2.0 * batch),
         # InfoNCE: row norms, unit rows w, similarities s and both
         # directions' softmax parts; e1 becomes the gradient of s
         prod=np.empty(views),
@@ -107,102 +118,105 @@ def loss_workspace(batch: int, dim: int) -> SimpleNamespace:
 
 
 def _row_norms(z: np.ndarray, work) -> np.ndarray:
-    np.multiply(z, z, out=work.prod)
-    return np.sqrt(np.add.reduce(work.prod, axis=-1, keepdims=True, out=work.row_norms),
-                   out=work.row_norms)
+    _multiply(z, z, work.prod)
+    norms = work.row_norms
+    return _sqrt(_add_reduce(work.prod, -1, None, norms, True), norms)
 
 
 def _center(z: np.ndarray, work, out: np.ndarray) -> np.ndarray:
     """Each column of z minus its mean over the batch, into out."""
-    mean = np.add.reduce(z, axis=-2, keepdims=True, out=work.col_means)
-    np.divide(mean, z.shape[-2], out=mean)
-    return np.subtract(z, mean, out=out)
+    mean = _add_reduce(z, -2, None, work.col_means, True)
+    _divide(mean, work.count, mean)
+    return _subtract(z, mean, out)
 
 
 def _column_norms(z: np.ndarray, work) -> np.ndarray:
     """The norm of each centered column; work.centered holds z centered."""
     centered = _center(z, work, work.centered)
-    np.multiply(centered, centered, out=work.prod)
-    return np.sqrt(np.add.reduce(work.prod, axis=-2, keepdims=True, out=work.col_norms),
-                   out=work.col_norms)
+    _multiply(centered, centered, work.prod)
+    norms = work.col_norms
+    return _sqrt(_add_reduce(work.prod, -2, None, norms, True), norms)
 
 
 def _exp_rows(s: np.ndarray, m: np.ndarray, e: np.ndarray, r: np.ndarray) -> None:
     """Row maxima into m, exp(s - m) into e and its row sums into r: what
     the row-wise logsumexp, m + log(r), and the softmax, e / r, share."""
-    np.maximum.reduce(s, axis=1, keepdims=True, out=m)
-    np.exp(np.subtract(s, m, out=e), out=e)
-    np.add.reduce(e, axis=1, keepdims=True, out=r)
+    _max_reduce(s, 1, None, m, True)
+    _exp(_subtract(s, m, e), e)
+    _add_reduce(e, 1, None, r, True)
 
 
 def _mean_nll(m: np.ndarray, r: np.ndarray, diag: np.ndarray, work) -> float:
     """Mean over rows of the logsumexp m + log(r) minus the positive's score."""
-    lse = np.add(m, np.log(r, out=work.lse), out=work.lse)[:, 0]
-    return np.add.reduce(np.subtract(lse, diag, out=lse)) / len(lse)
+    lse = _add(m, _log(r, work.lse), work.lse)[:, 0]
+    return _add_reduce(_subtract(lse, diag, lse)) / len(lse)
 
 
-def _info_nce(z: np.ndarray, norms: np.ndarray, temperature: float, work):
+def _info_nce(z: np.ndarray, norms: np.ndarray, temperature, work):
     """InfoNCE on checked stacked views and their _row_norms; returns
-    (loss, grad), grad stacked like z and held in work."""
-    w = np.divide(z, norms, out=work.w)
+    (loss, grad), grad stacked like z and held in work.  temperature is
+    a float or, made once, a read-only 0-d array of it."""
+    w = _divide(z, norms, work.w)
     u, v = w
-    s = np.divide(np.matmul(u, v.T, out=work.s), temperature, out=work.s)
-    n = s.shape[0]
+    s = _divide(_matmul(u, v.T, work.s), temperature, work.s)
     e1, e2 = work.e1, work.e2
     _exp_rows(s, work.m1, e1, work.r1)
     _exp_rows(s.T, work.m2, e2, work.r2)
     loss = 0.5 * (_mean_nll(work.m1, work.r1, work.s_diag, work)
                   + _mean_nll(work.m2, work.r2, work.s_diag, work))
     # softmax of each direction minus the one-hot positives
-    np.divide(e1, work.r1, out=e1)
-    np.subtract(work.e1_diag, 1.0, out=work.e1_diag)
-    np.divide(e2, work.r2, out=e2)
-    np.subtract(work.e2_diag, 1.0, out=work.e2_diag)
-    g_s = np.divide(np.add(e1, e2.T, out=e1), 2.0 * n, out=e1)
+    _divide(e1, work.r1, e1)
+    _subtract(work.e1_diag, _ONE, work.e1_diag)
+    _divide(e2, work.r2, e2)
+    _subtract(work.e2_diag, _ONE, work.e2_diag)
+    g_s = _divide(_add(e1, e2.T, e1), work.two_n, e1)
     g_w = work.g_info
-    np.matmul(g_s, v, out=g_w[0])
-    np.matmul(g_s.T, u, out=g_w[1])
-    np.divide(g_w, temperature, out=g_w)
+    _matmul(g_s, v, g_w[0])
+    _matmul(g_s.T, u, g_w[1])
+    _divide(g_w, temperature, g_w)
     # undo the row normalization: project out the radial component
-    np.multiply(g_w, w, out=work.prod)
-    dots = np.add.reduce(work.prod, axis=-1, keepdims=True, out=work.row_dots)
-    np.subtract(g_w, np.multiply(w, dots, out=work.prod), out=g_w)
-    return float(loss), np.divide(g_w, norms, out=g_w)
+    _multiply(g_w, w, work.prod)
+    dots = _add_reduce(work.prod, -1, None, work.row_dots, True)
+    _subtract(g_w, _multiply(w, dots, work.prod), g_w)
+    return float(loss), _divide(g_w, norms, g_w)
 
 
-def _barlow_twins(z: np.ndarray, norms: np.ndarray, epsilon: float, work):
+def _barlow_twins(z: np.ndarray, norms: np.ndarray, epsilon: float, two_epsilon, work):
     """Barlow Twins on checked stacked views and their _column_norms,
     with work.centered as _column_norms left it; returns (loss, grad),
-    grad stacked like z and held in work."""
-    w = np.divide(work.centered, norms, out=work.centered)
+    grad stacked like z and held in work.  two_epsilon is 2.0 * epsilon,
+    a float or, made once, a read-only 0-d array of it."""
+    w = _divide(work.centered, norms, work.centered)
     a, b = w
-    corr = np.matmul(a.T, b, out=work.corr)
-    one_minus = np.subtract(1.0, work.corr_diag, out=work.one_minus)
+    corr = _matmul(a.T, b, work.corr)
+    one_minus = _subtract(_ONE, work.corr_diag, work.one_minus)
     # corr**2 with a zero diagonal: the off-diagonal terms
-    sq = np.multiply(corr, corr, out=work.sq)
+    sq = _multiply(corr, corr, work.sq)
     work.sq_diag[...] = 0.0
-    loss = float(np.add.reduce(np.square(one_minus, out=work.one_minus_sq))
-                 + epsilon * np.add.reduce(sq, axis=None))
-    g_c = np.multiply(2.0 * epsilon, corr, out=work.g_c)
-    np.multiply(-2.0, one_minus, out=work.g_c_diag)
+    loss = float(_add_reduce(_square(one_minus, work.one_minus_sq))
+                 + epsilon * _add_reduce(sq, None))
+    g_c = _multiply(two_epsilon, corr, work.g_c)
+    _multiply(_MINUS_TWO, one_minus, work.g_c_diag)
     g_w = work.g_barlow
-    np.matmul(b, g_c.T, out=g_w[0])
-    np.matmul(a, g_c, out=g_w[1])
+    _matmul(b, g_c.T, g_w[0])
+    _matmul(a, g_c, g_w[1])
     # undo the column normalization, then the centering
-    np.multiply(g_w, w, out=work.prod)
-    dots = np.add.reduce(work.prod, axis=-2, keepdims=True, out=work.col_dots)
-    np.subtract(g_w, np.multiply(w, dots, out=work.prod), out=g_w)
-    return loss, _center(np.divide(g_w, norms, out=g_w), work, g_w)
+    _multiply(g_w, w, work.prod)
+    dots = _add_reduce(work.prod, -2, None, work.col_dots, True)
+    _subtract(g_w, _multiply(w, dots, work.prod), g_w)
+    return loss, _center(_divide(g_w, norms, g_w), work, g_w)
 
 
-def _ensemble(z, alpha: float, beta: float, temperature: float, epsilon: float, work):
+def _ensemble(z, alpha: float, beta: float, temperature, epsilon: float, work,
+              two_epsilon=None):
     """Both losses on checked stacked views and their weighted sum;
     returns (loss, loss_gen, loss_dis, grad), grad stacked like z and
-    held in work."""
+    held in work.  two_epsilon, when not given, is 2.0 * epsilon."""
+    if two_epsilon is None:
+        two_epsilon = 2.0 * epsilon
     loss_gen, g_gen = _info_nce(z, _row_norms(z, work), temperature, work)
-    loss_dis, g_dis = _barlow_twins(z, _column_norms(z, work), epsilon, work)
-    g = np.add(np.multiply(alpha, g_gen, out=g_gen), np.multiply(beta, g_dis, out=g_dis),
-               out=g_gen)
+    loss_dis, g_dis = _barlow_twins(z, _column_norms(z, work), epsilon, two_epsilon, work)
+    g = _add(_multiply(alpha, g_gen, g_gen), _multiply(beta, g_dis, g_dis), g_gen)
     return alpha * loss_gen + beta * loss_dis, loss_gen, loss_dis, g
 
 
@@ -238,5 +252,5 @@ def barlow_twins(z1, z2, epsilon: float = DEFAULT_OFFDIAG_WEIGHT):
         norms = _column_norms(z, work)
         if (norms == 0.0).any():
             raise DegenerateFeatureError("a feature column has zero variance")
-        loss, g = _barlow_twins(z, norms, epsilon, work)
+        loss, g = _barlow_twins(z, norms, epsilon, 2.0 * epsilon, work)
     return loss, (g[0], g[1])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, as_array, as_float, as_int, raising
+from .errors import ValidationError, as_array, as_float, as_instance, as_int, raising
 from .losses import LossWeights
 
 #: The stability bonus per unit of explore_weight is at most REWARD_CAP:
@@ -177,6 +177,7 @@ def map_action(action, cfg: SchedulerConfig) -> LossWeights:
     Action components are expected in [-1, 1]; the result is clamped to
     [0, 2 * center] and floored at WEIGHT_FLOOR.
     """
+    as_instance("cfg", cfg, SchedulerConfig)
     return LossWeights(*_weights(*as_array("action", action, (2,)).tolist(), cfg))
 
 
@@ -200,6 +201,8 @@ def reward(
     Second term (absent on the first step, when loss_prev is None): the
     reciprocal of the loss change capped at REWARD_CAP, times explore_weight.
     """
+    as_instance("weights", weights, LossWeights)
+    as_instance("cfg", cfg, SchedulerConfig)
     loss_t = as_float("loss_t", loss_t)
     if loss_prev is not None:
         loss_prev = as_float("loss_prev", loss_prev)
@@ -251,6 +254,7 @@ def policy_act(policy: PolicyParams, state, rng: np.random.Generator):
 
     Returns (action, log_prob, value); deterministic given the rng.
     """
+    as_instance("policy", policy, PolicyParams)
     state = as_array("state", state, (policy.state_dim,))
     with raising("policy_act"):
         return _act(policy, state, rng.standard_normal(2))
@@ -275,6 +279,8 @@ def ppo_update(policy: PolicyParams, buffer, cfg: SchedulerConfig):
     toward the returns; it shares no parameters with the action mean, so
     a zero-advantage buffer leaves the action distribution untouched.
     """
+    as_instance("policy", policy, PolicyParams)
+    as_instance("cfg", cfg, SchedulerConfig)
     buffer = list(buffer)
     if not buffer:
         raise ValidationError("update buffer is empty")

@@ -3,9 +3,12 @@
 import csv
 import hashlib
 import math
+import os
 import pathlib
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -832,3 +835,73 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_simulate_requires_starts_source(params_file, tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["simulate", "--params", str(params_file), "--out", str(tmp_path / "o")])
+
+
+# The calls of test_the_cached_parser_keeps_nothing_between_calls, in
+# order; each path is relative to the directory the call runs in.
+PARSER_CALLS = [
+    ["simulate", "--params", "game.params", "--starts", "3", "--t-max", "5",
+     "--out", "a.csv", "--seed", "5"],
+    ["simulate", "--params", "game.params", "--starts", "3", "--t-max", "5", "--out", "b.csv"],
+    # --starts and --starts-file exclude each other: argparse exits 2
+    ["simulate", "--params", "game.params", "--starts", "3", "--starts-file", "game.params",
+     "--out", "c.csv"],
+    ["train", "--config", "train.cfg", "--out", "log.csv"],
+]
+
+
+def _call_in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _call_in_a_fresh_process(argv, cwd):
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from evoloss.cli import main; sys.exit(main())", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, check=False,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def _files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_the_cached_parser_keeps_nothing_between_calls(data_dir, tmp_path, capsys, monkeypatch):
+    """main reuses one parser per process.  Calls made one after another
+    in one process each give the exit code, output and files of the same
+    call made alone in a fresh process: a --seed does not stay set, and
+    an argparse error leaves nothing behind."""
+    runs = {}
+    for name in ("cached", "fresh"):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        shutil.copy(data_dir / "game_fixture.params", run_dir / "game.params")
+        write_kv(run_dir / "train.cfg", **{**TRAIN_CONFIG, "steps": 60})
+    monkeypatch.chdir(tmp_path / "cached")
+    runs["cached"] = [_call_in_process(argv, capsys) for argv in PARSER_CALLS]
+    runs["fresh"] = [_call_in_a_fresh_process(argv, tmp_path / "fresh") for argv in PARSER_CALLS]
+    assert [code for code, _, _ in runs["fresh"]] == [0, 0, 2, 0]
+    assert runs["cached"] == runs["fresh"]
+    assert _files(tmp_path / "cached") == _files(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"], ["train", "--help"]])
+def test_the_cached_parser_prints_the_help_of_a_fresh_one(argv, capsys):
+    """After a call that fails has used the cached parser, its help text
+    equals that of a parser built anew."""
+    assert main(["saddle", "--params", "missing.params"]) == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(argv)
+    cached = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        cli._build_parser.__wrapped__().parse_args(argv)
+    assert cached == capsys.readouterr().out

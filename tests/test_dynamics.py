@@ -50,6 +50,7 @@ from evoloss import (
 )
 from evoloss import _kernels, errors, game, stability
 from evoloss.dynamics import CORNERS
+from evoloss.kvfile import BLOCK_ROWS
 
 from helpers import (
     AWKWARD_FLOATS,
@@ -857,6 +858,21 @@ def test_as_array_reads_a_long_double_beyond_float64_as_not_finite():
     assert str(exc.value) == "v must be finite, got inf"
 
 
+def test_as_float_reads_a_signaling_nan_as_not_finite():
+    """float() refuses a Decimal signaling NaN, and its bare ValueError
+    escaped."""
+    with pytest.raises(errors.NotFiniteError) as exc:
+        errors.as_float("x", Decimal("sNaN"))
+    assert str(exc.value) == "x must be finite, got sNaN"
+
+
+def test_as_float_reports_a_fraction_too_large_for_a_float_as_a_number():
+    """It was reported as "an int too large for a float"."""
+    with pytest.raises(errors.NotFiniteError) as exc:
+        errors.as_float("x", Fraction(10**400, 3))
+    assert str(exc.value) == "x must be finite, got a number too large for a float"
+
+
 @pytest.mark.parametrize(
     "constructor,kwargs,message",
     [
@@ -1089,6 +1105,26 @@ def test_write_trajectories_csv_bytes_on_shared_times(tmp_path):
     )]
     assert_same_csv_bytes(trajs, tmp_path)
     assert_same_csv_bytes([], tmp_path)
+
+
+def test_write_trajectories_csv_bytes_across_block_bounds(tmp_path):
+    """Rows are formatted BLOCK_ROWS at a time.  A 10 000-sample path
+    whose times later paths share, prefixes of it one block long and one
+    row longer, and paths whose times are not a prefix: the second
+    longest of them ends inside a block, where the longest path passes
+    from shared time strings to its own."""
+    rng = np.random.default_rng(17)
+    n = 10_000
+    times = np.concatenate(([0.0], np.cumsum(rng.uniform(0.0, 0.02, n - 1))))
+    other = times.copy()
+    other[BLOCK_ROWS // 2] = np.nextafter(other[BLOCK_ROWS // 2], 1.0)
+    lengths = [(times, n), (times, BLOCK_ROWS), (times, BLOCK_ROWS + 1),
+               (other, 9_000), (other, BLOCK_ROWS + 1), (times, 1)]
+    assert 9_000 % BLOCK_ROWS and max(k for _, k in lengths[1:]) == 9_000
+    trajs = [Trajectory(ts[:k], rng.uniform(0.0, 1.0, (k, 2)), None, "horizon")
+             for ts, k in lengths]
+    assert_same_csv_bytes(trajs, tmp_path)
+    assert_same_csv_bytes(trajs[1:3], tmp_path)
 
 
 def test_trajectory_integer_arrays_are_written_as_floats(tmp_path):

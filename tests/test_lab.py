@@ -22,6 +22,7 @@ from evoloss import (
     train_episode,
     write_training_log,
 )
+from evoloss.kvfile import BLOCK_ROWS
 from evoloss.lab import LOG_COLUMNS, init_encoder, save_encoder_weights
 from evoloss.scheduler import LOG_STD_INIT, LOG_STD_MAX, LOG_STD_MIN, REWARD_CAP, PolicyParams
 
@@ -244,6 +245,18 @@ def test_writers_bytes_on_awkward_floats(tmp_path):
     assert_same_file_bytes(TrainingLog(records, weights, policy), tmp_path)
     one_row = TrainingLog(records[[10]], np.array([[5e-324]]), policy)
     assert_same_file_bytes(one_row, tmp_path)
+
+
+@pytest.mark.parametrize("n", [BLOCK_ROWS, BLOCK_ROWS + 1, 10_000])
+def test_write_training_log_bytes_across_block_bounds(tmp_path, n):
+    """Rows are formatted BLOCK_ROWS at a time: a log exactly one block
+    long, one row longer, and 10 000 rows."""
+    rng = np.random.default_rng(n)
+    records = np.column_stack((np.arange(n), rng.standard_normal((n, len(LOG_COLUMNS) - 1))))
+    log = TrainingLog(records, np.ones((1, 1)), init_policy(3, rng))
+    write_training_log(log, tmp_path / "log.csv")
+    reference_write_training_log(log, tmp_path / "reference.csv")
+    assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_writers_bytes_on_train_episode(tmp_path):

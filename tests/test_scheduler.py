@@ -237,6 +237,35 @@ def test_reward_validation():
         reward(LossWeights(0.5, 0.5), cfg, 1.0, math.inf)
 
 
+POLICY = init_policy(2, np.random.default_rng(0))
+BUFFER = [Transition(np.zeros(2), np.zeros(2), 0.0, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: reward((0.5, 0.5), SchedulerConfig(), 1.0),
+                     "weights must be a LossWeights, got tuple", id="reward-weights"),
+        pytest.param(lambda: reward(LossWeights(0.5, 0.5), {"center": 0.5}, 1.0),
+                     "cfg must be a SchedulerConfig, got dict", id="reward-cfg"),
+        pytest.param(lambda: map_action([0.1, 0.2], (0.5,)),
+                     "cfg must be a SchedulerConfig, got tuple", id="map_action-cfg"),
+        pytest.param(lambda: ppo_update(POLICY, BUFFER, None),
+                     "cfg must be a SchedulerConfig, got NoneType", id="ppo_update-cfg"),
+        pytest.param(lambda: ppo_update(dataclasses.asdict(POLICY), BUFFER,
+                                        SchedulerConfig(update_period=1)),
+                     "policy must be a PolicyParams, got dict", id="ppo_update-policy"),
+        pytest.param(lambda: policy_act(None, np.zeros(2), np.random.default_rng(0)),
+                     "policy must be a PolicyParams, got NoneType", id="policy_act-policy"),
+    ],
+)
+def test_an_argument_of_the_wrong_type_is_named_in_one_line(call, message):
+    """Each call raised a bare AttributeError on the argument's fields."""
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 @given(
     alpha=st.floats(min_value=1e-3, max_value=1.0),
     beta=st.floats(min_value=1e-3, max_value=1.0),
