@@ -37,13 +37,14 @@ TERM_DIVERGED = -3
 #: taken, clamped onto it; a larger overshoot halves the step.
 CLAMP_TOL = 1e-9
 
-#: Steps that rk4_paths takes between two leave tests, and so the states
-#: per lane it holds before copying them into the lane's pieces.  Holding
-#: every step of every lane would cost more memory than the finished
-#: trajectories.  On the 400 grid starts of evobench's basin_sweep (seeds
-#: 1, 5, 51; fresh process each, ru_maxrss), whose finished trajectories
-#: hold 8.7 MB of states, the sweep's peak RSS with 64 is 1.2-1.9 MB and
-#: with 128 at most 0.7 MB above that with 256, in small pieces.  A sweep
+#: rk4_paths tests for leaves after its first step and then at every
+#: multiple of this many steps, and so holds at most this many states per
+#: lane before copying them into the lane's pieces.  Holding every step
+#: of every lane would cost more memory than the finished trajectories.
+#: On the 400 grid starts of evobench's basin_sweep (seeds 1, 5, 51;
+#: fresh process each, ru_maxrss), whose finished trajectories hold
+#: 8.7 MB of states, the sweep's peak RSS with 64 is 1.2-1.9 MB and with
+#: 128 at most 0.7 MB above that with 256, in small pieces.  A sweep
 #: took 71-77, 66-72 and 70-79 ms (medians of 63, interleaved): a shorter
 #: chunk tests and copies more often, and a longer one computes more
 #: discarded steps of the lanes that left.
@@ -297,16 +298,6 @@ def _first_leaves(near_x, near_y, box):
     return leave.argmax(axis=0)
 
 
-#: The steps of the first chunk after which rk4_paths counts the lanes
-#: that can stay batched, testing the samples since the last count, and
-#: stops the batch once fewer than BATCH_MIN_LANES can, so that a sweep
-#: whose lanes nearly all leave early computes few discarded steps.  A
-#: chunk that goes on is not cut.  On evobench's basin_sweep (seeds
-#: 2401, 7, 11; a 2-core shared VM) the counts take 0.5-0.7 % of a
-#: sweep, and 0.6-0.8 % at 1, 2, 4, ..., 64.
-_EARLY_CHECKS = (1, 4, 16, 64)
-
-
 # a lane that leaves the batch may compute on past its leave sample, to
 # inf or NaN, until the chunk ends; those values are thrown away
 @np.errstate(over="ignore", invalid="ignore")
@@ -316,17 +307,16 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     The batch of m lanes takes ordinary steps with rk4_attempt_stacked on
     one shared clock, each sample one flat row [x_0 ... x_{m-1}, y_{m-1}
     ... y_0], so that no step reads an operand in reversed lane order
-    but the row's own reversal.  Once per chunk of _CHUNK steps, and
-    when the batch stops, the chunk's y halves are put back in lane
-    order and its samples tested: a lane leaves at its first sample in
-    the box of _path_rules, or whose next state lies outside the unit
-    square or is NaN, and the states it computed after that sample are
-    thrown away.  Every lane leaves when the batch stops, at the horizon
-    or once the budget is spent, and at a chunk end once fewer than
-    BATCH_MIN_LANES are left; fewer than that take no batched step.  In
-    the first chunk the lanes that can stay are also counted after the
-    steps in _EARLY_CHECKS, and the batch stops there once fewer than
-    BATCH_MIN_LANES can.  A lane that leaves runs on from its leave
+    but the row's own reversal.  The steps come in chunks, the first
+    one step long and each later one ending at the next multiple of
+    _CHUNK steps.  At a chunk end, and when the batch stops, the chunk's
+    y halves are put back in lane order and its samples tested: a lane
+    leaves at its first sample in the box of _path_rules, or whose next
+    state lies outside the unit square or is NaN, and the states it
+    computed after that sample are thrown away.  Every lane leaves when
+    the batch stops, at the horizon or once the budget is spent, and at
+    a chunk end once fewer than BATCH_MIN_LANES are left; fewer than
+    that take no batched step.  A lane that leaves runs on from its leave
     sample in the loop of rk4_path, which alone decides its stop and
     alone halves or clamps a step, so every lane is bit-identical to
     rk4_path.
@@ -360,6 +350,9 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     while True:
         n0 = n - 1  # the clock index of the chunk's first sample
         k = 0  # the chunk's batched steps
+        # the first chunk is one step, so that lanes leaving at their start
+        # are dropped at once; the others end at multiples of _CHUNK
+        stop = _CHUNK - n0 % _CHUNK if n0 else 1
         if len(lane) >= BATCH_MIN_LANES and n < n_max and t < t_end:
             m = len(lane)
             if buf is None or buf.shape[1] != 2 * m:
@@ -374,31 +367,15 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
                 q = np.repeat((b, e), m)
             buf[0, :m] = s[0]
             buf[0, : m - 1 : -1] = s[1]
-            stops = (_CHUNK,)
-            if n0 == 0:
-                # the first chunk also stops at each early check; gone marks
-                # the lanes that left at a sample before the last one, k0
-                stops, gone, k0 = (*_EARLY_CHECKS, _CHUNK), np.zeros(m, dtype=bool), 0
-            for stop in stops:
-                while k < stop and n < n_max and t < t_end:
-                    h = t_max - t if t + dt > t_max else dt
-                    # only the shortened last step makes its own factors
-                    factors = full if h == dt else _step_factors(h)
-                    rk4_attempt_stacked(p, q, rows[k], revs[k], factors, rows[k + 1], work)
-                    k += 1
-                    t += h
-                    clock.append(t)
-                    n += 1
-                if k < stop or k == _CHUNK:
-                    break
-                # the samples since the last check; y in lane order is the
-                # second half reversed
-                near = np.subtract(1.0, buf[k0 : k + 1], out=scratch[k0 : k + 1])
-                np.minimum(buf[k0 : k + 1], near, out=near)
-                gone |= _first_leaves(near[:, :m], near[:, : m - 1 : -1], box) < k - k0
-                if m - np.count_nonzero(gone) < BATCH_MIN_LANES:
-                    break
-                k0 = k
+            while k < stop and n < n_max and t < t_end:
+                h = t_max - t if t + dt > t_max else dt
+                # only the shortened last step makes its own factors
+                factors = full if h == dt else _step_factors(h)
+                rk4_attempt_stacked(p, q, rows[k], revs[k], factors, rows[k + 1], work)
+                k += 1
+                t += h
+                clock.append(t)
+                n += 1
             # y back in lane order, through scratch
             np.copyto(scratch[: k + 1, :m], buf[: k + 1, : m - 1 : -1])
             buf[: k + 1, m:] = scratch[: k + 1, :m]
@@ -410,7 +387,7 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
         np.minimum(states, near, out=near)
         first = _first_leaves(near[:, 0], near[:, 1], box)
         stay = first == k
-        done = k < _CHUNK or np.count_nonzero(stay) < BATCH_MIN_LANES
+        done = k < stop or np.count_nonzero(stay) < BATCH_MIN_LANES
         for i, (r, j) in enumerate(zip(lane.tolist(), first.tolist())):
             if j == k and not done:
                 pieces[r].append(states[:k, :, i].copy())

@@ -144,11 +144,12 @@ def train_episode(
 
     A step allocates no array of the batch's size: the draws, the two
     views, their features and the encoder's gradient have buffers made
-    once per episode, and both losses run in one loss_workspace sized by
-    batch_size and feature_dim.  The loss gradient g_z lives in that
-    workspace, so it is valid only until the next step's losses.  The
-    policy's clipped log_std and its exp, and the target's norm, are
-    made once by the PolicyParams and the SchedulerConfig that hold them.
+    once per episode, and both losses run in one loss_workspace made from
+    batch_size, feature_dim, temperature and epsilon.  The loss gradient
+    g_z lives in that workspace, so it is valid only until the next
+    step's losses.  The policy's clipped log_std and its exp, and the
+    target's norm, are made once by the PolicyParams and the
+    SchedulerConfig that hold them.
     """
     sched_cfg = sched_cfg or SchedulerConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -181,11 +182,9 @@ def train_episode(
     # the loop's constant operands, as in _kernels: read-only 0-d arrays
     # made once, where a Python number is converted on every call
     noise_scale, learning_rate = _read_only(cfg.noise_scale), _read_only(cfg.learning_rate)
-    two_b, temperature = _read_only(2 * b), _read_only(cfg.temperature)
-    epsilon, two_epsilon = cfg.epsilon, _read_only(2.0 * cfg.epsilon)
     act_noise = draw[3 * n :]
     x1_t, x2_t = x1.T, x2.T
-    work = loss_workspace(b, cfg.feature_dim)
+    work = loss_workspace(b, cfg.feature_dim, cfg.temperature, cfg.epsilon)
     loss_prev: float | None = None
     try:
         # an overflow would freeze both losses at zero gradient, and an
@@ -200,12 +199,10 @@ def train_episode(
                 _matmul(x2, weights, z2)
                 k = step % period
                 state = states[k]
-                _divide(_add_reduce(z, 0, None, state), two_b, state)
+                _divide(_add_reduce(z, 0, None, state), work.two_n, state)
                 action, log_prob, value = _act(policy, state, act_noise)
                 alpha, beta = _weights(*action.tolist(), sched_cfg)
-                loss, loss_gen, loss_dis, g_z = _ensemble(
-                    views, alpha, beta, temperature, epsilon, work, two_epsilon
-                )
+                loss, loss_gen, loss_dis, g_z = _ensemble(views, alpha, beta, work)
                 if not math.isfinite(loss + log_prob + value):
                     raise ValidationError(
                         f"training diverged at step {step}: loss {loss!r}, "

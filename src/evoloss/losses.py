@@ -48,10 +48,10 @@ def _check_pair(z1, z2) -> np.ndarray:
 # The kernels below take both views stacked into one (2, batch, dim)
 # array z, so that each per-view operation is one numpy call, and they
 # assume checked input: finite, no zero-norm row, no constant column,
-# and a valid temperature/epsilon.  The training loop calls them
-# directly, once its inputs are checked.  A stacked elementwise
-# operation or reduction rounds each view exactly as the same call on
-# that view alone.
+# and a workspace made with a valid temperature/epsilon.  The training
+# loop calls them directly, once its inputs are checked.  A stacked
+# elementwise operation or reduction rounds each view exactly as the
+# same call on that view alone.
 #
 # Every intermediate is written into a loss_workspace, made once per
 # batch shape, so that a training step allocates no array.  The ufuncs
@@ -67,9 +67,12 @@ _add_reduce, _max_reduce = np.add.reduce, np.maximum.reduce
 _MINUS_TWO = _read_only(-2.0)
 
 
-def loss_workspace(batch: int, dim: int) -> SimpleNamespace:
+def loss_workspace(batch: int, dim: int, temperature: float = DEFAULT_TEMPERATURE,
+                   epsilon: float = DEFAULT_OFFDIAG_WEIGHT) -> SimpleNamespace:
     """Buffers for _info_nce and _barlow_twins on a (2, batch, dim) z,
-    with the batch size as the 0-d operands count and two_n = 2.0 * batch.
+    with their operands as read-only 0-d arrays: the batch size count,
+    two_n = 2.0 * batch, temperature, epsilon and two_epsilon = 2.0 *
+    epsilon.
 
     The gradient each kernel returns lives in the workspace and is
     overwritten by the kernel's next call on it.
@@ -78,6 +81,9 @@ def loss_workspace(batch: int, dim: int) -> SimpleNamespace:
     work = SimpleNamespace(
         count=_read_only(batch),
         two_n=_read_only(2.0 * batch),
+        temperature=_read_only(temperature),
+        epsilon=_read_only(epsilon),
+        two_epsilon=_read_only(2.0 * epsilon),
         # InfoNCE: row norms, unit rows w, similarities s and both
         # directions' softmax parts; e1 becomes the gradient of s
         prod=np.empty(views),
@@ -152,13 +158,13 @@ def _mean_nll(m: np.ndarray, r: np.ndarray, diag: np.ndarray, work) -> float:
     return _add_reduce(_subtract(lse, diag, lse)) / len(lse)
 
 
-def _info_nce(z: np.ndarray, norms: np.ndarray, temperature, work):
-    """InfoNCE on checked stacked views and their _row_norms; returns
-    (loss, grad), grad stacked like z and held in work.  temperature is
-    a float or, made once, a read-only 0-d array of it."""
+def _info_nce(z: np.ndarray, norms: np.ndarray, work):
+    """InfoNCE on checked stacked views and their _row_norms, at
+    work.temperature; returns (loss, grad), grad stacked like z and held
+    in work."""
     w = _divide(z, norms, work.w)
     u, v = w
-    s = _divide(_matmul(u, v.T, work.s), temperature, work.s)
+    s = _divide(_matmul(u, v.T, work.s), work.temperature, work.s)
     e1, e2 = work.e1, work.e2
     _exp_rows(s, work.m1, e1, work.r1)
     _exp_rows(s.T, work.m2, e2, work.r2)
@@ -173,7 +179,7 @@ def _info_nce(z: np.ndarray, norms: np.ndarray, temperature, work):
     g_w = work.g_info
     _matmul(g_s, v, g_w[0])
     _matmul(g_s.T, u, g_w[1])
-    _divide(g_w, temperature, g_w)
+    _divide(g_w, work.temperature, g_w)
     # undo the row normalization: project out the radial component
     _multiply(g_w, w, work.prod)
     dots = _add_reduce(work.prod, -1, None, work.row_dots, True)
@@ -181,11 +187,10 @@ def _info_nce(z: np.ndarray, norms: np.ndarray, temperature, work):
     return float(loss), _divide(g_w, norms, g_w)
 
 
-def _barlow_twins(z: np.ndarray, norms: np.ndarray, epsilon: float, two_epsilon, work):
-    """Barlow Twins on checked stacked views and their _column_norms,
-    with work.centered as _column_norms left it; returns (loss, grad),
-    grad stacked like z and held in work.  two_epsilon is 2.0 * epsilon,
-    a float or, made once, a read-only 0-d array of it."""
+def _barlow_twins(z: np.ndarray, norms: np.ndarray, work):
+    """Barlow Twins on checked stacked views and their _column_norms, at
+    work.epsilon, with work.centered as _column_norms left it; returns
+    (loss, grad), grad stacked like z and held in work."""
     w = _divide(work.centered, norms, work.centered)
     a, b = w
     corr = _matmul(a.T, b, work.corr)
@@ -194,8 +199,8 @@ def _barlow_twins(z: np.ndarray, norms: np.ndarray, epsilon: float, two_epsilon,
     sq = _multiply(corr, corr, work.sq)
     work.sq_diag[...] = 0.0
     loss = float(_add_reduce(_square(one_minus, work.one_minus_sq))
-                 + epsilon * _add_reduce(sq, None))
-    g_c = _multiply(two_epsilon, corr, work.g_c)
+                 + work.epsilon * _add_reduce(sq, None))
+    g_c = _multiply(work.two_epsilon, corr, work.g_c)
     _multiply(_MINUS_TWO, one_minus, work.g_c_diag)
     g_w = work.g_barlow
     _matmul(b, g_c.T, g_w[0])
@@ -207,15 +212,12 @@ def _barlow_twins(z: np.ndarray, norms: np.ndarray, epsilon: float, two_epsilon,
     return loss, _center(_divide(g_w, norms, g_w), work, g_w)
 
 
-def _ensemble(z, alpha: float, beta: float, temperature, epsilon: float, work,
-              two_epsilon=None):
+def _ensemble(z, alpha: float, beta: float, work):
     """Both losses on checked stacked views and their weighted sum;
     returns (loss, loss_gen, loss_dis, grad), grad stacked like z and
-    held in work.  two_epsilon, when not given, is 2.0 * epsilon."""
-    if two_epsilon is None:
-        two_epsilon = 2.0 * epsilon
-    loss_gen, g_gen = _info_nce(z, _row_norms(z, work), temperature, work)
-    loss_dis, g_dis = _barlow_twins(z, _column_norms(z, work), epsilon, two_epsilon, work)
+    held in work."""
+    loss_gen, g_gen = _info_nce(z, _row_norms(z, work), work)
+    loss_dis, g_dis = _barlow_twins(z, _column_norms(z, work), work)
     g = _add(_multiply(alpha, g_gen, g_gen), _multiply(beta, g_dis, g_dis), g_gen)
     return alpha * loss_gen + beta * loss_dis, loss_gen, loss_dis, g
 
@@ -230,12 +232,12 @@ def info_nce(z1, z2, temperature: float = DEFAULT_TEMPERATURE):
     """
     z = _check_pair(z1, z2)
     temperature = as_float("temperature", temperature, "positive")
-    work = loss_workspace(*z.shape[1:])
+    work = loss_workspace(*z.shape[1:], temperature=temperature)
     with raising("info_nce"):
         norms = _row_norms(z, work)
         if (norms == 0.0).any():
             raise NormalizationError("a feature row has zero norm")
-        loss, g = _info_nce(z, norms, temperature, work)
+        loss, g = _info_nce(z, norms, work)
     return loss, (g[0], g[1])
 
 
@@ -247,10 +249,10 @@ def barlow_twins(z1, z2, epsilon: float = DEFAULT_OFFDIAG_WEIGHT):
     """
     z = _check_pair(z1, z2)
     epsilon = as_float("epsilon", epsilon, "nonnegative")
-    work = loss_workspace(*z.shape[1:])
+    work = loss_workspace(*z.shape[1:], epsilon=epsilon)
     with raising("barlow_twins"):
         norms = _column_norms(z, work)
         if (norms == 0.0).any():
             raise DegenerateFeatureError("a feature column has zero variance")
-        loss, g = _barlow_twins(z, norms, epsilon, 2.0 * epsilon, work)
+        loss, g = _barlow_twins(z, norms, work)
     return loss, (g[0], g[1])

@@ -222,7 +222,6 @@ def discriminability(sl_acc: float, ssl_acc: float) -> float:
 
 def negative_impacts(
     table: BenchmarkTable,
-    gen_method: str,
     ens_method: str,
     d: str,
     d_prime: str,
@@ -231,19 +230,13 @@ def negative_impacts(
 
     Returns (n1, n2): n1 is the supervised reference on the transfer
     dataset minus the ensemble's transferred accuracy; n2 is the
-    generalizability member's transferred accuracy minus the ensemble's.
-    Either may be negative when the ensemble wins.  Raises
-    ValidationError unless gen_method is the member ens_method names
-    (ensemble_member), the one metric_rows takes for N2.
+    transferred accuracy of the generalizability member ens_method names
+    (ensemble_member), as in metric_rows, minus the ensemble's.  Either
+    may be negative when the ensemble wins.
     """
-    member = ensemble_member(ens_method)
-    if gen_method != member:
-        raise ValidationError(
-            f"ensemble {ens_method!r} names member {member!r}, not {gen_method!r}"
-        )
     ens_acc = table.accuracy(ens_method, d, d_prime)
     n1 = table.sl_accuracy(d_prime) - ens_acc
-    n2 = table.accuracy(gen_method, d, d_prime) - ens_acc
+    n2 = table.accuracy(ensemble_member(ens_method), d, d_prime) - ens_acc
     return n1, n2
 
 
@@ -324,11 +317,12 @@ def game_datasets(table: BenchmarkTable) -> tuple[str, str]:
 
 def table_payoffs(
     table: BenchmarkTable,
-    gen_method: str,
     dis_method: str,
     ens_method: str,
 ) -> tuple[float, float, float, float, float, float]:
-    """One (g1, d1, g2, d2, n1, n2) measurement from a benchmark table."""
+    """One (g1, d1, g2, d2, n1, n2) measurement from a benchmark table;
+    the generalizability member is the one ens_method names."""
+    gen_method = ensemble_member(ens_method)
     d, d_prime = game_datasets(table)
     sl_home = table.sl_accuracy(d)
     sl_away = table.sl_accuracy(d_prime)
@@ -336,7 +330,7 @@ def table_payoffs(
     d1 = discriminability(sl_home, table.accuracy(gen_method, d, d))
     g2 = generalizability(sl_away, table.accuracy(dis_method, d, d_prime))
     d2 = discriminability(sl_home, table.accuracy(dis_method, d, d))
-    n1, n2 = negative_impacts(table, gen_method, ens_method, d, d_prime)
+    n1, n2 = negative_impacts(table, ens_method, d, d_prime)
     return g1, d1, g2, d2, n1, n2
 
 
@@ -344,7 +338,6 @@ def payoff_from_benchmarks(
     tables,
     w1: float,
     w2: float,
-    gen_method: str,
     dis_method: str,
     ens_method: str,
 ) -> PayoffParams:
@@ -354,7 +347,7 @@ def payoff_from_benchmarks(
         raise ValidationError("need at least one benchmark table")
     sums = [0.0] * 6
     for table in tables:
-        for i, value in enumerate(table_payoffs(table, gen_method, dis_method, ens_method)):
+        for i, value in enumerate(table_payoffs(table, dis_method, ens_method)):
             sums[i] += value
     n = len(tables)
     g1, d1, g2, d2, n1, n2 = (s / n for s in sums)

@@ -294,11 +294,11 @@ def own_leave(params, traj, cfg):
 def handoff_sample(own):
     """The sample at which rk4_paths hands the lanes still batched to the
     scalar loop because fewer than BATCH_MIN_LANES are left, given each
-    lane's own leave sample: the first count, at the start, after a step
-    of _kernels._EARLY_CHECKS in the first chunk or at a chunk end, with
+    lane's own leave sample: the first count, at the start or at a chunk
+    end, after the first step or at a multiple of CHUNK steps, with
     fewer lanes whose own leave sample is that one or later; None when
     the last lanes leave of their own accord first."""
-    for n in sorted({*_kernels._EARLY_CHECKS, *range(0, max(own) + 1, CHUNK)}):
+    for n in sorted({1, *range(0, max(own) + 1, CHUNK)}):
         left = sum(j >= n for j in own)
         if left < LANES:
             return n if left else None
@@ -936,8 +936,7 @@ def one_game_table(ensemble_transfer):
         pytest.param(lambda v: ppo_update(POLICY, [TRANSITION(reward=v)],
                                           SchedulerConfig(update_period=1)),
                      Decimal("1.5"), id="Transition-reward"),
-        pytest.param(lambda v: payoff_from_benchmarks([one_game_table(v)], 1.0, 1.0,
-                                                      "A", "B", "A+B"),
+        pytest.param(lambda v: payoff_from_benchmarks([one_game_table(v)], 1.0, 1.0, "B", "A+B"),
                      Decimal("58"), id="AccuracyRecord-accuracy"),
         # the horizon end was worked out in float32, 4.8e-8 past t_max
         pytest.param(lambda v: simulate(FIXTURE, (5 / 6, 5 / 6), IntegratorConfig(t_max=v)),
@@ -1320,13 +1319,31 @@ def test_batched_steps_take_only_flat_rows(monkeypatch):
 
 def test_batch_that_every_lane_leaves_at_its_start_takes_one_step(monkeypatch):
     """The lanes of leave_all_at_start all leave at their first sample,
-    so the batch stops at its first count of the lanes that can stay,
-    after one step, instead of computing a whole chunk of discarded
-    steps; every lane is still simulate's, bit for bit."""
+    so the batch stops at the end of its first chunk, after one step,
+    instead of computing a whole chunk of discarded steps; every lane is
+    still simulate's, bit for bit."""
     steps = _count_batched_steps(monkeypatch)
     params, starts, cfg, _ = BATCH_CASES["leave_all_at_start"]
     batch = phase_portrait(params, starts, cfg)
     assert len(steps) <= 1
+    for start, got in zip(starts, batch):
+        want = simulate(params, start, cfg)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+
+
+def test_lanes_that_leave_at_their_start_take_one_batched_step(monkeypatch):
+    """In box_not_ball, 24 of the 81 starts leave at their start while
+    the others stay batched: the first chunk, one step long, drops them,
+    so the second step runs only the 57 lanes whose own leave sample is
+    past 0; every lane is still simulate's, bit for bit."""
+    steps = _count_batched_steps(monkeypatch)
+    params, starts, cfg, _ = BATCH_CASES["box_not_ball"]
+    batch = phase_portrait(params, starts, cfg)
+    own = [own_leave(params, t, cfg) for t in batch]
+    assert (len(starts), sum(j > 0 for j in own)) == (81, 57)
+    lanes = [len(p) // 2 for p, *_ in steps]
+    assert lanes[:2] == [81, 57]
     for start, got in zip(starts, batch):
         want = simulate(params, start, cfg)
         assert got.times.tobytes() == want.times.tobytes()

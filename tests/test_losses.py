@@ -243,7 +243,7 @@ def test_stacked_kernels_match_per_view_reference(
     assert (got_dis, g1.tobytes(), g2.tobytes()) == (dis, gb1.tobytes(), gb2.tobytes())
     alpha, beta = weights
     loss, loss_gen, loss_dis, g = _ensemble(
-        z.reshape(2, batch, dim), alpha, beta, temperature, epsilon, loss_workspace(batch, dim)
+        z.reshape(2, batch, dim), alpha, beta, loss_workspace(batch, dim, temperature, epsilon)
     )
     assert (loss, loss_gen, loss_dis) == (alpha * gen + beta * dis, gen, dis)
     assert g[0].tobytes() == (alpha * gi1 + beta * gb1).tobytes()
@@ -254,15 +254,13 @@ def test_a_reused_workspace_keeps_nothing_from_the_previous_call(rng):
     """The training loop runs every step in one workspace: a second call
     on it, with other views and weights, equals the reference alone."""
     batch, dim = 6, 4
-    work = loss_workspace(batch, dim)
-    _ensemble(rng.standard_normal((2, batch, dim)) * 50.0, 0.9, 0.2, 0.5, 0.3, work)
+    work = loss_workspace(batch, dim, 0.5, 0.3)
+    _ensemble(rng.standard_normal((2, batch, dim)) * 50.0, 0.9, 0.2, work)
     z = rng.standard_normal((2, batch, dim))
     alpha, beta = 1e-3, 1.0
-    loss, loss_gen, loss_dis, g = _ensemble(
-        z, alpha, beta, DEFAULT_TEMPERATURE, DEFAULT_OFFDIAG_WEIGHT, work
-    )
-    gen, gi1, gi2 = reference_info_nce(z[0], z[1], DEFAULT_TEMPERATURE)
-    dis, gb1, gb2 = reference_barlow_twins(z[0], z[1], DEFAULT_OFFDIAG_WEIGHT)
+    loss, loss_gen, loss_dis, g = _ensemble(z, alpha, beta, work)
+    gen, gi1, gi2 = reference_info_nce(z[0], z[1], 0.5)
+    dis, gb1, gb2 = reference_barlow_twins(z[0], z[1], 0.3)
     assert (loss, loss_gen, loss_dis) == (alpha * gen + beta * dis, gen, dis)
     assert g[0].tobytes() == (alpha * gi1 + beta * gb1).tobytes()
     assert g[1].tobytes() == (alpha * gi2 + beta * gb2).tobytes()

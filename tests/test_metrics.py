@@ -355,7 +355,7 @@ def test_gap_metric_antitone_in_reference_accuracy(sl_lo, sl_hi, ssl):
 
 def test_negative_impacts_frozen():
     table = make_table()
-    n1, n2 = negative_impacts(table, "SIM", "SIM+BT", "C10", "S10")
+    n1, n2 = negative_impacts(table, "SIM+BT", "C10", "S10")
     assert n1 == 99.6 - 72.5
     assert n2 == 64.8 - 72.5
     assert n2 < 0.0  # the ensemble transfers better than its member here
@@ -363,20 +363,14 @@ def test_negative_impacts_frozen():
 
 def test_negative_impacts_takes_n2_from_the_named_member(data_dir):
     """N2 is the transfer accuracy of the member the ensemble id names
-    minus the ensemble's, as metric_rows computes it; another gen_method
-    used to give a second N2 for the same record (0.6 from BT against
-    metric_rows' -7.7 from SIM on the fixture's C10 game)."""
+    minus the ensemble's, as metric_rows computes it: a separate
+    generalizability method used to give a second N2 for the same record
+    (0.6 from BT against metric_rows' -7.7 from SIM on the fixture's C10
+    game)."""
     full = load_benchmark(data_dir / "benchmark_small.csv")
     table = BenchmarkTable({key: acc for key, acc in full.accuracies.items()
                             if key[0] == "SL" or key[1] == "C10"})
-    line = r"^ensemble 'SIM\+BT' names member 'SIM', not 'BT'$"
-    with pytest.raises(ValidationError, match=line):
-        negative_impacts(table, "BT", "SIM+BT", "C10", "S10")
-    with pytest.raises(ValidationError, match=line):
-        table_payoffs(table, "BT", "SIM", "SIM+BT")
-    with pytest.raises(ValidationError, match=line):
-        payoff_from_benchmarks([table], 1.0, 1.0, "BT", "SIM", "SIM+BT")
-    n2 = table_payoffs(table, "SIM", "BT", "SIM+BT")[5]
+    n2 = table_payoffs(table, "BT", "SIM+BT")[5]
     assert ("N2", "SIM+BT", "C10", "S10", n2) in metric_rows(table)
 
 
@@ -396,7 +390,7 @@ def test_game_datasets_rejects_ambiguity():
 
 
 def test_table_payoffs_frozen():
-    g1, d1, g2, d2, n1, n2 = table_payoffs(make_table(), "SIM", "BT", "SIM+BT")
+    g1, d1, g2, d2, n1, n2 = table_payoffs(make_table(), "BT", "SIM+BT")
     assert g1 == 1.0 / (99.6 - 64.8)
     assert d1 == 1.0 / (99.37 - 74.4)
     assert g2 == 1.0 / (99.6 - 73.1)
@@ -407,16 +401,16 @@ def test_table_payoffs_frozen():
 
 def test_payoff_from_benchmarks_single_table_is_identity():
     table = make_table()
-    expected = table_payoffs(table, "SIM", "BT", "SIM+BT")
-    params = payoff_from_benchmarks([table], 1.0, 1.0, "SIM", "BT", "SIM+BT")
+    expected = table_payoffs(table, "BT", "SIM+BT")
+    params = payoff_from_benchmarks([table], 1.0, 1.0, "BT", "SIM+BT")
     assert params.astuple()[:6] == expected
     assert (params.w1, params.w2) == (1.0, 1.0)
 
 
 def test_payoff_from_benchmarks_idempotent_on_equal_tables():
     table = make_table()
-    once = payoff_from_benchmarks([table], 1.0, 1.0, "SIM", "BT", "SIM+BT")
-    twice = payoff_from_benchmarks([table, table], 1.0, 1.0, "SIM", "BT", "SIM+BT")
+    once = payoff_from_benchmarks([table], 1.0, 1.0, "BT", "SIM+BT")
+    twice = payoff_from_benchmarks([table, table], 1.0, 1.0, "BT", "SIM+BT")
     assert once == twice  # (v + v) / 2 is exact
 
 
@@ -424,7 +418,7 @@ def test_payoff_from_benchmarks_opposite_impacts_cancel():
     # swapping the member and ensemble transfer accuracies negates n2 exactly
     t1 = make_table(gen_away=64.8, ens_away=72.5)
     t2 = make_table(gen_away=72.5, ens_away=64.8)
-    params = payoff_from_benchmarks([t1, t2], 1.0, 1.0, "SIM", "BT", "SIM+BT")
+    params = payoff_from_benchmarks([t1, t2], 1.0, 1.0, "BT", "SIM+BT")
     assert params.n2 == 0.0
 
 
@@ -434,15 +428,15 @@ def test_payoff_from_benchmarks_permutation_invariant():
         make_table(gen_away=61.2, dis_home=85.5, ens_away=70.0),
         make_table(gen_home=70.1, dis_away=75.9, ens_home=81.3),
     ]
-    base = payoff_from_benchmarks(tables, 1.2, 0.8, "SIM", "BT", "SIM+BT")
-    perm = payoff_from_benchmarks(tables[::-1], 1.2, 0.8, "SIM", "BT", "SIM+BT")
+    base = payoff_from_benchmarks(tables, 1.2, 0.8, "BT", "SIM+BT")
+    perm = payoff_from_benchmarks(tables[::-1], 1.2, 0.8, "BT", "SIM+BT")
     for u, v in zip(base.astuple(), perm.astuple()):
         assert math.isclose(u, v, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_payoff_from_benchmarks_needs_tables():
     with pytest.raises(ValidationError):
-        payoff_from_benchmarks([], 1.0, 1.0, "SIM", "BT", "SIM+BT")
+        payoff_from_benchmarks([], 1.0, 1.0, "BT", "SIM+BT")
 
 
 # ------------------------------------------------------------- parameters
