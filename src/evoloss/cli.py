@@ -215,6 +215,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with warnings.catch_warnings(record=True) as caught:
+            # every warning once per event, not once per message and line
+            warnings.simplefilter("always")
             code = _HANDLERS[args.command](args)
         sys.stderr.write("".join(f"warning: {w.message}\n" for w in caught))
         return code

@@ -18,14 +18,7 @@ from .errors import ValidationError, as_array, as_float, as_int, raising
 from .kvfile import repr_fields, write_rows
 # train_episode fuses the public step functions imported here; they stay
 # lab attributes because evobench's traced cli_files run wraps them here.
-from .losses import (
-    DEFAULT_OFFDIAG_WEIGHT,
-    DEFAULT_TEMPERATURE,
-    _ensemble,
-    barlow_twins,
-    info_nce,
-    loss_workspace,
-)
+from .losses import _ensemble, barlow_twins, info_nce, loss_workspace
 from .scheduler import (
     PolicyParams,
     SchedulerConfig,
@@ -58,16 +51,12 @@ class LabConfig:
     noise_scale: float = 0.1
     learning_rate: float = 0.01
     seed: int = 0
-    #: InfoNCE softmax temperature and Barlow Twins off-diagonal weight.
-    temperature: float = DEFAULT_TEMPERATURE
-    epsilon: float = DEFAULT_OFFDIAG_WEIGHT
 
     def __post_init__(self):
         for name, minimum in (("steps", 1), ("input_dim", 1), ("feature_dim", 2),
                               ("batch_size", 2), ("seed", 0)):
             object.__setattr__(self, name, as_int(name, getattr(self, name), minimum))
-        for name, rule in (("noise_scale", "nonnegative"), ("learning_rate", "positive"),
-                           ("temperature", "positive"), ("epsilon", "nonnegative")):
+        for name, rule in (("noise_scale", "nonnegative"), ("learning_rate", "positive")):
             object.__setattr__(self, name, as_float(name, getattr(self, name), rule))
 
 
@@ -145,11 +134,11 @@ def train_episode(
     A step allocates no array of the batch's size: the draws, the two
     views, their features and the encoder's gradient have buffers made
     once per episode, and both losses run in one loss_workspace made from
-    batch_size, feature_dim, temperature and epsilon.  The loss gradient
-    g_z lives in that workspace, so it is valid only until the next
-    step's losses.  The policy's clipped log_std and its exp, and the
-    target's norm, are made once by the PolicyParams and the
-    SchedulerConfig that hold them.
+    batch_size and feature_dim, at the losses' default temperature and
+    epsilon.  The loss gradient g_z lives in that workspace, so it is
+    valid only until the next step's losses.  The policy's clipped
+    log_std and its exp, and the target's norm, are made once by the
+    PolicyParams and the SchedulerConfig that hold them.
     """
     sched_cfg = sched_cfg or SchedulerConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -184,7 +173,7 @@ def train_episode(
     noise_scale, learning_rate = _read_only(cfg.noise_scale), _read_only(cfg.learning_rate)
     act_noise = draw[3 * n :]
     x1_t, x2_t = x1.T, x2.T
-    work = loss_workspace(b, cfg.feature_dim, cfg.temperature, cfg.epsilon)
+    work = loss_workspace(b, cfg.feature_dim)
     loss_prev: float | None = None
     try:
         # an overflow would freeze both losses at zero gradient, and an

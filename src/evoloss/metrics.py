@@ -146,22 +146,28 @@ def load_benchmark(path) -> BenchmarkTable:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
+            # each row with the line it starts on: a quoted field may
+            # span lines, so a row's index is not its line number
+            lines, start = [], 1
             try:
-                lines = list(reader)
+                for row in reader:
+                    lines.append((start, row))
+                    start = reader.line_num + 1
             except csv.Error as exc:  # a field over csv's size limit
                 raise BenchmarkParseError(str(exc), line=reader.line_num) from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise BenchmarkParseError("empty file")
-    if lines[0] != _HEADER:
+    header = lines[0][1]
+    if header != _HEADER:
         raise BenchmarkParseError(
-            f"expected header {','.join(_HEADER)!r}, got {','.join(lines[0])!r}",
+            f"expected header {','.join(_HEADER)!r}, got {','.join(header)!r}",
             line=1,
         )
     accuracies: dict[tuple[str, str, str], float] = {}
     linenos: dict[tuple[str, str, str], int] = {}
-    for lineno, row in enumerate(lines[1:], start=2):
+    for lineno, row in lines[1:]:
         if not row:
             continue
         if len(row) != 4:

@@ -255,8 +255,8 @@ def replay_train_episode(cfg, sched_cfg=None, initial_policy=None) -> TrainingLo
         state = observe_state(np.vstack((z1, z2)))
         action, log_prob, value = policy_act(policy, state, rng)
         w = map_action(action, sched_cfg)
-        loss_gen, (gi1, gi2) = info_nce(z1, z2, cfg.temperature)
-        loss_dis, (gb1, gb2) = barlow_twins(z1, z2, cfg.epsilon)
+        loss_gen, (gi1, gi2) = info_nce(z1, z2)
+        loss_dis, (gb1, gb2) = barlow_twins(z1, z2)
         loss = w.alpha * loss_gen + w.beta * loss_dis
         g_z1 = w.alpha * gi1 + w.beta * gb1
         g_z2 = w.alpha * gi2 + w.beta * gb2

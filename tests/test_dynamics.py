@@ -668,8 +668,8 @@ def with_nan(good):
         (IntegratorConfig, "dt", np.complex128(0.1 + 1j)),
         (functools.partial(LabConfig, steps=1), "noise_scale", "x"),
         (functools.partial(LabConfig, steps=1), "learning_rate", None),
-        (functools.partial(LabConfig, steps=1), "temperature", "0.07"),
-        (functools.partial(LabConfig, steps=1), "epsilon", [0.0]),
+        (functools.partial(LabConfig, steps=1), "input_dim", "16"),
+        (functools.partial(LabConfig, steps=1), "batch_size", [32]),
         (SchedulerConfig, "center", "1"),
         (SchedulerConfig, "explore_weight", None),
         (SchedulerConfig, "target", (1,)),
@@ -922,8 +922,6 @@ def one_game_table(ensemble_transfer):
         # the encoder step or the loss raised a bare UFuncTypeError
         pytest.param(lambda v: train_episode(LabConfig(steps=3, learning_rate=v)),
                      Decimal("0.01"), id="LabConfig-learning_rate"),
-        pytest.param(lambda v: train_episode(LabConfig(steps=3, temperature=v)),
-                     Fraction(7, 100), id="LabConfig-temperature"),
         # the rest raised a bare TypeError
         pytest.param(lambda v: train_episode(LabConfig(steps=3), SchedulerConfig(center=v)),
                      Decimal("0.5"), id="SchedulerConfig-center"),

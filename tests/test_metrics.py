@@ -199,6 +199,23 @@ def test_load_benchmark_missing_sl_reference(tmp_path):
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "last_row,message",
+    [
+        ("M,A,A,abc", "not a number"),
+        ("SL,A,A,80.0", "duplicate"),
+        ("M,A,C,80.0", "no\\s+supervised reference"),
+    ],
+)
+def test_load_benchmark_numbers_rows_after_a_multi_line_field(tmp_path, last_row, message):
+    """A row's line is the one it starts on; rows after a quoted field
+    that spans two lines were numbered one line early."""
+    text = f'method,pretrain,eval,accuracy\nSL,A,A,90.0\n"M\nX",A,A,85.0\n{last_row}\n'
+    with pytest.raises(ValidationError, match=message) as exc:
+        load_benchmark(_write(tmp_path, text))
+    assert exc.value.line == 5
+
+
 def test_load_benchmark_skips_blank_lines(tmp_path):
     text = "method,pretrain,eval,accuracy\n\nSL,C10,C10,99.0\n\nBT,C10,C10,83.0\n"
     table = load_benchmark(_write(tmp_path, text))
