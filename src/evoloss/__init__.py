@@ -57,7 +57,6 @@ from .metrics import (
     is_ensemble_method,
     load_benchmark,
     load_payoff_params,
-    negative_impacts,
     payoff_from_benchmarks,
     save_payoff_params,
     table_payoffs,

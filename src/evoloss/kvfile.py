@@ -6,8 +6,9 @@ from __future__ import annotations
 from .errors import ValidationError
 
 
-def parse_kv_text(text: str) -> dict[str, float]:
-    """Parse `key = value` lines into a dict of floats.
+def parse_kv_text(text: str) -> dict[str, float | int]:
+    """Parse `key = value` lines into a dict of floats, except that an
+    integer a float cannot hold exactly is kept as an int.
 
     Blank lines and lines starting with '#' are skipped.  Raises
     ValidationError on any line that is not of that shape or whose
@@ -33,6 +34,12 @@ def parse_kv_text(text: str) -> dict[str, float]:
             raise ValidationError(
                 f"line {lineno}: value for {key!r} is not a number: {value!r}"
             ) from None
+        try:
+            integral = int(value)
+        except ValueError:  # not an integer literal
+            continue
+        if integral != out[key]:
+            out[key] = integral
     return out
 
 
@@ -45,7 +52,7 @@ def read_text(path) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def read_kv_file(path) -> dict[str, float]:
+def read_kv_file(path) -> dict[str, float | int]:
     return parse_kv_text(read_text(path))
 
 

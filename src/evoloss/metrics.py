@@ -125,8 +125,8 @@ def is_ensemble_method(method: str) -> bool:
 
 def ensemble_member(method: str) -> str:
     """The generalizability-oriented member an ensemble method id names:
-    the part before its first ``+``."""
-    return method.split("+", 1)[0]
+    the part before its first ``+``, without the spaces around it."""
+    return method.split("+", 1)[0].strip()
 
 
 def _canonical_order(keys) -> list[tuple[str, str, str]]:
@@ -226,32 +226,13 @@ def discriminability(sl_acc: float, ssl_acc: float) -> float:
     return _reciprocal_gap(sl_acc, ssl_acc, "discriminability")
 
 
-def negative_impacts(
-    table: BenchmarkTable,
-    ens_method: str,
-    d: str,
-    d_prime: str,
-) -> tuple[float, float]:
-    """Signed accuracy costs of ensembling, in percent points.
-
-    Returns (n1, n2): n1 is the supervised reference on the transfer
-    dataset minus the ensemble's transferred accuracy; n2 is the
-    transferred accuracy of the generalizability member ens_method names
-    (ensemble_member), as in metric_rows, minus the ensemble's.  Either
-    may be negative when the ensemble wins.
-    """
-    ens_acc = table.accuracy(ens_method, d, d_prime)
-    n1 = table.sl_accuracy(d_prime) - ens_acc
-    n2 = table.accuracy(ensemble_member(ens_method), d, d_prime) - ens_acc
-    return n1, n2
-
-
 def metric_rows(table: BenchmarkTable) -> list[tuple[str, str, str, str, float]]:
     """The (metric, method, pretrain, eval, value) rows a table yields.
 
     Each SSL record gives D (pretrain == eval) or G (a transfer); each
-    ensemble record gives N1 and, when the table holds its member's
-    accuracy on the same datasets, N2 (see negative_impacts).
+    ensemble record gives N1 (reference minus ensemble) and, when the
+    table holds its member's accuracy on the same datasets, N2 (member
+    minus ensemble), signed percent points.
     """
     rows = []
     for rec in table.records:
@@ -304,15 +285,16 @@ def game_datasets(table: BenchmarkTable) -> tuple[str, str]:
     Requires every record to share one pretrain dataset and exactly one
     eval dataset different from it.
     """
-    if not table.records:
+    records = table.records
+    if not records:
         raise ValidationError("table has no SSL or ensemble records")
-    pretrains = {rec.pretrain for rec in table.records}
+    pretrains = {rec.pretrain for rec in records}
     if len(pretrains) != 1:
         raise ValidationError(
             f"ambiguous pretrain dataset: {sorted(pretrains)}"
         )
     (pretrain,) = pretrains
-    transfers = {rec.eval for rec in table.records} - {pretrain}
+    transfers = {rec.eval for rec in records} - {pretrain}
     if len(transfers) != 1:
         raise ValidationError(
             f"expected exactly one transfer dataset, found {sorted(transfers)}"
@@ -326,18 +308,21 @@ def table_payoffs(
     dis_method: str,
     ens_method: str,
 ) -> tuple[float, float, float, float, float, float]:
-    """One (g1, d1, g2, d2, n1, n2) measurement from a benchmark table;
-    the generalizability member is the one ens_method names."""
+    """One (g1, d1, g2, d2, n1, n2) measurement, read off the metric_rows
+    of the table's SL rows and the game's three methods: G, N1 and N2 on
+    the transfer, D at home.  The member is the one ens_method names."""
     gen_method = ensemble_member(ens_method)
     d, d_prime = game_datasets(table)
-    sl_home = table.sl_accuracy(d)
-    sl_away = table.sl_accuracy(d_prime)
-    g1 = generalizability(sl_away, table.accuracy(gen_method, d, d_prime))
-    d1 = discriminability(sl_home, table.accuracy(gen_method, d, d))
-    g2 = generalizability(sl_away, table.accuracy(dis_method, d, d_prime))
-    d2 = discriminability(sl_home, table.accuracy(dis_method, d, d))
-    n1, n2 = negative_impacts(table, ens_method, d, d_prime)
-    return g1, d1, g2, d2, n1, n2
+    game = BenchmarkTable({key: acc for key, acc in table.accuracies.items()
+                           if key[0] in (SL_METHOD, gen_method, dis_method, ens_method)})
+    values = {row[:4]: row[4] for row in metric_rows(game)}
+    wanted = [("G", gen_method, d, d_prime), ("D", gen_method, d, d),
+              ("G", dis_method, d, d_prime), ("D", dis_method, d, d),
+              ("N1", ens_method, d, d_prime), ("N2", ens_method, d, d_prime)]
+    for key in wanted:
+        if key not in values:
+            raise MissingRecordError(f"no {key[0]} metric for {key[1:]!r}")
+    return tuple(values[key] for key in wanted)
 
 
 def payoff_from_benchmarks(

@@ -66,6 +66,13 @@ def test_saddle_missing_file_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_saddle_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
+    path = write_kv(tmp_path / "p.params", g1=10**400, d1=1, g2=1, d2=1, n1=0, n2=0)
+    assert main(["saddle", "--params", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: g1 must be nonnegative, got a number too large for a float\n")
+
+
 def test_saddle_malformed_params_exits_2(tmp_path, capsys):
     path = tmp_path / "p.params"
     path.write_text("g1: 1.5\n", encoding="utf-8")
@@ -180,7 +187,7 @@ def test_fixture_scaled_where_det_underflows_keeps_its_classes(params_file, tmp_
     out = tmp_path / "eq.csv"
     assert main(["equilibria", "--params", str(params), "--output", str(out)]) == 0
     game = PayoffParams(**{name: float(f"{v}e{k}") for name, v in FIXTURE_PAYOFFS.items()})
-    for row in list(csv.reader(out.open()))[1:]:
+    for row in list(csv.reader(out.read_text().splitlines()))[1:]:
         j = jacobian(game, (float(row[0]), float(row[1])))
         assert [float(row[2]), float(row[3])] == [float(np.linalg.det(j)), float(np.trace(j))]
 
@@ -267,6 +274,20 @@ def test_non_utf8_input_file_exits_2(tmp_path, capsys, command, flag):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
+def test_metrics_ignores_spaces_around_the_plus_of_an_ensemble(tmp_path, capsys):
+    """load_benchmark strips each field but kept the spaces inside one,
+    so "SIM + BT" named the member "SIM " and its N2 rows were lost."""
+    table = tmp_path / "bench.csv"
+    table.write_text("method,pretrain,eval,accuracy\nSL,C,C,99\nSL,S,S,98\nSIM,C,C,70\n"
+                     "SIM,C,S,60\nSIM + BT,C,S,65\nSIM + BT,C,C,75\n", encoding="utf-8")
+    out = tmp_path / "m.csv"
+    assert main(["metrics", "--input", str(table), "--output", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 6 metric rows to {out}\n"
+    rows = out.read_text(encoding="utf-8").splitlines()
+    assert [row for row in rows if row.startswith("N2,")] == [
+        "N2,SIM + BT,C,S,-5.0", "N2,SIM + BT,C,C,-5.0"]
 
 
 def test_metrics_bad_input_exits_2(tmp_path, capsys):
@@ -529,6 +550,20 @@ def test_train_seed_override_changes_output(tmp_path, capsys):
     base = out.read_bytes()
     assert main(["train", "--config", str(cfg), "--out", str(out), "--seed", "12"]) == 0
     assert out.read_bytes() != base
+
+
+def test_train_config_seed_is_read_exactly(tmp_path, capsys):
+    """A config value was read as a float, so seed = 2**53 + 1 trained
+    with seed 2**53; an integer a float cannot hold stays an int."""
+    seed = 2**53 + 1
+    cfg = write_kv(tmp_path / "train.cfg", **{**TRAIN_CONFIG, "seed": seed})
+    by_config, by_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
+    assert main(["train", "--config", str(cfg), "--out", str(by_config)]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(by_flag), "--seed", str(seed)]) == 0
+    assert by_config.read_bytes() == by_flag.read_bytes()
+    assert main(["train", "--config", str(cfg), "--out", str(by_flag),
+                 "--seed", str(seed - 1)]) == 0
+    assert by_config.read_bytes() != by_flag.read_bytes()
 
 
 def test_train_custom_weights_path(tmp_path, capsys):

@@ -21,7 +21,6 @@ from evoloss import (
     is_ensemble_method,
     load_benchmark,
     load_payoff_params,
-    negative_impacts,
     payoff_from_benchmarks,
     save_payoff_params,
     table_payoffs,
@@ -370,15 +369,7 @@ def test_gap_metric_antitone_in_reference_accuracy(sl_lo, sl_hi, ssl):
 # -------------------------------------------------------- payoff assembly
 
 
-def test_negative_impacts_frozen():
-    table = make_table()
-    n1, n2 = negative_impacts(table, "SIM+BT", "C10", "S10")
-    assert n1 == 99.6 - 72.5
-    assert n2 == 64.8 - 72.5
-    assert n2 < 0.0  # the ensemble transfers better than its member here
-
-
-def test_negative_impacts_takes_n2_from_the_named_member(data_dir):
+def test_table_payoffs_takes_n2_from_the_named_member(data_dir):
     """N2 is the transfer accuracy of the member the ensemble id names
     minus the ensemble's, as metric_rows computes it: a separate
     generalizability method used to give a second N2 for the same record
@@ -414,6 +405,32 @@ def test_table_payoffs_frozen():
     assert d2 == 1.0 / (99.37 - 83.0)
     assert n1 == 99.6 - 72.5
     assert n2 == 64.8 - 72.5
+
+
+@pytest.mark.parametrize("dis_method,ens_method,message", [
+    # an ensemble has no G or D, and a single method no N1 or N2; each
+    # used to give numbers from its accuracies
+    ("SIM+BT", "SIM+BT", "no G metric for ('SIM+BT', 'C10', 'S10')"),
+    ("BT", "SIM", "no N1 metric for ('SIM', 'C10', 'S10')"),
+])
+def test_table_payoffs_needs_each_metric(dis_method, ens_method, message):
+    with pytest.raises(MissingRecordError) as exc:
+        table_payoffs(make_table(), dis_method, ens_method)
+    assert str(exc.value) == message
+
+
+def test_table_payoffs_warns_only_for_the_games_clamped_gaps():
+    """A third method whose gaps clamp is not in the game, and a clamped
+    gap of the game's discriminability method warns once."""
+    table = make_table(dis_home=99.37)
+    table = BenchmarkTable({**table.accuracies, ("MOCO", "C10", "C10"): 99.37,
+                            ("MOCO", "C10", "S10"): 99.6})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        payoffs = table_payoffs(table, "BT", "SIM+BT")
+    assert [str(w.message) for w in caught] == [
+        "discriminability: accuracy gap 0 below floor 0.1; clamping"]
+    assert payoffs[3] == 1.0 / GAP_FLOOR
 
 
 def test_payoff_from_benchmarks_single_table_is_identity():
