@@ -2,16 +2,18 @@
 
 The field is dx/dt = x(1-x)(a - b y), dy/dt = y(1-y)(c - e x); the
 functions take the four precomputed coefficients so they stay
-independent of the dataclasses in the rest of the package.  They are
-plain Python over floats, except rk4_paths, which takes the ordinary
-steps of many starts at once as one flat numpy row per sample, the x of
-every start followed by their y in reversed order, so that a stage
-reads each coordinate's partner from the row's reversal, on one shared
-clock, each step's stages computed in place in a workspace made once
-per lane count; once per chunk of steps it finds the sample at which
-each start leaves the batch and hands it from there to the scalar loop.
-evobench/README.md describes how their cost is measured.  The tests'
-forward-Euler reference is in tests/helpers.py.
+independent of the dataclasses in the rest of the package.  The scalar
+path loop, _rk4_run, is plain Python over floats and holds the package's
+one scalar RK4 step, its stages written inline with its halve-and-clamp
+retry.  rk4_paths takes the ordinary steps of many starts at once as
+one flat numpy row per sample, the x of every start followed by their y
+in reversed order, so that a stage reads each coordinate's partner from
+the row's reversal, on one shared clock, each step's stages computed in
+place in a workspace made once per lane count; once per chunk of steps
+it finds the sample at which each start leaves the batch and hands it
+from there to the scalar loop.  evobench/README.md describes how their
+cost is measured.  The tests' references, a separate RK4 attempt and
+step and a forward-Euler path, are in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -51,33 +53,6 @@ CLAMP_TOL = 1e-9
 _CHUNK = 128
 
 
-def rk4_attempt(a, b, c, e, x, y, h):
-    """The four RK4 stages of one attempt of size h from the float state
-    (x, y), unclamped; rk4_attempt_stacked is the same arithmetic on
-    many states at once."""
-    # x + 0.5 * h * f evaluates as x + (0.5 * h) * f, so taking the
-    # factors once changes no rounding
-    half = 0.5 * h
-    sixth = h / 6.0
-    f1x = x * (1.0 - x) * (a - b * y)
-    f1y = y * (1.0 - y) * (c - e * x)
-    x2 = x + half * f1x
-    y2 = y + half * f1y
-    f2x = x2 * (1.0 - x2) * (a - b * y2)
-    f2y = y2 * (1.0 - y2) * (c - e * x2)
-    x3 = x + half * f2x
-    y3 = y + half * f2y
-    f3x = x3 * (1.0 - x3) * (a - b * y3)
-    f3y = y3 * (1.0 - y3) * (c - e * x3)
-    x4 = x + h * f3x
-    y4 = y + h * f3y
-    f4x = x4 * (1.0 - x4) * (a - b * y4)
-    f4y = y4 * (1.0 - y4) * (c - e * x4)
-    xn = x + sixth * (f1x + 2.0 * f2x + 2.0 * f3x + f4x)
-    yn = y + sixth * (f1y + 2.0 * f2y + 2.0 * f3y + f4y)
-    return xn, yn
-
-
 def _read_only(v):
     """v as a read-only 0-d float64 array.  A ufunc converts a Python
     float operand on every call, at (2, 400) about 0.2 us of a 0.5 us
@@ -94,7 +69,7 @@ _TWO = _read_only(2.0)
 
 def _step_factors(h):
     """The operands of rk4_attempt_stacked for a step of size h: h, 0.5 *
-    h and h / 6.0, rounded as rk4_attempt rounds them, as read-only 0-d
+    h and h / 6.0, rounded as _rk4_run rounds them, as read-only 0-d
     arrays; made once per step size."""
     return tuple(map(_read_only, (h, 0.5 * h, h / 6.0)))
 
@@ -115,19 +90,19 @@ _subtract, _multiply, _add = np.subtract, np.multiply, np.add
 
 
 def rk4_attempt_stacked(p, q, s, s_rev, factors, out, work):
-    """rk4_attempt's arithmetic on m states at once in the flat layout of
-    rk4_paths: s is the row [x_0 ... x_{m-1}, y_{m-1} ... y_0] and s_rev
-    its reversal s[::-1], which holds each coordinate's partner at its
-    position, p = [a] * m + [c] * m, q = [b] * m + [e] * m, and factors
-    is _step_factors(h).  The result is written into out, a row of 2 * m
-    that is not s, and the stages into work, a stacked_workspace(m) that
-    no argument shares memory with.
+    """One unclamped RK4 attempt of _rk4_run on m states at once in the
+    flat layout of rk4_paths: s is the row [x_0 ... x_{m-1}, y_{m-1} ...
+    y_0] and s_rev its reversal s[::-1], which holds each coordinate's
+    partner at its position, p = [a] * m + [c] * m, q = [b] * m + [e] *
+    m, and factors is _step_factors(h).  The result is written into out,
+    a row of 2 * m that is not s, and the stages into work, a
+    stacked_workspace(m) that no argument shares memory with.
 
     Each stage's slope is z * (1.0 - z) * (p - q * z[::-1]): x's term in
     the first half and y's in the second, with the same elementwise IEEE
-    operations in the same order, so every state rounds exactly as
-    rk4_attempt on its floats; test_stacked_attempt_matches_rk4_attempt
-    pins that bit for bit.
+    operations in the same order, so every state rounds exactly as the
+    scalar attempt on its floats; test_stacked_attempt_matches_rk4_attempt
+    pins that bit for bit against the reference in tests/helpers.py.
     """
     z, z_rev, f23, f1, f2, f3, f4, u = work
     h, half, sixth = factors
@@ -167,42 +142,29 @@ def rk4_attempt_stacked(p, q, s, s_rev, factors, out, work):
     return _add(s, f1, out)
 
 
-def rk4_step(a, b, c, e, x, y, h):
-    """One classical RK4 step of size h from (x, y).
-
-    An attempt whose result overshoots the unit square by more than
-    CLAMP_TOL is rejected and retried at half the step.  Returns
-    (x, y, h): the result clamped onto the square and h as the loop
-    leaves it, which is the step taken, except that after 64 rejected
-    attempts the last one is kept and h has been halved once more.
-    """
-    for _ in range(64):
-        xn, yn = rk4_attempt(a, b, c, e, x, y, h)
-        if -CLAMP_TOL <= xn <= 1.0 + CLAMP_TOL and -CLAMP_TOL <= yn <= 1.0 + CLAMP_TOL:
-            break
-        h *= 0.5
-    return min(max(xn, 0.0), 1.0), min(max(yn, 0.0), 1.0), h
-
-
 #: Fewest lanes for which a batched step of rk4_paths beats one rk4_path
-#: step per lane: on the fixture game a batched step costs 11-14 us from
-#: 8 to 128 lanes and 17-22 us at 400, a scalar step 1.1-1.3 us (best of
-#: 9 runs of 128 steps, 5 fresh processes, a 2-core shared VM).
+#: step per lane: on the fixture game a batched step costs 10-12 us from
+#: 8 to 128 lanes and 17-18 us at 400, a scalar step 0.9-1.0 us (best of
+#: 9 runs of 128 steps, 3 processes, a 2-core shared VM).
 #: rk4_paths hands its lanes to the scalar loop at the first count with
 #: fewer than this left, so fewer starts run in that loop from their
-#: first sample.  Batched over per-start time (uniform starts, seeds 1-3,
-#: best of 9, interleaved):
+#: first sample.  Batched over all-scalar time (uniform starts on the
+#: fixture game at the default config, seeds 1-6, medians of 7, of 11
+#: at 16, interleaved; "grid 16" is the jittered 4 x 4 grid of evobench's
+#: cli_files):
 #:
-#:   starts               16       20       24       28       32       48       96
-#:   batched throughout   0.9-1.1  0.8-1.0  0.6-0.9  0.6-0.7  0.5-0.6  0.4-0.5  0.2-0.3
-#:   hand-off below 32    1.0-1.1  1.0-1.2  1.0-1.1  1.0      0.6-0.9  0.4      0.2
-#:   hand-off below 24    1.1      1.0-1.1  0.7-1.0  0.5-0.6  0.4-0.5  0.3-0.4  0.2
-#:   hand-off below 20    1.0-1.1  0.7-1.0  0.6-0.7  0.5      0.4      0.3      0.2
+#:   starts               8        12       16       20       24       32       grid 16
+#:   batched throughout   1.6-2.5  1.2-1.8  0.9-1.4  0.8-1.2  0.7-1.0  0.6-0.7  0.9-1.8
+#:   hand-off below 8     1.2-1.4  1.0-1.3  0.8-1.0  0.7-0.8  0.6-0.7  0.4-0.5  0.8-1.0
+#:   hand-off below 12    1.0      0.9-1.1  0.8-0.9  0.6-0.7  0.6-0.7  0.4-0.5  0.7-0.9
+#:   hand-off below 16    1.0      1.0-1.1  0.8-1.0  0.7-0.9  0.5-0.7  0.4-0.5  0.8-0.9
+#:   hand-off below 20    1.0      1.0-1.1  1.0      0.7-0.9  0.6-0.7  0.4-0.5  0.9-1.0
 #:
-#: At 400 starts all four read 0.1, and on evobench's basin_sweep 20
-#: reads 0.95-0.99 of 32's sweep time.  Above 16, so that a 16-start
-#: simulate stays in the scalar loop, where it is as fast.
-BATCH_MIN_LANES = 20
+#: On 400 grid starts 12 and 20 read within 2 % of each other.  Below 12
+#: a batch of 8 to 12 starts spends more than it saves, and from 12 on the
+#: hand-off below 12 is as fast as any; so a 16-start simulate takes
+#: batched steps.
+BATCH_MIN_LANES = 12
 
 
 def _path_rules(dt, t_max, stop_tol):
@@ -231,7 +193,16 @@ def _rk4_run(a, b, c, e, rules, t, x, y, n, ts, xs, ys):
     """The loop of rk4_path under the _path_rules tuple rules, from a
     path's n-th sample (t, x, y), which the caller has recorded: tests it
     for a stop, then steps and appends each further sample to the
-    buffers ts, xs, ys.  Returns the terminal code."""
+    buffers ts, xs, ys.  Returns the terminal code.
+
+    This is the package's one scalar RK4 step.  An attempt of size h
+    computes the four classical stages from (x, y), unclamped, and is
+    taken as it is when it lies in the unit square, -0.0 included.  One
+    that overshoots by at most CLAMP_TOL is clamped onto the square; a
+    larger overshoot, or NaN, is retried at half the step.  After 64
+    attempts the last one is kept, clamped, and the clock advances by h
+    halved once more; if it is NaN the path ends, unrecorded.
+    """
     dt, t_max, t_end, n_max, corners, tol2, box = rules
     while True:
         if (x <= box or 1.0 - x <= box) and (y <= box or 1.0 - y <= box):
@@ -243,16 +214,41 @@ def _rk4_run(a, b, c, e, rules, t, x, y, n, ts, xs, ys):
         if n >= n_max:
             return TERM_BUDGET
         h = t_max - t if t + dt > t_max else dt
-        xn, yn = rk4_attempt(a, b, c, e, x, y, h)
-        # rk4_step would take an attempt inside the square as it is, -0.0
-        # included; NaN fails both tests and takes the checked path, which
-        # recomputes this attempt and ends the path if it stays NaN
-        if 0.0 <= xn <= 1.0 and 0.0 <= yn <= 1.0:
-            x, y = xn, yn
-        else:
-            x, y, h = rk4_step(a, b, c, e, x, y, h)
-            if x != x or y != y:
-                return TERM_DIVERGED
+        tries = 0
+        while True:
+            # x + 0.5 * h * f evaluates as x + (0.5 * h) * f, so taking the
+            # factors once changes no rounding
+            half = 0.5 * h
+            sixth = h / 6.0
+            f1x = x * (1.0 - x) * (a - b * y)
+            f1y = y * (1.0 - y) * (c - e * x)
+            x2 = x + half * f1x
+            y2 = y + half * f1y
+            f2x = x2 * (1.0 - x2) * (a - b * y2)
+            f2y = y2 * (1.0 - y2) * (c - e * x2)
+            x3 = x + half * f2x
+            y3 = y + half * f2y
+            f3x = x3 * (1.0 - x3) * (a - b * y3)
+            f3y = y3 * (1.0 - y3) * (c - e * x3)
+            x4 = x + h * f3x
+            y4 = y + h * f3y
+            f4x = x4 * (1.0 - x4) * (a - b * y4)
+            f4y = y4 * (1.0 - y4) * (c - e * x4)
+            xn = x + sixth * (f1x + 2.0 * f2x + 2.0 * f3x + f4x)
+            yn = y + sixth * (f1y + 2.0 * f2y + 2.0 * f3y + f4y)
+            if 0.0 <= xn <= 1.0 and 0.0 <= yn <= 1.0:
+                break
+            tries += 1
+            kept = -CLAMP_TOL <= xn <= 1.0 + CLAMP_TOL and -CLAMP_TOL <= yn <= 1.0 + CLAMP_TOL
+            if not kept:
+                h *= 0.5
+            if kept or tries == 64:
+                xn = min(max(xn, 0.0), 1.0)
+                yn = min(max(yn, 0.0), 1.0)
+                if xn != xn or yn != yn:
+                    return TERM_DIVERGED
+                break
+        x, y = xn, yn
         t += h
         ts.append(t)
         xs.append(x)
@@ -265,7 +261,7 @@ def rk4_path(a, b, c, e, x0, y0, dt, t_max, stop_tol):
 
     Stops once the state comes within stop_tol (Euclidean) of a unit
     square corner; pass a negative stop_tol to disable stopping.  Steps
-    are taken by rk4_step; the last one is shortened to end at t_max.
+    are taken by _rk4_run; the last one is shortened to end at t_max.
     At most the sample budget of _path_rules is recorded; the buffers
     grow as the path does.
 

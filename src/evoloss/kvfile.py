@@ -3,7 +3,13 @@ train configs, and CSV rows written a block at a time."""
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
+
 from .errors import ValidationError
+
+# the decimal integer literals int() reads, underscores included
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
 
 
 def parse_kv_text(text: str) -> dict[str, float | int]:
@@ -36,8 +42,12 @@ def parse_kv_text(text: str) -> dict[str, float | int]:
             ) from None
         try:
             integral = int(value)
-        except ValueError:  # not an integer literal
-            continue
+        except ValueError:
+            if not _INTEGER.fullmatch(value):
+                continue
+            # one longer than int() reads (sys.get_int_max_str_digits()),
+            # which Decimal reads exactly
+            integral = int(Decimal(value))
         if integral != out[key]:
             out[key] = integral
     return out

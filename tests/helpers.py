@@ -4,8 +4,10 @@ Everything in here is deliberately independent of the package internals —
 oracles go through the public API only (``replicator_rhs``, ``jacobian``)
 or reimplement the arithmetic from scratch, so they can catch bugs in the
 fast paths.
-The exception is ``step_rk4``, the checked form of the kernels' one RK4
-step, which the tests walk to rebuild paths step by step.
+The exceptions are ``rk4_attempt`` and ``rk4_step``, the references for
+the kernels' RK4 step, which the scalar path loop writes inline, and
+``step_rk4``, their checked public form, which the tests walk to rebuild
+paths step by step.
 """
 
 from __future__ import annotations
@@ -87,9 +89,55 @@ def sample_gentle_pair(rng: np.random.Generator) -> tuple[PayoffParams, Populati
     return p, start
 
 
+def rk4_attempt(a, b, c, e, x, y, h):
+    """The four RK4 stages of one attempt of size h from the float state
+    (x, y), unclamped, rounded as the kernels' scalar loop rounds them;
+    rk4_attempt_stacked is the same arithmetic on many states at once."""
+    # x + 0.5 * h * f evaluates as x + (0.5 * h) * f, so taking the
+    # factors once changes no rounding
+    half = 0.5 * h
+    sixth = h / 6.0
+    f1x = x * (1.0 - x) * (a - b * y)
+    f1y = y * (1.0 - y) * (c - e * x)
+    x2 = x + half * f1x
+    y2 = y + half * f1y
+    f2x = x2 * (1.0 - x2) * (a - b * y2)
+    f2y = y2 * (1.0 - y2) * (c - e * x2)
+    x3 = x + half * f2x
+    y3 = y + half * f2y
+    f3x = x3 * (1.0 - x3) * (a - b * y3)
+    f3y = y3 * (1.0 - y3) * (c - e * x3)
+    x4 = x + h * f3x
+    y4 = y + h * f3y
+    f4x = x4 * (1.0 - x4) * (a - b * y4)
+    f4y = y4 * (1.0 - y4) * (c - e * x4)
+    xn = x + sixth * (f1x + 2.0 * f2x + 2.0 * f3x + f4x)
+    yn = y + sixth * (f1y + 2.0 * f2y + 2.0 * f3y + f4y)
+    return xn, yn
+
+
+def rk4_step(a, b, c, e, x, y, h):
+    """One classical RK4 step of size h from (x, y), as the kernels' scalar
+    loop takes it.
+
+    An attempt whose result overshoots the unit square by more than
+    _kernels.CLAMP_TOL is rejected and retried at half the step.  Returns
+    (x, y, h): the result clamped onto the square and h as the loop
+    leaves it, which is the step taken, except that after 64 rejected
+    attempts the last one is kept and h has been halved once more.
+    """
+    tol = _kernels.CLAMP_TOL
+    for _ in range(64):
+        xn, yn = rk4_attempt(a, b, c, e, x, y, h)
+        if -tol <= xn <= 1.0 + tol and -tol <= yn <= 1.0 + tol:
+            break
+        h *= 0.5
+    return min(max(xn, 0.0), 1.0), min(max(yn, 0.0), 1.0), h
+
+
 def step_rk4(p: PayoffParams, state, dt: float) -> PopulationState:
     """One classical RK4 step, as the integrators take it: the checked
-    public form of _kernels.rk4_step.
+    public form of rk4_step.
 
     The result is clamped onto the unit square when it overshoots by
     less than _kernels.CLAMP_TOL; a larger overshoot rejects
@@ -100,7 +148,7 @@ def step_rk4(p: PayoffParams, state, dt: float) -> PopulationState:
         raise ValidationError(f"dt must be positive, got {dt}")
     x, y = check_state(state)
     a, b, c, e = field_coefficients(p)
-    x, y, _ = _kernels.rk4_step(a, b, c, e, x, y, dt)
+    x, y, _ = rk4_step(a, b, c, e, x, y, dt)
     return PopulationState(x, y)
 
 

@@ -67,10 +67,12 @@ def test_saddle_missing_file_exits_2(tmp_path, capsys):
 
 
 def test_saddle_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
-    path = write_kv(tmp_path / "p.params", g1=10**400, d1=1, g2=1, d2=1, n1=0, n2=0)
-    assert main(["saddle", "--params", str(path)]) == 2
-    assert capsys.readouterr().err == (
-        "error: g1 must be nonnegative, got a number too large for a float\n")
+    """Also a literal longer than int() reads (sys.get_int_max_str_digits())."""
+    for g1 in (str(10**400), "9" * 5000):
+        path = write_kv(tmp_path / "p.params", g1=g1, d1=1, g2=1, d2=1, n1=0, n2=0)
+        assert main(["saddle", "--params", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: g1 must be nonnegative, got a number too large for a float\n")
 
 
 def test_saddle_malformed_params_exits_2(tmp_path, capsys):

@@ -57,6 +57,8 @@ from helpers import (
     euler_flow,
     euler_path,
     reference_write_trajectories_csv,
+    rk4_attempt,
+    rk4_step,
     sample_gentle_pair,
     step_rk4,
 )
@@ -285,7 +287,7 @@ def own_leave(params, traj, cfg):
     coefficients = field_coefficients(params)
     for j, (t, state) in enumerate(zip(traj.times.tolist(), traj.states.tolist())):
         h = cfg.t_max - t if t + cfg.dt > cfg.t_max else cfg.dt
-        xn, yn = _kernels.rk4_attempt(*coefficients, *state, h)
+        xn, yn = rk4_attempt(*coefficients, *state, h)
         if in_box(state, box) or not (0.0 <= xn <= 1.0 and 0.0 <= yn <= 1.0):
             return j
     return len(traj.times) - 1
@@ -453,7 +455,7 @@ def test_phase_portrait_batch_matches_per_start_simulate(case):
         def clamped(traj, j):
             """Whether the lane leaves at sample j on an attempt within
             CLAMP_TOL outside the square, taken at the full step."""
-            xn, yn = _kernels.rk4_attempt(*field_coefficients(params), *traj.states[j].tolist(), cfg.dt)
+            xn, yn = rk4_attempt(*field_coefficients(params), *traj.states[j].tolist(), cfg.dt)
             tol = _kernels.CLAMP_TOL
             return (
                 not (0.0 <= xn <= 1.0 and 0.0 <= yn <= 1.0)
@@ -489,7 +491,7 @@ def test_phase_portrait_batch_matches_per_start_simulate(case):
         assert batch[0].reason == "budget" and handoff is None and max(leaves) == 0
     if case == "overflow":
         j = own[0]
-        xn, yn = _kernels.rk4_attempt(*field_coefficients(params), *batch[0].states[j].tolist(), cfg.dt)
+        xn, yn = rk4_attempt(*field_coefficients(params), *batch[0].states[j].tolist(), cfg.dt)
         assert math.isnan(xn) and CHUNK < j < CHUNK + 8 and handoff is None
         assert sum(k > 2 * CHUNK for k in leaves) >= LANES
     if case == "box_not_ball":
@@ -1135,7 +1137,7 @@ def test_trajectory_integer_arrays_are_written_as_floats(tmp_path):
     assert Trajectory(times, np.zeros((3, 2)), None, "horizon").times is times
 
 
-@pytest.mark.parametrize("n_starts", [5, 2 * _kernels.BATCH_MIN_LANES + 6])
+@pytest.mark.parametrize("n_starts", [5, 46])
 def test_write_trajectories_csv_bytes_on_phase_portrait(fixture_params, tmp_path, n_starts):
     """Starts handed to the scalar loop at once, and a batch that hands
     its last lanes over later."""
@@ -1149,8 +1151,9 @@ def test_write_trajectories_csv_bytes_on_phase_portrait(fixture_params, tmp_path
 
 def rk4_step_walk(a, b, c, e, x, y, dt, t_max, stop_tol):
     """rk4_path's samples, as an (n, 3) array of (t, x, y), and its
-    terminal code, rebuilt from public rk4_step calls and the stopping
-    rules its docstring gives, which end the path before a NaN sample."""
+    terminal code, rebuilt from calls of the reference rk4_step and the
+    stopping rules its docstring gives, which end the path before a NaN
+    sample."""
     n_max = 2 * int(t_max / dt) + 16
     t = 0.0
     samples = [(t, x, y)]
@@ -1164,7 +1167,7 @@ def rk4_step_walk(a, b, c, e, x, y, dt, t_max, stop_tol):
         if len(samples) >= n_max:
             return np.array(samples), _kernels.TERM_BUDGET
         h = dt if t + dt <= t_max else t_max - t
-        x, y, h = _kernels.rk4_step(a, b, c, e, x, y, h)
+        x, y, h = rk4_step(a, b, c, e, x, y, h)
         if math.isnan(x) or math.isnan(y):
             return np.array(samples), _kernels.TERM_DIVERGED
         t += h
@@ -1216,15 +1219,27 @@ FIXTURE_COEFFICIENTS = field_coefficients(FIXTURE)
 @example(coefficients=(1.7e308, -1.7e308, 1e300, 1.7e308), start=(0.5, -0.0), dt=2.0,
          steps=5.0, stop_tol=1e-3)
 def test_rk4_path_matches_repeated_step_rk4(coefficients, start, dt, steps, stop_tol):
-    """The whole recorded path is a walk of public rk4_step calls, bit
-    for bit: each step its first attempt takes without rk4_step, each
-    halved or clamped one, and the corner, horizon, budget and NaN
-    stops."""
+    """The whole recorded path is a walk of reference rk4_step calls,
+    bit for bit: each ordinary step, each halved or clamped one, the
+    64-attempt cap, and the corner, horizon, budget and NaN stops."""
     t_max = dt * steps
     ts, xs, ys, term = _kernels.rk4_path(*coefficients, *start, dt, t_max, stop_tol)
     want, want_term = rk4_step_walk(*coefficients, *start, dt, t_max, stop_tol)
     assert np.column_stack((ts, xs, ys)).tobytes() == want.tobytes()
     assert term == want_term
+
+
+def test_step_capped_at_64_attempts_keeps_the_last_one():
+    """A slope so steep that every attempt down to dt / 2**63 overshoots
+    the square by far more than CLAMP_TOL, without overflowing: the 64th
+    attempt is kept, clamped, and the clock advances by dt / 2**64, as
+    the reference rk4_step takes it; the path then goes on."""
+    coefficients, start = (1e20, 0.0, 1.0, 0.0), (0.5, 0.5)
+    ts, xs, ys, term = _kernels.rk4_path(*coefficients, *start, 1.0, 3.0, -1.0)
+    assert ts[1] == 2.0**-64 and xs[1] == 0.0 and ys[1] == 0.5
+    assert term == _kernels.TERM_HORIZON
+    want, want_term = rk4_step_walk(*coefficients, *start, 1.0, 3.0, -1.0)
+    assert np.column_stack((ts, xs, ys)).tobytes() == want.tobytes() and term == want_term
 
 
 @settings(max_examples=300, deadline=None)
@@ -1258,7 +1273,7 @@ def test_stacked_attempt_matches_rk4_attempt(coefficients, states, others, h):
     work = _kernels.stacked_workspace(m)
     factors = _kernels._step_factors(h)
     for batch in (states, others[:m]):
-        want = np.array([_kernels.rk4_attempt(a, b, c, e, x, y, h) for x, y in batch])
+        want = np.array([rk4_attempt(a, b, c, e, x, y, h) for x, y in batch])
         # as rk4_paths calls it: the state and result in consecutive rows
         # of one chunk buffer, y in reversed lane order
         buf = np.full((2, 2 * m), math.nan)
@@ -1315,6 +1330,21 @@ def test_batched_steps_take_only_flat_rows(monkeypatch):
         assert np.shares_memory(s, s_rev) and s_rev.strides == (-s.itemsize,)
 
 
+def test_sixteen_start_sweep_takes_batched_steps(monkeypatch):
+    """A 16-start phase_portrait of the fixture game, the size of a
+    simulate --starts-file round trip, is at least BATCH_MIN_LANES wide,
+    so it takes batched steps, and every lane is still simulate's, bit
+    for bit."""
+    steps = _count_batched_steps(monkeypatch)
+    starts = sample_starts(16, np.random.default_rng(1))
+    batch = phase_portrait(FIXTURE, starts)
+    assert steps and len(steps[0][2]) == 2 * 16
+    for start, got in zip(starts, batch):
+        want = simulate(FIXTURE, start)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+
+
 def test_batch_that_every_lane_leaves_at_its_start_takes_one_step(monkeypatch):
     """The lanes of leave_all_at_start all leave at their first sample,
     so the batch stops at the end of its first chunk, after one step,
@@ -1331,17 +1361,19 @@ def test_batch_that_every_lane_leaves_at_its_start_takes_one_step(monkeypatch):
 
 
 def test_lanes_that_leave_at_their_start_take_one_batched_step(monkeypatch):
-    """In box_not_ball, 24 of the 81 starts leave at their start while
-    the others stay batched: the first chunk, one step long, drops them,
-    so the second step runs only the 57 lanes whose own leave sample is
-    past 0; every lane is still simulate's, bit for bit."""
+    """In box_not_ball, some starts leave at their start while the
+    others stay batched (15 of 49 leave at 12 lanes, 24 of 81 at 20): the
+    first chunk, one step long, drops them, so the second step runs only
+    the lanes whose own leave sample is past 0; every lane is still
+    simulate's, bit for bit."""
     steps = _count_batched_steps(monkeypatch)
     params, starts, cfg, _ = BATCH_CASES["box_not_ball"]
     batch = phase_portrait(params, starts, cfg)
     own = [own_leave(params, t, cfg) for t in batch]
-    assert (len(starts), sum(j > 0 for j in own)) == (81, 57)
+    stay = sum(j > 0 for j in own)
+    assert len(starts) == 4 * LANES + 1 and LANES <= stay < len(starts)
     lanes = [len(p) // 2 for p, *_ in steps]
-    assert lanes[:2] == [81, 57]
+    assert lanes[:2] == [len(starts), stay]
     for start, got in zip(starts, batch):
         want = simulate(params, start, cfg)
         assert got.times.tobytes() == want.times.tobytes()
