@@ -4,7 +4,7 @@ train configs, and CSV rows written a block at a time."""
 from __future__ import annotations
 
 import re
-from decimal import Decimal
+import sys
 
 from .errors import ValidationError
 
@@ -18,7 +18,8 @@ def parse_kv_text(text: str) -> dict[str, float | int]:
 
     Blank lines and lines starting with '#' are skipped.  Raises
     ValidationError on any line that is not of that shape or whose
-    value is not numeric.
+    value is not numeric, or is an integer of more digits than int()
+    reads (sys.get_int_max_str_digits()).
     """
     out: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -45,9 +46,12 @@ def parse_kv_text(text: str) -> dict[str, float | int]:
         except ValueError:
             if not _INTEGER.fullmatch(value):
                 continue
-            # one longer than int() reads (sys.get_int_max_str_digits()),
-            # which Decimal reads exactly
-            integral = int(Decimal(value))
+            # an integer longer than int() reads: int() refuses it because
+            # converting it takes time quadratic in its length
+            raise ValidationError(
+                f"line {lineno}: value for {key!r} has more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
         if integral != out[key]:
             out[key] = integral
     return out

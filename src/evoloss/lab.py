@@ -35,8 +35,12 @@ from .scheduler import (
     reward,
 )
 
+# np.dot, as the method ndarray.dot, makes the products: on 2-D operands
+# it makes np.matmul's BLAS call, with the same bits, without matmul's
+# gufunc dispatch.  On 3-D or more it is not matmul; losses says more
+# where it defines its _matmul.
 _add, _subtract, _multiply, _divide, _matmul = (
-    np.add, np.subtract, np.multiply, np.divide, np.matmul)
+    np.add, np.subtract, np.multiply, np.divide, np.ndarray.dot)
 _add_reduce = np.add.reduce
 
 LOG_COLUMNS = ("step", "alpha", "beta", "reward", "loss_total", "loss_gen", "loss_dis")
@@ -101,7 +105,7 @@ def encoder_forward(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     weights = as_array("weights", weights, (None, None))
     x = as_array("x", x, (None, weights.shape[0]))
     with raising("encoder_forward"):
-        return x @ weights
+        return x.dot(weights)
 
 
 def init_encoder(rng: np.random.Generator, cfg: LabConfig) -> np.ndarray:

@@ -58,11 +58,22 @@ def _check_pair(z1, z2) -> np.ndarray:
 # and their order are those of the allocating expressions, and each
 # buffer has the layout numpy would give the temporary it replaces, so
 # the results are the same bit for bit.  As in _kernels, every constant
-# operand is a read-only 0-d array made once, the ufuncs are looked up
-# once, and out, axis and keepdims are given positionally.
+# operand is a read-only 0-d array made once, the ufuncs and the product
+# are looked up once, and out, axis and keepdims are given positionally.
+#
+# The products go through np.dot, not np.matmul.  On 1-D and 2-D float
+# operands both make the same BLAS call, so the bits are the same, but
+# matmul is a gufunc and its dispatch costs 0.2-1.0 us more a call at a
+# training step's sizes.  np.dot is called as the method ndarray.dot, the
+# same C function without np.dot's __array_function__ dispatch, which
+# costs another 0.15-0.2 us.  np.dot is not matmul on arrays of 3 or
+# more dimensions: it sums over the last axis of a and the second-to-last
+# of b, pairing every stack of a with every stack of b.  A lane axis that
+# stacks these products must use np.matmul and check each slice's bits
+# against np.dot.
 
 _add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
-_matmul, _sqrt, _exp, _log, _square = np.matmul, np.sqrt, np.exp, np.log, np.square
+_matmul, _sqrt, _exp, _log, _square = np.ndarray.dot, np.sqrt, np.exp, np.log, np.square
 _add_reduce, _max_reduce = np.add.reduce, np.maximum.reduce
 _MINUS_TWO = _read_only(-2.0)
 

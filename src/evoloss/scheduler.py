@@ -212,7 +212,7 @@ def reward(
 
 def _cosine(pair, cfg: SchedulerConfig):
     """Cosine between a float array weight pair and cfg's target."""
-    return float(pair @ cfg._target / (np.sqrt(pair.dot(pair)) * cfg._target_norm))
+    return float(pair.dot(cfg._target) / (np.sqrt(pair.dot(pair)) * cfg._target_norm))
 
 
 def _reward(alpha, beta, cfg, loss_t, loss_prev):
@@ -225,20 +225,22 @@ def _reward(alpha, beta, cfg, loss_t, loss_prev):
 
 def _net(states, w1, b1, w2, b2):
     """One head's output for a state or a row of states, and its hidden
-    activations."""
-    h = np.tanh(states @ w1 + b1)
-    return h @ w2 + b2, h
+    activations.  Here, in _net_grads and in _cosine the products are
+    ndarray.dot calls, for the reason losses gives where it defines
+    _matmul."""
+    h = np.tanh(states.dot(w1) + b1)
+    return h.dot(w2) + b2, h
 
 
 def _net_grads(states, h, w2, g_out):
     """Gradients (w1, b1, w2, b2) of one head, from _net's hidden
     activations h and the loss gradient g_out of its output, of shape
     (n, 2) or (n,)."""
-    # a 1-D output enters as a column, so (n, 1) @ (1, hidden) is one
-    # product per entry
+    # a 1-D output enters as a column, so the (n, 1) by (1, hidden)
+    # product is one multiplication per entry
     n, hidden = h.shape
-    g_h = (g_out.reshape(n, -1) @ w2.reshape(hidden, -1).T) * (1.0 - h**2)
-    return states.T @ g_h, g_h.sum(axis=0), h.T @ g_out, g_out.sum(axis=0)
+    g_h = g_out.reshape(n, -1).dot(w2.reshape(hidden, -1).T) * (1.0 - h**2)
+    return states.T.dot(g_h), g_h.sum(axis=0), h.T.dot(g_out), g_out.sum(axis=0)
 
 
 def _squashed_log_prob(z, log_std, action):

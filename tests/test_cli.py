@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from evoloss import PayoffParams, cli
+from evoloss import PayoffParams, ValidationError, cli
 from evoloss.cli import TRAIN_CONFIG_KEYS, main
+from evoloss.kvfile import parse_kv_text
 from evoloss.stability import jacobian
 
 
@@ -67,12 +68,22 @@ def test_saddle_missing_file_exits_2(tmp_path, capsys):
 
 
 def test_saddle_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
-    """Also a literal longer than int() reads (sys.get_int_max_str_digits())."""
-    for g1 in (str(10**400), "9" * 5000):
+    """A literal longer than int() reads (sys.get_int_max_str_digits())
+    exits 2 too, naming that limit."""
+    for g1, err in (
+        (str(10**400), "g1 must be nonnegative, got a number too large for a float"),
+        ("9" * 5000, f"line 1: value for 'g1' has more than {sys.get_int_max_str_digits()} digits"),
+    ):
         path = write_kv(tmp_path / "p.params", g1=g1, d1=1, g2=1, d2=1, n1=0, n2=0)
         assert main(["saddle", "--params", str(path)]) == 2
-        assert capsys.readouterr().err == (
-            "error: g1 must be nonnegative, got a number too large for a float\n")
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_integer_longer_than_int_reads_is_refused_at_once():
+    """Converting such a literal another way takes quadratic time: about
+    0.4 s at 10^5 digits and 30 s at 10^6."""
+    with pytest.raises(ValidationError, match=r"^line 2: value for 'seed' has more than \d+ digits$"):
+        parse_kv_text("steps = 1\nseed = " + "7" * 10**5)
 
 
 def test_saddle_malformed_params_exits_2(tmp_path, capsys):

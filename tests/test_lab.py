@@ -296,7 +296,7 @@ def test_train_episode_raises_at_an_invalid_value(monkeypatch):
     monkeypatch.setattr(lab, "loss_workspace", functools.partial(loss_workspace, epsilon=1.7e308))
     cfg = LabConfig(steps=12, input_dim=4, feature_dim=3, batch_size=4, noise_scale=1.0)
     with pytest.raises(
-        ValidationError, match="training diverged at step 0: invalid value encountered in matmul"
+        ValidationError, match="training diverged at step 0: invalid value encountered in dot"
     ):
         train_episode(cfg, SchedulerConfig(update_period=50))
 
@@ -391,6 +391,66 @@ def test_train_episode_equals_public_function_replay(cfg, sched, kwargs):
     """The fused loop makes the same floating-point operations on the same
     random stream as the public, checked functions called one by one."""
     assert_same_log(train_episode(cfg, sched, **kwargs), replay_train_episode(cfg, sched, **kwargs))
+
+
+@pytest.mark.parametrize(
+    "batch,input_dim,feature_dim,hidden,period",
+    [(32, 16, 8, 32, 200), (16, 8, 4, 32, 100), (7, 5, 3, 5, 7)],
+    ids=["criterion8", "criterion9", "odd"],
+)
+def test_products_equal_matmul_bit_for_bit(batch, input_dim, feature_dim, hidden, period):
+    """The package makes its products with np.dot, called as the method
+    ndarray.dot; each shape and memory layout that a training step and
+    _ppo_step give it has the bytes of np.matmul, also when written into
+    an out buffer where the package passes one.  No reference in helpers
+    reaches the 1-D products of _act."""
+    rng = np.random.default_rng(batch)
+    b, d, f, h, n = batch, input_dim, feature_dim, hidden, period
+
+    def c(*shape):
+        return rng.standard_normal(shape)
+
+    def fortran(*shape):
+        return c(*shape[::-1]).T
+
+    # (a, b, whether the package passes out)
+    cases = [
+        # lab: x @ W (C@C), x.T @ g_z (F@C)
+        (c(b, d), c(d, f), True),
+        (fortran(d, b), c(b, f), True),
+        # losses: u @ v.T, g_s @ v, g_s.T @ u, a.T @ b, b @ g_c.T, a @ g_c
+        (c(b, f), fortran(f, b), True),
+        (c(b, b), c(b, f), True),
+        (fortran(b, b), c(b, f), True),
+        (fortran(f, b), c(b, f), True),
+        (c(b, f), fortran(f, f), True),
+        (c(b, f), c(f, f), True),
+        # _act: a state through both heads (1-D@2-D, then 1-D@1-D for the
+        # value), and _cosine's pair @ target
+        (c(f), c(f, h), False),
+        (c(h), c(h, 2), False),
+        (c(h), c(h), False),
+        (c(2), c(2), False),
+        # _ppo_step's _net on the buffer: C@C, and 2-D@1-D for the value
+        (c(n, f), c(f, h), False),
+        (c(n, h), c(h, 2), False),
+        (c(n, h), c(h), False),
+        # _net_grads: g_out @ w2.T for the mean, (n, 1) @ (1, h) for the
+        # value, states.T @ g_h, and h.T @ g_out for both heads
+        (c(n, 2), fortran(2, h), False),
+        (c(n, 1), c(1, h), False),
+        (fortran(f, n), c(n, h), False),
+        (fortran(h, n), c(n, 2), False),
+        (fortran(h, n), c(n), False),
+    ]
+    for x, y, with_out in cases:
+        want = np.matmul(x, y)
+        got = x.dot(y)
+        assert (np.shape(got), got.tobytes()) == (np.shape(want), want.tobytes())
+        if with_out:
+            out = np.empty(want.shape)
+            assert x.dot(y, out) is out
+            assert out.tobytes() == want.tobytes()
 
 
 def test_log_std_moves_at_each_update_of_the_log_std_moves_case():
