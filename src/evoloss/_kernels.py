@@ -11,9 +11,10 @@ in reversed order, so that a stage reads each coordinate's partner from
 the row's reversal, on one shared clock, each step's stages computed in
 place in a workspace made once per lane count; once per chunk of steps
 it finds the sample at which each start leaves the batch and hands it
-from there to the scalar loop.  evobench/README.md describes how their
-cost is measured.  The tests' references, a separate RK4 attempt and
-step and a forward-Euler path, are in tests/helpers.py.
+from there to the scalar loop.  rk4_path is rk4_paths from one start,
+which runs in the scalar loop throughout.  evobench/README.md describes
+how their cost is measured.  The tests' references, a separate RK4
+attempt and step and a forward-Euler path, are in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def rk4_attempt_stacked(p, q, s, s_rev, factors, out, work):
     return _add(s, f1, out)
 
 
-#: Fewest lanes for which a batched step of rk4_paths beats one rk4_path
+#: Fewest lanes for which a batched step of rk4_paths beats one scalar
 #: step per lane: on the fixture game a batched step costs 10-12 us from
 #: 8 to 128 lanes and 17-18 us at 400, a scalar step 0.9-1.0 us (best of
 #: 9 runs of 128 steps, 3 processes, a 2-core shared VM).
@@ -190,10 +191,10 @@ def _path_rules(dt, t_max, stop_tol):
 
 
 def _rk4_run(a, b, c, e, rules, t, x, y, n, ts, xs, ys):
-    """The loop of rk4_path under the _path_rules tuple rules, from a
-    path's n-th sample (t, x, y), which the caller has recorded: tests it
-    for a stop, then steps and appends each further sample to the
-    buffers ts, xs, ys.  Returns the terminal code.
+    """The scalar loop of rk4_paths under the _path_rules tuple rules,
+    from a path's n-th sample (t, x, y), which the caller has recorded:
+    tests it for a stop, then steps and appends each further sample to
+    the buffers ts, xs, ys.  Returns the terminal code.
 
     This is the package's one scalar RK4 step.  An attempt of size h
     computes the four classical stages from (x, y), unclamped, and is
@@ -256,30 +257,6 @@ def _rk4_run(a, b, c, e, rules, t, x, y, n, ts, xs, ys):
         n += 1
 
 
-def rk4_path(a, b, c, e, x0, y0, dt, t_max, stop_tol):
-    """Integrate with fixed-step RK4, recording every accepted step.
-
-    Stops once the state comes within stop_tol (Euclidean) of a unit
-    square corner; pass a negative stop_tol to disable stopping.  Steps
-    are taken by _rk4_run; the last one is shortened to end at t_max.
-    At most the sample budget of _path_rules is recorded; the buffers
-    grow as the path does.
-
-    Returns (times, xs, ys, terminal): the recorded samples, and
-    terminal, the index into CORNERS of the corner reached, TERM_HORIZON
-    when t_max was reached first, TERM_BUDGET when the sample budget
-    ran out first, or TERM_DIVERGED when a step's result was NaN, which
-    is not recorded.
-    """
-    # growable buffers of C doubles, 8 bytes a sample
-    ts = array("d", (0.0,))
-    xs = array("d", (x0,))
-    ys = array("d", (y0,))
-    rules = _path_rules(dt, t_max, stop_tol)
-    terminal = _rk4_run(a, b, c, e, rules, 0.0, x0, y0, 1, ts, xs, ys)
-    return np.array(ts), np.array(xs), np.array(ys), terminal
-
-
 def _first_leaves(near_x, near_y, box):
     """Per lane, the sample at which it leaves the batch of rk4_paths,
     given min(v, 1 - v) of its x and of its y at a chunk's samples so far
@@ -298,7 +275,14 @@ def _first_leaves(near_x, near_y, box):
 # inf or NaN, until the chunk ends; those values are thrown away
 @np.errstate(over="ignore", invalid="ignore")
 def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
-    """rk4_path from many starts at once, one numpy lane per start.
+    """Integrate from many starts with fixed-step RK4, recording every
+    accepted step, one numpy lane per start.
+
+    A path stops once its state comes within stop_tol (Euclidean) of a
+    unit square corner; pass a negative stop_tol to disable stopping.
+    Its last step is shortened to end at t_max, and it records at most
+    the sample budget of _path_rules; a step's result that is NaN is
+    not recorded.
 
     The batch of m lanes takes ordinary steps with rk4_attempt_stacked on
     one shared clock, each sample one flat row [x_0 ... x_{m-1}, y_{m-1}
@@ -313,12 +297,15 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     the batch stops, at the horizon or once the budget is spent, and at
     a chunk end once fewer than BATCH_MIN_LANES are left; fewer than
     that take no batched step.  A lane that leaves runs on from its leave
-    sample in the loop of rk4_path, which alone decides its stop and
-    alone halves or clamps a step, so every lane is bit-identical to
-    rk4_path.
+    sample in _rk4_run, which alone decides its stop and alone halves or
+    clamps a step, so every lane is bit-identical to its start's path
+    integrated alone, which takes no batched step.
 
     Returns one (times, states, terminal) per start, in start order,
-    states being the (n, 2) array of recorded (x, y) samples.  The times
+    states being the (n, 2) array of recorded (x, y) samples and
+    terminal the index into CORNERS of the corner reached, TERM_HORIZON
+    when t_max was reached first, TERM_BUDGET when the sample budget ran
+    out first, or TERM_DIVERGED when a step's result was NaN.  The times
     of a lane that stops at its leave sample are a read-only view of the
     batch's one clock, shared with every other such lane; the other
     lanes own theirs.
@@ -413,3 +400,10 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
         times = np.concatenate((clock[:n], ts)) if ts else clock[:n]
         paths.append((times, np.concatenate(chunks), terminal[r]))
     return paths
+
+
+def rk4_path(a, b, c, e, x0, y0, dt, t_max, stop_tol):
+    """rk4_paths from the one start (x0, y0), as (times, xs, ys,
+    terminal), xs and ys being the columns of its states."""
+    times, states, terminal = rk4_paths(a, b, c, e, (x0,), (y0,), dt, t_max, stop_tol)[0]
+    return times, states[:, 0], states[:, 1], terminal

@@ -8,7 +8,6 @@ each warning is printed as one "warning: ..." line on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import sys
 import warnings
@@ -25,7 +24,7 @@ from .dynamics import (
 )
 from .errors import DegenerateGameError, EvolossError, OutOfSimplexError, as_int
 from .game import PopulationState, saddle_point
-from .kvfile import read_kv_file, read_text
+from .kvfile import read_kv_file, read_text, write_csv
 from .lab import LabConfig, save_encoder_weights, train_episode, write_training_log
 from .metrics import load_benchmark, load_payoff_params, metric_rows
 from .scheduler import SchedulerConfig, _cosine
@@ -72,11 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_metrics(args) -> int:
     rows = metric_rows(load_benchmark(args.input))
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "method", "pretrain", "eval", "value"])
-        for *key, value in rows:
-            writer.writerow([*key, repr(value)])
+    write_csv(args.output, ["metric", "method", "pretrain", "eval", "value"], rows)
     print(f"wrote {len(rows)} metric rows to {args.output}")
     return 0
 

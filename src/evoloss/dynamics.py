@@ -43,7 +43,9 @@ class Trajectory:
     converged_to is the corner whose stop_tol-ball the path entered, or
     None when it stopped first; reason is one of STOP_REASONS.  The
     trajectories of one phase_portrait call may share one read-only
-    times array, so copy times before writing into it.
+    times array, and simulate returns a read-only view of times when
+    its start already lies in a stop ball, so copy times before writing
+    into it.
     """
 
     times: np.ndarray

@@ -33,17 +33,17 @@ def _shown(value) -> str:
         return "an int too long to print"
 
 
-def as_int(name: str, value, minimum: int | None = None) -> int:
+def as_int(name: str, value, minimum: int) -> int:
     """value as an int; ValidationError unless it is a finite whole number
-    of at least minimum (when given), reported as "name must be positive"
-    for a minimum of 1, "nonnegative" for 0 and "at least k" otherwise."""
+    of at least minimum, reported as "name must be positive" for a
+    minimum of 1, "nonnegative" for 0 and "at least k" otherwise."""
     try:
         integral = int(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be an integer, got {value}") from None
     if integral != value:
         raise ValidationError(f"{name} must be an integer, got {value}")
-    if minimum is not None and integral < minimum:
+    if integral < minimum:
         bound = {0: "nonnegative", 1: "positive"}.get(minimum, f"at least {minimum}")
         raise ValidationError(f"{name} must be {bound}, got {_shown(integral)}")
     return integral
@@ -84,21 +84,18 @@ def as_float(name: str, value, rule: str = "finite") -> float:
     return number
 
 
-def as_array(name: str, value, shape: tuple | None) -> np.ndarray:
+def as_array(name: str, value, shape: tuple) -> np.ndarray:
     """value as a float64 array of the given shape, a size per axis with
-    None for any size, or of any shape when shape is None; ValidationError
-    unless it is a rectangular array of bool, int, uint or float entries,
-    and NotFiniteError unless every entry is finite.  A float64 array is
-    returned as it is, not copied."""
+    None for any size; ValidationError unless it is a rectangular array
+    of bool, int, uint or float entries, and NotFiniteError unless every
+    entry is finite.  A float64 array is returned as it is, not copied."""
     try:
         array = np.asarray(value)
     except (TypeError, ValueError):  # a ragged nesting, for one
         raise ValidationError(f"{name} must be a rectangular array of real numbers") from None
     if array.dtype.kind not in "biuf":
         raise ValidationError(f"{name} must be an array of real numbers, got dtype {array.dtype}")
-    if shape is not None and (
-        array.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, array.shape))
-    ):
+    if array.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, array.shape)):
         wanted = str(tuple(shape)).replace("None", "any")
         raise ValidationError(f"{name} must have shape {wanted}, got {array.shape}")
     # a long double beyond the float64 range becomes inf, reported below

@@ -1,8 +1,9 @@
 """The package's small text formats: `key = value` files for params and
-train configs, and CSV rows written a block at a time."""
+train configs, CSV tables, and CSV rows written a block at a time."""
 
 from __future__ import annotations
 
+import csv
 import re
 import sys
 
@@ -71,9 +72,18 @@ def read_kv_file(path) -> dict[str, float | int]:
 
 
 def write_kv_file(path, items: dict[str, float]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         for key, value in items.items():
             fh.write(f"{key} = {float(value)!r}\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write header and then rows as a CSV table: csv.writer's quoting,
+    LF line ends, and each field as its str(), for a float its repr."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 #: Rows write_rows formats at once, so the text it holds stays bounded.

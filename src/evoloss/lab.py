@@ -232,6 +232,6 @@ def write_training_log(log: TrainingLog, path) -> None:
 
 
 def save_encoder_weights(weights: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# encoder weights {weights.shape[0]} {weights.shape[1]}\n"
                  + "".join([f"{v!r}\n" for v in weights.ravel().tolist()]))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import warnings
 from collections.abc import Mapping
-from dataclasses import MISSING, asdict, astuple, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from types import MappingProxyType
 
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     _shown,
     as_float,
 )
-from .kvfile import read_kv_file, write_kv_file
+from .kvfile import read_kv_file, write_csv, write_kv_file
 
 #: Smallest accuracy gap (percent points) allowed in the reciprocal metrics.
 GAP_FLOOR = 0.1
@@ -194,11 +194,9 @@ def load_benchmark(path) -> BenchmarkTable:
 
 def write_benchmark(table: BenchmarkTable, path) -> None:
     """Write a table back out in canonical form (SL rows first)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_HEADER)
-        for key in _canonical_order(table.accuracies):
-            writer.writerow([*key, repr(table.accuracies[key])])
+    write_csv(path, _HEADER, (
+        (*key, table.accuracies[key]) for key in _canonical_order(table.accuracies)
+    ))
 
 
 def _reciprocal_gap(sl_acc: float, ssl_acc: float, what: str) -> float:
@@ -274,9 +272,6 @@ class PayoffParams:
         for f in fields(self):
             rule = "finite" if f.name in ("n1", "n2") else "nonnegative"
             object.__setattr__(self, f.name, as_float(f.name, getattr(self, f.name), rule))
-
-    def astuple(self) -> tuple[float, ...]:
-        return astuple(self)
 
 
 def game_datasets(table: BenchmarkTable) -> tuple[str, str]:

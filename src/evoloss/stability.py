@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ from .game import (
     replicator_rhs,
     saddle_point,
 )
+from .kvfile import write_csv
 from .metrics import PayoffParams
 
 
@@ -124,10 +124,6 @@ def equilibria_table(equilibria: list[Equilibrium]) -> str:
 
 
 def write_equilibria_csv(equilibria: list[Equilibrium], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EQUILIBRIA_COLUMNS)
-        for eq in equilibria:
-            writer.writerow(
-                [repr(eq.point.x), repr(eq.point.y), repr(eq.det), repr(eq.trace), eq.cls.value]
-            )
+    write_csv(path, EQUILIBRIA_COLUMNS, (
+        (eq.point.x, eq.point.y, eq.det, eq.trace, eq.cls.value) for eq in equilibria
+    ))

@@ -112,6 +112,21 @@ def test_equilibria_writes_csv(params_file, tmp_path, capsys):
     assert "wrote 5 equilibria" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("game,digest", [
+    (None, "ae2eed507ac7aa141d7b056673e6d48fd299bfbb843946651e724edcd19a0364"),
+    # det underflows to 0.0 and -0.0; the classes read the scaled Jacobian
+    (dict(g1=1e-170, d1=2e-170, g2=3e-170, d2=1e-170, n1=-0.0, n2=5e-171),
+     "d8b091b40c9fe4757bbf1e0261ee1ecdca4cee207585424b2d6e4e129a9859a0"),
+], ids=["fixture", "det-underflow"])
+def test_equilibria_csv_bytes_are_pinned(params_file, tmp_path, capsys, game, digest):
+    """The equilibria CSV keeps its bytes: one repr per float, -0.0 included."""
+    params = params_file if game is None else write_kv(tmp_path / "tiny.params", **game)
+    out = tmp_path / "eq.csv"
+    assert main(["equilibria", "--params", str(params), "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_equilibria_overflowing_jacobian_exits_2(tmp_path, capsys):
     """A Jacobian whose determinant overflows exits 2 with one error
     line; it used to exit 0 with a RuntimeWarning and an inf det."""

@@ -563,7 +563,7 @@ def test_integration_is_scale_invariant_under_powers_of_two(k, seed, dt, t_max):
     times scale by 2^-k, batched and per start.  The saddle stays to the
     horizon; the other starts reach a corner or the horizon."""
     scale = 2.0**k
-    scaled = PayoffParams(*(v * scale for v in FIXTURE.astuple()[:6]))
+    scaled = PayoffParams(*(v * scale for v in dataclasses.astuple(FIXTURE)[:6]))
     cfg = IntegratorConfig(dt=dt, t_max=t_max)
     scaled_cfg = IntegratorConfig(dt=dt / scale, t_max=t_max / scale)
     starts = [*sample_starts(2 * LANES, np.random.default_rng(seed)), (5 / 6, 5 / 6), (0.3, 0.3)]
@@ -942,8 +942,9 @@ def one_game_table(ensemble_transfer):
         pytest.param(lambda v: simulate(FIXTURE, (5 / 6, 5 / 6), IntegratorConfig(t_max=v)),
                      np.float32(3.3), id="IntegratorConfig-t_max-float32"),
         # (Fraction(1, 3), 1, 1, 1, 0, 0, 1.0, 1.0)
-        pytest.param(lambda v: PayoffParams(g1=v, d1=1, g2=1, d2=1, n1=0, n2=0).astuple(),
-                     Fraction(1, 3), id="PayoffParams-astuple"),
+        pytest.param(
+            lambda v: dataclasses.astuple(PayoffParams(g1=v, d1=1, g2=1, d2=1, n1=0, n2=0)),
+            Fraction(1, 3), id="PayoffParams-astuple"),
     ],
 )
 def test_a_number_read_once_computes_as_its_float(call, value):

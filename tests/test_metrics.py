@@ -1,7 +1,11 @@
 """Benchmark parsing and the reciprocal-gap payoff metrics."""
 
+import _pyio
+import builtins
+import dataclasses
 import hashlib
 import math
+import os
 import warnings
 
 import numpy as np
@@ -22,6 +26,7 @@ from evoloss import (
     load_benchmark,
     load_payoff_params,
     payoff_from_benchmarks,
+    save_encoder_weights,
     save_payoff_params,
     table_payoffs,
     write_benchmark,
@@ -134,6 +139,31 @@ def test_metrics_and_write_benchmark_bytes_are_pinned(
     write_benchmark(load_benchmark(src), copy)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == metrics_digest
     assert hashlib.sha256(copy.read_bytes()).hexdigest() == table_digest
+
+
+def test_table_writer_quoting_is_pinned(tmp_path, capsys):
+    """A method name holding a comma and a dataset name holding a comma
+    and a quote are quoted as csv.writer quotes them, in the benchmark
+    table and in the metric rows, and read back as they were."""
+    src = _write(tmp_path, 'method,pretrain,eval,accuracy\n"M,1",a,"b,""x",70.0\n'
+                 'SL,"b,""x","b,""x",98.0\n"M,1",a,a,80.0\nSL,a,a,99.0\n')
+    table = load_benchmark(src)
+    copy = tmp_path / "copy.csv"
+    write_benchmark(table, copy)
+    assert copy.read_text(encoding="utf-8").splitlines()[1] == 'SL,"b,""x","b,""x",98.0'
+    assert hashlib.sha256(copy.read_bytes()).hexdigest() == (
+        "228a0d91915822cd5f1cb3198eceecdbf93112b08bff716cc53097f1d03f3bd9"
+    )
+    assert load_benchmark(copy).accuracies == table.accuracies
+    out = tmp_path / "metrics.csv"
+    assert main(["metrics", "--input", str(copy), "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text(encoding="utf-8").splitlines()[1] == (
+        'G,"M,1",a,"b,""x",0.03571428571428571'
+    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "95934ff8a8a6fad0b290fd6524cdd92adae4617b783c4b1a3507eec0e55a05b8"
+    )
 
 
 def _write(tmp_path, text):
@@ -437,7 +467,7 @@ def test_payoff_from_benchmarks_single_table_is_identity():
     table = make_table()
     expected = table_payoffs(table, "BT", "SIM+BT")
     params = payoff_from_benchmarks([table], 1.0, 1.0, "BT", "SIM+BT")
-    assert params.astuple()[:6] == expected
+    assert dataclasses.astuple(params)[:6] == expected
     assert (params.w1, params.w2) == (1.0, 1.0)
 
 
@@ -464,7 +494,7 @@ def test_payoff_from_benchmarks_permutation_invariant():
     ]
     base = payoff_from_benchmarks(tables, 1.2, 0.8, "BT", "SIM+BT")
     perm = payoff_from_benchmarks(tables[::-1], 1.2, 0.8, "BT", "SIM+BT")
-    for u, v in zip(base.astuple(), perm.astuple()):
+    for u, v in zip(dataclasses.astuple(base), dataclasses.astuple(perm)):
         assert math.isclose(u, v, rel_tol=1e-12, abs_tol=1e-12)
 
 
@@ -485,7 +515,7 @@ def test_payoff_params_validation():
         PayoffParams(g1=1.0, d1=1.0, g2=1.0, d2=1.0, n1=0.0, n2=0.0, w1=-1.0)
     # impact terms may be negative (the ensemble can win)
     p = PayoffParams(g1=1.0, d1=1.0, g2=1.0, d2=1.0, n1=-0.5, n2=-0.5)
-    assert p.astuple() == (1.0, 1.0, 1.0, 1.0, -0.5, -0.5, 1.0, 1.0)
+    assert dataclasses.astuple(p) == (1.0, 1.0, 1.0, 1.0, -0.5, -0.5, 1.0, 1.0)
 
 
 def test_payoff_params_file_roundtrip(tmp_path):
@@ -504,6 +534,25 @@ def test_save_payoff_params_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "2eb4b5e934614abac8545ab6fb70c38989597392f31d703c578b75f2c2ce5907"
     )
+
+
+def test_params_and_weights_files_get_lf_line_ends_on_a_crlf_platform(tmp_path, monkeypatch):
+    """The params file and the encoder-weights file were opened without
+    newline="", so on a platform whose line separator is \\r\\n they got
+    CRLF line ends while every CSV got LF.  _pyio's open reads os.linesep
+    when a file is opened, so patching both stands in for that platform."""
+    monkeypatch.setattr(builtins, "open", _pyio.open)
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    control = tmp_path / "control.txt"
+    with open(control, "w", encoding="utf-8") as fh:
+        fh.write("a\n")
+    assert control.read_bytes() == b"a\r\n"
+    save_payoff_params(PayoffParams(1.5, 1.0, 1.0, 1.5, 0.5, -0.25), tmp_path / "game.params")
+    save_encoder_weights(np.eye(2), tmp_path / "weights.txt")
+    write_benchmark(BenchmarkTable({("SL", "a", "a"): 99.0}), tmp_path / "bench.csv")
+    for name in ("game.params", "weights.txt", "bench.csv"):
+        data = (tmp_path / name).read_bytes()
+        assert data.count(b"\n") > 1 and b"\r" not in data, name
 
 
 def test_load_payoff_params_fixture(data_dir, fixture_params):
