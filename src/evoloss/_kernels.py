@@ -4,17 +4,18 @@ The field is dx/dt = x(1-x)(a - b y), dy/dt = y(1-y)(c - e x); the
 functions take the four precomputed coefficients so they stay
 independent of the dataclasses in the rest of the package.  The scalar
 path loop, _rk4_run, is plain Python over floats and holds the package's
-one scalar RK4 step, its stages written inline with its halve-and-clamp
-retry.  rk4_paths takes the ordinary steps of many starts at once as
-one flat numpy row per sample, the x of every start followed by their y
-in reversed order, so that a stage reads each coordinate's partner from
-the row's reversal, on one shared clock, each step's stages computed in
-place in a workspace made once per lane count; once per chunk of steps
-it finds the sample at which each start leaves the batch and hands it
-from there to the scalar loop.  rk4_path is rk4_paths from one start,
-which runs in the scalar loop throughout.  evobench/README.md describes
-how their cost is measured.  The tests' references, a separate RK4
-attempt and step and a forward-Euler path, are in tests/helpers.py.
+one scalar RK4 step, its stages written inline; it makes every stop,
+halving and clamp, and takes the shortened last step.  rk4_paths takes
+only full dt steps, of many starts at once as one flat numpy row per
+sample, the x of every start followed by their y in reversed order, so
+that a stage reads each coordinate's partner from the row's reversal,
+on one shared clock, each step's stages computed in place in a
+workspace made once per lane count; once per chunk of steps it finds
+the sample at which each start leaves the batch and hands it from there
+to the scalar loop.  rk4_path is rk4_paths from one start, which runs
+in the scalar loop throughout.  evobench/README.md describes how their
+cost is measured.  The tests' references, a separate RK4 attempt and
+step and a forward-Euler path, are in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ _TWO = _read_only(2.0)
 def _step_factors(h):
     """The operands of rk4_attempt_stacked for a step of size h: h, 0.5 *
     h and h / 6.0, rounded as _rk4_run rounds them, as read-only 0-d
-    arrays; made once per step size."""
+    arrays; rk4_paths makes dt's once per call, if its batch steps."""
     return tuple(map(_read_only, (h, 0.5 * h, h / 6.0)))
 
 
@@ -284,7 +285,7 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     the sample budget of _path_rules; a step's result that is NaN is
     not recorded.
 
-    The batch of m lanes takes ordinary steps with rk4_attempt_stacked on
+    The batch of m lanes takes full dt steps with rk4_attempt_stacked on
     one shared clock, each sample one flat row [x_0 ... x_{m-1}, y_{m-1}
     ... y_0], so that no step reads an operand in reversed lane order
     but the row's own reversal.  The steps come in chunks, the first
@@ -294,12 +295,13 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     leaves at its first sample in the box of _path_rules, or whose next
     state lies outside the unit square or is NaN, and the states it
     computed after that sample are thrown away.  Every lane leaves when
-    the batch stops, at the horizon or once the budget is spent, and at
-    a chunk end once fewer than BATCH_MIN_LANES are left; fewer than
-    that take no batched step.  A lane that leaves runs on from its leave
-    sample in _rk4_run, which alone decides its stop and alone halves or
-    clamps a step, so every lane is bit-identical to its start's path
-    integrated alone, which takes no batched step.
+    the batch stops, before the step that would pass t_max or once the
+    budget is spent, and at a chunk end once fewer than BATCH_MIN_LANES
+    are left; a pass with no batched step, as with fewer than that, hands
+    every lane off at its current sample.  A lane that leaves runs on in
+    _rk4_run, which alone decides its stop, halves or clamps a step and
+    takes the shortened last step, so every lane is bit-identical to its
+    start's path integrated alone, which takes no batched step.
 
     Returns one (times, states, terminal) per start, in start order,
     states being the (n, 2) array of recorded (x, y) samples and
@@ -311,8 +313,7 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     lanes own theirs.
     """
     rules = _path_rules(dt, t_max, stop_tol)
-    _, _, t_end, n_max, _, _, box = rules
-    full = _step_factors(dt)
+    _, _, _, n_max, _, _, box = rules
     # the start index of each lane in the batch, also its column in s
     lane = np.arange(len(x0s))
     s = np.array((x0s, y0s), dtype=np.float64)
@@ -329,15 +330,17 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     # and c, and the step's workspace: made again for each lane count m
     # that takes a batched step, as a fresh array or view per step or per
     # test costs more than the step or test
-    buf = rows = revs = scratch = work = None
+    buf = rows = revs = scratch = work = near = None
     while True:
         n0 = n - 1  # the clock index of the chunk's first sample
         k = 0  # the chunk's batched steps
         # the first chunk is one step, so that lanes leaving at their start
         # are dropped at once; the others end at multiples of _CHUNK
         stop = _CHUNK - n0 % _CHUNK if n0 else 1
-        if len(lane) >= BATCH_MIN_LANES and n < n_max and t < t_end:
+        if len(lane) >= BATCH_MIN_LANES and n < n_max and t + dt <= t_max:
             m = len(lane)
+            if buf is None:
+                factors = _step_factors(dt)
             if buf is None or buf.shape[1] != 2 * m:
                 # the last chunk's arrays go first, so that old and new
                 # are never held together
@@ -350,13 +353,10 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
                 q = np.repeat((b, e), m)
             buf[0, :m] = s[0]
             buf[0, : m - 1 : -1] = s[1]
-            while k < stop and n < n_max and t < t_end:
-                h = t_max - t if t + dt > t_max else dt
-                # only the shortened last step makes its own factors
-                factors = full if h == dt else _step_factors(h)
+            while k < stop and n < n_max and t + dt <= t_max:
                 rk4_attempt_stacked(p, q, rows[k], revs[k], factors, rows[k + 1], work)
                 k += 1
-                t += h
+                t += dt
                 clock.append(t)
                 n += 1
             # y back in lane order, through scratch
@@ -364,11 +364,10 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
             buf[: k + 1, m:] = scratch[: k + 1, :m]
             states = buf[: k + 1].reshape(-1, 2, m)
             near = np.subtract(1.0, states, out=scratch[: k + 1].reshape(-1, 2, m))
+            np.minimum(states, near, out=near)
+            first = _first_leaves(near[:, 0], near[:, 1], box)
         else:
-            states = s[np.newaxis]
-            near = 1.0 - states
-        np.minimum(states, near, out=near)
-        first = _first_leaves(near[:, 0], near[:, 1], box)
+            states, first = s[np.newaxis], np.zeros(len(lane), np.intp)
         stay = first == k
         done = k < stop or np.count_nonzero(stay) < BATCH_MIN_LANES
         for i, (r, j) in enumerate(zip(lane.tolist(), first.tolist())):

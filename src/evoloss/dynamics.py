@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ValidationError, as_float, as_int
+from .errors import ValidationError, as_float, as_instance, as_int
 from .game import CORNERS, PopulationState, check_state, field_coefficients
 from .kvfile import repr_fields, write_rows
 from .metrics import PayoffParams
@@ -76,7 +76,7 @@ def simulate(p: PayoffParams, start, cfg: IntegratorConfig | None = None) -> Tra
     """Integrate from start until the path enters the stop_tol-ball of a
     corner or t_max is reached, recording every accepted step; raises
     ValidationError when a step's result is NaN."""
-    cfg = cfg or IntegratorConfig()
+    cfg = IntegratorConfig() if cfg is None else as_instance("cfg", cfg, IntegratorConfig)
     x0, y0 = check_state(start)
     a, b, c, e = field_coefficients(p)
     ts, xs, ys, terminal = _kernels.rk4_path(a, b, c, e, x0, y0, cfg.dt, cfg.t_max, cfg.stop_tol)
@@ -107,7 +107,7 @@ def phase_portrait(
         raise ValidationError(f"starts must be an iterable of states, got {starts!r}") from None
     if not starts:
         raise ValidationError("phase_portrait needs at least one start state")
-    cfg = cfg or IntegratorConfig()
+    cfg = IntegratorConfig() if cfg is None else as_instance("cfg", cfg, IntegratorConfig)
     a, b, c, e = field_coefficients(p)
     paths = _kernels.rk4_paths(
         a, b, c, e, [s.x for s in starts], [s.y for s in starts],
@@ -118,6 +118,7 @@ def phase_portrait(
 
 def sample_starts(n: int, rng: np.random.Generator) -> list[PopulationState]:
     """n uniform random interior start states."""
+    as_instance("rng", rng, np.random.Generator)
     pts = rng.uniform(0.0, 1.0, size=(as_int("n", n, 1), 2))
     return [PopulationState(float(px), float(py)) for px, py in pts]
 

@@ -110,7 +110,10 @@ def as_array(name: str, value, shape: tuple) -> np.ndarray:
 def as_instance(name: str, value, cls: type):
     """value itself; ValidationError unless it is an instance of cls."""
     if not isinstance(value, cls):
-        raise ValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValidationError(
+            f"{name} must be {article} {cls.__name__}, got {type(value).__name__}"
+        )
     return value
 
 

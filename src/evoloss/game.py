@@ -21,6 +21,7 @@ from .errors import (
     ValidationError,
     _shown,
     as_float,
+    as_instance,
 )
 from .metrics import PayoffParams
 
@@ -65,8 +66,10 @@ def field_coefficients(p: PayoffParams) -> tuple[float, float, float, float]:
 
     dx/dt = x (1 - x) (a - b y)      dy/dt = y (1 - y) (c - e x)
 
-    Raises ValidationError when one of them overflows.
+    Raises ValidationError when p is not a PayoffParams or one of them
+    overflows.
     """
+    as_instance("p", p, PayoffParams)
     a = p.g2 + p.w2 * p.d2
     b = p.w2 * p.d1 + p.g2 + p.n2 + p.w2 * p.n1
     c = p.w1 * p.g1 + p.d1

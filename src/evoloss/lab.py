@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _read_only
-from .errors import ValidationError, as_array, as_float, as_int, raising
+from .errors import ValidationError, as_array, as_float, as_instance, as_int, raising
 from .kvfile import repr_fields, write_rows
 # train_episode fuses the public step functions imported here; they stay
 # lab attributes because evobench's traced cli_files run wraps them here.
@@ -93,6 +93,8 @@ class TrainingLog:
 
 def gen_two_view_batch(rng: np.random.Generator, cfg: LabConfig):
     """Two noisy views of one batch of Gaussian latents."""
+    as_instance("rng", rng, np.random.Generator)
+    as_instance("cfg", cfg, LabConfig)
     latent = rng.standard_normal((cfg.batch_size, cfg.input_dim))
     with raising("gen_two_view_batch"):
         x1 = latent + cfg.noise_scale * rng.standard_normal(latent.shape)
@@ -109,6 +111,8 @@ def encoder_forward(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def init_encoder(rng: np.random.Generator, cfg: LabConfig) -> np.ndarray:
+    as_instance("rng", rng, np.random.Generator)
+    as_instance("cfg", cfg, LabConfig)
     return rng.normal(
         0.0, 1.0 / math.sqrt(cfg.input_dim), (cfg.input_dim, cfg.feature_dim)
     )
@@ -144,10 +148,13 @@ def train_episode(
     log_std and its exp, and the target's norm, are made once by the
     PolicyParams and the SchedulerConfig that hold them.
     """
-    sched_cfg = sched_cfg or SchedulerConfig()
+    as_instance("cfg", cfg, LabConfig)
+    sched_cfg = (SchedulerConfig() if sched_cfg is None
+                 else as_instance("sched_cfg", sched_cfg, SchedulerConfig))
     rng = np.random.default_rng(cfg.seed)
     weights = init_encoder(rng, cfg)
-    policy = initial_policy or init_policy(cfg.feature_dim, rng)
+    policy = (init_policy(cfg.feature_dim, rng) if initial_policy is None
+              else as_instance("initial_policy", initial_policy, PolicyParams))
     if policy.state_dim != cfg.feature_dim:
         raise ValidationError(
             f"policy expects state size {policy.state_dim}, lab produces {cfg.feature_dim}"

@@ -147,6 +147,7 @@ def init_policy(state_dim: int, rng: np.random.Generator, hidden: int = HIDDEN_U
     """Fresh policy; output heads start near zero so the initial action
     mean sits at the center of the weight range."""
     state_dim, hidden = as_int("state_dim", state_dim, 1), as_int("hidden", hidden, 1)
+    as_instance("rng", rng, np.random.Generator)
     return PolicyParams(
         *_init_net(rng, state_dim, hidden, (2,)),
         *_init_net(rng, state_dim, hidden, ()),
@@ -258,6 +259,7 @@ def policy_act(policy: PolicyParams, state, rng: np.random.Generator):
     """
     as_instance("policy", policy, PolicyParams)
     state = as_array("state", state, (policy.state_dim,))
+    as_instance("rng", rng, np.random.Generator)
     with raising("policy_act"):
         return _act(policy, state, rng.standard_normal(2))
 

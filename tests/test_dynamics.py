@@ -1381,6 +1381,52 @@ def test_lanes_that_leave_at_their_start_take_one_batched_step(monkeypatch):
         assert got.states.tobytes() == want.states.tobytes()
 
 
+def test_batched_steps_are_full_steps(monkeypatch):
+    """The batch takes only full dt steps: with stopping off and a t_max
+    that is no multiple of dt, every lane is handed to the scalar loop
+    before the step that would pass t_max, and that loop takes the
+    shortened last step; every lane is still rk4_path's, bit for bit,
+    and ends at t_max."""
+    steps = _count_batched_steps(monkeypatch)
+    starts = RANDOM_STARTS[:16]
+    dt, t_max = 0.3, 1.0
+    paths = _kernels.rk4_paths(*FIXTURE_COEFFICIENTS, [s.x for s in starts],
+                               [s.y for s in starts], dt, t_max, -1.0)
+    assert steps
+    assert {float(factors[0]) for *_, factors, _, _ in steps} == {dt}
+    for start, (ts, states, term) in zip(starts, paths):
+        want_ts, xs, ys, want_term = _kernels.rk4_path(*FIXTURE_COEFFICIENTS, *start, dt,
+                                                       t_max, -1.0)
+        assert ts.tobytes() == want_ts.tobytes()
+        assert states.tobytes() == np.column_stack((xs, ys)).tobytes()
+        assert term == want_term == _kernels.TERM_HORIZON and ts[-1] == t_max
+
+
+def test_a_pass_without_a_batched_step_builds_nothing(monkeypatch):
+    """rk4_path, and rk4_paths on one start fewer than BATCH_MIN_LANES,
+    take no batched step, so they make no step factors and run no leave
+    test: every lane is handed to the scalar loop at its start."""
+    starts = ((0.0, 0.0), (0.3, 0.6), *RANDOM_STARTS[: LANES - 3])
+    xs, ys = [s[0] for s in starts], [s[1] for s in starts]
+    cfg = (0.01, 500.0, 1e-3)
+
+    def run():
+        paths = _kernels.rk4_paths(*FIXTURE_COEFFICIENTS, xs, ys, *cfg)
+        ones = [_kernels.rk4_path(*FIXTURE_COEFFICIENTS, *start, *cfg) for start in starts[:2]]
+        return [(ts.tobytes(), states.tobytes(), term) for ts, states, term in paths] + [
+            (ts.tobytes(), px.tobytes(), py.tobytes(), term) for ts, px, py, term in ones
+        ]
+
+    want = run()
+
+    def unused(*args):
+        raise AssertionError("called without a batched step")
+
+    monkeypatch.setattr(_kernels, "_step_factors", unused)
+    monkeypatch.setattr(_kernels, "_first_leaves", unused)
+    assert len(starts) == LANES - 1 and run() == want
+
+
 def test_stacked_attempt_constants_are_read_only():
     """The stacked attempt's constant operands, the module's and a step's
     factors, are read-only 0-d float64 arrays: a stage that wrote into

@@ -10,17 +10,30 @@ import pytest
 from hypothesis import given, strategies as st
 
 from evoloss import (
+    LabConfig,
     LossWeights,
+    PayoffParams,
     PolicyParams,
     SchedulerConfig,
     Transition,
     ValidationError,
+    classify,
+    enumerate_equilibria,
+    gen_two_view_batch,
+    init_encoder,
     init_policy,
+    jacobian,
     map_action,
     observe_state,
+    phase_portrait,
     policy_act,
     ppo_update,
+    replicator_rhs,
     reward,
+    saddle_point,
+    sample_starts,
+    simulate,
+    train_episode,
 )
 from evoloss.scheduler import (
     CLIP_EPS,
@@ -239,6 +252,10 @@ def test_reward_validation():
 
 POLICY = init_policy(2, np.random.default_rng(0))
 BUFFER = [Transition(np.zeros(2), np.zeros(2), 0.0, 0.0, 0.0)]
+GAME = PayoffParams(g1=1.5, d1=1.0, g2=1.0, d2=1.5, n1=0.5, n2=0.5)
+# a game given as its payoffs' tuple, not a PayoffParams
+TUPLE_GAME = (1, 1, 1, 1, 0, 0)
+LAB = LabConfig(steps=3)
 
 
 @pytest.mark.parametrize(
@@ -257,10 +274,57 @@ BUFFER = [Transition(np.zeros(2), np.zeros(2), 0.0, 0.0, 0.0)]
                      "policy must be a PolicyParams, got dict", id="ppo_update-policy"),
         pytest.param(lambda: policy_act(None, np.zeros(2), np.random.default_rng(0)),
                      "policy must be a PolicyParams, got NoneType", id="policy_act-policy"),
+        # game.field_coefficients checks the game for every function that reads one
+        pytest.param(lambda: simulate(TUPLE_GAME, (0.5, 0.5)),
+                     "p must be a PayoffParams, got tuple", id="simulate-p"),
+        pytest.param(lambda: phase_portrait(TUPLE_GAME, [(0.5, 0.5)]),
+                     "p must be a PayoffParams, got tuple", id="phase_portrait-p"),
+        pytest.param(lambda: saddle_point(TUPLE_GAME),
+                     "p must be a PayoffParams, got tuple", id="saddle_point-p"),
+        pytest.param(lambda: replicator_rhs(TUPLE_GAME, (0.5, 0.5)),
+                     "p must be a PayoffParams, got tuple", id="replicator_rhs-p"),
+        pytest.param(lambda: jacobian(TUPLE_GAME, (0.5, 0.5)),
+                     "p must be a PayoffParams, got tuple", id="jacobian-p"),
+        pytest.param(lambda: classify(TUPLE_GAME, (0.0, 0.0)),
+                     "p must be a PayoffParams, got tuple", id="classify-p"),
+        pytest.param(lambda: enumerate_equilibria(TUPLE_GAME),
+                     "p must be a PayoffParams, got tuple", id="enumerate_equilibria-p"),
+        pytest.param(lambda: simulate(GAME, (0.5, 0.5), {"dt": 0.1}),
+                     "cfg must be an IntegratorConfig, got dict", id="simulate-cfg"),
+        # a falsy config was silently replaced by the default one
+        pytest.param(lambda: simulate(GAME, (0.5, 0.5), {}),
+                     "cfg must be an IntegratorConfig, got dict", id="simulate-empty-cfg"),
+        pytest.param(lambda: phase_portrait(GAME, [(0.5, 0.5)], {}),
+                     "cfg must be an IntegratorConfig, got dict", id="phase_portrait-cfg"),
+        pytest.param(lambda: sample_starts(3, 42),
+                     "rng must be a Generator, got int", id="sample_starts-rng"),
+        pytest.param(lambda: init_policy(3, 42),
+                     "rng must be a Generator, got int", id="init_policy-rng"),
+        pytest.param(lambda: init_encoder(42, LAB),
+                     "rng must be a Generator, got int", id="init_encoder-rng"),
+        pytest.param(lambda: init_encoder(np.random.default_rng(0), {"steps": 3}),
+                     "cfg must be a LabConfig, got dict", id="init_encoder-cfg"),
+        pytest.param(lambda: gen_two_view_batch(42, LAB),
+                     "rng must be a Generator, got int", id="gen_two_view_batch-rng"),
+        pytest.param(lambda: gen_two_view_batch(np.random.default_rng(0), {"batch_size": 4}),
+                     "cfg must be a LabConfig, got dict", id="gen_two_view_batch-cfg"),
+        pytest.param(lambda: policy_act(POLICY, np.zeros(2), 42),
+                     "rng must be a Generator, got int", id="policy_act-rng"),
+        pytest.param(lambda: train_episode({"steps": 3}),
+                     "cfg must be a LabConfig, got dict", id="train_episode-cfg"),
+        pytest.param(lambda: train_episode(LAB, {"center": 0.5}),
+                     "sched_cfg must be a SchedulerConfig, got dict", id="train_episode-sched_cfg"),
+        pytest.param(lambda: train_episode(LAB, {}),
+                     "sched_cfg must be a SchedulerConfig, got dict",
+                     id="train_episode-empty-sched_cfg"),
+        pytest.param(lambda: train_episode(LAB, None, {}),
+                     "initial_policy must be a PolicyParams, got dict",
+                     id="train_episode-initial_policy"),
     ],
 )
 def test_an_argument_of_the_wrong_type_is_named_in_one_line(call, message):
-    """Each call raised a bare AttributeError on the argument's fields."""
+    """Each call raised a bare AttributeError on the argument's fields, or
+    put the default in place of a falsy value such as {}."""
     with pytest.raises(ValidationError) as exc:
         call()
     assert str(exc.value) == message
