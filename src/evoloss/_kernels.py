@@ -191,11 +191,11 @@ def _path_rules(dt, t_max, stop_tol):
     return dt, t_max, t_max - 1e-10 * dt, 2 * int(t_max / dt) + 16, corners, stop_tol * stop_tol, box
 
 
-def _rk4_run(a, b, c, e, rules, t, x, y, n, ts, xs, ys):
+def _rk4_run(a, b, c, e, rules, t, x, y, n, ts, xys):
     """The scalar loop of rk4_paths under the _path_rules tuple rules,
     from a path's n-th sample (t, x, y), which the caller has recorded:
-    tests it for a stop, then steps and appends each further sample to
-    the buffers ts, xs, ys.  Returns the terminal code.
+    tests it for a stop, then steps and appends each further sample's
+    time to ts and its (x, y) row to xys.  Returns the terminal code.
 
     This is the package's one scalar RK4 step.  An attempt of size h
     computes the four classical stages from (x, y), unclamped, and is
@@ -253,8 +253,8 @@ def _rk4_run(a, b, c, e, rules, t, x, y, n, ts, xs, ys):
         x, y = xn, yn
         t += h
         ts.append(t)
-        xs.append(x)
-        ys.append(y)
+        xys.append(x)
+        xys.append(y)
         n += 1
 
 
@@ -321,9 +321,8 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     clock = array("d", (t,))
     n = 1  # samples on the clock
     pieces = [[] for _ in lane]
-    # per start: the samples it recorded on the clock, and its later times
-    tails = [None] * len(lane)
-    terminal = [None] * len(lane)
+    # per start, its end: (samples on the clock, later times, terminal)
+    ends = [None] * len(lane)
     # the chunk's flat rows, stepped in place, with views of each row and
     # of its reversal, a scratch of their size, p = [a] * m + [c] * m and
     # q = [b] * m + [e] * m, which makes a step cheaper than broadcasting a
@@ -377,11 +376,11 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
             piece = states[: j + 1, :, i].copy()
             pieces[r].append(piece)
             x, y = piece[-1].tolist()
-            ts, xs, ys = array("d"), array("d"), array("d")
-            terminal[r] = _rk4_run(a, b, c, e, rules, clock[n0 + j], x, y, n0 + j + 1, ts, xs, ys)
-            tails[r] = (n0 + j + 1, ts)
-            if xs:
-                pieces[r].append(np.column_stack((xs, ys)))
+            ts, xys = array("d"), array("d")
+            term = _rk4_run(a, b, c, e, rules, clock[n0 + j], x, y, n0 + j + 1, ts, xys)
+            ends[r] = (n0 + j + 1, ts, term)
+            if xys:
+                pieces[r].append(np.frombuffer(xys).reshape(-1, 2))
         if done:
             break
         # compress keeps s C-ordered; s[:, stay] would not, and every
@@ -394,10 +393,10 @@ def rk4_paths(a, b, c, e, x0s, y0s, dt, t_max, stop_tol):
     clock.flags.writeable = False
     paths = []
     for r, chunks in enumerate(pieces):
-        n, ts = tails[r]
-        tails[r] = pieces[r] = None
+        n, ts, term = ends[r]
+        ends[r] = pieces[r] = None
         times = np.concatenate((clock[:n], ts)) if ts else clock[:n]
-        paths.append((times, np.concatenate(chunks), terminal[r]))
+        paths.append((times, np.concatenate(chunks), term))
     return paths
 
 

@@ -11,6 +11,7 @@ import argparse
 import functools
 import sys
 import warnings
+from collections import Counter
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -123,17 +124,11 @@ def run_simulate(args) -> int:
         starts = sample_starts(as_int("starts", args.starts, 1), np.random.default_rng(seed))
     trajectories = phase_portrait(params, starts, cfg)
     write_trajectories_csv(trajectories, args.out)
-    counts = {corner: 0 for corner in CORNERS}
-    unconverged = 0
-    for traj in trajectories:
-        if traj.converged_to is None:
-            unconverged += 1
-        else:
-            counts[traj.converged_to] += 1
-    for corner, count in counts.items():
-        if count:
-            print(f"basin ({corner.x:g}, {corner.y:g}): {count}")
-    print(f"unconverged: {unconverged}")
+    counts = Counter(traj.converged_to for traj in trajectories)
+    for corner in CORNERS:
+        if counts[corner]:
+            print(f"basin ({corner.x:g}, {corner.y:g}): {counts[corner]}")
+    print(f"unconverged: {counts[None]}")
     budget = sum(traj.reason == "budget" for traj in trajectories)
     if budget:
         print(f"stopped at step budget: {budget}")

@@ -8,6 +8,7 @@ import functools
 import hashlib
 import math
 import pickle
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -279,18 +280,36 @@ def in_box(state, box):
 
 def own_leave(params, traj, cfg):
     """The sample at which the lane of traj leaves the batch of rk4_paths
-    of its own accord: the first in the box of _kernels._path_rules, or
-    whose next attempt, at the batch's step, lands outside the square or
-    is NaN; the last sample when there is none.  Up to that sample the
+    of its own accord: the first sample in the box of _kernels._path_rules,
+    or from which a full dt step would pass t_max, or whose next attempt,
+    at the full step, lands outside the square or is NaN; the last
+    sample when there is none, as at the budget.  Up to that sample the
     lane's times are the batch's clock, so its steps are the batch's."""
     *_, box = _kernels._path_rules(cfg.dt, cfg.t_max, cfg.stop_tol)
     coefficients = field_coefficients(params)
     for j, (t, state) in enumerate(zip(traj.times.tolist(), traj.states.tolist())):
-        h = cfg.t_max - t if t + cfg.dt > cfg.t_max else cfg.dt
-        xn, yn = rk4_attempt(*coefficients, *state, h)
-        if in_box(state, box) or not (0.0 <= xn <= 1.0 and 0.0 <= yn <= 1.0):
+        if in_box(state, box) or t + cfg.dt > cfg.t_max:
+            return j
+        xn, yn = rk4_attempt(*coefficients, *state, cfg.dt)
+        if not (0.0 <= xn <= 1.0 and 0.0 <= yn <= 1.0):
             return j
     return len(traj.times) - 1
+
+
+@contextlib.contextmanager
+def handoffs(monkeypatch):
+    """The (sample, x, y) from which each call of _kernels._rk4_run made
+    inside the with block runs a lane on in the scalar loop."""
+    records = []
+    run = _kernels._rk4_run
+
+    def recorded(a, b, c, e, rules, t, x, y, n, ts, xys):
+        records.append((n - 1, x, y))
+        return run(a, b, c, e, rules, t, x, y, n, ts, xys)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "_rk4_run", recorded)
+        yield records
 
 
 def handoff_sample(own):
@@ -334,9 +353,9 @@ BATCH_CASES = {
     # corner starts leave at their first sample, in the box, and stop
     # there; the edge starts have signed zeros
     "default": (FIXTURE, (*EDGE_STARTS, *RANDOM_STARTS), IntegratorConfig(), {"corner"}),
-    # the horizon cuts the last step short while batched, and the lanes
-    # leave at the sample it ends on; the saddle and the diagonal never
-    # reach a corner
+    # the lanes that stay batched leave at the last sample from which a
+    # full step stays within t_max, and the scalar loop cuts the last
+    # step short; the saddle and the diagonal never reach a corner
     "horizon_cut": (FIXTURE, ((5 / 6, 5 / 6), (0.3, 0.3), *CORNERS, *RANDOM_STARTS),
                     IntegratorConfig(t_max=3.305), {"corner", "horizon"}),
     # the time reaches 3.2999999999999736, within the 1e-12 stop margin
@@ -351,8 +370,9 @@ BATCH_CASES = {
     # (0.1, 0.05) leaves the batch at a halved step and meets the horizon
     # in the scalar loop, off the batch's clock: it lands on t_max with a
     # full step, although t_max - t is not dt; the saddle, given LANES
-    # more times, stays batched and its last step is cut; the corner
-    # start stops at its corner whatever LANES is
+    # more times, stays batched until a full step would pass t_max, and
+    # the scalar loop cuts its last step; the corner start stops at its
+    # corner whatever LANES is
     "horizon_mixed": (STIFF, ((0.1, 0.05), (5 / 6, 5 / 6), (0.0, 1.0), *RANDOM_STARTS,
                               *[(5 / 6, 5 / 6)] * LANES),
                       IntegratorConfig(t_max=0.055), {"corner", "horizon"}),
@@ -427,11 +447,14 @@ BATCH_CASES = {
 
 
 @pytest.mark.parametrize("case", BATCH_CASES)
-def test_phase_portrait_batch_matches_per_start_simulate(case):
+def test_phase_portrait_batch_matches_per_start_simulate(case, monkeypatch):
     """The batched sweep reproduces one simulate per start bit for bit:
-    tobytes() also tells -0.0 from 0.0, which array_equal does not."""
+    tobytes() also tells -0.0 from 0.0, which array_equal does not.
+    Every lane is handed to the scalar loop once, at the sample that
+    own_leave and handoff_sample give."""
     params, starts, cfg, reasons = BATCH_CASES[case]
-    batch = phase_portrait(params, starts, cfg)
+    with handoffs(monkeypatch) as records:
+        batch = phase_portrait(params, starts, cfg)
     assert len(batch) == len(starts)
     for start, got in zip(starts, batch):
         want = simulate(params, start, cfg)
@@ -445,9 +468,10 @@ def test_phase_portrait_batch_matches_per_start_simulate(case):
     handoff = handoff_sample(own)
     # the sample at which each lane leaves the batch
     leaves = own if handoff is None else [min(j, handoff) for j in own]
+    assert sorted(records) == sorted((j, *t.states[j].tolist()) for t, j in zip(batch, leaves))
     if case == "horizon_cut":
         assert np.diff(batch[0].times)[-1] < cfg.dt
-        assert leaves[0] == lengths[0] - 1
+        assert leaves[0] == lengths[0] - 2
     if case == "horizon_margin":
         assert 0.0 < cfg.t_max - batch[0].times[-1] <= 1e-12 and leaves[0] == lengths[0] - 1
     if case == "clamp":
@@ -475,7 +499,7 @@ def test_phase_portrait_batch_matches_per_start_simulate(case):
         behind, cut = batch[0].times, batch[1].times
         assert behind[-2:].tolist() == [0.045, cfg.t_max] and cfg.t_max - 0.045 != cfg.dt
         assert cut[-2] + cfg.dt > cfg.t_max and cut[-2] > behind[-2]
-        assert leaves[0] < lengths[0] - 1 and leaves[1] == lengths[1] - 1
+        assert leaves[0] < lengths[0] - 1 and leaves[1] == lengths[1] - 2
     if case == "budget":
         assert batch[0].times[1] == cfg.dt / 64 and leaves[0] == 0 and handoff != 0
     if case == "handoff_first":
@@ -522,13 +546,15 @@ def test_rk4_paths_matches_rk4_path_when_every_attempt_is_rejected():
     assert paths[0][0][1] == 0.01 / 2**64
 
 
-def test_phase_portrait_lanes_share_one_read_only_clock(fixture_params):
+def test_phase_portrait_lanes_share_one_read_only_clock(fixture_params, monkeypatch):
     """A lane that stops at its leave sample takes its times as a view of
     the batch's one clock, which is read-only; a lane that the scalar
-    loop finished owns its times; every lane is still simulate's path."""
+    loop finished owns its times; every lane is still simulate's path,
+    and is handed to the scalar loop once, at its leave sample."""
     cfg = IntegratorConfig()
     starts = sample_starts(2 * LANES + 6, np.random.default_rng(3))
-    batch = phase_portrait(fixture_params, starts, cfg)
+    with handoffs(monkeypatch) as records:
+        batch = phase_portrait(fixture_params, starts, cfg)
     for start, got in zip(starts, batch):
         want = simulate(fixture_params, start, cfg)
         assert got.times.tobytes() == want.times.tobytes()
@@ -537,6 +563,7 @@ def test_phase_portrait_lanes_share_one_read_only_clock(fixture_params):
     own = [own_leave(fixture_params, t, cfg) for t in batch]
     handoff = handoff_sample(own)
     leaves = own if handoff is None else [min(j, handoff) for j in own]
+    assert sorted(records) == sorted((j, *t.states[j].tolist()) for t, j in zip(batch, leaves))
     shared = [t.times for t, j in zip(batch, leaves) if j == len(t.times) - 1]
     finished = [t.times for t, j in zip(batch, leaves) if j < len(t.times) - 1]
     assert len(shared) >= 2 and finished
@@ -1425,6 +1452,29 @@ def test_a_pass_without_a_batched_step_builds_nothing(monkeypatch):
     monkeypatch.setattr(_kernels, "_step_factors", unused)
     monkeypatch.setattr(_kernels, "_first_leaves", unused)
     assert len(starts) == LANES - 1 and run() == want
+
+
+def test_a_long_path_holds_at_most_56_bytes_a_sample():
+    """The scalar loop appends (x, y) rows, the layout of every other
+    piece of a path, so its tail joins the path without a copy into
+    that layout: a one-lane path of 20 002 samples, on the fixture's
+    diagonal into the saddle, peaks at most 56 bytes a sample above what
+    was traced before the call.  It reads 49; a tail kept as x and y
+    columns and stacked into rows reads 65."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        [(ts, states, term)] = _kernels.rk4_paths(2.5, 3.0, 2.5, 3.0, (0.3,), (0.3,), 0.01,
+                                                  200.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(ts) == len(states) == 20_002 and term == _kernels.TERM_HORIZON
+    assert peak <= 56 * len(ts)
 
 
 def test_stacked_attempt_constants_are_read_only():
